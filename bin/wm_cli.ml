@@ -16,7 +16,8 @@ module ES = Wm_stream.Edge_stream
 (* Error discipline: user errors become one-line stderr messages with
    distinct exit codes instead of leaked exceptions/backtraces.
    2 = usage (bad flags / bad --faults spec), 3 = bad input (missing or
-   malformed instance file), 4 = fault budget exhausted. *)
+   malformed instance file, unrecoverable --wal-dir), 4 = fault budget
+   exhausted. *)
 
 let exit_usage = 2
 let exit_bad_input = 3
@@ -37,6 +38,9 @@ let guard f =
       Printf.eprintf "wm_cli: fault budget exhausted at %s after %d attempts\n"
         site attempts;
       exit_fault_budget
+  | Wm_serve.Server.Unrecoverable msg ->
+      Printf.eprintf "wm_cli: %s\n" msg;
+      exit_bad_input
   | Wm_mpc.Cluster.Memory_exceeded { machine; used; capacity } ->
       Printf.eprintf "wm_cli: machine %d exceeded memory (%d > %d words)\n"
         machine used capacity;
@@ -453,21 +457,15 @@ let run_serve jobs queue_depth cache_entries deadline_ms no_warm report faults
     set_jobs jobs;
     let config =
       {
-        Wm_serve.Server.queue_depth;
+        (Wm_serve.Server.default_config ()) with
+        queue_depth;
         cache_entries;
         deadline_ms;
-        faults = Wm_fault.Spec.default ();
         destroy_pool_on_shutdown = true;
         warm_start = not no_warm;
         wal_dir;
         snapshot_every;
         crash_after;
-        shard_id = 0;
-        executor = None;
-        on_load = None;
-        on_rekey = None;
-        on_evict = None;
-        reporter = None;
       }
     in
     let report_json =

@@ -46,6 +46,8 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
+let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.tbl k)
+
 let find t k =
   match Hashtbl.find_opt t.tbl k with
   | None -> None

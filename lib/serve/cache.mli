@@ -25,6 +25,9 @@ val length : 'a t -> int
 val mem : 'a t -> string -> bool
 (** Membership without bumping recency. *)
 
+val peek : 'a t -> string -> 'a option
+(** Lookup without bumping recency. *)
+
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit moves the entry to most-recently-used. *)
 

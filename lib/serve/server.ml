@@ -39,9 +39,7 @@ type config = {
   crash_after : int option;
   shard_id : int;
   executor : (job list -> (string * outcome) list) option;
-  on_load : (digest:string -> graph:G.t -> unit) option;
-  on_rekey : (old_digest:string -> digest:string -> graph:G.t -> unit) option;
-  on_evict : (string option -> unit) option;
+  observe : (Wal.body -> unit) option;
   reporter : (unit -> J.t) option;
 }
 
@@ -58,9 +56,7 @@ let default_config () =
     crash_after = None;
     shard_id = 0;
     executor = None;
-    on_load = None;
-    on_rekey = None;
-    on_evict = None;
+    observe = None;
     reporter = None;
   }
 
@@ -127,9 +123,6 @@ type session = {
   mutable digest : string;
   mutable generation : int;  (** mutations applied since load *)
   warm : (string, M.t) Hashtbl.t;
-  mutable snap_file : string option;
-      (** on-disk snapshot currently holding this session, for GC on
-          eviction and on supersession by a re-keyed snapshot *)
 }
 
 type queued = {
@@ -137,7 +130,6 @@ type queued = {
   id : int;
   digest : string;
   graph : G.t;
-  session : session;
   params : Protocol.solve_params;
   key : string;
   warm_init : M.t option;  (** warm-start matching captured at admission *)
@@ -195,34 +187,116 @@ let current_header t =
     counters = counter_vector t;
   }
 
-let logging t = t.wal <> None
-let note t body = if logging t then t.pending <- body :: t.pending
-
 let stopped t = t.stopped
 let recovery t = t.recovery
 
 (* ------------------------------------------------------------------ *)
+(* The state transition *)
+
+exception Unrecoverable of string
+
+let unrecoverable fmt =
+  Printf.ksprintf (fun msg -> raise (Unrecoverable msg)) fmt
+
+let patch g ~add_vertices ~add ~remove =
+  let add = List.map (fun (u, v, w) -> Wm_graph.Edge.make u v w) add in
+  G.patch g ~add_vertices ~add ~remove ()
+
+(* The only code that changes [sessions], [order], [last], the cache and
+   the warm tables.  Live handlers validate and compute first (parse,
+   patch, digest, solve) and pass their effect here through [effect];
+   WAL replay passes each decoded body, its content resolved by
+   [restore].  [image] is a fresh Load's content when a snapshot holds
+   it (default: the body's graph at generation 0, no warm state).
+   [graph] is a Mutate's patched graph; without it the session is only
+   re-keyed — inside a snapshot's skip window it already holds the
+   content. *)
+let apply t ?image ?graph body =
+  match body with
+  | Wal.Load { origin; digest; graph = g } ->
+      (* Re-loading live content keeps the existing session object —
+         including its warm matchings, which are valid for identical
+         content by construction. *)
+      if not (Hashtbl.mem t.sessions digest) then begin
+        let graph, generation, warm =
+          match image with
+          | Some s -> (s.Snapshot.graph, s.Snapshot.generation, s.Snapshot.warm)
+          | None -> (g, 0, [])
+        in
+        let warm = Hashtbl.of_seq (List.to_seq warm) in
+        t.order <- t.order @ [ digest ];
+        Hashtbl.replace t.sessions digest
+          { origin; graph; digest; generation; warm }
+      end;
+      t.last <- Some digest
+  | Wal.Mutate { old_digest; new_digest; subsumed; _ } ->
+      (* If the new content collides with another live session, this
+         session subsumes it (identical graphs); the stale order slot is
+         dropped so each digest is listed once. *)
+      let s = Hashtbl.find t.sessions old_digest in
+      Hashtbl.remove t.sessions old_digest;
+      Hashtbl.replace t.sessions new_digest s;
+      t.order <-
+        (if subsumed then List.filter (fun x -> x <> old_digest) t.order
+         else
+           List.map
+             (fun x -> if x = old_digest then new_digest else x)
+             t.order);
+      if t.last = Some old_digest then t.last <- Some new_digest;
+      s.digest <- new_digest;
+      Option.iter
+        (fun g ->
+          s.graph <- g;
+          s.generation <- s.generation + 1)
+        graph
+  | Wal.Evict { digest = None } ->
+      Hashtbl.reset t.sessions;
+      t.order <- [];
+      t.last <- None;
+      Cache.clear t.cache
+  | Wal.Evict { digest = Some d } ->
+      Hashtbl.remove t.sessions d;
+      t.order <- List.filter (fun x -> x <> d) t.order;
+      (if t.last = Some d then
+         t.last <- (match List.rev t.order with [] -> None | x :: _ -> Some x));
+      (* Cached results of an evicted graph must not outlive it. *)
+      ignore
+        (Cache.remove_where t.cache (fun k ->
+             String.starts_with ~prefix:(d ^ "|") k))
+  | Wal.Flush { touches; inserts; warm } ->
+      List.iter (fun k -> ignore (Cache.find t.cache k)) touches;
+      List.iter (fun (k, v) -> Cache.add t.cache k v) inserts;
+      List.iter
+        (fun (d, params, m) ->
+          Hashtbl.replace (Hashtbl.find t.sessions d).warm params m)
+        warm
+  | Wal.Stop -> t.stopped <- true
+  | Wal.Base { last; stopped; cache; evictions; _ } ->
+      (* [restore] has installed the base's sessions as Loads of their
+         snapshots; the rest of the compacted state is bookkeeping. *)
+      t.last <- last;
+      t.stopped <- stopped;
+      List.iter (fun (k, v) -> Cache.add t.cache k v) cache;
+      Cache.set_evictions t.cache evictions
+
+(* A live effect: applied, queued for this line's WAL record, and shown
+   to the observer.  Replay calls [apply] alone, so the observer never
+   sees restored history. *)
+let effect t ?graph body =
+  apply t ?graph body;
+  if t.wal <> None then t.pending <- body :: t.pending;
+  Option.iter (fun observe -> observe body) t.config.observe
+
+(* ------------------------------------------------------------------ *)
 (* Durability: WAL commit, snapshots, restore (DESIGN.md §5.5) *)
-
-let rm_quiet path = try Sys.remove path with Sys_error _ -> ()
-
-(* Drop a session's on-disk snapshot (eviction, or supersession by a
-   snapshot under a newer digest).  Snapshot GC keeps the wal-dir's
-   file census equal to the live-session census. *)
-let gc_snapshot s =
-  match s.snap_file with
-  | Some f ->
-      rm_quiet f;
-      s.snap_file <- None
-  | None -> ()
 
 let write_snapshots t =
   match (t.wal, t.config.wal_dir) with
   | Some w, Some dir ->
       let lsn = Wal.head w in
+      let live = List.map (Hashtbl.find t.sessions) t.order in
       List.iter
-        (fun d ->
-          let s = Hashtbl.find t.sessions d in
+        (fun s ->
           let warm =
             Hashtbl.fold (fun k m acc -> (k, m) :: acc) s.warm []
             |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -232,17 +306,12 @@ let write_snapshots t =
                {
                  Snapshot.origin = s.origin;
                  lsn;
-                 digest = d;
+                 digest = s.digest;
                  generation = s.generation;
                  graph = s.graph;
                  warm;
-               });
-          let file = Snapshot.file ~dir d in
-          (match s.snap_file with
-          | Some old when old <> file -> rm_quiet old
-          | _ -> ());
-          s.snap_file <- Some file)
-        t.order;
+               }))
+        live;
       t.last_snap_lsn <- lsn;
       (* WAL compaction: every live session now has a snapshot at
          [lsn], so the whole prefix of the log collapses into one
@@ -256,10 +325,7 @@ let write_snapshots t =
          partial state. *)
       let dropped = Wal.physical w - 1 in
       if dropped > 0 then begin
-        let cache_dump =
-          List.map (fun (k, v) -> (k, J.to_string v)) (Cache.dump t.cache)
-        in
-        let base =
+        Wal.compact w
           {
             Wal.header = current_header t;
             bodies =
@@ -267,19 +333,20 @@ let write_snapshots t =
                 Wal.Base
                   {
                     lsn;
-                    order =
-                      List.map
-                        (fun d -> ((Hashtbl.find t.sessions d).origin, d))
-                        t.order;
+                    order = List.map (fun s -> (s.origin, s.digest)) live;
                     last = t.last;
                     stopped = t.stopped;
-                    cache = cache_dump;
+                    cache = Cache.dump t.cache;
                     evictions = Cache.evictions t.cache;
                   };
               ];
-          }
-        in
-        Wal.compact w base;
+          };
+        (* Snapshot GC happens here and only here: the compacted log
+           names just the live origins, so any other snapshot — an
+           evicted session's, or one merged into another by mutation —
+           is dead.  Deleting it before the compaction is durable would
+           strand the records that still name it. *)
+        Snapshot.gc ~dir ~live:(List.map (fun s -> s.origin) live);
         Obs.add c_compacted dropped;
         Recovery.note_wal_compacted ~records:dropped
       end
@@ -310,172 +377,6 @@ let commit t =
         then write_snapshots t
       end
 
-(* Replay one WAL body against the restoring server.  [skip] maps a
-   session origin to the LSN of its installed snapshot: records at or
-   before that LSN are already reflected in the snapshot's {e content}
-   (graph, generation, warm), so only their {e bookkeeping} — the
-   digest re-keys that keep [t.sessions]/[t.order]/[t.last] tracking
-   the live history, which later records' digest references resolve
-   against — is re-applied.  Cache effects always replay in full: the
-   cache is global, never snapshotted, and its LRU/eviction state is a
-   pure function of the logged touch/insert sequence. *)
-let replay_body t ~dir ~lsn ~head ~snaps ~seen ~skip ~restored body =
-  let in_skip s =
-    match Hashtbl.find_opt skip s.origin with
-    | Some sl -> lsn <= sl
-    | None -> false
-  in
-  match body with
-  | Wal.Base { lsn = _; order; last; stopped; cache; evictions } ->
-      (* A compacted log opens with its own bookkeeping: sessions are
-         installed straight from their snapshots (the compaction point
-         wrote one per live session, at exactly this LSN), and the
-         cache's LRU contents arrive as a dump instead of a replayed
-         touch/insert history.  Load records below the base are gone,
-         so a missing snapshot is unrecoverable — fail loudly. *)
-      List.iter
-        (fun (origin, digest) ->
-          match Hashtbl.find_opt snaps origin with
-          | Some (s, bytes) when s.Snapshot.lsn <= head ->
-              Hashtbl.replace seen origin ();
-              Hashtbl.replace skip origin s.Snapshot.lsn;
-              incr restored;
-              Recovery.note_snapshot_restore ~bytes ~at:s.Snapshot.lsn;
-              let warm = Hashtbl.create 4 in
-              List.iter (fun (k, m) -> Hashtbl.replace warm k m)
-                s.Snapshot.warm;
-              t.order <- t.order @ [ digest ];
-              Hashtbl.replace t.sessions digest
-                {
-                  origin;
-                  graph = s.Snapshot.graph;
-                  digest;
-                  generation = s.Snapshot.generation;
-                  warm;
-                  snap_file = Some (Snapshot.file ~dir s.Snapshot.digest);
-                }
-          | _ ->
-              failwith
-                (Printf.sprintf
-                   "wal replay: compacted log names session %s but its \
-                    snapshot is missing"
-                   digest))
-        order;
-      t.last <- last;
-      t.stopped <- stopped;
-      List.iter
-        (fun (k, v) ->
-          match J.of_string v with
-          | Ok j -> Cache.add t.cache k j
-          | Error _ -> failwith "wal replay: bad cached result in base")
-        cache;
-      Cache.set_evictions t.cache evictions
-  | Wal.Load { origin; digest; graph } ->
-      if Hashtbl.mem seen origin then
-        (* Re-load of live content: [digest] is the session's current
-           key at this point of the history; only [last] moves. *)
-        t.last <- Some digest
-      else begin
-        Hashtbl.replace seen origin ();
-        let session =
-          match Hashtbl.find_opt snaps origin with
-          | Some (s, bytes) when s.Snapshot.lsn >= lsn && s.Snapshot.lsn <= head
-            ->
-              (* Install the snapshot's content under the {e historical}
-                 digest; bookkeeping replay walks the key along the live
-                 re-keying path, and content and key re-converge exactly
-                 at the snapshot LSN, where the skip window closes. *)
-              Hashtbl.replace skip origin s.Snapshot.lsn;
-              incr restored;
-              Recovery.note_snapshot_restore ~bytes ~at:s.Snapshot.lsn;
-              let warm = Hashtbl.create 4 in
-              List.iter (fun (k, m) -> Hashtbl.replace warm k m)
-                s.Snapshot.warm;
-              {
-                origin;
-                graph = s.Snapshot.graph;
-                digest;
-                generation = s.Snapshot.generation;
-                warm;
-                snap_file = Some (Snapshot.file ~dir s.Snapshot.digest);
-              }
-          | _ ->
-              {
-                origin;
-                graph = Wm_graph.Graph_io.of_binary graph;
-                digest;
-                generation = 0;
-                warm = Hashtbl.create 4;
-                snap_file = None;
-              }
-        in
-        t.order <- t.order @ [ digest ];
-        Hashtbl.replace t.sessions digest session;
-        t.last <- Some digest
-      end
-  | Wal.Mutate { old_digest; new_digest; subsumed; add_vertices; add; remove }
-    -> (
-      match Hashtbl.find_opt t.sessions old_digest with
-      | None -> failwith "wal replay: mutate of unknown session"
-      | Some s ->
-          let skipping = in_skip s in
-          Hashtbl.remove t.sessions old_digest;
-          Hashtbl.replace t.sessions new_digest s;
-          t.order <-
-            (if subsumed then List.filter (fun x -> x <> old_digest) t.order
-             else
-               List.map
-                 (fun x -> if x = old_digest then new_digest else x)
-                 t.order);
-          if t.last = Some old_digest then t.last <- Some new_digest;
-          s.digest <- new_digest;
-          if not skipping then begin
-            let add_edges =
-              List.map (fun (u, v, w) -> Wm_graph.Edge.make u v w) add
-            in
-            let g' = G.patch s.graph ~add_vertices ~add:add_edges ~remove () in
-            if Wm_graph.Graph_io.digest g' <> new_digest then
-              failwith "wal replay: mutate digest mismatch";
-            s.graph <- g';
-            s.generation <- s.generation + 1
-          end)
-  | Wal.Evict { digest = None } ->
-      Hashtbl.iter (fun _ s -> gc_snapshot s) t.sessions;
-      Hashtbl.reset t.sessions;
-      t.order <- [];
-      t.last <- None;
-      Cache.clear t.cache
-  | Wal.Evict { digest = Some d } ->
-      (match Hashtbl.find_opt t.sessions d with
-      | Some s -> gc_snapshot s
-      | None -> ());
-      Hashtbl.remove t.sessions d;
-      t.order <- List.filter (fun x -> x <> d) t.order;
-      (if t.last = Some d then
-         t.last <-
-           (match List.rev t.order with [] -> None | x :: _ -> Some x));
-      ignore
-        (Cache.remove_where t.cache (fun k ->
-             String.starts_with ~prefix:(d ^ "|") k))
-  | Wal.Flush { touches; inserts; warm } ->
-      List.iter (fun k -> ignore (Cache.find t.cache k)) touches;
-      List.iter
-        (fun (k, v) ->
-          match J.of_string v with
-          | Ok j -> Cache.add t.cache k j
-          | Error _ -> failwith "wal replay: bad cached result")
-        inserts;
-      List.iter
-        (fun (d, params, mbin) ->
-          match Hashtbl.find_opt t.sessions d with
-          | None -> failwith "wal replay: warm entry for unknown session"
-          | Some s ->
-              if not (in_skip s) then
-                Hashtbl.replace s.warm params
-                  (Wm_graph.Graph_io.matching_of_binary mbin))
-        warm
-  | Wal.Stop -> t.stopped <- true
-
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
   else begin
@@ -483,6 +384,17 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* Rebuild the state a wal-dir holds by running every logged body
+   through [apply], after resolving its content.  A session whose
+   snapshot was taken within the log is installed from it, and [skip]
+   maps its origin to the snapshot's LSN: records at or before that LSN
+   are already reflected in the snapshot's content (graph, generation,
+   warm), so only their bookkeeping — the digest re-keys that keep
+   [sessions]/[order]/[last] tracking the live history, which later
+   records' digest references resolve against — is applied.  Cache
+   effects always apply in full: the cache is global, never
+   snapshotted, and its LRU state is a pure function of the logged
+   touch/insert sequence. *)
 let restore t dir =
   mkdir_p dir;
   let t0 = Obs.now_ns () in
@@ -501,21 +413,80 @@ let restore t dir =
     | _ -> 0
   in
   let head = physical + base_off in
-  let seen = Hashtbl.create 8 in
   let skip = Hashtbl.create 8 in
   let restored = ref 0 in
-  let last_hdr = ref None in
+  (* [origin]'s snapshot if it was taken at or after [from] — and not
+     past the head: the log is the authority. *)
+  let image origin ~from =
+    match Hashtbl.find_opt snaps origin with
+    | Some (s, bytes) when s.Snapshot.lsn >= from && s.Snapshot.lsn <= head ->
+        Hashtbl.replace skip origin s.Snapshot.lsn;
+        incr restored;
+        Recovery.note_snapshot_restore ~bytes ~at:s.Snapshot.lsn;
+        Some s
+    | _ -> None
+  in
+  (* The session a record at [lsn] names, and whether the record falls
+     in its skip window. *)
+  let session lsn d =
+    match Hashtbl.find_opt t.sessions d with
+    | Some s ->
+        ( s,
+          match Hashtbl.find_opt skip s.origin with
+          | Some sl -> lsn <= sl
+          | None -> false )
+    | None -> unrecoverable "wal replay: LSN %d names unknown session %s" lsn d
+  in
+  let replay lsn body =
+    match body with
+    | Wal.Base { order; _ } ->
+        (* The compaction point wrote one snapshot per live session at
+           exactly this LSN, and the Load records below it are gone, so
+           a missing snapshot is unrecoverable — fail loudly rather than
+           resurrect a partial state. *)
+        List.iter
+          (fun (origin, digest) ->
+            match image origin ~from:0 with
+            | Some s ->
+                apply t ~image:s
+                  (Wal.Load { origin; digest; graph = s.Snapshot.graph })
+            | None ->
+                unrecoverable
+                  "wal replay: compacted log names session %s but its \
+                   snapshot is missing"
+                  digest)
+          order;
+        apply t body
+    | Wal.Load { origin; digest; _ } ->
+        (* A fresh session's snapshot content goes in under the {e
+           historical} digest; replay walks the key along the live
+           re-keying path, and content and key re-converge exactly at
+           the snapshot LSN, where the skip window closes. *)
+        let image =
+          if Hashtbl.mem t.sessions digest then None
+          else image origin ~from:lsn
+        in
+        apply t ?image body
+    | Wal.Mutate { old_digest; new_digest; add_vertices; add; remove; _ } ->
+        let s, skipping = session lsn old_digest in
+        if skipping then apply t body
+        else begin
+          let g' = patch s.graph ~add_vertices ~add ~remove in
+          if Wm_graph.Graph_io.digest g' <> new_digest then
+            unrecoverable "wal replay: mutate digest mismatch at LSN %d" lsn;
+          apply t ~graph:g' body
+        end
+    | Wal.Flush f ->
+        let live_warm (d, _, _) = not (snd (session lsn d)) in
+        apply t (Wal.Flush { f with warm = List.filter live_warm f.warm })
+    | Wal.Evict _ | Wal.Stop -> apply t body
+  in
   List.iteri
-    (fun i { Wal.header; bodies } ->
-      let lsn = i + 1 + base_off in
-      last_hdr := Some header;
-      List.iter
-        (replay_body t ~dir ~lsn ~head ~snaps ~seen ~skip ~restored)
-        bodies)
+    (fun i r -> List.iter (replay (i + 1 + base_off)) r.Wal.bodies)
     records;
-  (match !last_hdr with
-  | None -> ()
-  | Some h ->
+  (match List.rev records with
+  | [] -> ()
+  | { Wal.header = h; _ } :: _ ->
       t.reqno <- h.Wal.reqno;
       t.batchno <- h.Wal.batchno;
       (match h.Wal.rng with
@@ -577,9 +548,6 @@ let sessions t =
       let s = Hashtbl.find t.sessions d in
       (d, G.n s.graph, G.m s.graph))
     t.order
-
-let session_graphs t =
-  List.map (fun d -> (d, (Hashtbl.find t.sessions d).graph)) t.order
 
 let ledger_row t ~label ~id ~cached ~status ~latency_ns =
   Ledger.record ~label Ledger.default ~section:"serve.requests"
@@ -738,30 +706,23 @@ let flush t =
           split_at keep_n batch
       | None -> (batch, [])
     in
-    (* Cache lookups in arrival order: the recency bumps are part of the
-       deterministic LRU state.  Internal solves that must return a
-       matching ([want_matching]) bypass the lookup: a cached result
-       JSON carries no matching, and the router needs one for its
-       warm-start store. *)
+    (* Cache lookups in arrival order.  Internal solves that must
+       return a matching ([want_matching]) bypass the lookup: a cached
+       result JSON carries no matching, and the router needs one for
+       its warm-start store.  Lookups only peek: the hits' recency
+       bumps are part of the deterministic LRU state, and [apply]
+       makes them, with the batch's inserts, in the batch's Flush. *)
     let looked =
       List.map
         (fun q ->
-          (q, if q.want_matching then None else Cache.find t.cache q.key))
+          (q, if q.want_matching then None else Cache.peek t.cache q.key))
         batch
     in
-    (* WAL capture: hits are recency touches, and the inserts/warm
-       updates below are appended as they happen — together they replay
-       to the exact post-batch cache and warm-start state without
-       re-running any solve. *)
     let touches =
-      if logging t then
-        List.filter_map
-          (fun (q, hit) -> if hit <> None then Some q.key else None)
-          looked
-      else []
+      List.filter_map
+        (fun (q, hit) -> if hit <> None then Some q.key else None)
+        looked
     in
-    let w_inserts = ref [] in
-    let w_warm = ref [] in
     (* Deduplicate misses by result key — compatible requests are the
        batch scheduler's unit of work; one job per distinct key, in
        first-arrival order. *)
@@ -818,32 +779,26 @@ let flush t =
        table that is a pure function of the request history.  Deadline
        partials are excluded from both (wall-clock deadlines are not
        deterministic), mirroring the cache rule. *)
-    List.iter
-      (fun q ->
-        match Hashtbl.find_opt by_key q.key with
-        | Some (`Ok (result, m)) ->
-            Cache.add t.cache q.key result;
-            if logging t then
-              w_inserts := (q.key, J.to_string result) :: !w_inserts;
-            if t.config.warm_start && q.params.Protocol.algo <> Protocol.Greedy
-            then begin
-              let canon = Protocol.canonical_params q.params in
-              Hashtbl.replace q.session.warm canon m;
-              if logging t then
-                w_warm :=
-                  (q.digest, canon, Wm_graph.Graph_io.matching_to_binary m)
-                  :: !w_warm
-            end
-        | Some (`Deadline _) | Some (`Error _) | None -> ())
-      jobs;
-    (if logging t && (touches <> [] || !w_inserts <> [] || !w_warm <> []) then
-       note t
-         (Wal.Flush
-            {
-              touches;
-              inserts = List.rev !w_inserts;
-              warm = List.rev !w_warm;
-            }));
+    let completed =
+      List.filter_map
+        (fun q ->
+          match Hashtbl.find_opt by_key q.key with
+          | Some (`Ok (result, m)) -> Some (q, result, m)
+          | Some (`Deadline _) | Some (`Error _) | None -> None)
+        jobs
+    in
+    let inserts = List.map (fun (q, result, _) -> (q.key, result)) completed in
+    let warm =
+      if t.config.warm_start then
+        List.filter_map
+          (fun (q, _, m) ->
+            if q.params.Protocol.algo = Protocol.Greedy then None
+            else Some (q.digest, Protocol.canonical_params q.params, m))
+          completed
+      else []
+    in
+    if touches <> [] || inserts <> [] || warm <> [] then
+      effect t (Wal.Flush { touches; inserts; warm });
     Ledger.record Ledger.default ~section:"serve.batches"
       [
         ("batch", t.batchno);
@@ -1027,7 +982,6 @@ let admit t ~id ~(digest : string option) ~chaos
                     id;
                     digest = d;
                     graph = s.graph;
-                    session = s;
                     params;
                     key = Protocol.cache_key ~digest:d params;
                     warm_init;
@@ -1062,39 +1016,15 @@ let load t ~id ~graph ~path =
   with
   | g ->
       let d = Wm_graph.Graph_io.digest g in
-      (* Re-loading content that is already live keeps the existing
-         session object — including its warm matchings, which are valid
-         for identical content by construction. *)
-      if not (Hashtbl.mem t.sessions d) then begin
-        (* One WAL record per input line, so a fresh session's origin is
-           the LSN this line's record is about to take. *)
-        let origin =
-          match t.wal with Some w -> Wal.head w + 1 | None -> t.reqno
-        in
-        t.order <- t.order @ [ d ];
-        Hashtbl.replace t.sessions d
-          {
-            origin;
-            graph = g;
-            digest = d;
-            generation = 0;
-            warm = Hashtbl.create 4;
-            snap_file = None;
-          }
-      end;
-      t.last <- Some d;
-      (match t.config.on_load with
-      | Some hook -> hook ~digest:d ~graph:g
-      | None -> ());
-      (if logging t then
-         let s = Hashtbl.find t.sessions d in
-         note t
-           (Wal.Load
-              {
-                origin = s.origin;
-                digest = d;
-                graph = Wm_graph.Graph_io.to_binary g;
-              }));
+      (* One WAL record per input line, so a fresh session's origin is
+         the LSN this line's record is about to take. *)
+      let origin =
+        match (Hashtbl.find_opt t.sessions d, t.wal) with
+        | Some s, _ -> s.origin
+        | None, Some w -> Wal.head w + 1
+        | None, None -> t.reqno
+      in
+      effect t (Wal.Load { origin; digest = d; graph = g });
       finish ~status:"ok"
         (Protocol.response ~id ~status:"ok"
            [
@@ -1136,35 +1066,16 @@ let mutate t ~id ~digest ~add_vertices ~add ~remove =
       match Hashtbl.find_opt t.sessions d with
       | None -> fail (Printf.sprintf "unknown session digest %s" d)
       | Some s -> (
-          match
-            let add_edges =
-              List.map (fun (u, v, w) -> Wm_graph.Edge.make u v w) add
-            in
-            G.patch s.graph ~add_vertices ~add:add_edges ~remove ()
-          with
+          match patch s.graph ~add_vertices ~add ~remove with
           | exception Invalid_argument msg -> fail msg
           | g' ->
               let d' = Wm_graph.Graph_io.digest g' in
-              Hashtbl.remove t.sessions d;
-              (* Re-key under the new digest.  If the mutated content
-                 collides with another live session, this session
-                 subsumes it (identical graphs); the stale order slot is
-                 dropped so each digest is listed once. *)
-              let collided = d' <> d && Hashtbl.mem t.sessions d' in
-              Hashtbl.replace t.sessions d' s;
-              t.order <-
-                (if collided then List.filter (fun x -> x <> d) t.order
-                 else List.map (fun x -> if x = d then d' else x) t.order);
-              if t.last = Some d then t.last <- Some d';
-              s.graph <- g';
-              s.digest <- d';
-              s.generation <- s.generation + 1;
-              note t
+              effect t ~graph:g'
                 (Wal.Mutate
                    {
                      old_digest = d;
                      new_digest = d';
-                     subsumed = collided;
+                     subsumed = d' <> d && Hashtbl.mem t.sessions d';
                      add_vertices;
                      add;
                      remove;
@@ -1173,9 +1084,6 @@ let mutate t ~id ~digest ~add_vertices ~add ~remove =
               Obs.add c_edges_added (List.length add);
               Obs.add c_edges_removed (List.length remove);
               Obs.add c_vertices_added add_vertices;
-              (match t.config.on_rekey with
-              | Some hook -> hook ~old_digest:d ~digest:d' ~graph:g'
-              | None -> ());
               let delta = Protocol.canonical_delta ~add_vertices ~add ~remove in
               Ledger.record ~label:delta Ledger.default
                 ~section:"serve.mutations"
@@ -1250,50 +1158,22 @@ let stats_response t ~id =
 
 let evict t ~id ~digest =
   match digest with
-  | None ->
-      let ns = Hashtbl.length t.sessions in
-      let nr = Cache.length t.cache in
-      Hashtbl.iter (fun _ s -> gc_snapshot s) t.sessions;
-      Hashtbl.reset t.sessions;
-      t.order <- [];
-      t.last <- None;
-      Cache.clear t.cache;
-      (match t.config.on_evict with Some hook -> hook None | None -> ());
-      note t (Wal.Evict { digest = None });
+  | Some d when not (Hashtbl.mem t.sessions d) ->
+      Obs.incr c_errors;
+      ledger_row t ~label:"evict" ~id ~cached:false ~status:"error"
+        ~latency_ns:0;
+      Protocol.error_response ~id (Printf.sprintf "unknown session digest %s" d)
+  | _ ->
+      let sessions = Hashtbl.length t.sessions in
+      let results = Cache.length t.cache in
+      effect t (Wal.Evict { digest });
       Obs.incr c_evicts;
       ledger_row t ~label:"evict" ~id ~cached:false ~status:"ok" ~latency_ns:0;
       Protocol.response ~id ~status:"ok"
-        [ ("evicted_sessions", J.Int ns); ("evicted_results", J.Int nr) ]
-  | Some d -> (
-      match Hashtbl.find_opt t.sessions d with
-      | None ->
-          Obs.incr c_errors;
-          ledger_row t ~label:"evict" ~id ~cached:false ~status:"error"
-            ~latency_ns:0;
-          [ Protocol.error_response ~id
-              (Printf.sprintf "unknown session digest %s" d) ]
-          |> List.hd
-      | Some s ->
-          gc_snapshot s;
-          Hashtbl.remove t.sessions d;
-          t.order <- List.filter (fun x -> x <> d) t.order;
-          (if t.last = Some d then
-             t.last <-
-               (match List.rev t.order with [] -> None | x :: _ -> Some x));
-          (* Cached results of an evicted graph must not outlive it. *)
-          let dropped =
-            Cache.remove_where t.cache (fun k ->
-                String.starts_with ~prefix:(d ^ "|") k)
-          in
-          (match t.config.on_evict with
-          | Some hook -> hook (Some d)
-          | None -> ());
-          note t (Wal.Evict { digest = Some d });
-          Obs.incr c_evicts;
-          ledger_row t ~label:"evict" ~id ~cached:false ~status:"ok"
-            ~latency_ns:0;
-          Protocol.response ~id ~status:"ok"
-            [ ("evicted_sessions", J.Int 1); ("evicted_results", J.Int dropped) ])
+        [
+          ("evicted_sessions", J.Int (sessions - Hashtbl.length t.sessions));
+          ("evicted_results", J.Int (results - Cache.length t.cache));
+        ]
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)
@@ -1462,8 +1342,7 @@ let dispatch t (req : Protocol.request) =
         flushed @ [ evict t ~id:req.Protocol.id ~digest ]
     | Protocol.Shutdown ->
         let flushed = flush t in
-        t.stopped <- true;
-        note t Wal.Stop;
+        effect t Wal.Stop;
         Obs.incr c_shutdowns;
         ledger_row t ~label:"shutdown" ~id:req.Protocol.id ~cached:false
           ~status:"ok" ~latency_ns:0;

@@ -105,7 +105,9 @@ type config = {
   snapshot_every : int;
       (** write session snapshots every this many WAL records
           (default 8); [0] disables periodic snapshots (one is still
-          written on shutdown, drain, and EOF) *)
+          written on shutdown, drain, and EOF).  Each snapshot point
+          also compacts the WAL to one base record and deletes the
+          snapshots of sessions that are no longer live *)
   crash_after : int option;
       (** test hook: {!run} SIGKILLs the process after emitting the
           responses of this many input lines — the deterministic
@@ -121,19 +123,12 @@ type config = {
           draws, caching, warm-start bookkeeping and response
           rendering all stay here, which is what keeps transcripts
           byte-identical across [--shards] settings. *)
-  on_load : (digest:string -> graph:Wm_graph.Weighted_graph.t -> unit) option;
-      (** observer: a session was loaded (fresh or re-load) *)
-  on_rekey :
-    (old_digest:string ->
-    digest:string ->
-    graph:Wm_graph.Weighted_graph.t ->
-    unit)
-    option;
-      (** observer: a mutation re-keyed a session — the router migrates
-          it to its new home shard *)
-  on_evict : (string option -> unit) option;
-      (** observer: a session (or, with [None], everything) was
-          evicted *)
+  observe : (Wal.body -> unit) option;
+      (** called with every state effect a live request applies — the
+          same {!Wal.body} the WAL records — right after it is applied;
+          never for effects replayed by {!create}.  The shard router
+          uses it to tear down re-keyed and evicted sessions on their
+          home workers. *)
   reporter : (unit -> Wm_obs.Json.t) option;
       (** override for the [report] verb's payload (the router answers
           with the merged multi-shard report); [None] = {!report_json} *)
@@ -153,12 +148,17 @@ type recovery = {
 
 type t
 
+exception Unrecoverable of string
+(** Raised by {!create} when [wal_dir] holds a log it cannot replay —
+    say, a compacted log naming a session whose snapshot is gone. *)
+
 val create : config -> t
 (** With [wal_dir = Some dir]: create the directory if needed, load the
     newest valid snapshot per session, scan the WAL (truncating any
-    torn tail), replay the suffix past each snapshot, and open the log
-    for appending — the returned server continues exactly where the
-    previous incarnation stopped. *)
+    torn tail), and replay it through the same state transition live
+    requests use, installing sessions from their snapshots where the
+    log allows; then open the log for appending — the returned server
+    continues exactly where the previous incarnation stopped. *)
 
 val recovery : t -> recovery option
 (** Restore accounting: [Some] iff the server was created with a
@@ -200,11 +200,6 @@ val run : t -> in_channel -> out_channel -> unit
 
 val sessions : t -> (string * int * int) list
 (** Loaded sessions as [(digest, n, m)] in load order (for tests). *)
-
-val session_graphs : t -> (string * Wm_graph.Weighted_graph.t) list
-(** Loaded sessions as [(digest, graph)] in load order — the shard
-    router uses this to rebuild its placement roster after a WAL
-    restore. *)
 
 val report_json : t -> Wm_obs.Json.t
 (** A BENCH_v1 report (mode ["serve"], empty [experiments]) whose

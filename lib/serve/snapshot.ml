@@ -12,9 +12,10 @@ type s = {
 
 let magic = "WSN1"
 let prefix = "snap-"
-let tmp_prefix = ".tmp-snap-"
+let tmp_prefix = ".tmp-"
 
-let file ~dir digest = Filename.concat dir (prefix ^ digest ^ ".bin")
+let name origin = Printf.sprintf "%s%d.bin" prefix origin
+let file ~dir origin = Filename.concat dir (name origin)
 
 let encode s =
   let buf = Buffer.create 1024 in
@@ -73,8 +74,8 @@ let fsync_dir dir =
    under the live name. *)
 let write ~dir s =
   let framed = Bin.frame (encode s) in
-  let target = file ~dir s.digest in
-  let tmp = Filename.concat dir (tmp_prefix ^ s.digest ^ ".bin") in
+  let target = file ~dir s.origin in
+  let tmp = Filename.concat dir (tmp_prefix ^ name s.origin) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
@@ -97,34 +98,45 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let snapshot_files ~dir =
+  (try Sys.readdir dir with Sys_error _ -> [||])
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+
+(* Keep exactly the files of the [live] origins.  Files named by digest
+   (an older layout) never match, so the first GC after an upgrade
+   sweeps them. *)
+let gc ~dir ~live =
+  let keep = List.map name live in
+  List.iter
+    (fun f ->
+      if not (List.mem f keep) then
+        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (snapshot_files ~dir)
+
 (* Load every valid snapshot in [dir], newest per origin.  Invalid
    files — torn frames, CRC failures, digest mismatches, stray tmp
-   files from a crashed writer — are skipped, never fatal: the WAL
-   replays the whole history anyway, a snapshot only saves work. *)
+   files from a crashed writer — are skipped, never fatal: restore
+   fails only if a record it replays needs the missing snapshot. *)
 let load_all ~dir =
-  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
   let best = Hashtbl.create 8 in
-  Array.iter
+  List.iter
     (fun name ->
-      if
-        String.length name > String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix
-      then
-        let path = Filename.concat dir name in
-        match read_file path with
-        | text -> (
-            match Bin.read_frame text 0 with
-            | Some (payload, _) -> (
-                match decode payload with
-                | s -> (
-                    match Hashtbl.find_opt best s.origin with
-                    | Some (prev, _) when prev.lsn >= s.lsn -> ()
-                    | _ -> Hashtbl.replace best s.origin (s, String.length text))
-                | exception Bin.Corrupt _ -> ()
-                | exception Wm_graph.Graph_io.Parse_error _ -> ()
-                | exception Invalid_argument _ -> ())
-            | None -> ())
-        | exception Sys_error _ -> ())
-    entries;
+      let path = Filename.concat dir name in
+      match read_file path with
+      | text -> (
+          match Bin.read_frame text 0 with
+          | Some (payload, _) -> (
+              match decode payload with
+              | s -> (
+                  match Hashtbl.find_opt best s.origin with
+                  | Some (prev, _) when prev.lsn >= s.lsn -> ()
+                  | _ -> Hashtbl.replace best s.origin (s, String.length text))
+              | exception Bin.Corrupt _ -> ()
+              | exception Wm_graph.Graph_io.Parse_error _ -> ()
+              | exception Invalid_argument _ -> ())
+          | None -> ())
+      | exception Sys_error _ -> ())
+    (snapshot_files ~dir);
   Hashtbl.fold (fun _ sb acc -> sb :: acc) best []
   |> List.sort (fun (a, _) (b, _) -> compare a.origin b.origin)

@@ -6,11 +6,12 @@
     load).  On restore the newest valid snapshot per origin is
     installed and only the WAL suffix past its [lsn] is replayed.
 
-    Files are named [snap-<digest>.bin] and published atomically:
-    temp-file, fsync, rename, directory fsync.  A file that fails its
-    CRC or whose decoded graph does not hash back to the recorded
-    digest is skipped by {!load_all} — the WAL alone is sufficient for
-    recovery, a snapshot only shortens replay. *)
+    Files are named by origin, [snap-<origin>.bin], so re-keying or
+    merging sessions never makes one session's snapshot overwrite
+    another's.  They are published atomically: temp-file, fsync,
+    rename, directory fsync.  A file that fails its CRC or whose
+    decoded graph does not hash back to the recorded digest is skipped
+    by {!load_all}. *)
 
 type s = {
   origin : int;  (** LSN of the session's first load *)
@@ -22,13 +23,18 @@ type s = {
       (** warm-start matchings keyed by canonical solve parameters *)
 }
 
-val file : dir:string -> string -> string
-(** [file ~dir digest] is the snapshot's path, [dir/snap-<digest>.bin]. *)
+val file : dir:string -> int -> string
+(** [file ~dir origin] is the snapshot's path, [dir/snap-<origin>.bin]. *)
 
 val write : dir:string -> s -> int
 (** Atomically write (or replace) the session's snapshot; returns the
     framed size in bytes.  Accounted via
     {!Wm_fault.Recovery.note_snapshot}. *)
+
+val gc : dir:string -> live:int list -> unit
+(** Delete every snapshot file in [dir] that is not the file of one of
+    the [live] origins.  Only safe once no WAL record names the dead
+    origins, i.e. right after a compaction. *)
 
 val load_all : dir:string -> (s * int) list
 (** All valid snapshots in [dir] paired with their file size in bytes,

@@ -1,4 +1,6 @@
 module Recovery = Wm_fault.Recovery
+module J = Wm_obs.Json
+module Gio = Wm_graph.Graph_io
 
 (* Binary primitives shared with {!Snapshot}: CRC32 (IEEE 802.3,
    reflected, polynomial 0xEDB88320), LEB128 varints, length-prefixed
@@ -137,7 +139,7 @@ type header = {
 }
 
 type body =
-  | Load of { origin : int; digest : string; graph : string }
+  | Load of { origin : int; digest : string; graph : Wm_graph.Weighted_graph.t }
   | Mutate of {
       old_digest : string;
       new_digest : string;
@@ -149,8 +151,8 @@ type body =
   | Evict of { digest : string option }
   | Flush of {
       touches : string list;
-      inserts : (string * string) list;
-      warm : (string * string * string) list;
+      inserts : (string * J.t) list;
+      warm : (string * string * Wm_graph.Matching.t) list;
     }
   | Stop
   | Base of {
@@ -158,7 +160,7 @@ type body =
       order : (int * string) list;
       last : string option;
       stopped : bool;
-      cache : (string * string) list;
+      cache : (string * J.t) list;
       evictions : int;
     }
 
@@ -173,7 +175,7 @@ let encode_body buf body =
       Buffer.add_char buf 'L';
       add_varint buf origin;
       add_string buf digest;
-      add_string buf graph
+      add_string buf (Gio.to_binary graph)
   | Mutate { old_digest; new_digest; subsumed; add_vertices; add; remove } ->
       Buffer.add_char buf 'M';
       add_string buf old_digest;
@@ -208,14 +210,14 @@ let encode_body buf body =
       List.iter
         (fun (k, v) ->
           add_string buf k;
-          add_string buf v)
+          add_string buf (J.to_string v))
         inserts;
       add_varint buf (List.length warm);
       List.iter
         (fun (d, p, m) ->
           add_string buf d;
           add_string buf p;
-          add_string buf m)
+          add_string buf (Gio.matching_to_binary m))
         warm
   | Stop -> Buffer.add_char buf 'S'
   | Base { lsn; order; last; stopped; cache; evictions } ->
@@ -237,7 +239,7 @@ let encode_body buf body =
       List.iter
         (fun (k, v) ->
           add_string buf k;
-          add_string buf v)
+          add_string buf (J.to_string v))
         cache;
       add_varint buf evictions
 
@@ -258,6 +260,12 @@ let encode_record r =
   List.iter (encode_body buf) r.bodies;
   Buffer.contents buf
 
+let read_result s pos =
+  let text, pos = Bin.read_string s pos in
+  match J.of_string text with
+  | Ok v -> (v, pos)
+  | Error _ -> raise (Bin.Corrupt "bad cached result")
+
 let decode_body s pos =
   let open Bin in
   if pos >= String.length s then raise (Corrupt "truncated body");
@@ -266,7 +274,7 @@ let decode_body s pos =
       let origin, pos = read_varint s (pos + 1) in
       let digest, pos = read_string s pos in
       let graph, pos = read_string s pos in
-      (Load { origin; digest; graph }, pos)
+      (Load { origin; digest; graph = Gio.of_binary graph }, pos)
   | 'M' ->
       let old_digest, pos = read_string s (pos + 1) in
       let new_digest, pos = read_string s pos in
@@ -314,7 +322,7 @@ let decode_body s pos =
       let inserts =
         List.init ni (fun _ ->
             let k, p = read_string s !pos in
-            let v, p = read_string s p in
+            let v, p = read_result s p in
             pos := p;
             (k, v))
       in
@@ -326,7 +334,7 @@ let decode_body s pos =
             let prm, p = read_string s p in
             let m, p = read_string s p in
             pos := p;
-            (d, prm, m))
+            (d, prm, Gio.matching_of_binary m))
       in
       (Flush { touches; inserts; warm }, !pos)
   | 'S' -> (Stop, pos + 1)
@@ -355,7 +363,7 @@ let decode_body s pos =
       let cache =
         List.init nc (fun _ ->
             let k, p = read_string s !pos in
-            let v, p = read_string s p in
+            let v, p = read_result s p in
             pos := p;
             (k, v))
       in

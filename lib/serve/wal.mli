@@ -7,14 +7,17 @@
     generator position — and a list of state-effect bodies in execution
     order: [Load] / [Mutate] / [Evict] for the mutating verbs, [Flush]
     for a completed solve batch (cache recency touches, cache inserts,
-    warm-matching updates), [Stop] for the shutdown verb.  A line with
-    tally-only effects (stats, malformed input, an immediately-rejected
-    solve) writes a body-less record, so the recovered request count and
-    counters are exact.  A {e successfully admitted} solve writes
-    nothing: queue contents are volatile by design, so the log head
-    stays at the last line whose effects are durable and a restart
-    re-feeds (and re-admits, replaying the same injector draws) from
-    the next line.
+    warm-matching updates), [Stop] for the shutdown verb.  Bodies are
+    the server's only state-change language: live handlers and replay
+    both feed them to the same transition, so payloads are held as
+    values and turned into bytes only by {!append}/{!compact}.  A line
+    with tally-only effects (stats, malformed input, an
+    immediately-rejected solve) writes a body-less record, so the
+    recovered request count and counters are exact.  A {e successfully
+    admitted} solve writes nothing: queue contents are volatile by
+    design, so the log head stays at the last line whose effects are
+    durable and a restart re-feeds (and re-admits, replaying the same
+    injector draws) from the next line.
 
     Framing is [u32-LE length | u32-LE CRC32 | payload]; payloads are
     LEB128-varint binary.  {!scan} decodes the longest valid prefix,
@@ -34,11 +37,15 @@ type header = {
 }
 
 type body =
-  | Load of { origin : int; digest : string; graph : string }
+  | Load of {
+      origin : int;
+      digest : string;
+      graph : Wm_graph.Weighted_graph.t;
+    }
       (** [origin] is the LSN of the session's {e first} load — the
           stable identity snapshots are keyed by across digest
-          re-keying; [graph] is a {!Wm_graph.Graph_io.to_binary}
-          frame. *)
+          re-keying; [graph] is stored as a
+          {!Wm_graph.Graph_io.to_binary} frame. *)
   | Mutate of {
       old_digest : string;
       new_digest : string;
@@ -49,9 +56,13 @@ type body =
     }
   | Evict of { digest : string option }  (** [None] = evict everything *)
   | Flush of {
-      touches : string list;
-      inserts : (string * string) list;
-      warm : (string * string * string) list;
+      touches : string list;  (** cache hits, in lookup order *)
+      inserts : (string * Wm_obs.Json.t) list;
+          (** new cache entries, stored as JSON text *)
+      warm : (string * string * Wm_graph.Matching.t) list;
+          (** [(digest, canonical params, matching)] warm-start
+              updates, matchings stored as
+              {!Wm_graph.Graph_io.matching_to_binary} frames *)
     }
   | Stop
   | Base of {
@@ -62,8 +73,8 @@ type body =
               the compaction point) *)
       last : string option;  (** the ["latest"] session digest *)
       stopped : bool;
-      cache : (string * string) list;
-          (** result-cache dump, LRU to MRU, values as JSON text *)
+      cache : (string * Wm_obs.Json.t) list;
+          (** result-cache dump, LRU to MRU, stored as JSON text *)
       evictions : int;  (** lifetime cache eviction tally *)
     }
       (** Compaction summary: a compacted log starts with exactly one
@@ -134,6 +145,3 @@ module Bin : sig
 end
 
 val encode_record : record -> string
-
-val decode_record : string -> record
-(** Raises {!Bin.Corrupt} on a malformed payload. *)

@@ -22,6 +22,7 @@
 
 module J = Wm_obs.Json
 module Server = Wm_serve.Server
+module Wal = Wm_serve.Wal
 module Protocol = Wm_serve.Protocol
 module Meter = Wm_mpc.Meter
 module Gio = Wm_graph.Graph_io
@@ -255,21 +256,7 @@ let forward t slot line =
        unreachable; nothing to resend. *)
     (try revive t slot with Endpoint.Dead -> ())
 
-let on_rekey t ~old_digest ~digest ~graph:_ =
-  let old_home = Ring.home t.ring old_digest in
-  let new_home = Ring.home t.ring digest in
-  if old_home <> new_home then t.migrations <- t.migrations + 1;
-  (* Migration is plain eviction + lazy re-load: drop the stale content
-     at the old home now; the next solve on the new digest ships the
-     rebuilt graph (and the router-held warm state) to the new home. *)
-  let slot = t.slots.(old_home) in
-  if Hashtbl.mem slot.held old_digest then begin
-    Hashtbl.remove slot.held old_digest;
-    forward t slot
-      (Protocol.evict_line ~id:(fresh_rpc t) ~digest:(Some old_digest))
-  end
-
-let on_evict t = function
+let drop t = function
   | Some d ->
       let slot = t.slots.(Ring.home t.ring d) in
       if Hashtbl.mem slot.held d then begin
@@ -284,6 +271,19 @@ let on_evict t = function
             forward t slot (Protocol.evict_line ~id:(fresh_rpc t) ~digest:None)
           end)
         t.slots
+
+(* The fronting server's observer.  A mutation re-key is a migration,
+   and migration is plain eviction + lazy re-load: drop the stale
+   content at the old home now; the next solve on the new digest ships
+   the rebuilt graph (and the router-held warm state) to the new
+   home. *)
+let observe t = function
+  | Wal.Mutate { old_digest; new_digest; _ } ->
+      if Ring.home t.ring old_digest <> Ring.home t.ring new_digest then
+        t.migrations <- t.migrations + 1;
+      drop t (Some old_digest)
+  | Wal.Evict { digest } -> drop t digest
+  | Wal.Load _ | Wal.Flush _ | Wal.Stop | Wal.Base _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Merged observability *)
@@ -406,11 +406,7 @@ let create ~shards ?(vnodes = 64) ?kill ~spawn ~config () =
     {
       config with
       Server.executor = Some (fun jobs -> executor t jobs);
-      on_rekey =
-        Some
-          (fun ~old_digest ~digest ~graph ->
-            on_rekey t ~old_digest ~digest ~graph);
-      on_evict = Some (fun d -> on_evict t d);
+      observe = Some (observe t);
       reporter = Some (fun () -> merged_report t);
     }
   in
@@ -432,11 +428,6 @@ let worker_config ~base ~shard ~wal_root =
         wal_root;
     crash_after = None;
     destroy_pool_on_shutdown = true;
-    executor = None;
-    on_load = None;
-    on_rekey = None;
-    on_evict = None;
-    reporter = None;
   }
 
 let shutdown_workers t =

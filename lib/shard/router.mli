@@ -59,15 +59,12 @@ val worker_config :
   shard:int ->
   wal_root:string option ->
   Wm_serve.Server.config
-(** The config a shard worker runs: [base] with its shard id, faults
-    disabled (the router draws all chaos; only the retry budget is
-    kept so planned crashes replay identically), hooks cleared, and —
-    when [wal_root] is set — a private [wal_root/shard-<k>] durability
+(** The config a shard worker runs: [base] — the caller's config,
+    before {!create} installs the router's hooks — with its shard id,
+    faults disabled (the router draws all chaos; only the retry budget
+    is kept so planned crashes replay identically), and — when
+    [wal_root] is set — a private [wal_root/shard-<k>] durability
     directory. *)
-
-val shutdown_workers : t -> unit
-(** Send each worker a [shutdown], await the ack, release the
-    endpoint.  Collect {!merged_report} first. *)
 
 val serve :
   shards:int ->

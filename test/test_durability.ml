@@ -61,7 +61,7 @@ let sample_records () =
     {
       Wal.header = hdr 1;
       bodies =
-        [ Wal.Load { origin = 1; digest = IO.digest g; graph = IO.to_binary g } ];
+        [ Wal.Load { origin = 1; digest = IO.digest g; graph = g } ];
     };
     { Wal.header = hdr 2; bodies = [] };
     {
@@ -80,8 +80,8 @@ let sample_records () =
           Wal.Flush
             {
               touches = [ "k1" ];
-              inserts = [ ("k2", "{\"x\":1}") ];
-              warm = [ ("bbbb", "key", "bin") ];
+              inserts = [ ("k2", J.Obj [ ("x", J.Int 1) ]) ];
+              warm = [ ("bbbb", "key", M.of_edges 12 [ E.make 0 5 9 ]) ];
             };
         ];
     };
@@ -222,12 +222,15 @@ let shutdown_line id = line [ ("id", J.Int id); ("verb", J.Str "shutdown") ]
 (* Control vs kill-at-[k]: an unkilled server over [lines] against a
    WAL-backed server abandoned (no drain — the in-process SIGKILL
    stand-in) after the first [k] lines plus a restored server over the
-   rest.  Line [k] must be a flush boundary (any non-solve verb). *)
-let recovery_identity ~snapshot_every ~k lines =
+   rest.  Line [k] must be a flush boundary (any non-solve verb).
+   [crash] runs on the abandoned server and its directory before the
+   restart, to stage a crash at a point no request line reaches. *)
+let recovery_identity ?(crash = fun _ _ -> ()) ~snapshot_every ~k lines =
   let control = feed (Server.create (config ())) lines in
   let dir = fresh_dir () in
   let a = Server.create (config ~wal_dir:dir ~snapshot_every ()) in
   let pre = feed a (List.filteri (fun i _ -> i < k) lines) in
+  crash dir a;
   let b = Server.create (config ~wal_dir:dir ~snapshot_every ()) in
   let post = feed b (List.filteri (fun i _ -> i >= k) lines) in
   (Certify.check_recovery ~control ~recovered:(pre @ post), b)
@@ -389,9 +392,9 @@ let test_compaction_on_snapshot () =
   | [ resp ] -> check_bool "restored cache still hits" true (cached resp)
   | _ -> Alcotest.fail "expected one response"
 
-(* Snapshot GC: evicting a session deletes its [snap-<digest>.bin], so
-   the wal-dir's file census tracks the live-session census instead of
-   accreting dead state. *)
+(* Snapshot GC: evicting a session deletes its [snap-<origin>.bin] at
+   the next compaction, so the wal-dir's file census tracks the
+   live-session census instead of accreting dead state. *)
 let test_evict_gcs_snapshot () =
   let g = sample_graph 31 and h = sample_graph 37 in
   let dir = fresh_dir () in
@@ -405,22 +408,208 @@ let test_evict_gcs_snapshot () =
         stats_line 4;
       ]
   in
-  let snap d = Wm_serve.Snapshot.file ~dir d in
+  (* A session's origin is the LSN of its load: one record per line. *)
+  let snap origin = Wm_serve.Snapshot.file ~dir origin in
+  let g_origin = 1 and h_origin = 2 in
   check_bool "both sessions snapshotted" true
-    (Sys.file_exists (snap (IO.digest g))
-    && Sys.file_exists (snap (IO.digest h)));
+    (Sys.file_exists (snap g_origin) && Sys.file_exists (snap h_origin));
   let _ = feed a [ evict_digest_line 5 (IO.digest g) ] in
   check_bool "evicted session's snapshot deleted" true
-    (not (Sys.file_exists (snap (IO.digest g))));
+    (not (Sys.file_exists (snap g_origin)));
   check_bool "surviving session's snapshot kept" true
-    (Sys.file_exists (snap (IO.digest h)));
+    (Sys.file_exists (snap h_origin));
   (* evict-all sweeps the rest *)
   let _ = feed a [ evict_line 6 ] in
   check_bool "evict-all sweeps every snapshot" true
-    (not (Sys.file_exists (snap (IO.digest h))));
+    (not (Sys.file_exists (snap h_origin)));
   (* a restart on the swept dir comes up empty but clean *)
   let b = Server.create (config ~wal_dir:dir ()) in
   check "no sessions after the sweep" 0 (List.length (Server.sessions b))
+
+let assert_identical (chk : Certify.recovery_check) =
+  (match chk.Certify.divergence with
+  | Some (i, c, r) ->
+      Alcotest.failf "diverged at line %d:\n  control:   %s\n  recovered: %s" i c r
+  | None -> ());
+  check_bool "byte-identical" true chk.Certify.identical
+
+let add_edges_line id d (u, v, w) =
+  line
+    [
+      ("id", J.Int id);
+      ("verb", J.Str "add_edges");
+      ("digest", J.Str d);
+      ("edges", J.List [ J.List [ J.Int u; J.Int v; J.Int w ] ]);
+    ]
+
+(* [b] is [a] plus one edge, so mutating a session holding [a] by that
+   edge merges it into a live session holding [b]. *)
+let merge_pair seed =
+  let a = sample_graph seed in
+  let rec absent u v =
+    if not (G.mem_edge a u v) then (u, v, 7)
+    else if v + 1 < G.n a then absent u (v + 1)
+    else absent (u + 1) (u + 2)
+  in
+  let edge = absent 0 1 in
+  let u, v, w = edge in
+  (a, G.patch a ~add:[ E.make u v w ] (), edge)
+
+(* Regression: evicting a session used to delete its snapshot at once,
+   while the compacted log still named it — a kill before the next
+   snapshot point left the wal-dir unrecoverable. *)
+let test_kill_after_evict () =
+  let g = sample_graph 43 and h = sample_graph 47 in
+  let lines =
+    [
+      load_line 1 g;
+      load_line 2 h;
+      stats_line 3;
+      evict_digest_line 4 (IO.digest h);
+      solve_line 5;
+      stats_line 6;
+      shutdown_line 7;
+    ]
+  in
+  assert_identical (fst (recovery_identity ~snapshot_every:3 ~k:4 lines))
+
+let test_kill_after_evict_all () =
+  let g = sample_graph 53 and h = sample_graph 59 in
+  let lines =
+    [
+      load_line 1 g;
+      load_line 2 h;
+      stats_line 3;
+      evict_line 4;
+      load_line 5 h;
+      solve_line 6;
+      stats_line 7;
+      shutdown_line 8;
+    ]
+  in
+  assert_identical (fst (recovery_identity ~snapshot_every:3 ~k:4 lines))
+
+(* Regression: merging session A into live session B (a mutation onto
+   B's content) used to write A's snapshot over B's file, before the
+   compaction that drops B from the log.  The kill lands between the
+   snapshot writes and the compaction: staged by draining (snapshots,
+   compaction, GC), then putting back the pre-drain log and every
+   snapshot file the drain deleted — GC runs only after compaction, so
+   at the crash point none was gone yet. *)
+let test_kill_between_merge_snapshot_and_compaction () =
+  let a, b, edge = merge_pair 61 in
+  let lines =
+    [
+      load_line 1 a;
+      load_line 2 b;
+      stats_line 3;
+      add_edges_line 4 (IO.digest a) edge;
+      stats_line 5;
+      solve_line 6;
+      stats_line 7;
+    ]
+  in
+  let crash dir srv =
+    let files () =
+      Array.to_list (Sys.readdir dir)
+      |> List.filter (fun f -> f = "wal.log" || String.starts_with ~prefix:"snap-" f)
+      |> List.map (fun f -> (f, slurp (Filename.concat dir f)))
+    in
+    let before = files () in
+    ignore (Server.drain srv);
+    let after = files () in
+    List.iter
+      (fun (f, bytes) ->
+        if f = "wal.log" || not (List.mem_assoc f after) then
+          spew (Filename.concat dir f) bytes)
+      before
+  in
+  assert_identical
+    (fst (recovery_identity ~crash ~snapshot_every:3 ~k:4 lines))
+
+(* Crash-point sweep: one script whose WAL carries every body kind —
+   Load (fresh and a re-load of live content), Mutate (plain and a
+   merge into another session), Evict (one and all), Flush with cache
+   inserts, touches and warm updates, and Stop — killed after every
+   flush boundary at several snapshot cadences.  Every restart must
+   reproduce the unkilled transcript byte for byte. *)
+let test_crash_point_sweep () =
+  let a, b, edge = merge_pair 67 in
+  let c = sample_graph 71 in
+  let da = IO.digest a and db = IO.digest b in
+  (* [queued] marks the solves still queued after their line: killing
+     there would drop a volatile admission, so they are not kill
+     points. *)
+  let queued l = (true, l) and boundary l = (false, l) in
+  let script =
+    [
+      boundary (load_line 1 a);
+      boundary (load_line 2 b);
+      queued (solve_line ~digest:da 3);
+      queued (solve_line ~digest:db 4);
+      boundary (stats_line 5);
+      boundary (load_line 6 a);
+      queued (solve_line ~digest:da 7);
+      boundary (add_edges_line 8 da edge);
+      boundary (stats_line 9);
+      boundary (solve_line ~digest:da 10);
+      queued (solve_line ~digest:db 11);
+      boundary (add_vertices_line 12 2);
+      queued (solve_line 13);
+      boundary (stats_line 14);
+      boundary (evict_line 15);
+      boundary (load_line 16 c);
+      boundary (load_line 17 a);
+      queued (solve_line 18);
+      boundary (evict_digest_line 19 (IO.digest c));
+      boundary (stats_line 20);
+      boundary (shutdown_line 21);
+      boundary (stats_line 22);
+    ]
+  in
+  let lines = List.map snd script in
+  (* The merge, live: the merged digest is listed once, and the
+     merged-away digest is refused. *)
+  let control = feed (Server.create (config ())) lines in
+  let response id =
+    List.find
+      (fun r ->
+        match J.of_string r with
+        | Ok j -> J.member "id" j = Some (J.Int id)
+        | Error _ -> false)
+      control
+  in
+  let sessions =
+    match J.of_string (response 9) with
+    | Ok j -> (
+        match J.member "sessions" j with
+        | Some (J.List l) -> List.map (J.member "digest") l
+        | _ -> [])
+    | Error _ -> []
+  in
+  check "merged digest listed once" 1
+    (List.length (List.filter (( = ) (Some (J.Str db))) sessions));
+  check_bool "merged-away digest absent" false
+    (List.mem (Some (J.Str da)) sessions);
+  check_bool "solve on the merged-away digest errors" true
+    (match J.of_string (response 10) with
+    | Ok j -> J.member "status" j = Some (J.Str "error")
+    | Error _ -> false);
+  List.iteri
+    (fun i (is_queued, _) ->
+      if not is_queued then
+        List.iter
+          (fun snapshot_every ->
+            let chk, _ = recovery_identity ~snapshot_every ~k:(i + 1) lines in
+            if not chk.Certify.identical then
+              Alcotest.failf "kill after line %d, snapshot_every %d: %s" (i + 1)
+                snapshot_every
+                (match chk.Certify.divergence with
+                | Some (j, c, r) ->
+                    Printf.sprintf "line %d\n  control:   %s\n  recovered: %s" j c r
+                | None -> "lengths differ"))
+          [ 0; 1; 3 ])
+    script
 
 let test_check_recovery_reports_divergence () =
   let r =
@@ -466,6 +655,12 @@ let () =
             test_compaction_on_snapshot;
           Alcotest.test_case "evict gcs snapshot" `Quick
             test_evict_gcs_snapshot;
+          Alcotest.test_case "kill after evict" `Quick test_kill_after_evict;
+          Alcotest.test_case "kill after evict-all" `Quick
+            test_kill_after_evict_all;
+          Alcotest.test_case "kill between merge snapshot and compaction"
+            `Quick test_kill_between_merge_snapshot_and_compaction;
+          Alcotest.test_case "crash-point sweep" `Quick test_crash_point_sweep;
           Alcotest.test_case "check_recovery divergence" `Quick
             test_check_recovery_reports_divergence;
         ] );
