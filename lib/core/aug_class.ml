@@ -51,6 +51,22 @@ let present_buckets params (gp : Layered.parametrized) ~scale =
   in
   (collect a_set, collect b_set)
 
+(* Per-domain walk scratch: the round-start matching's unmatched
+   incidences as a CSR ([off]/[nbr]/[wt], each vertex's entries in
+   [G.iter_neighbors] order) and the current walk's bucket sequences. *)
+type walk_scratch = {
+  off : Arena.Ints.t;
+  nbr : Arena.Ints.t;
+  wt : Arena.Ints.t;
+  a_bk : Arena.Ints.t;
+  b_bk : Arena.Ints.t;
+}
+
+let walk_slot =
+  Arena.slot (fun () ->
+      let i () = Arena.Ints.create () in
+      { off = i (); nbr = i (); wt = i (); a_bk = i (); b_bk = i () })
+
 (* Random alternating walks give tau pairs biased towards shapes that
    are actually realisable in the data — a practical stand-in for the
    paper's exhaustive enumeration, which only ever matters on pairs
@@ -62,60 +78,66 @@ let walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
   if n = 0 then []
   else begin
     let granule = params.Params.granularity *. scale in
+    let s = Arena.get walk_slot in
+    Arena.Ints.clear s.off;
+    Arena.Ints.clear s.nbr;
+    Arena.Ints.clear s.wt;
+    let add_unmatched x e =
+      if not (M.mem m e) then begin
+        Arena.Ints.push s.nbr x;
+        Arena.Ints.push s.wt (E.weight e)
+      end
+    in
+    for v = 0 to n - 1 do
+      Arena.Ints.push s.off (Arena.Ints.length s.nbr);
+      G.iter_neighbors g v add_unmatched
+    done;
+    Arena.Ints.push s.off (Arena.Ints.length s.nbr);
+    let off = Arena.Ints.data s.off
+    and nbr = Arena.Ints.data s.nbr
+    and wt = Arena.Ints.data s.wt in
     let pairs = ref [] in
     for _ = 1 to count do
       let start = Wm_graph.Prng.int rng n in
-      let a_buckets = ref [] and b_buckets = ref [] in
+      Arena.Ints.clear s.a_bk;
+      Arena.Ints.clear s.b_bk;
       (* First matched bucket: the anchor's matching edge, or a free end. *)
       let cur = ref start in
       (match M.edge_at m start with
       | Some e ->
-          a_buckets := [ Tau.bucket_up ~granule (E.weight e) ];
+          Arena.Ints.push s.a_bk (Tau.bucket_up ~granule (E.weight e));
           cur := E.other e start
-      | None -> a_buckets := [ 0 ]);
+      | None -> Arena.Ints.push s.a_bk 0);
       let steps = 1 + Wm_graph.Prng.int rng (params.Params.max_layers - 1) in
-      (try
-         for _ = 1 to steps do
-           (* Count-then-pick over the CSR slice: one draw on the same
-              count the old neighbour-list filter produced, so the Prng
-              stream (hence every downstream decision) is unchanged —
-              but no per-neighbour list cells. *)
-           let unmatched_count =
-             G.fold_neighbors g !cur
-               (fun acc _ e -> if M.mem m e then acc else acc + 1)
-               0
-           in
-           if unmatched_count = 0 then raise Exit;
-           let idx = Wm_graph.Prng.int rng unmatched_count in
-           let picked = ref None in
-           let seen = ref 0 in
-           G.iter_neighbors g !cur (fun _ e ->
-               if not (M.mem m e) then begin
-                 if !seen = idx then picked := Some e;
-                 incr seen
-               end);
-           let o = match !picked with Some e -> e | None -> assert false in
-           b_buckets := Tau.bucket_down ~granule (E.weight o) :: !b_buckets;
-           let x = E.other o !cur in
-           match M.edge_at m x with
-           | Some e' ->
-               a_buckets := Tau.bucket_up ~granule (E.weight e') :: !a_buckets;
-               cur := E.other e' x
-           | None ->
-               a_buckets := 0 :: !a_buckets;
-               raise Exit
-         done
-       with Exit -> ());
-      if List.length !b_buckets >= 1 then begin
-        match
-          Tau.capture_path tp ~a_buckets:(List.rev !a_buckets)
-            ~b_buckets:(List.rev !b_buckets)
-        with
-        | Some pr -> pairs := pr :: !pairs
-        | None -> ()
-      end
+      let step = ref 1 in
+      while !step <= steps do
+        (* One draw over the vertex's unmatched incidences, kept in
+           neighbour order so the draw and the edge it picks are those
+           of a count-then-scan over the neighbourhood (test_core
+           checks this against one). *)
+        let lo = off.(!cur) in
+        let unmatched_count = off.(!cur + 1) - lo in
+        if unmatched_count = 0 then step := steps + 1
+        else begin
+          let i = lo + Wm_graph.Prng.int rng unmatched_count in
+          Arena.Ints.push s.b_bk (Tau.bucket_down ~granule wt.(i));
+          let x = nbr.(i) in
+          match M.edge_at m x with
+          | Some e' ->
+              Arena.Ints.push s.a_bk (Tau.bucket_up ~granule (E.weight e'));
+              cur := E.other e' x;
+              incr step
+          | None ->
+              Arena.Ints.push s.a_bk 0;
+              step := steps + 1
+        end
+      done;
+      let la = Arena.Ints.length s.a_bk and lb = Arena.Ints.length s.b_bk in
+      let a = Arena.Ints.data s.a_bk and b = Arena.Ints.data s.b_bk in
+      if lb >= 1 && Tau.is_good_prefix tp ~a ~la ~b ~lb then
+        pairs := { Tau.a = Array.sub a 0 la; b = Array.sub b 0 lb } :: !pairs
     done;
-    Tau.dedup !pairs
+    !pairs
   end
 
 let one_augmentations g m =
@@ -241,46 +263,31 @@ let eval_pair ~cache params tp (gp : Layered.parametrized) m ~scale pair =
       pe_paths = List.length paths;
     }
 
-(* Same rendering as [Tau.pp], by hand: the label is built once per
-   pair per round and [Format.asprintf]'s machinery was a measurable
-   slice of the per-pair allocation budget. *)
-let pair_label pair =
-  let buf = Buffer.create 48 in
-  let arr prefix a =
-    Buffer.add_string buf prefix;
-    Array.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int x))
-      a;
-    Buffer.add_char buf ']'
-  in
-  arr "a=[" pair.Tau.a;
-  arr " b=[" pair.Tau.b;
-  Buffer.contents buf
-
 let used_slot = Arena.slot (fun () -> Arena.Stamp.create ())
 
 let run ?(span_path = "core.aug_class") params rng g m ~scale =
   let tp = Params.tau_params params in
   let gp = Layered.parametrize rng g m in
-  let pairs = candidate_pairs params rng gp ~scale in
-  let cache = Layered.prepare tp gp ~scale in
+  (* Two root spans per class — candidate generation, then the layered
+     cache and every pair's evaluation — under explicit paths, so the
+     timer set is the same at any jobs setting and bounded per scale
+     rather than growing with the distinct tau pairs seen. *)
+  let span name f =
+    Wm_obs.Obs.with_span_root Wm_obs.Obs.default (span_path ^ name) f
+  in
+  let pairs = span "/pairs" (fun () -> candidate_pairs params rng gp ~scale) in
   (* Phase 1 (parallel): evaluate every pair's layered graph.  The pool
      preserves input order, and [eval_pair] draws no randomness, so the
      result is independent of the jobs setting.  Inside Main_alg's own
      per-scale fan-out this degrades to a sequential map (nested pool
      calls fall back), and pair-level parallelism kicks in when a class
-     is run on its own.  Each pair's evaluation is timed under an
-     explicit root path ([<span_path>/pair=<tau>]) so the attribution is
-     identical no matter which domain evaluates it. *)
+     is run on its own. *)
   let evals =
-    Wm_par.Pool.map (Wm_par.Pool.default ())
-      (fun pair ->
-        Wm_obs.Obs.with_span_root Wm_obs.Obs.default
-          (span_path ^ "/pair=" ^ pair_label pair)
-          (fun () -> eval_pair ~cache params tp gp m ~scale pair))
-      pairs
+    span "/eval" (fun () ->
+        let cache = Layered.prepare tp gp ~scale in
+        Wm_par.Pool.map (Wm_par.Pool.default ())
+          (fun pair -> eval_pair ~cache params tp gp m ~scale pair)
+          pairs)
   in
   let stats =
     List.fold_left

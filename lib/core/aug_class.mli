@@ -42,7 +42,10 @@ val walk_pairs :
 (** Tau pairs derived from random alternating walks: sampling the pair
     space proportionally to realisability (only pairs whose layered
     graphs are non-empty can ever contribute, and those are exactly the
-    bucket sequences of actual walks). *)
+    bucket sequences of actual walks).  Newest walk first; a pair two
+    walks capture appears twice ({!candidate_pairs} keeps the first).
+    Each walk step is one draw over the vertex's unmatched incidences,
+    read from a CSR built once per call. *)
 
 val candidate_pairs :
   Params.t ->
@@ -65,8 +68,10 @@ val run :
   Aug.t list * stats
 (** [run params rng g m ~scale] returns the winning pair's
     vertex-disjoint augmentations (possibly empty), each strictly
-    gainful against [m].  Each tau pair's layered-graph evaluation is
-    recorded under the root span path [<span_path>/pair=<tau>]
-    (default [span_path] is ["core.aug_class"]); [Main_alg] passes its
-    per-scale path so attribution nests under the round regardless of
-    which pool domain evaluates the pair. *)
+    gainful against [m].  Two root spans time the class: candidate
+    generation under [<span_path>/pairs], and the layered cache plus
+    every pair's evaluation under [<span_path>/eval] (default
+    [span_path] is ["core.aug_class"]).  [Main_alg] passes its
+    per-scale path, so attribution nests under the round whichever
+    pool domain runs the class, and the timer count stays bounded by
+    the scales rather than the distinct pairs. *)

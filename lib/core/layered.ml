@@ -62,8 +62,13 @@ let scratch_slot =
    Buckets depend only on the granule, so one cache serves every pair
    of an [Aug_class.run] — without it each pair re-scans all [m] base
    edges through tuple-returning accessors, which was the single
-   largest allocator on the round hot path.  Immutable after
-   [prepare], so it is shared read-only across pool workers. *)
+   largest allocator on the round hot path.  [yb_off]/[yb_idx] index
+   the unmatched edges by down-bucket (a counting sort over
+   [0 .. max_granules], which bounds every good pair's [tau^B]
+   entries, plus one overflow slot for heavier edges), so the
+   trivial-build test visits only the edges of the pair's own
+   buckets.  Immutable after [prepare], so it is shared
+   read-only across pool workers. *)
 type cache = {
   xm_u : int array;
   xm_v : int array;
@@ -73,6 +78,8 @@ type cache = {
   yc_l : int array;
   yc_w : int array;
   yc_b : int array;
+  yb_off : int array;  (* slot [b]'s edges: yb_idx.(yb_off.(b) ..) *)
+  yb_idx : int array;
 }
 
 let prepare params (gp : parametrized) ~scale =
@@ -90,6 +97,7 @@ let prepare params (gp : parametrized) ~scale =
         if gp.side.(u) <> gp.side.(v) then incr nyc
       end)
     gp.graph;
+  let cap = Tau.max_granules params in
   let c =
     {
       xm_u = Array.make !nxm 0;
@@ -100,6 +108,8 @@ let prepare params (gp : parametrized) ~scale =
       yc_l = Array.make !nyc 0;
       yc_w = Array.make !nyc 0;
       yc_b = Array.make !nyc 0;
+      yb_off = Array.make (cap + 3) 0;
+      yb_idx = Array.make !nyc 0;
     }
   in
   let i = ref 0 in
@@ -121,24 +131,35 @@ let prepare params (gp : parametrized) ~scale =
         let u, v = E.endpoints e in
         if gp.side.(u) <> gp.side.(v) then begin
           let r, l = if gp.side.(u) then (v, u) else (u, v) in
+          let bkt = Tau.bucket_down ~granule (E.weight e) in
           c.yc_r.(!j) <- r;
           c.yc_l.(!j) <- l;
           c.yc_w.(!j) <- E.weight e;
-          c.yc_b.(!j) <- Tau.bucket_down ~granule (E.weight e);
+          c.yc_b.(!j) <- bkt;
+          let slot = Stdlib.min bkt (cap + 1) in
+          c.yb_off.(slot + 1) <- c.yb_off.(slot + 1) + 1;
           incr j
         end
       end)
     gp.graph;
+  for b = 1 to cap + 2 do
+    c.yb_off.(b) <- c.yb_off.(b) + c.yb_off.(b - 1)
+  done;
+  let next = Array.sub c.yb_off 0 (cap + 2) in
+  Array.iteri
+    (fun i bkt ->
+      let slot = Stdlib.min bkt (cap + 1) in
+      c.yb_idx.(next.(slot)) <- i;
+      next.(slot) <- next.(slot) + 1)
+    c.yc_b;
   c
 
-(* Fill the per-domain scratch with one pair's layered edges (X edges
-   in order, then reversed Y edges); shared by [build] and
-   [build_opt].  Returns the scratch, the layer count, the X-edge
-   count and the total edge count. *)
-let fill_scratch ?cache params gp pair ~scale =
+(* Mark the per-domain scratch's [keep] set for one pair's layered
+   vertices and push its X edges; shared by [build] and [build_opt].
+   Returns the scratch, the cache used and the layer count. *)
+let mark_keep ?cache params gp pair ~scale =
   let n = G.n gp.graph in
-  let k = Array.length pair.Tau.b in
-  let layer_count = k + 1 in
+  let layer_count = Array.length pair.Tau.b + 1 in
   let c = match cache with Some c -> c | None -> prepare params gp ~scale in
   let s = Arena.get scratch_slot in
   Arena.Ints.clear s.e_src; Arena.Ints.clear s.e_dst;
@@ -167,7 +188,6 @@ let fill_scratch ?cache params gp pair ~scale =
       end
     done
   done;
-  let x_len = Arena.Ints.length s.e_src in
   (* First/last-layer free-vertex filtering: an endpoint vertex with no
      surviving matched edge is kept only when it is M-free and the
      corresponding threshold is 0. *)
@@ -183,10 +203,14 @@ let fill_scratch ?cache params gp pair ~scale =
       if free && pair.Tau.a.(layer_count - 1) = 0 then
         Arena.Stamp.mark s.keep lk
   done;
-  (* Between-layer (Y) edges: unmatched, R in layer t to L in layer t+1,
-     weight rounding down to tau^B_t.  They land after the X edges but
-     in reverse discovery order (the old [rev_append]), so they go
-     through their own arena first. *)
+  (s, c, layer_count)
+
+(* Between-layer (Y) edges: unmatched, R in layer t to L in layer t+1,
+   weight rounding down to tau^B_t.  They land after the X edges but
+   in reverse discovery order (the old [rev_append]), so they go
+   through their own arena first. *)
+let fill_y s c pair ~n =
+  let k = Array.length pair.Tau.b in
   for i = 0 to Array.length c.yc_r - 1 do
     let bkt = c.yc_b.(i) in
     for t = 1 to k do
@@ -205,8 +229,34 @@ let fill_scratch ?cache params gp pair ~scale =
     Arena.Ints.push s.e_src (Arena.Ints.get s.y_src i);
     Arena.Ints.push s.e_dst (Arena.Ints.get s.y_dst i);
     Arena.Ints.push s.e_w (Arena.Ints.get s.y_w i)
+  done
+
+(* Whether [fill_y] would keep any Y edge: the same test, but over the
+   down-bucket index, so only the edges of [pair]'s own buckets are
+   visited (a bucket past [max_granules], which no good pair names,
+   filters the shared overflow slot). *)
+let has_y s c pair ~n =
+  let k = Array.length pair.Tau.b in
+  let cap = Array.length c.yb_off - 3 in
+  let found = ref false and t = ref 1 in
+  while (not !found) && !t <= k do
+    let bkt = pair.Tau.b.(!t - 1) in
+    if bkt >= 0 then begin
+      let slot = Stdlib.min bkt (cap + 1) in
+      let j = ref c.yb_off.(slot) in
+      while (not !found) && !j < c.yb_off.(slot + 1) do
+        let i = c.yb_idx.(!j) in
+        if c.yc_b.(i) = bkt
+           && Arena.Stamp.mem s.keep (vertex_id ~base_n:n ~layer:!t c.yc_r.(i))
+           && Arena.Stamp.mem s.keep
+                (vertex_id ~base_n:n ~layer:(!t + 1) c.yc_l.(i))
+        then found := true;
+        incr j
+      done
+    end;
+    incr t
   done;
-  (s, layer_count, x_len, Arena.Ints.length s.e_src)
+  !found
 
 (* Materialise [t] from the filled scratch.  This is where the O(layer
    count * n) graph and matching allocations happen — the values the
@@ -236,24 +286,30 @@ let count_build m_edges =
   Obs.set_max c_edges_max m_edges
 
 let build ?cache params gp pair ~scale =
-  let s, layer_count, x_len, m_edges =
-    fill_scratch ?cache params gp pair ~scale
-  in
-  count_build m_edges;
+  let s, c, layer_count = mark_keep ?cache params gp pair ~scale in
+  let x_len = Arena.Ints.length s.e_src in
+  fill_y s c pair ~n:(G.n gp.graph);
+  count_build (Arena.Ints.length s.e_src);
   construct gp pair ~scale s ~layer_count ~x_len
 
 type built = Graph of t | Trivial of int
 
 let build_opt ?cache params gp pair ~scale =
-  let s, layer_count, x_len, m_edges =
-    fill_scratch ?cache params gp pair ~scale
-  in
-  count_build m_edges;
+  let s, c, layer_count = mark_keep ?cache params gp pair ~scale in
+  let x_len = Arena.Ints.length s.e_src in
+  let n = G.n gp.graph in
   (* Every X edge is in [init], so "no Y edge survived" is exactly the
-     "nothing to find" early exit — skip the O(layer_count * n) graph
-     and matching materialisation entirely. *)
-  if m_edges = x_len then Trivial x_len
-  else Graph (construct gp pair ~scale s ~layer_count ~x_len)
+     "nothing to find" early exit — skip the ordered Y fill and the
+     O(layer_count * n) graph and matching materialisation entirely. *)
+  if not (has_y s c pair ~n) then begin
+    count_build x_len;
+    Trivial x_len
+  end
+  else begin
+    fill_y s c pair ~n;
+    count_build (Arena.Ints.length s.e_src);
+    Graph (construct gp pair ~scale s ~layer_count ~x_len)
+  end
 
 let left t x = t.side.(base_vertex ~base_n:t.base_n x)
 

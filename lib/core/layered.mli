@@ -60,9 +60,10 @@ val layer_of : base_n:int -> int -> int
 
 type cache
 (** The pair-invariant half of a build — the bipartition-crossing
-    matched and unmatched edges with their buckets at one granule.
-    Immutable; share one across every pair of a (parametrization,
-    scale), from any number of domains. *)
+    matched and unmatched edges with their buckets at one granule, the
+    unmatched ones also indexed by down-bucket.  Immutable; share one
+    across every pair of a (parametrization, scale), from any number
+    of domains. *)
 
 val prepare : Tau.params -> parametrized -> scale:float -> cache
 
@@ -85,8 +86,10 @@ val build_opt :
     augmenting path returns [Trivial] without materialising the
     O([layer_count * n]) graph and initial matching — the common case
     for enumerated pairs, and the hot-path reason per-pair evaluation
-    is allocation-free.  Build counters are updated exactly as
-    {!build} would. *)
+    is allocation-free.  Triviality is decided over the cache's
+    down-bucket index, visiting only the unmatched edges in the pair's
+    [tau^B] buckets; the ordered edge fill runs only for a [Graph].
+    Build counters are updated exactly as {!build} would. *)
 
 val left : t -> int -> bool
 (** Bipartition of the layered graph: a layered copy of an L-vertex is

@@ -13,21 +13,31 @@ type pair = { a : int array; b : int array }
 
 let layers pair = Array.length pair.a
 
-let sum = Array.fold_left ( + ) 0
-
-let is_good p pair =
-  let la = Array.length pair.a and lb = Array.length pair.b in
+(* Goodness of the pair formed by the first [la] entries of [a] and
+   the first [lb] of [b] — index loops over the prefixes, so a caller
+   accumulating thresholds in scratch arrays tests a candidate before
+   allocating its pair. *)
+let is_good_prefix p ~a ~la ~b ~lb =
   la >= 2 && la <= p.max_layers
   && lb = la - 1
-  && Array.for_all (fun x -> x >= 0) pair.a
-  && Array.for_all (fun x -> x >= 2) pair.b
-  && (let interior_ok = ref true in
-      for i = 1 to la - 2 do
-        if pair.a.(i) < 2 then interior_ok := false
-      done;
-      !interior_ok)
-  && sum pair.b <= max_granules p
-  && sum pair.b - sum pair.a >= 1
+  && begin
+       let ok = ref true and sa = ref 0 and sb = ref 0 in
+       for i = 0 to la - 1 do
+         let x = a.(i) in
+         if x < 0 || (x < 2 && i > 0 && i < la - 1) then ok := false;
+         sa := !sa + x
+       done;
+       for j = 0 to lb - 1 do
+         let x = b.(j) in
+         if x < 2 then ok := false;
+         sb := !sb + x
+       done;
+       !ok && !sb <= max_granules p && !sb - !sa >= 1
+     end
+
+let is_good p pair =
+  is_good_prefix p ~a:pair.a ~la:(Array.length pair.a) ~b:pair.b
+    ~lb:(Array.length pair.b)
 
 (* Small tolerance absorbs float noise in w / granule at exact bucket
    boundaries. *)

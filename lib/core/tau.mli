@@ -48,6 +48,12 @@ val layers : pair -> int
 
 val is_good : params -> pair -> bool
 
+val is_good_prefix :
+  params -> a:int array -> la:int -> b:int array -> lb:int -> bool
+(** [is_good_prefix p ~a ~la ~b ~lb] is {!is_good} of the pair made of
+    the first [la] entries of [a] and the first [lb] of [b], without
+    building it. *)
+
 val bucket_up : granule:float -> int -> int
 (** [bucket_up ~granule w] is the smallest [k] with [k * granule >= w]
     — the bucket of a {e matched} edge (its weight is rounded {e up}). *)

@@ -1101,6 +1101,155 @@ let prop_round_gain_is_exact =
       let r = MA.improve_once params rng g m in
       M.weight m = before + r.MA.gain && M.is_valid_in m g)
 
+(* The count-then-scan [walk_pairs] that the unmatched-incidence CSR
+   replaced, kept as an oracle: each step counts the current vertex's
+   unmatched edges, draws an index, and scans for that edge.  It used
+   to end in [Tau.dedup]; that dedup now happens once, in
+   [candidate_pairs], so the oracle returns the raw newest-first
+   list. *)
+let reference_walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
+  let tp = Params.tau_params params in
+  let g = gp.Layered.graph and m = gp.Layered.matching in
+  let n = G.n g in
+  if n = 0 then []
+  else begin
+    let granule = params.Params.granularity *. scale in
+    let pairs = ref [] in
+    for _ = 1 to count do
+      let start = P.int rng n in
+      let a_buckets = ref [] and b_buckets = ref [] in
+      let cur = ref start in
+      (match M.edge_at m start with
+      | Some e ->
+          a_buckets := [ Tau.bucket_up ~granule (E.weight e) ];
+          cur := E.other e start
+      | None -> a_buckets := [ 0 ]);
+      let steps = 1 + P.int rng (params.Params.max_layers - 1) in
+      (try
+         for _ = 1 to steps do
+           let unmatched_count =
+             G.fold_neighbors g !cur
+               (fun acc _ e -> if M.mem m e then acc else acc + 1)
+               0
+           in
+           if unmatched_count = 0 then raise Exit;
+           let idx = P.int rng unmatched_count in
+           let picked = ref None in
+           let seen = ref 0 in
+           G.iter_neighbors g !cur (fun _ e ->
+               if not (M.mem m e) then begin
+                 if !seen = idx then picked := Some e;
+                 incr seen
+               end);
+           let o = Option.get !picked in
+           b_buckets := Tau.bucket_down ~granule (E.weight o) :: !b_buckets;
+           let x = E.other o !cur in
+           match M.edge_at m x with
+           | Some e' ->
+               a_buckets := Tau.bucket_up ~granule (E.weight e') :: !a_buckets;
+               cur := E.other e' x
+           | None ->
+               a_buckets := 0 :: !a_buckets;
+               raise Exit
+         done
+       with Exit -> ());
+      if !b_buckets <> [] then
+        match
+          Tau.capture_path tp ~a_buckets:(List.rev !a_buckets)
+            ~b_buckets:(List.rev !b_buckets)
+        with
+        | Some pr -> pairs := pr :: !pairs
+        | None -> ()
+    done;
+    !pairs
+  end
+
+(* A random oracle instance: a gnp or power-law graph with a greedy or
+   an empty matching, parametrized by a random bipartition, plus the
+   generator to keep drawing from. *)
+let oracle_instance seed =
+  let rng = P.create seed in
+  let n = 8 + P.int rng 60 in
+  let weights = Gen.Uniform (1, 1 + P.int rng 100) in
+  let g =
+    if P.bool rng then Gen.gnp rng ~n ~p:(0.05 +. P.float rng 0.3) ~weights
+    else Gen.power_law_scale rng ~n ~attach:(1 + P.int rng 4) ~weights
+  in
+  let m = if P.bool rng then Wm_algos.Greedy.by_weight g else M.create n in
+  (rng, Layered.parametrize rng g m)
+
+let oracle_scales = [ 1.0; 4.0; 16.0; 64.0; 256.0 ]
+
+let prop_walk_pairs_oracle =
+  QCheck2.Test.make ~name:"walk_pairs equals the count-then-scan walk"
+    ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng, gp = oracle_instance seed in
+      let params = Params.practical ~epsilon:(0.1 +. P.float rng 0.3) () in
+      List.for_all
+        (fun scale ->
+          let r1 = P.copy rng and r2 = P.copy rng in
+          let got = AC.walk_pairs params r1 gp ~scale ~count:200 in
+          let want = reference_walk_pairs params r2 gp ~scale ~count:200 in
+          got = want && P.state r1 = P.state r2)
+        oracle_scales)
+
+(* [build_opt] decides triviality from the down-bucket index; [build]
+   fills every Y edge.  They must agree: [Trivial] exactly when the
+   full build kept only X edges (all of them in [init]), and otherwise
+   the very same edges in the very same order.  Pairs come from the
+   candidate pool plus arbitrary shapes whose [tau^B] entries may
+   exceed [max_granules]. *)
+let prop_build_opt_oracle =
+  QCheck2.Test.make ~name:"build_opt agrees with build" ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng, gp = oracle_instance seed in
+      let params = Params.practical ~epsilon:(0.2 +. P.float rng 0.2) () in
+      let tp = Params.tau_params params in
+      let cap = Tau.max_granules tp in
+      let edges = G.edges gp.Layered.graph in
+      let matched = Array.of_list (M.edges gp.Layered.matching) in
+      let pick arr = arr.(P.int rng (Array.length arr)) in
+      (* Thresholds mostly taken from the instance's own buckets, so the
+         shapes keep vertices and edges, including heavy edges past
+         [max_granules]. *)
+      let arbitrary granule =
+        let k = 1 + P.int rng (tp.Tau.max_layers - 1) in
+        let a_entry _ =
+          if matched = [||] || P.bool rng then 0
+          else Tau.bucket_up ~granule (E.weight (pick matched))
+        in
+        let b_entry _ =
+          if edges = [||] || P.int rng 4 = 0 then P.int rng (cap + 4)
+          else Tau.bucket_down ~granule (E.weight (pick edges))
+        in
+        { Tau.a = Array.init (k + 1) a_entry; b = Array.init k b_entry }
+      in
+      List.for_all
+        (fun scale ->
+          let granule = params.Params.granularity *. scale in
+          let cache = Layered.prepare tp gp ~scale in
+          let pairs =
+            AC.candidate_pairs params rng gp ~scale
+            @ List.init 40 (fun _ -> arbitrary granule)
+          in
+          List.for_all
+            (fun pair ->
+              let full = Layered.build tp gp pair ~scale in
+              let x_only =
+                G.m full.Layered.lgraph = M.size full.Layered.init
+              in
+              match Layered.build_opt ~cache tp gp pair ~scale with
+              | Layered.Trivial x -> x_only && x = G.m full.Layered.lgraph
+              | Layered.Graph lay ->
+                  (not x_only)
+                  && G.edges lay.Layered.lgraph = G.edges full.Layered.lgraph
+                  && M.equal lay.Layered.init full.Layered.init)
+            pairs)
+        oracle_scales)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1109,6 +1258,8 @@ let qcheck_tests =
       prop_lemma_3_2;
       prop_layered_invariants;
       prop_round_gain_is_exact;
+      prop_walk_pairs_oracle;
+      prop_build_opt_oracle;
       prop_certify_planted_quintuples;
       prop_certify_uniform_cycles;
     ]

@@ -50,20 +50,24 @@ let test_size_and_inline_pool () =
 let test_nested_map_falls_back () =
   with_pool ~domains:4 (fun pool ->
       check_bool "not inside a task at top level" false (Pool.inside_task ());
+      (* Tasks only report what they saw: Alcotest's formatter is not
+         domain-safe, so every assertion runs here on the caller. *)
       let rows =
         Pool.map pool
           (fun i ->
             (* A nested call from inside a task must run inline. *)
             let inner = Pool.map pool (fun j -> (i * 10) + j) [ 0; 1; 2 ] in
-            check_bool "inside_task inside a task" true (Pool.inside_task ());
-            inner)
+            (Pool.inside_task (), inner))
           [ 1; 2; 3; 4; 5; 6; 7; 8 ]
       in
+      check_bool "inside_task inside every task" true
+        (List.for_all fst rows);
       let want = List.init 8 (fun k ->
           let i = k + 1 in
           [ (i * 10); (i * 10) + 1; (i * 10) + 2 ])
       in
-      check_bool "nested results correct and ordered" true (rows = want))
+      check_bool "nested results correct and ordered" true
+        (List.map snd rows = want))
 
 exception Boom of int
 
@@ -258,38 +262,43 @@ let test_obs_snapshot_jobs_invariant () =
       Alcotest.(check string) "histograms jobs=1 vs 4" h1 h4;
       check_bool "histograms non-trivial" true (h1 <> "{}"))
 
-(* Span durations recorded from pool workers land in the same timer
-   paths as at jobs=1: per-scale round spans and per-pair spans are
-   opened with with_span_root, so the path set (though not the
-   durations) is jobs-invariant. *)
-let test_span_paths_jobs_invariant () =
+(* Every timer path and its span count after one [Main_alg.solve] of
+   [g] at [jobs] worker domains, from a freshly reset registry. *)
+let solve_timer_paths ~jobs params seed g =
   let module Obs = Wm_obs.Obs in
   let module J = Wm_obs.Json in
-  let params = Wm_core.Params.practical ~epsilon:0.15 () in
-  let seed = 8888 in
-  let g = t1_workload seed in
-  let timer_paths jobs =
-    Pool.set_default_jobs jobs;
-    Obs.reset Obs.default;
-    ignore (Wm_core.Main_alg.solve ~patience:2 params (P.create seed) g);
-    match J.member "timers" (Obs.to_json Obs.default) with
-    | Some (J.Obj fields) ->
-        List.filter_map
-          (fun (path, v) ->
-            match J.member "count" v with
-            | Some (J.Int c) -> Some (path, c)
-            | _ -> None)
-          fields
-    | _ -> Alcotest.fail "no timers in snapshot"
-  in
+  Pool.set_default_jobs jobs;
+  Obs.reset Obs.default;
+  ignore (Wm_core.Main_alg.solve ~patience:2 params (P.create seed) g);
+  match J.member "timers" (Obs.to_json Obs.default) with
+  | Some (J.Obj fields) ->
+      List.filter_map
+        (fun (path, v) ->
+          match J.member "count" v with
+          | Some (J.Int c) -> Some (path, c)
+          | _ -> None)
+        fields
+  | _ -> Alcotest.fail "no timers in snapshot"
+
+let with_default_jobs_restored f =
   let saved = Pool.default_jobs () in
   Fun.protect
     ~finally:(fun () ->
       Pool.set_default_jobs saved;
-      Obs.reset Obs.default)
-    (fun () ->
-      let p1 = timer_paths 1 in
-      let p4 = timer_paths 4 in
+      Wm_obs.Obs.reset Wm_obs.Obs.default)
+    f
+
+(* Span durations recorded from pool workers land in the same timer
+   paths as at jobs=1: per-scale round spans and their per-class
+   [/pairs] and [/eval] spans are opened with with_span_root, so the
+   path set (though not the durations) is jobs-invariant. *)
+let test_span_paths_jobs_invariant () =
+  let params = Wm_core.Params.practical ~epsilon:0.15 () in
+  let seed = 8888 in
+  let g = t1_workload seed in
+  with_default_jobs_restored (fun () ->
+      let p1 = solve_timer_paths ~jobs:1 params seed g in
+      let p4 = solve_timer_paths ~jobs:4 params seed g in
       check_bool "same span paths and counts" true (p1 = p4);
       check_bool "per-scale spans attributed" true
         (List.exists
@@ -297,6 +306,49 @@ let test_span_paths_jobs_invariant () =
              String.length path >= 20
              && String.sub path 0 20 = "core.main_alg.round/")
            p1))
+
+(* The timer table stays bounded: no span is keyed on a tau pair, and
+   each [round/scale=S] span has only the [/pairs] and [/eval]
+   children, so the timer count grows with the scales, not with the
+   distinct pairs a solve happens to try. *)
+let test_timer_paths_bounded () =
+  let params = Wm_core.Params.practical ~epsilon:0.15 () in
+  let seed = 8888 in
+  let g = t1_workload seed in
+  let prefix = "core.main_alg.round/scale=" in
+  let lp = String.length prefix in
+  with_default_jobs_restored (fun () ->
+      let paths = List.map fst (solve_timer_paths ~jobs:1 params seed g) in
+      let contains sub s =
+        let ls = String.length sub in
+        let rec go i =
+          i + ls <= String.length s && (String.sub s i ls = sub || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun path ->
+          check_bool (path ^ " names no pair") false (contains "pair=" path))
+        paths;
+      let scale_paths =
+        List.filter
+          (fun p -> String.length p > lp && String.sub p 0 lp = prefix)
+          paths
+      in
+      let scales =
+        List.filter (fun p -> not (String.contains_from p lp '/')) scale_paths
+      in
+      check_bool "per-scale spans recorded" true (scales <> []);
+      List.iter
+        (fun path ->
+          let i = String.index_from path lp '/' in
+          let scale = String.sub path 0 i in
+          let child = String.sub path i (String.length path - i) in
+          check_bool (path ^ " is a per-scale span's child") true
+            (List.mem scale scales);
+          check_bool (path ^ " is /pairs or /eval") true
+            (child = "/pairs" || child = "/eval"))
+        (List.filter (fun p -> String.contains_from p lp '/') scale_paths))
 
 (* ------------------------------------------------------------------ *)
 (* Destroy semantics: the serving layer tears the default pool down on
@@ -370,5 +422,7 @@ let () =
             test_obs_snapshot_jobs_invariant;
           Alcotest.test_case "span paths jobs=1 vs 4" `Slow
             test_span_paths_jobs_invariant;
+          Alcotest.test_case "timer paths bounded" `Slow
+            test_timer_paths_bounded;
         ] );
     ]
