@@ -3,72 +3,30 @@
    thresholds (Wm_harness.Bench_diff) and exits non-zero when the
    candidate regresses.  Backs the @bench-diff dune alias.
 
-   Usage: diff.exe BASE.json CAND.json
-            [--max-ns-regress R] [--max-space-regress R]
-            [--max-counter-regress R] [--min-counter-base N]          *)
+   Usage: diff.exe BASE.json CAND.json *)
 
 module J = Wm_obs.Json
 module D = Wm_harness.Bench_diff
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse path =
-  let text = try read_file path with Sys_error e -> fail "%s" e in
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> fail "%s" e
+  in
   match J.of_string text with
   | Ok j -> j
   | Error e -> fail "%s: invalid JSON: %s" path e
 
 let () =
-  let ns = ref D.default_thresholds.D.ns in
-  let space = ref D.default_thresholds.D.space in
-  let counter = ref D.default_thresholds.D.counter in
-  let min_base = ref D.default_thresholds.D.min_counter_base in
-  let gc = ref D.default_thresholds.D.gc in
-  let paths = ref [] in
-  let args =
-    [
-      ( "--max-ns-regress",
-        Arg.Set_float ns,
-        "max relative ns/run increase per micro bench (default 0.5)" );
-      ( "--max-space-regress",
-        Arg.Set_float space,
-        "max relative increase of space.* counters (default 0.1)" );
-      ( "--max-counter-regress",
-        Arg.Set_float counter,
-        "max relative increase of other obs counters (default 0.5)" );
-      ( "--min-counter-base",
-        Arg.Set_int min_base,
-        "skip non-space counters with a smaller baseline (default 16)" );
-      ( "--max-gc-regress",
-        Arg.Set_float gc,
-        "max relative increase of gc-block allocation tallies (default 1.0)" );
-    ]
-  in
-  let usage = "diff.exe BASE.json CAND.json [options]" in
-  Arg.parse args (fun p -> paths := p :: !paths) usage;
+  let usage = "diff.exe BASE.json CAND.json" in
   let base_path, cand_path =
-    match List.rev !paths with
-    | [ b; c ] -> (b, c)
+    match Sys.argv with
+    | [| _; b; c |] -> (b, c)
     | _ -> fail "%s" usage
   in
-  let thresholds =
-    {
-      D.ns = !ns;
-      D.space = !space;
-      D.counter = !counter;
-      D.min_counter_base = !min_base;
-      D.gc = !gc;
-    }
-  in
-  match
-    D.compare_reports ~thresholds ~base:(parse base_path) (parse cand_path)
-  with
+  match D.compare_reports ~base:(parse base_path) (parse cand_path) with
   | Error e -> fail "%s" e
   | Ok findings ->
       print_string (D.render findings);

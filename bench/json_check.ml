@@ -1,17 +1,11 @@
-(* Smoke validator for BENCH_v1 reports: parses the file with the
-   in-house JSON reader and checks the invariants the schema promises.
-   Exits nonzero with a diagnostic on any violation, which is what makes
-   the @bench-smoke dune alias fail on a malformed report. *)
+(* Validator for BENCH_v1 reports: parses the file and checks it against
+   the schema declared in Wm_fault.Bench_v1.  Exits 1 with a diagnostic
+   naming the JSON path of the first violation, which is what makes the
+   smoke aliases fail on a malformed report.
 
-module J = Wm_obs.Json
+   Usage: json_check.exe REPORT.json *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let () =
   let path =
@@ -19,383 +13,13 @@ let () =
     | [| _; p |] -> p
     | _ -> fail "usage: json_check.exe REPORT.json"
   in
-  let text = try read_file path with Sys_error e -> fail "%s" e in
-  let json =
-    match J.of_string text with
-    | Ok j -> j
-    | Error e -> fail "%s: invalid JSON: %s" path e
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> fail "%s" e
   in
-  (match J.member "schema" json with
-  | Some (J.Str "BENCH_v1") -> ()
-  | Some j -> fail "%s: unexpected schema %s" path (J.to_string j)
-  | None -> fail "%s: missing \"schema\" field" path);
-  (match J.member "jobs" json with
-  | Some (J.Int j) when j >= 1 -> ()
-  | Some j -> fail "%s: \"jobs\" must be a positive int, got %s" path (J.to_string j)
-  | None -> fail "%s: missing \"jobs\" field" path);
-  (* T7 (the self-measured speedup table) must carry jobs/wall-ms/speedup
-     columns, positive timings, and the determinism marker on each row. *)
-  let check_t7 i s =
-    match J.member "tables" s with
-    | Some (J.List (first :: _)) -> (
-        (match J.member "columns" first with
-        | Some (J.List cols) ->
-            let has name =
-              List.exists (fun c -> c = J.Str name) cols
-            in
-            if not (has "jobs" && has "wall-ms" && has "speedup") then
-              fail "%s: experiments[%d] (T7) lacks jobs/wall-ms/speedup columns"
-                path i
-        | _ -> fail "%s: experiments[%d] (T7) table lacks columns" path i);
-        match J.member "rows" first with
-        | Some (J.List (_ :: _ as rows)) ->
-            List.iteri
-              (fun r row ->
-                match row with
-                | J.List (J.Int jobs :: wall :: speedup :: rest) ->
-                    if jobs < 1 then
-                      fail "%s: T7 row %d: jobs %d < 1" path r jobs;
-                    let pos = function
-                      | J.Float f -> f > 0.0
-                      | J.Int n -> n > 0
-                      | _ -> false
-                    in
-                    if not (pos wall) then
-                      fail "%s: T7 row %d: non-positive wall-ms" path r;
-                    if not (pos speedup) then
-                      fail "%s: T7 row %d: non-positive speedup" path r;
-                    (match List.rev rest with
-                    | J.Str "yes" :: _ -> ()
-                    | _ ->
-                        fail
-                          "%s: T7 row %d: results not identical across jobs \
-                           (determinism regression)"
-                          path r)
-                | _ -> fail "%s: T7 row %d malformed" path r)
-              rows
-        | _ -> fail "%s: experiments[%d] (T7) has no rows" path i)
-    | _ -> fail "%s: experiments[%d] (T7) has no tables" path i
-  in
-  (* Serve-mode reports (wm_cli serve --report) run no experiments; an
-     empty experiments list is legal exactly when a "serve" block backs
-     it, and that block must be structurally sound. *)
-  let check_serve s =
-    List.iter
-      (fun k ->
-        match J.member k s with
-        | Some (J.Int n) when n >= 0 -> ()
-        | _ -> fail "%s: serve block lacks non-negative int %S" path k)
-      [ "requests"; "batches"; "sessions"; "queue_depth" ];
-    (match J.member "counters" s with
-    | Some (J.Obj fields) ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | J.Int n when n >= 0 -> ()
-            | _ -> fail "%s: serve.counters.%s is not a non-negative int" path k)
-          fields
-    | _ -> fail "%s: serve block lacks \"counters\" object" path);
-    (* Incremental-session tallies: the block is mandatory (zeros for a
-       mutation-free session) and self-consistent — warm solves cannot
-       outnumber solves, and a mutation-free session cannot have touched
-       edges or vertices. *)
-    (match J.member "incremental" s with
-    | Some (J.Obj _ as inc) ->
-        let get k =
-          match J.member k inc with
-          | Some (J.Int n) when n >= 0 -> n
-          | _ ->
-              fail "%s: serve.incremental lacks non-negative int %S" path k
-        in
-        let mutations = get "mutations" in
-        let touched =
-          get "edges_added" + get "edges_removed" + get "vertices_added"
-        in
-        let warm = get "warm_solves" in
-        if mutations = 0 && touched > 0 then
-          fail "%s: serve.incremental: delta tallies without mutations" path;
-        (match J.member "counters" s with
-        | Some c -> (
-            match J.member "solves" c with
-            | Some (J.Int solves) ->
-                if warm > solves then
-                  fail "%s: serve.incremental: warm_solves %d > solves %d"
-                    path warm solves
-            | _ -> ())
-        | None -> ())
-    | _ -> fail "%s: serve block lacks \"incremental\" object" path);
-    match J.member "cache" s with
-    | Some (J.Obj _) -> (
-        let get k =
-          match J.member k (Option.get (J.member "cache" s)) with
-          | Some (J.Int n) when n >= 0 -> n
-          | _ -> fail "%s: serve.cache lacks non-negative int %S" path k
-        in
-        let entries = get "entries" in
-        let capacity = get "capacity" in
-        ignore (get "hits");
-        ignore (get "misses");
-        ignore (get "evictions");
-        if entries > capacity then
-          fail "%s: serve.cache entries %d exceed capacity %d" path entries
-            capacity)
-    | _ -> fail "%s: serve block lacks \"cache\" object" path
-  in
-  (match J.member "serve" json with
-  | Some s -> check_serve s
-  | None -> ());
-  (* Shard block: mandatory on every serve report.  The single-process
-     path reports {shards: 0}; a router report must carry consistent
-     per-shard accounting — one entry per shard, indexed in order, with
-     transport totals equal to the per-shard sums (the metering is real
-     bytes on the wire, so the books must balance). *)
-  let check_shard b =
-    let get ctx j k =
-      match J.member k j with
-      | Some (J.Int n) when n >= 0 -> n
-      | _ -> fail "%s: %s lacks non-negative int %S" path ctx k
-    in
-    let shards = get "shard" b "shards" in
-    if shards > 0 then begin
-      (match J.member "router" b with
-      | Some r ->
-          List.iter
-            (fun k -> ignore (get "shard.router" r k))
-            [ "migrations"; "worker_restarts"; "sessions" ]
-      | None -> fail "%s: shard block lacks \"router\" object" path);
-      (match J.member "totals" b with
-      | Some (J.Obj _) -> ()
-      | _ -> fail "%s: shard block lacks \"totals\" object" path);
-      let transport =
-        match J.member "transport" b with
-        | Some t -> t
-        | None -> fail "%s: shard block lacks \"transport\" object" path
-      in
-      let per_shard =
-        match J.member "per_shard" b with
-        | Some (J.List l) -> l
-        | _ -> fail "%s: shard block lacks \"per_shard\" list" path
-      in
-      if List.length per_shard <> shards then
-        fail "%s: shard.per_shard has %d entries for %d shards" path
-          (List.length per_shard) shards;
-      let sums =
-        List.mapi
-          (fun i entry ->
-            let ctx = Printf.sprintf "shard.per_shard[%d]" i in
-            if get ctx entry "shard" <> i then
-              fail "%s: %s is out of order" path ctx;
-            ignore (get ctx entry "restarts");
-            ignore (get ctx entry "load");
-            (match J.member "serve" entry with
-            | Some (J.Obj _) -> ()
-            | _ -> fail "%s: %s lacks a \"serve\" block" path ctx);
-            ( get ctx entry "messages",
-              get ctx entry "bytes_sent",
-              get ctx entry "bytes_received" ))
-          per_shard
-      in
-      let sum f = List.fold_left (fun acc s -> acc + f s) 0 sums in
-      List.iter
-        (fun (k, total) ->
-          if get "shard.transport" transport k <> total then
-            fail "%s: shard.transport.%s does not equal the per-shard sum"
-              path k)
-        [
-          ("messages", sum (fun (m, _, _) -> m));
-          ("bytes_sent", sum (fun (_, b, _) -> b));
-          ("bytes_received", sum (fun (_, _, r) -> r));
-        ]
-    end
-  in
-  (match (J.member "serve" json, J.member "shard" json) with
-  | Some _, Some b -> check_shard b
-  | Some _, None -> fail "%s: serve report lacks a \"shard\" block" path
-  | None, _ -> ());
-  (match J.member "experiments" json with
-  | Some (J.List []) ->
-      if J.member "serve" json = None then
-        fail "%s: empty experiments list" path
-  | Some (J.List sections) ->
-      List.iteri
-        (fun i s ->
-          match (J.member "id" s, J.member "tables" s) with
-          | Some (J.Str id), Some (J.List _) ->
-              if id = "T7" then check_t7 i s
-          | _ -> fail "%s: experiments[%d] lacks id/tables" path i)
-        sections
-  | _ -> fail "%s: missing \"experiments\" list" path);
-  (match J.member "obs" json with
-  | Some obs -> (
-      match J.member "counters" obs with
-      | Some (J.Obj _) -> ()
-      | _ -> fail "%s: obs snapshot lacks \"counters\"" path)
-  | None -> fail "%s: missing \"obs\" snapshot" path);
-  (* GC accounting: the top-level "gc" block is mandatory — allocation
-     is a guarded resource, same as wall-clock and space.  Serve-mode
-     reports may legitimately record zero rounds; solve-mode reports
-     must additionally carry the "gc" ledger section (checked below)
-     so per-round minor-allocation deltas are never silently absent. *)
-  let solve_mode = J.member "serve" json = None in
-  (match J.member "gc" json with
-  | Some g ->
-      List.iter
-        (fun k ->
-          match J.member k g with
-          | Some (J.Int n) when n >= 0 -> ()
-          | _ -> fail "%s: gc block lacks non-negative int %S" path k)
-        [
-          "minor_words"; "promoted_words"; "major_words";
-          "minor_collections"; "major_collections"; "top_heap_words";
-          "rounds"; "minor_words_per_round";
-        ];
-      (match (J.member "minor_words" g, J.member "top_heap_words" g) with
-      | Some (J.Int mw), Some (J.Int th) ->
-          if solve_mode && mw = 0 then
-            fail "%s: gc block reports zero minor allocation for a solve run"
-              path;
-          (* Serve-mode reports may legitimately be all-zero: the shard
-             router solves nothing itself, and [Gc.quick_stat] only
-             reflects counters merged at collection events — a
-             low-allocation process that has not GC'd yet reports
-             zeros. *)
-          if solve_mode && th = 0 then
-            fail "%s: gc block reports zero top_heap_words" path
-      | _ -> assert false)
-  | None -> fail "%s: missing \"gc\" block" path);
-  (* Histograms: non-empty, and each entry structurally sound (count
-     matches the bucket-count sum, percentiles ordered). *)
-  let check_histogram name h =
-    let get k =
-      match J.member k h with
-      | Some (J.Int n) -> n
-      | _ -> fail "%s: histogram %s lacks int %S" path name k
-    in
-    let getf k =
-      match J.member k h with
-      | Some (J.Float f) -> f
-      | Some (J.Int n) -> float_of_int n
-      | _ -> fail "%s: histogram %s lacks number %S" path name k
-    in
-    let count = get "count" in
-    if count < 0 then fail "%s: histogram %s: negative count" path name;
-    (match J.member "buckets" h with
-    | Some (J.List buckets) ->
-        let total =
-          List.fold_left
-            (fun acc b ->
-              match b with
-              | J.List [ J.Int lo; J.Int c ] ->
-                  if lo < 0 || c <= 0 then
-                    fail "%s: histogram %s: malformed bucket" path name;
-                  acc + c
-              | _ -> fail "%s: histogram %s: malformed bucket" path name)
-            0 buckets
-        in
-        if total <> count then
-          fail "%s: histogram %s: bucket sum %d <> count %d" path name total
-            count
-    | _ -> fail "%s: histogram %s lacks \"buckets\"" path name);
-    if count > 0 then begin
-      let p50 = getf "p50" and p90 = getf "p90" and p99 = getf "p99" in
-      if not (p50 <= p90 && p90 <= p99) then
-        fail "%s: histogram %s: percentiles out of order" path name
-    end
-  in
-  (match J.member "histograms" json with
-  | Some (J.Obj []) -> fail "%s: empty \"histograms\" section" path
-  | Some (J.Obj hists) -> List.iter (fun (n, h) -> check_histogram n h) hists
-  | _ -> fail "%s: missing \"histograms\" section" path);
-  (* Ledger: non-empty, every section a list of rows with int fields.
-     Solve-mode reports must carry a "gc" section whose every row has a
-     non-negative minor_words field — a report without minor-allocation
-     accounting cannot back an allocation claim. *)
-  (match J.member "ledger" json with
-  | Some (J.Obj []) -> fail "%s: empty \"ledger\" section" path
-  | Some (J.Obj sections) ->
-      List.iter
-        (fun (name, rows) ->
-          match rows with
-          | J.List rows ->
-              List.iter
-                (fun row ->
-                  match row with
-                  | J.Obj fields ->
-                      List.iter
-                        (fun (k, v) ->
-                          match (k, v) with
-                          | "label", J.Str _ -> ()
-                          | _, J.Int _ -> ()
-                          | _ ->
-                              fail
-                                "%s: ledger %s: field %S is not an int"
-                                path name k)
-                        fields;
-                      if name = "gc" then (
-                        match List.assoc_opt "minor_words" fields with
-                        | Some (J.Int n) when n >= 0 -> ()
-                        | _ ->
-                            fail
-                              "%s: ledger gc: row lacks non-negative \
-                               minor_words"
-                              path)
-                  | _ -> fail "%s: ledger %s: row is not an object" path name)
-                rows
-          | _ -> fail "%s: ledger section %s is not a list" path name)
-        sections;
-      if solve_mode then (
-        match List.assoc_opt "gc" sections with
-        | Some (J.List (_ :: _)) -> ()
-        | _ ->
-            fail
-              "%s: solve-mode report lacks a non-empty \"gc\" ledger section"
-              path)
-  | _ -> fail "%s: missing \"ledger\" section" path);
-  (* Fault-injection summary: present even for fault-free runs ("none"
-     spec, all-zero tallies); every tally a non-negative int. *)
-  (match J.member "faults" json with
-  | Some f -> (
-      (match J.member "spec" f with
-      | Some (J.Str _) -> ()
-      | _ -> fail "%s: faults block lacks \"spec\" string" path);
-      List.iter
-        (fun part ->
-          match J.member part f with
-          | Some (J.Obj fields) ->
-              List.iter
-                (fun (k, v) ->
-                  match v with
-                  | J.Int n when n >= 0 -> ()
-                  | _ ->
-                      fail "%s: faults.%s.%s is not a non-negative int" path
-                        part k)
-                fields
-          | _ -> fail "%s: faults block lacks \"%s\" object" path part)
-        [ "injected"; "recovery" ])
-  | None -> fail "%s: missing \"faults\" block" path);
-  (* Durability summary: present even when no run used --wal-dir
-     (all-zero tallies); every key a non-negative int. *)
-  (match J.member "durability" json with
-  | Some d ->
-      List.iter
-        (fun k ->
-          match J.member k d with
-          | Some (J.Int n) when n >= 0 -> ()
-          | _ -> fail "%s: durability.%s is not a non-negative int" path k)
-        [
-          "wal_records"; "wal_bytes"; "wal_replayed"; "wal_truncated_bytes";
-          "snapshots"; "snapshot_restores"; "wal_compacted";
-          "worker_restarts"; "checkpoints"; "restores";
-        ]
-  | None -> fail "%s: missing \"durability\" block" path);
-  (* Trace metadata: present even when tracing was off. *)
-  (match J.member "trace_meta" json with
-  | Some meta -> (
-      (match J.member "enabled" meta with
-      | Some (J.Bool _) -> ()
-      | _ -> fail "%s: trace_meta lacks \"enabled\" bool" path);
-      match J.member "events" meta with
-      | Some (J.Int n) when n >= 0 -> ()
-      | _ -> fail "%s: trace_meta lacks non-negative \"events\"" path)
-  | None -> fail "%s: missing \"trace_meta\" section" path);
-  Printf.printf "%s: BENCH_v1 report ok\n" path
+  match Wm_obs.Json.of_string text with
+  | Error e -> fail "%s: invalid JSON: %s" path e
+  | Ok json -> (
+      match Wm_fault.Bench_v1.check json with
+      | Ok () -> Printf.printf "%s: BENCH_v1 report ok\n" path
+      | Error e -> fail "%s: %s" path e)

@@ -14,7 +14,6 @@ module M = Wm_graph.Matching
 module Gen = Wm_graph.Gen
 module B = Wm_graph.Bipartition
 module J = Wm_obs.Json
-module Obs = Wm_obs.Obs
 module Report = Wm_harness.Report
 
 let micro_benchmarks () =
@@ -116,45 +115,6 @@ let micro_benchmarks () =
     tests;
   List.rev !estimates
 
-(* Table cells are formatted strings; recover numbers where possible so
-   the JSON report carries typed values. *)
-let cell_to_json s =
-  match int_of_string_opt s with
-  | Some i -> J.Int i
-  | None -> (
-      match float_of_string_opt s with
-      | Some f -> J.Float f
-      | None -> J.Str s)
-
-let table_to_json (t : Report.table) =
-  J.Obj
-    [
-      ("columns", J.List (List.map (fun c -> J.Str c) t.Report.columns));
-      ( "rows",
-        J.List
-          (List.map (fun r -> J.List (List.map cell_to_json r)) t.Report.rows)
-      );
-    ]
-
-let section_to_json (s : Report.captured_section) =
-  J.Obj
-    [
-      ("id", J.Str s.Report.id);
-      ("title", J.Str s.Report.title);
-      ("claim", J.Str s.Report.claim);
-      ("tables", J.List (List.map table_to_json s.Report.tables));
-      ("notes", J.List (List.map (fun n -> J.Str n) s.Report.notes));
-    ]
-
-let write_json ~path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      J.to_channel oc json;
-      output_char oc '\n');
-  Printf.printf "\nwrote %s\n%!" path
-
 let write_report ~path ~quick ~seed ~jobs ~trace_path ~sections ~micro ~gc =
   (* Solve-mode reports must carry a "gc" ledger section even when no
      improvement round ran (T1's random-arrival solves never enter
@@ -163,41 +123,13 @@ let write_report ~path ~quick ~seed ~jobs ~trace_path ~sections ~micro ~gc =
     (List.filter
        (fun (k, _) -> k <> "compactions")
        (Wm_obs.Gcstat.fields gc));
-  let obs_json = Obs.to_json Obs.default in
-  let histograms =
-    match J.member "histograms" obs_json with
-    | Some h -> h
-    | None -> J.Obj []
-  in
-  let trace_meta =
-    match Wm_obs.Trace.meta () with
-    | J.Obj fields -> J.Obj (fields @ [ ("path", J.Str trace_path) ])
-    | j -> j
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.Str "BENCH_v1");
-        ("mode", J.Str (if quick then "quick" else "full"));
-        ("seed", J.Int seed);
-        ("jobs", J.Int jobs);
-        ("experiments", J.List (List.map section_to_json sections));
-        ( "micro",
-          J.List
-            (List.map
-               (fun (name, ns) ->
-                 J.Obj [ ("name", J.Str name); ("ns_per_run", J.Float ns) ])
-               micro) );
-        ("obs", obs_json);
-        ("gc", Wm_obs.Gcstat.block_json ~ledger:Wm_obs.Ledger.default gc);
-        ("histograms", histograms);
-        ("ledger", Wm_obs.Ledger.to_json Wm_obs.Ledger.default);
-        ("faults", Wm_fault.Recovery.report_json ());
-        ("durability", Wm_fault.Recovery.durability_json ());
-        ("trace_meta", trace_meta);
-      ]
-  in
-  write_json ~path json
+  Wm_fault.Bench_v1.write path
+    (Wm_fault.Bench_v1.report
+       ~mode:(if quick then "quick" else "full")
+       ~seed ~jobs ~gc ~trace_path
+       ~experiments:(List.map Report.to_json sections)
+       ~micro ());
+  Printf.printf "\nwrote %s\n%!" path
 
 let () =
   let full = ref false in

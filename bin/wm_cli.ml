@@ -476,15 +476,7 @@ let run_serve jobs queue_depth cache_entries deadline_ms no_warm report faults
       end
       else Wm_shard.Router.serve ~shards ?kill ~config stdin stdout
     in
-    (match report with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Wm_obs.Json.to_channel oc report_json;
-            output_char oc '\n'));
+    Option.iter (fun path -> Wm_fault.Bench_v1.write path report_json) report;
     0
 
 (* Restore from a durability directory without serving: print a

@@ -5,40 +5,17 @@
     guards — bechamel [ns/run] per micro-benchmark, peak retained
     space, and the work counters of the obs snapshot — against
     {e relative} thresholds, and classify each shared metric as ok,
-    regression, or improvement.  [bench/diff.exe] wraps this into a CLI
+    regression, or improvement.  The thresholds are fixed: +50% for a
+    micro-benchmark's [ns_per_run]; +10% for [space.*] counters; +50%
+    for other obs counters, skipping those with a baseline below 16;
+    +100% for the ["gc"]-block allocation tallies ([minor_words],
+    [major_words], [minor_words_per_round]), skipping tallies below
+    65536 words.  Collection counts and heap peaks are reported but
+    never gated: they depend on per-domain minor-heap sizing.
+    [bench/diff.exe] wraps this into a CLI
     that exits non-zero when any regression is found, which is what the
     [@bench-diff] dune alias (and any CI job diffing a PR's report
     against the base branch's) gates on. *)
-
-type thresholds = {
-  ns : float;
-      (** max tolerated relative increase of a micro-benchmark's
-          [ns_per_run] (default 0.5, i.e. +50% — bechamel estimates on
-          sub-millisecond kernels are noisy; a genuine 2x slowdown
-          still trips the gate) *)
-  space : float;
-      (** max tolerated relative increase of space counters
-          ([space.peak_max], [space.retained_total]; default 0.1) *)
-  counter : float;
-      (** max tolerated relative increase of any other obs counter
-          (default 0.5) *)
-  min_counter_base : int;
-      (** counters with a baseline below this are skipped — tiny
-          counts flip on legitimate changes (default 16; space
-          counters are always compared) *)
-  gc : float;
-      (** max tolerated relative increase of the report's ["gc"]-block
-          allocation tallies ([minor_words], [major_words],
-          [minor_words_per_round]; default 1.0, i.e. 2x — program-wide
-          quick_stat deltas carry a few percent of scheduling noise,
-          and the fault-stress leg diffs reports taken at different
-          [--jobs] settings).  Collection counts and heap peaks are
-          reported but never gated: they depend on per-domain
-          minor-heap sizing.  Tallies below 65536 words are skipped as
-          measurement noise. *)
-}
-
-val default_thresholds : thresholds
 
 type verdict = Ok | Regression | Improvement
 
@@ -52,7 +29,6 @@ type finding = {
 }
 
 val compare_reports :
-  ?thresholds:thresholds ->
   base:Wm_obs.Json.t ->
   Wm_obs.Json.t ->
   (finding list, string) result

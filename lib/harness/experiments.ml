@@ -90,8 +90,10 @@ let run_t1 ~quick ~seed =
           let lr = avg (fun stream _ -> M.weight (Wm_algos.Local_ratio.solve stream)) in
           let gr = avg (fun stream _ -> M.weight (improving_greedy stream)) in
           R.row
-            [ tag; R.cell_i (G.n g); R.cell_f ra; R.cell_f lr; R.cell_f gr;
-              R.cell_i opt ])
+            [
+              R.cell_s tag; R.cell_i (G.n g); R.cell_f ra; R.cell_f lr;
+              R.cell_f gr; R.cell_i opt;
+            ])
         (families n))
     sizes;
   (* Negative control: the theorem needs random arrivals; adversarial
@@ -117,7 +119,7 @@ let run_t1 ~quick ~seed =
       let ra = fratio (M.weight rr.Wm_core.Random_arrival.matching) opt in
       let lr = fratio (M.weight (Wm_algos.Local_ratio.solve (stream ()))) opt in
       R.row
-        [ tag; R.cell_f ra; R.cell_f lr;
+        [ R.cell_s tag; R.cell_f ra; R.cell_f lr;
           R.cell_i rr.Wm_core.Random_arrival.t_size; R.cell_i (G.m g) ])
     [
       ("random", fun () -> ES.Random (P.create (seed + 8)));
@@ -174,7 +176,11 @@ let run_t2 ~quick ~seed =
         avg (fun s -> M.size (Wm_algos.Unweighted_random_arrival.solve s))
       in
       let greedy = avg (fun s -> M.size (Wm_algos.Greedy.maximal_stream s)) in
-      R.row [ tag; R.cell_i (G.n g); R.cell_f ours; R.cell_f greedy; R.cell_i opt ])
+      R.row
+        [
+          R.cell_s tag; R.cell_i (G.n g); R.cell_f ours; R.cell_f greedy;
+          R.cell_i opt;
+        ])
     fams;
   R.note
     "ours > greedy on every family; on the trap family greedy sits near \
@@ -495,7 +501,7 @@ let run_f4 ~quick ~seed =
       R.row
         [
           R.cell_s (Printf.sprintf "%d/%d" low high);
-          tag;
+          R.cell_s tag;
           R.cell_i (M.weight m0);
           R.cell_i (M.weight best);
           R.cell_i opt;
@@ -538,7 +544,7 @@ let run_f5 ~quick:_ ~seed =
       in
       R.row
         [
-          tag;
+          R.cell_s tag;
           R.cell_i (M.weight m0);
           R.cell_i (M.weight best);
           R.cell_i (Wm_exact.Brute.optimum_weight g);
@@ -659,7 +665,7 @@ let run_a1 ~quick ~seed =
     done;
     R.row
       [
-        tag; R.cell_i !paths; R.cell_i !nonsimple; R.cell_i !comps;
+        R.cell_s tag; R.cell_i !paths; R.cell_i !nonsimple; R.cell_i !comps;
         R.cell_i !invalid;
       ]
   in
@@ -1315,7 +1321,7 @@ let run_t11 ~quick ~seed =
             ];
           R.row
             [
-              tag; R.cell_i (G.n g); R.cell_i (G.m g); R.cell_f gen_ms;
+              R.cell_s tag; R.cell_i (G.n g); R.cell_i (G.m g); R.cell_f gen_ms;
               R.cell_f (mwords d_gen.Wm_obs.Gcstat.minor_words);
               R.cell_f solve_ms;
               R.cell_f (mwords d_solve.Wm_obs.Gcstat.minor_words);

@@ -4,12 +4,23 @@ let pad s =
   if String.length s >= width then s
   else s ^ String.make (width - String.length s) ' '
 
+type cell = Int of int | Float of float | Str of string
+
+let cell_f x = Float x
+let cell_i x = Int x
+let cell_s x = Str x
+
+let cell_text = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.4f" f
+  | Str s -> s
+
 (* Optional structured capture.  When enabled, [section]/[table_header]/
    [row]/[note] append to an in-memory record of what was printed, so
    the bench driver can serialize the experiment results (BENCH_v1.json)
    without changing any experiment code.  Printing is unaffected. *)
 
-type table = { columns : string list; rows : string list list }
+type table = { columns : string list; rows : cell list list }
 
 type captured_section = {
   id : string;
@@ -82,7 +93,8 @@ let table_header cols =
   | Some acc -> acc.acc_tables <- { columns = cols; rows = [] } :: acc.acc_tables
 
 let row cells =
-  print_string (String.concat " " (List.map pad cells));
+  print_string
+    (String.concat " " (List.map (fun c -> pad (cell_text c)) cells));
   print_newline ();
   match current () with
   | None -> ()
@@ -93,15 +105,36 @@ let row cells =
           acc.acc_tables <- [ { columns = []; rows = [ cells ] } ]
       | t :: rest -> acc.acc_tables <- { t with rows = cells :: t.rows } :: rest)
 
-let cell_f x = Printf.sprintf "%.4f" x
-let cell_i x = string_of_int x
-let cell_s x = x
-
 let note s =
   Printf.printf "shape: %s\n" s;
   match current () with
   | None -> ()
   | Some acc -> acc.acc_notes <- s :: acc.acc_notes
+
+module J = Wm_obs.Json
+
+let to_json s =
+  let strings l = J.List (List.map (fun x -> J.Str x) l) in
+  let cell = function
+    | Int i -> J.Int i
+    | Float f -> J.Float f
+    | Str s -> J.Str s
+  in
+  let table t =
+    J.Obj
+      [
+        ("columns", strings t.columns);
+        ("rows", J.List (List.map (fun r -> J.List (List.map cell r)) t.rows));
+      ]
+  in
+  J.Obj
+    [
+      ("id", J.Str s.id);
+      ("title", J.Str s.title);
+      ("claim", J.Str s.claim);
+      ("tables", J.List (List.map table s.tables));
+      ("notes", strings s.notes);
+    ]
 
 let mean = function
   | [] -> 0.0

@@ -18,21 +18,28 @@ val table_header : string list -> unit
 (** Print column names and a separator; column width is fixed at 12.
     When capturing, starts a new table within the current section. *)
 
-val row : string list -> unit
+type cell = Int of int | Float of float | Str of string
+(** A table cell.  The typed value is what BENCH_v1 reports carry; the
+    text table prints it through {!cell_text}. *)
 
-val cell_f : float -> string
-(** Format a float as a 12-char cell with 4 decimals. *)
+val row : cell list -> unit
 
-val cell_i : int -> string
+val cell_f : float -> cell
 
-val cell_s : string -> string
+val cell_i : int -> cell
+
+val cell_s : string -> cell
+
+val cell_text : cell -> string
+(** The printed form: ints in decimal, floats with 4 decimals, strings
+    as they are (each padded to the 12-char column by {!row}). *)
 
 val note : string -> unit
 (** Print a wrapped "shape:" footnote. *)
 
 (** {1 Structured capture} *)
 
-type table = { columns : string list; rows : string list list }
+type table = { columns : string list; rows : cell list list }
 
 type captured_section = {
   id : string;
@@ -50,6 +57,11 @@ val capture : unit -> captured_section list
 (** Stop capturing and return the sections recorded since
     {!start_capture}, in print order.  Returns [[]] when capture was
     never started. *)
+
+val to_json : captured_section -> Wm_obs.Json.t
+(** A section as a BENCH_v1 [experiments] entry:
+    [{id, title, claim, tables: [{columns, rows}], notes}], each cell
+    a JSON int, float or string per its constructor. *)
 
 val mean : float list -> float
 

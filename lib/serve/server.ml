@@ -1179,10 +1179,6 @@ let evict t ~id ~digest =
 (* Reporting *)
 
 let report_json t =
-  let obs_json = Obs.to_json Obs.default in
-  let histograms =
-    match J.member "histograms" obs_json with Some h -> h | None -> J.Obj []
-  in
   let serve =
     J.Obj
       [
@@ -1240,28 +1236,12 @@ let report_json t =
                 ] );
       ]
   in
-  J.Obj
-    [
-      ("schema", J.Str "BENCH_v1");
-      ("mode", J.Str "serve");
-      ("seed", J.Int 0);
-      ("jobs", J.Int (Wm_par.Pool.default_jobs ()));
-      ("experiments", J.List []);
-      ("micro", J.List []);
-      ("serve", serve);
-      (* Single-process shape of the mandatory shard block; the shard
-         router's reporter replaces it with real per-shard metering. *)
-      ("shard", J.Obj [ ("shards", J.Int 0) ]);
-      ("obs", obs_json);
-      ( "gc",
-        Wm_obs.Gcstat.block_json ~ledger:Ledger.default
-          (Wm_obs.Gcstat.since_start ()) );
-      ("histograms", histograms);
-      ("ledger", Ledger.to_json Ledger.default);
-      ("faults", Recovery.report_json ());
-      ("durability", Recovery.durability_json ());
-      ("trace_meta", Wm_obs.Trace.meta ());
-    ]
+  (* Single-process shape of the mandatory shard block; the shard
+     router's reporter replaces it with real per-shard metering. *)
+  Wm_fault.Bench_v1.report ~mode:"serve" ~seed:0
+    ~jobs:(Wm_par.Pool.default_jobs ())
+    ~gc:(Wm_obs.Gcstat.since_start ())
+    ~serve ~shard:(J.Obj [ ("shards", J.Int 0) ]) ()
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch *)

@@ -202,7 +202,7 @@ val sessions : t -> (string * int * int) list
 (** Loaded sessions as [(digest, n, m)] in load order (for tests). *)
 
 val report_json : t -> Wm_obs.Json.t
-(** A BENCH_v1 report (mode ["serve"], empty [experiments]) whose
-    [serve] block carries the request/batch/cache tallies next to the
-    usual [obs]/[histograms]/[ledger]/[faults]/[trace_meta] sections —
-    validated by [bench/json_check.exe]. *)
+(** A BENCH_v1 report (mode ["serve"], empty [experiments]; see
+    {!Wm_fault.Bench_v1}) whose [serve] block carries the
+    request/batch/cache tallies, with the single-process shard block
+    [{shards: 0}]. *)

@@ -36,8 +36,9 @@ let test_mean_and_stddev () =
   Alcotest.(check (float 1e-9)) "stddev singleton" 0.0 (R.stddev [ 5.0 ])
 
 let test_cells () =
-  Alcotest.(check string) "float cell" "0.1235" (R.cell_f 0.12349);
-  Alcotest.(check string) "int cell" "42" (R.cell_i 42)
+  Alcotest.(check string) "float cell" "0.1235"
+    (R.cell_text (R.cell_f 0.12349));
+  Alcotest.(check string) "int cell" "42" (R.cell_text (R.cell_i 42))
 
 (* ------------------------------------------------------------------ *)
 (* Bench_diff: the regression gate's comparison logic. *)
@@ -70,8 +71,8 @@ let report ?(ns = 1000.0) ?(space = 500) ?(work = 100) () =
           ] );
     ]
 
-let findings ?thresholds ~base ~cand () =
-  match D.compare_reports ?thresholds ~base cand with
+let findings ~base ~cand () =
+  match D.compare_reports ~base cand with
   | Ok fs -> fs
   | Error e -> Alcotest.fail e
 
@@ -123,15 +124,6 @@ let test_diff_improvement_passes () =
   check_bool "classified as improvements" true
     (List.exists (fun f -> f.D.verdict = D.Improvement) fs)
 
-let test_diff_custom_thresholds () =
-  let thresholds = { D.default_thresholds with D.ns = 0.1 } in
-  let fs =
-    findings ~thresholds ~base:(report ~ns:1000.0 ())
-      ~cand:(report ~ns:1200.0 ()) ()
-  in
-  check_bool "tightened ns threshold trips at +20%%" true
-    (D.has_regression fs)
-
 let test_diff_rejects_non_bench () =
   match D.compare_reports ~base:(J.Obj []) (report ()) with
   | Ok _ -> Alcotest.fail "accepted a schema-less report"
@@ -148,6 +140,277 @@ let test_diff_render_marks_regressions () =
     go 0
   in
   check_bool "REGRESSION in output" true (contains text "REGRESSION")
+
+(* ------------------------------------------------------------------ *)
+(* Bench_v1.check: the report schema.  Three minimal valid reports, one
+   per mode, and a table of named mutations each of which must be
+   rejected on every report it applies to. *)
+
+module V = Wm_fault.Bench_v1
+
+let ints kvs = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) kvs)
+
+let table columns rows =
+  J.Obj
+    [
+      ("columns", J.List (List.map (fun c -> J.Str c) columns));
+      ("rows", J.List (List.map (fun r -> J.List r) rows));
+    ]
+
+let section id tables =
+  J.Obj
+    [
+      ("id", J.Str id);
+      ("title", J.Str (id ^ " title"));
+      ("claim", J.Str (id ^ " claim"));
+      ("tables", J.List tables);
+      ("notes", J.List []);
+    ]
+
+let gc_block minor =
+  ints
+    [
+      ("minor_words", minor); ("promoted_words", 10); ("major_words", 20);
+      ("minor_collections", 2); ("major_collections", 1); ("compactions", 0);
+      ("top_heap_words", 4096); ("rounds", 1); ("minor_words_per_round", minor);
+    ]
+
+let envelope ~mode ~experiments ~gc ~ledger extra =
+  J.Obj
+    ([
+       ("schema", J.Str "BENCH_v1");
+       ("mode", J.Str mode);
+       ("seed", J.Int 42);
+       ("jobs", J.Int 2);
+       ("experiments", J.List experiments);
+       ("micro", J.List []);
+     ]
+    @ extra
+    @ [
+        ("obs", J.Obj [ ("counters", ints [ ("core.wap.fed", 7) ]) ]);
+        ("gc", gc);
+        ( "histograms",
+          J.Obj
+            [
+              ( "serve.latency_ns",
+                J.Obj
+                  [
+                    ("count", J.Int 3); ("sum", J.Int 9); ("min", J.Int 1);
+                    ("max", J.Int 4); ("p50", J.Float 2.0);
+                    ("p90", J.Float 4.0); ("p99", J.Float 4.0);
+                    ( "buckets",
+                      J.List
+                        [
+                          J.List [ J.Int 1; J.Int 1 ];
+                          J.List [ J.Int 4; J.Int 2 ];
+                        ] );
+                  ] );
+            ] );
+        ("ledger", J.Obj ledger);
+        ( "faults",
+          J.Obj
+            [
+              ("spec", J.Str "none");
+              ("injected", ints [ ("crashes", 0) ]);
+              ("recovery", ints [ ("retries", 0) ]);
+            ] );
+        ( "durability",
+          ints
+            (List.map
+               (fun k -> (k, 0))
+               [
+                 "wal_records"; "wal_bytes"; "wal_replayed";
+                 "wal_truncated_bytes"; "snapshots"; "snapshot_restores";
+                 "wal_compacted"; "worker_restarts"; "checkpoints"; "restores";
+               ]) );
+        ( "trace_meta",
+          J.Obj [ ("enabled", J.Bool false); ("events", J.Int 0) ] );
+      ])
+
+let solve_report =
+  envelope ~mode:"quick"
+    ~experiments:
+      [
+        section "T7"
+          [
+            table
+              [ "jobs"; "wall-ms"; "speedup"; "weight"; "identical" ]
+              [
+                [ J.Int 1; J.Float 10.0; J.Float 1.0; J.Int 90; J.Str "yes" ];
+                [ J.Int 2; J.Float 6.0; J.Float 1.6667; J.Int 90; J.Str "yes" ];
+              ];
+          ];
+        section "T12"
+          [
+            table [ "jobs"; "replayed"; "identical" ]
+              [ [ J.Int 1; J.Int 3; J.Str "yes" ] ];
+          ];
+      ]
+    ~gc:(gc_block 1000)
+    ~ledger:
+      [
+        ( "gc",
+          J.List
+            [ J.Obj [ ("label", J.Str "total"); ("minor_words", J.Int 1000) ] ]
+        );
+        ("core.rounds", J.List [ ints [ ("gain", 5) ] ]);
+      ]
+    []
+
+let serve_block =
+  J.Obj
+    [
+      ("requests", J.Int 6); ("batches", J.Int 2); ("sessions", J.Int 1);
+      ("queue_depth", J.Int 4);
+      ("counters", ints [ ("requests", 6); ("solves", 3) ]);
+      ( "incremental",
+        ints
+          [
+            ("mutations", 1); ("edges_added", 2); ("edges_removed", 0);
+            ("vertices_added", 0); ("warm_solves", 1);
+          ] );
+      ( "cache",
+        ints
+          [
+            ("entries", 1); ("capacity", 8); ("hits", 1); ("misses", 2);
+            ("evictions", 0);
+          ] );
+      ("recovery", J.Obj []);
+    ]
+
+let serve_envelope shard =
+  envelope ~mode:"serve" ~experiments:[] ~gc:(gc_block 0)
+    ~ledger:[ ("serve.requests", J.List [ ints [ ("latency_ns", 12) ] ]) ]
+    [ ("serve", serve_block); ("shard", shard) ]
+
+let serve_report = serve_envelope (J.Obj [ ("shards", J.Int 0) ])
+
+let per_shard k ~messages ~sent ~recv =
+  J.Obj
+    [
+      ("shard", J.Int k); ("restarts", J.Int 0); ("messages", J.Int messages);
+      ("bytes_sent", J.Int sent); ("bytes_received", J.Int recv);
+      ("load", J.Int 1); ("serve", serve_block);
+    ]
+
+let sharded_report =
+  serve_envelope
+    (J.Obj
+       [
+         ("shards", J.Int 2);
+         ( "router",
+           ints [ ("migrations", 1); ("worker_restarts", 0); ("sessions", 2) ]
+         );
+         ( "transport",
+           ints
+             [ ("messages", 5); ("bytes_sent", 30); ("bytes_received", 70) ]
+         );
+         ("totals", ints [ ("requests", 6) ]);
+         ( "per_shard",
+           J.List
+             [
+               per_shard 0 ~messages:2 ~sent:10 ~recv:20;
+               per_shard 1 ~messages:3 ~sent:20 ~recv:50;
+             ] );
+       ])
+
+(* [edit path f j] replaces the value at [path] by [f v], or drops it
+   when [f] returns [None]; list elements are addressed by index. *)
+let rec edit path f j =
+  let step v =
+    match path with
+    | [ _ ] -> f v
+    | _ :: rest -> Some (edit rest f v)
+    | [] -> None
+  in
+  match (path, j) with
+  | k :: _, J.Obj fs ->
+      J.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k', v)) (step v)
+             else Some (k', v))
+           fs)
+  | i :: _, J.List l ->
+      let i = int_of_string i in
+      J.List
+        (List.concat
+           (List.mapi
+              (fun i' v -> if i' = i then Option.to_list (step v) else [ v ])
+              l))
+  | _ -> invalid_arg ("edit: no such path " ^ String.concat "." path)
+
+let set path v = edit path (fun _ -> Some v)
+let drop path = edit path (fun _ -> None)
+
+type mode = Solve | Serve | Sharded
+
+let reports =
+  [
+    (Solve, "solve", solve_report);
+    (Serve, "serve", serve_report);
+    (Sharded, "sharded", sharded_report);
+  ]
+
+let all = [ Solve; Serve; Sharded ]
+
+(* Path of a cell in the first table of experiments[section]. *)
+let cell section row col =
+  [ "experiments"; string_of_int section; "tables"; "0"; "rows" ]
+  @ [ string_of_int row; string_of_int col ]
+
+let mutations =
+  List.map
+    (fun k -> ("drop " ^ k, all, drop [ k ]))
+    [
+      "schema"; "jobs"; "experiments"; "obs"; "gc"; "histograms"; "ledger";
+      "faults"; "durability"; "trace_meta";
+    ]
+  @ [
+      ("jobs 0", all, set [ "jobs" ] (J.Int 0));
+      ( "bucket sum <> count", all,
+        set [ "histograms"; "serve.latency_ns"; "count" ] (J.Int 4) );
+      ( "percentiles out of order", all,
+        set [ "histograms"; "serve.latency_ns"; "p90" ] (J.Float 1.0) );
+      ( "non-int ledger field", [ Solve ],
+        set [ "ledger"; "core.rounds"; "0"; "gain" ] (J.Str "5") );
+      ( "solve-mode minor_words 0", [ Solve ],
+        set [ "gc"; "minor_words" ] (J.Int 0) );
+      ("missing gc ledger section", [ Solve ], drop [ "ledger"; "gc" ]);
+      ("serve report without shard", [ Serve; Sharded ], drop [ "shard" ]);
+      ( "per_shard count mismatch", [ Sharded ],
+        set [ "shard"; "shards" ] (J.Int 3) );
+      ( "per_shard out of order", [ Sharded ],
+        set [ "shard"; "per_shard"; "1"; "shard" ] (J.Int 0) );
+      ( "transport sum mismatch", [ Sharded ],
+        set [ "shard"; "transport"; "bytes_sent" ] (J.Int 31) );
+      ( "warm_solves > solves", [ Serve; Sharded ],
+        set [ "serve"; "incremental"; "warm_solves" ] (J.Int 4) );
+      ( "touched edges without mutations", [ Serve; Sharded ],
+        set [ "serve"; "incremental"; "mutations" ] (J.Int 0) );
+      ( "cache entries > capacity", [ Serve; Sharded ],
+        set [ "serve"; "cache"; "entries" ] (J.Int 9) );
+      ("T7 row not identical", [ Solve ], set (cell 0 1 4) (J.Str "no"));
+      ("T7 non-positive wall-ms", [ Solve ], set (cell 0 0 1) (J.Float 0.0));
+      ("T12 row not identical", [ Solve ], set (cell 1 0 2) (J.Str "no"));
+    ]
+
+let test_valid_reports_pass () =
+  List.iter
+    (fun (_, name, r) ->
+      match V.check r with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s report rejected: %s" name e)
+    reports
+
+let test_mutation (name, modes, f) () =
+  List.iter
+    (fun (mode, mode_name, r) ->
+      if List.mem mode modes then
+        match V.check (f r) with
+        | Ok () -> Alcotest.failf "%s report accepted with %s" mode_name name
+        | Error _ -> ())
+    reports
 
 let () =
   Alcotest.run "wm_harness"
@@ -174,11 +437,15 @@ let () =
             test_diff_space_regression_trips;
           Alcotest.test_case "improvements pass" `Quick
             test_diff_improvement_passes;
-          Alcotest.test_case "custom thresholds" `Quick
-            test_diff_custom_thresholds;
           Alcotest.test_case "rejects non-BENCH_v1" `Quick
             test_diff_rejects_non_bench;
           Alcotest.test_case "render marks regressions" `Quick
             test_diff_render_marks_regressions;
         ] );
+      ( "bench_v1",
+        Alcotest.test_case "valid reports pass" `Quick test_valid_reports_pass
+        :: List.map
+             (fun ((name, _, _) as m) ->
+               Alcotest.test_case ("rejects " ^ name) `Quick (test_mutation m))
+             mutations );
     ]

@@ -264,39 +264,28 @@ let test_revive_after_endpoint_death () =
   List.iter2 (fun a b -> check_str "kill-invariant transcript" a b) expected got;
   check_bool "revivals recorded" true (Router.restarts t >= 1)
 
-(* The merged report's shard block: real per-slot traffic sums and
-   router bookkeeping, shaped as json_check enforces it. *)
+(* The merged report passes the BENCH_v1 schema (which balances the
+   shard block's books) and meters real sessions and traffic. *)
 let test_merged_report_shape () =
   let t = make_router ~shards:2 () in
   ignore (transcript (Router.server t) (workload ()));
   let r = Router.merged_report t in
-  match J.member "shard" r with
-  | None -> Alcotest.fail "merged report lacks shard block"
-  | Some b -> (
-      check_bool "shards" true (J.member "shards" b = Some (J.Int 2));
-      (match J.member "router" b with
-      | Some router ->
-          check_bool "sessions tracked" true
-            (match J.member "sessions" router with
-            | Some (J.Int n) -> n >= 1
-            | _ -> false)
-      | None -> Alcotest.fail "shard block lacks router");
-      match (J.member "transport" b, J.member "per_shard" b) with
-      | Some tr, Some (J.List per) ->
-          check "one entry per shard" 2 (List.length per);
-          let sum k =
-            List.fold_left
-              (fun acc e ->
-                match J.member k e with Some (J.Int n) -> acc + n | _ -> acc)
-              0 per
-          in
-          let total k =
-            match J.member k tr with Some (J.Int n) -> n | _ -> -1
-          in
-          check "messages sum" (total "messages") (sum "messages");
-          check "bytes_sent sum" (total "bytes_sent") (sum "bytes_sent");
-          check_bool "traffic actually metered" true (total "bytes_sent" > 0)
-      | _ -> Alcotest.fail "shard block lacks transport/per_shard")
+  (match Wm_fault.Bench_v1.check r with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "merged report fails the BENCH_v1 schema: %s" e);
+  let shard_int path =
+    match
+      List.fold_left
+        (fun j k -> Option.bind j (J.member k))
+        (J.member "shard" r) path
+    with
+    | Some (J.Int n) -> n
+    | _ -> Alcotest.failf "shard.%s missing" (String.concat "." path)
+  in
+  check "shards" 2 (shard_int [ "shards" ]);
+  check_bool "sessions tracked" true (shard_int [ "router"; "sessions" ] >= 1);
+  check_bool "traffic actually metered" true
+    (shard_int [ "transport"; "bytes_sent" ] > 0)
 
 (* ------------------------------------------------------------------ *)
 
