@@ -71,6 +71,7 @@ let parse_lines s =
   let header = ref None in
   let edges = ref [] in
   let count = ref 0 in
+  let total = ref 0 in
   let seen = Hashtbl.create 64 in
   let lines = String.split_on_char '\n' s in
   (* A trailing newline makes [split_on_char] emit a phantom empty
@@ -113,6 +114,9 @@ let parse_lines s =
                 range_check v;
                 if u = v then fail (Printf.sprintf "self-loop at vertex %d" u);
                 let w = parse_weight fail w in
+                if w > Weighted_graph.max_total_weight - !total then
+                  fail "total weight exceeds 2^53";
+                total := !total + w;
                 let key = (Stdlib.min u v, Stdlib.max u v) in
                 (match Hashtbl.find_opt seen key with
                 | Some first ->
@@ -161,134 +165,78 @@ let matching_of_string s =
   | exception Invalid_argument msg -> parse_fail 1 msg
 
 let write_file path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string g))
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic) |> of_string)
+  of_string (In_channel.with_open_text path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
-(* Binary codec (durable snapshots / WAL payloads).
+(* Binary frames (durable snapshots / WAL payloads), over {!Bin}.
 
-   Frame layout (graphs):   "WMB1" | varint n | varint m
-                            | m * (varint u, varint v, varint w)
-                            | 16-byte digest (hex, as produced by
-                              [digest])
-   Frame layout (matchings): "WMM1" | varint n | varint k
-                            | k * (varint u, varint v, varint w)
+   Graphs:    "WMB1" | varint n | list of (varint u, varint v, varint w)
+              | 16-byte hex {!digest}
+   Matchings: "WMM1" | varint n | list of (varint u, varint v, varint w)
 
-   Varints are unsigned LEB128 over non-negative ints.  Edges are
-   emitted in stored order, so encode/decode round-trips the structure
-   exactly (same [edges] array, same digest).  [of_binary] recomputes
-   the digest of the decoded graph and refuses a frame whose embedded
-   digest disagrees — a flipped byte inside a snapshot can corrupt the
-   varint stream in ways that still parse, and the digest check is what
-   turns that into a detected failure instead of a silently wrong
-   session. *)
+   Edges are emitted in stored order, so a graph round-trips exactly
+   (same [edges] array, same digest).  [of_binary] recomputes the
+   digest of the decoded graph and refuses a frame whose embedded
+   digest disagrees: a flipped byte can corrupt the varint stream in
+   ways that still parse, and the digest check turns that into a
+   detected failure instead of a silently wrong session. *)
 
-let add_varint buf x =
-  if x < 0 then invalid_arg "Graph_io.to_binary: negative value";
-  let rec go x =
-    if x < 0x80 then Buffer.add_char buf (Char.chr x)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
-      go (x lsr 7)
-    end
-  in
-  go x
+(* A value the graph constructors refuse is a corrupt frame. *)
+let valid f = try f () with Invalid_argument msg -> Bin.corrupt msg
 
-let read_varint s pos =
-  let rec go acc shift pos =
-    if pos >= String.length s then
-      parse_fail 0 "binary frame truncated inside varint"
-    else
-      let b = Char.code s.[pos] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
+let add_edge buf e =
+  let u, v = Edge.endpoints e in
+  Bin.add_varint buf u;
+  Bin.add_varint buf v;
+  Bin.add_varint buf (Edge.weight e)
 
-let binary_magic_graph = "WMB1"
-let binary_magic_matching = "WMM1"
-
-let encode_edges buf iter =
-  iter (fun e ->
-      let u, v = Edge.endpoints e in
-      add_varint buf u;
-      add_varint buf v;
-      add_varint buf (Edge.weight e))
+let read_edge r =
+  let u = Bin.read_varint r in
+  let v = Bin.read_varint r in
+  let w = Bin.read_varint r in
+  valid (fun () -> Edge.make u v w)
 
 let to_binary g =
   let buf = Buffer.create (16 + (Weighted_graph.m g * 4)) in
-  Buffer.add_string buf binary_magic_graph;
-  add_varint buf (Weighted_graph.n g);
-  add_varint buf (Weighted_graph.m g);
-  encode_edges buf (fun f -> Weighted_graph.iter_edges f g);
+  Buffer.add_string buf "WMB1";
+  Bin.add_varint buf (Weighted_graph.n g);
+  Bin.add_varint buf (Weighted_graph.m g);
+  Weighted_graph.iter_edges (add_edge buf) g;
   Buffer.add_string buf (digest g);
   Buffer.contents buf
 
-let expect_magic s magic =
-  if
-    String.length s < String.length magic
-    || String.sub s 0 (String.length magic) <> magic
-  then
-    parse_fail 0
-      (Printf.sprintf "binary frame lacks %s magic" magic)
-
-let decode_edges s pos count =
-  let edges = ref [] in
-  let pos = ref pos in
-  for _ = 1 to count do
-    let u, p = read_varint s !pos in
-    let v, p = read_varint s p in
-    let w, p = read_varint s p in
-    pos := p;
-    edges := Edge.make u v w :: !edges
-  done;
-  (List.rev !edges, !pos)
-
-let of_binary s =
-  expect_magic s binary_magic_graph;
-  let n, pos = read_varint s 4 in
-  let m, pos = read_varint s pos in
-  let edges, pos = decode_edges s pos m in
-  if String.length s - pos <> 16 then
-    parse_fail 0 "binary graph frame lacks trailing digest";
-  let claimed = String.sub s pos 16 in
-  let g =
-    match Weighted_graph.create ~n edges with
-    | g -> g
-    | exception Invalid_argument msg -> parse_fail 0 msg
-  in
-  let actual = digest g in
-  if actual <> claimed then
-    parse_fail 0
-      (Printf.sprintf "binary graph digest mismatch: frame says %s, content \
-                       is %s"
-         claimed actual);
-  g
+let of_binary =
+  Bin.decode (fun r ->
+      Bin.read_magic r "WMB1";
+      let n = Bin.read_varint r in
+      let edges = Bin.read_list read_edge r in
+      let claimed = Bin.read_fixed r 16 in
+      let g = valid (fun () -> Weighted_graph.create ~n edges) in
+      if digest g <> claimed then
+        Bin.corrupt
+          (Printf.sprintf "graph digest mismatch: frame says %s, content is %s"
+             claimed (digest g));
+      g)
 
 let matching_to_binary m =
-  let edges = Matching.edges m in
-  let buf = Buffer.create (16 + (List.length edges * 4)) in
-  Buffer.add_string buf binary_magic_matching;
-  add_varint buf (Matching.n m);
-  add_varint buf (List.length edges);
-  encode_edges buf (fun f -> List.iter f edges);
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "WMM1";
+  Bin.add_varint buf (Matching.n m);
+  Bin.add_list add_edge buf (Matching.edges m);
   Buffer.contents buf
 
-let matching_of_binary s =
-  expect_magic s binary_magic_matching;
-  let n, pos = read_varint s 4 in
-  let k, pos = read_varint s pos in
-  let edges, pos = decode_edges s pos k in
-  if pos <> String.length s then
-    parse_fail 0 "binary matching frame has trailing bytes";
-  match Matching.of_edges n edges with
-  | m -> m
-  | exception Invalid_argument msg -> parse_fail 0 msg
+let matching_of_binary ?(max_n = max_int) s =
+  Bin.decode
+    (fun r ->
+      Bin.read_magic r "WMM1";
+      let n = Bin.read_varint r in
+      if n > max_n then
+        Bin.corrupt
+          (Printf.sprintf "matching on %d vertices, at most %d allowed" n
+             max_n);
+      let edges = Bin.read_list read_edge r in
+      valid (fun () -> Matching.of_edges n edges))
+    s

@@ -12,8 +12,9 @@
 
     Parsers validate strictly and never crash mid-parse: NaN, infinite,
     fractional or negative weights, self-loops, endpoints outside
-    [\[0, n)], duplicate edges, counts that disagree with the header —
-    each raises {!Parse_error} naming the offending line. *)
+    [\[0, n)], duplicate edges, a total weight above
+    {!Weighted_graph.max_total_weight}, counts that disagree with the
+    header — each raises {!Parse_error} naming the offending line. *)
 
 exception Parse_error of { line : int; msg : string }
 (** [line] is 1-based; document-level problems (missing header, edge
@@ -43,23 +44,24 @@ val matching_of_string : string -> Matching.t
 
 (** {1 Binary codec}
 
-    Compact binary frames for durable state (the serving layer's
-    snapshots and write-ahead log).  Graph frames embed the content
-    digest; {!of_binary} recomputes it from the decoded structure and
-    raises {!Parse_error} (line 0) on any mismatch, so a corrupted
-    snapshot is detected rather than restored. *)
+    Compact {!Bin} frames for durable state (the serving layer's
+    snapshots and write-ahead log).  The decoders raise {!Bin.Corrupt}
+    — never {!Parse_error}, which covers text input only — on
+    truncation, malformed structure, or a value the graph constructors
+    refuse.  Graph frames embed the content digest; {!of_binary}
+    recomputes it from the decoded structure and refuses a mismatch, so
+    a corrupted snapshot is detected rather than restored. *)
 
 val to_binary : Weighted_graph.t -> string
-(** ["WMB1"]-tagged LEB128 frame: n, m, the edges in stored order, and
-    the 16-hex-digit {!digest} as a trailer. *)
+(** ["WMB1"]-tagged frame: n, m, the edges in stored order, and the
+    16-hex-digit {!digest} as a trailer. *)
 
 val of_binary : string -> Weighted_graph.t
-(** Decode and verify a {!to_binary} frame.  Raises {!Parse_error}
-    (with [line = 0]) on truncation, malformed structure, or a digest
-    that does not match the decoded content. *)
 
 val matching_to_binary : Matching.t -> string
+(** ["WMM1"]-tagged frame: n, k, the edges. *)
 
-val matching_of_binary : string -> Matching.t
-(** Raises {!Parse_error} (line 0) on a malformed frame or an edge set
-    that is not a matching. *)
+val matching_of_binary : ?max_n:int -> string -> Matching.t
+(** Also raises {!Bin.Corrupt}, before allocating, when the frame's
+    vertex count exceeds [max_n] (default [max_int]), and when the edge
+    set is not a matching. *)

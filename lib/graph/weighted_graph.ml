@@ -11,7 +11,21 @@ type t = {
   eix : int array;
 }
 
+let max_total_weight = 1 lsl 53
+
+(* The bound is checked before each addition, so the running sum itself
+   never overflows. *)
+let check_total_weight edges =
+  ignore
+    (Array.fold_left
+       (fun acc e ->
+         if Edge.weight e > max_total_weight - acc then
+           invalid_arg "Weighted_graph: total weight exceeds 2^53"
+         else acc + Edge.weight e)
+       0 edges)
+
 let validate n edges =
+  check_total_weight edges;
   let seen = Hashtbl.create (Array.length edges) in
   Array.iter
     (fun e ->
@@ -195,6 +209,7 @@ let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
          (Array.to_seq g.edges))
   in
   let edges = Array.append kept (Array.of_list add) in
+  check_total_weight edges;
   unsafe_of_owned_array ~n:n' ~edges
 
 let is_bipartition g ~left =

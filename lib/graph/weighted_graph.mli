@@ -11,10 +11,17 @@
 
 type t
 
+val max_total_weight : int
+(** [2^53], the largest total edge weight a graph may carry.  Solver
+    sums then stay far below [max_int] even after
+    [Weighted_blossom] doubles every weight, and weights
+    converted to floats (the [Tau] buckets) stay exact. *)
+
 val create : n:int -> Edge.t list -> t
 (** [create ~n edges] builds a graph with vertex set [0..n-1].
     Raises [Invalid_argument] if an edge mentions a vertex outside the
-    range, or if two edges share the same endpoints (parallel edges). *)
+    range, if two edges share the same endpoints (parallel edges), or
+    if the total weight exceeds {!max_total_weight}. *)
 
 val of_array : n:int -> Edge.t array -> t
 (** As {!create} from an array (the array is copied). *)

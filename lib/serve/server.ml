@@ -914,9 +914,12 @@ let admit t ~id ~(digest : string option) ~chaos
                           None,
                           c.Protocol.want_matching )
                   | Some hx -> (
+                      (* The router ships only matchings taken from this
+                         session, so n is at most the session's: a larger
+                         one is refused before it is allocated. *)
                       match
                         Wm_graph.Graph_io.matching_of_binary
-                          (Protocol.hex_decode hx)
+                          ~max_n:(G.n s.graph) (Protocol.hex_decode hx)
                       with
                       | m ->
                           Ok
@@ -924,7 +927,9 @@ let admit t ~id ~(digest : string option) ~chaos
                               c.Protocol.crashes,
                               Some m,
                               c.Protocol.want_matching )
-                      | exception _ -> Error "malformed x_warm payload"))
+                      | exception (Wm_graph.Bin.Corrupt _ | Invalid_argument _)
+                        ->
+                          Error "malformed x_warm payload"))
               | None ->
                   (* Chaos pre-draws (sequential, request-loop domain):
                      a straggler hit expires the request's deadline at a

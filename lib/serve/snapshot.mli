@@ -8,10 +8,11 @@
 
     Files are named by origin, [snap-<origin>.bin], so re-keying or
     merging sessions never makes one session's snapshot overwrite
-    another's.  They are published atomically: temp-file, fsync,
-    rename, directory fsync.  A file that fails its CRC or whose
-    decoded graph does not hash back to the recorded digest is skipped
-    by {!load_all}. *)
+    another's.  They are {!Wm_graph.Bin} payloads in a CRC32
+    {!Wm_graph.Bin.frame}, published atomically by {!Wal.publish}.  A
+    file that fails its CRC, does not decode, or whose decoded graph
+    does not hash back to the recorded digest is skipped by
+    {!load_all}. *)
 
 type s = {
   origin : int;  (** LSN of the session's first load *)
@@ -27,7 +28,7 @@ val file : dir:string -> int -> string
 (** [file ~dir origin] is the snapshot's path, [dir/snap-<origin>.bin]. *)
 
 val write : dir:string -> s -> int
-(** Atomically write (or replace) the session's snapshot; returns the
+(** Publish (or replace) the session's snapshot; returns the
     framed size in bytes.  Accounted via
     {!Wm_fault.Recovery.note_snapshot}. *)
 

@@ -19,10 +19,11 @@
     durable and a restart re-feeds (and re-admits, replaying the same
     injector draws) from the next line.
 
-    Framing is [u32-LE length | u32-LE CRC32 | payload]; payloads are
-    LEB128-varint binary.  {!scan} decodes the longest valid prefix,
-    truncates anything after it (a torn tail from a mid-append crash,
-    or CRC/decode corruption) in place, and accounts the cut through
+    Records are {!Wm_graph.Bin} payloads in {!Wm_graph.Bin.frame}s
+    ([u32-LE length | u32-LE CRC32 | payload]).  {!scan} decodes the
+    longest valid prefix, truncates anything after it (a torn tail from
+    a mid-append crash, a CRC failure, or any payload that does not
+    decode) in place, and accounts the cut through
     {!Wm_fault.Recovery.note_wal_truncated}. *)
 
 type header = {
@@ -109,11 +110,10 @@ val append : t -> record -> int
     record is durable when [append] returns. *)
 
 val compact : t -> record -> unit
-(** Atomically rewrite the log as the single given record (tmp file +
-    fsync + rename + directory fsync), leaving the logical head
-    untouched.  The record should carry a {!Base} body whose [lsn] is
-    the current head; on replay, records after it get LSNs offset past
-    the base. *)
+(** Rewrite the log as the single given record through {!publish},
+    leaving the logical head untouched.  The record should carry a
+    {!Base} body whose [lsn] is the current head; on replay, records
+    after it get LSNs offset past the base. *)
 
 val close : t -> unit
 
@@ -124,24 +124,15 @@ val scan : dir:string -> record list * int
     appends extend the valid prefix.  A missing file is an empty
     log. *)
 
-(**/**)
-
-(** Binary primitives shared with {!Snapshot} (and handy for tests):
-    CRC32, LEB128 varints, length-prefixed strings, u32-LE framing. *)
-module Bin : sig
-  exception Corrupt of string
-
-  val crc32 : string -> int
-  val add_varint : Buffer.t -> int -> unit
-  val add_string : Buffer.t -> string -> unit
-  val add_int64 : Buffer.t -> int64 -> unit
-  val read_varint : string -> int -> int * int
-  val read_string : string -> int -> string * int
-  val read_int64 : string -> int -> int64 * int
-  val le32 : int -> string
-  val read_le32 : string -> int -> int
-  val frame : string -> string
-  val read_frame : string -> int -> (string * int) option
-end
+val publish : dir:string -> string -> string -> unit
+(** [publish ~dir name bytes] atomically makes [bytes] the content of
+    [dir/name]: written to the sibling [dir/.tmp-name], fsynced,
+    renamed over [dir/name], and the directory fsynced.  A crash at any
+    point leaves the old file or the new one, never a torn mix.  The
+    one write path for compacted logs and {!Snapshot}s. *)
 
 val encode_record : record -> string
+
+val decode_record : string -> record
+(** Inverse of {!encode_record}; raises {!Wm_graph.Bin.Corrupt} on any
+    payload it cannot decode. *)

@@ -3,7 +3,13 @@
    - WAL framing: append/scan round-trip, torn final record truncated
      in place, CRC corruption mid-log cutting everything after it,
      empty and missing logs;
-   - the binary graph/matching codec round-trips with digests intact
+   - the on-disk format: hex goldens for every WAL body kind, both
+     graph frames, a snapshot file and a log file, which the codec must
+     reproduce and decode back;
+   - decoders raise only [Bin.Corrupt], and [Wal.scan] cuts a CRC-clean
+     frame that fails to decode;
+   - the binary graph/matching codec round-trips with digests intact,
+     and corrupted bytes never raise anything but [Bin.Corrupt]
      (property-based);
    - restore semantics: kill/restart byte-identity against an unkilled
      control, snapshots newer than the log are ignored (the log is the
@@ -145,6 +151,248 @@ let test_empty_and_missing () =
   check "empty file: no cut" 0 cut2
 
 (* ------------------------------------------------------------------ *)
+(* On-disk format pin: hex goldens for every body kind, both graph
+   frames, a snapshot file and an appended log file.  Any codec change
+   must reproduce these bytes exactly and decode each back to an equal
+   value. *)
+
+let golden_graph =
+  G.create ~n:6
+    [ E.make 0 1 5; E.make 2 3 300; E.make 4 1 70_000; E.make 5 4 1 ]
+
+let golden_matching = M.of_edges 6 [ E.make 0 1 5; E.make 2 3 300 ]
+
+let golden_records =
+  let d = IO.digest golden_graph in
+  let hdr ?rng i =
+    {
+      Wal.reqno = i;
+      batchno = 1000 * i;
+      rng;
+      counters = [| 0; 1; 127; 128; 1 lsl 40 |];
+    }
+  in
+  let result = J.Obj [ ("w", J.Int 12); ("ok", J.Bool true) ] in
+  [
+    ( "load",
+      {
+        Wal.header = hdr ~rng:0x0123456789abcdefL 1;
+        bodies = [ Wal.Load { origin = 1; digest = d; graph = golden_graph } ];
+      } );
+    ( "mutate",
+      {
+        Wal.header = hdr 2;
+        bodies =
+          [
+            Wal.Mutate
+              {
+                old_digest = d;
+                new_digest = "0123456789abcdef";
+                subsumed = false;
+                add_vertices = 2;
+                add = [ (0, 6, 9); (3, 7, 200) ];
+                remove = [ (2, 3) ];
+              };
+            Wal.Mutate
+              {
+                old_digest = "0123456789abcdef";
+                new_digest = d;
+                subsumed = true;
+                add_vertices = 0;
+                add = [];
+                remove = [];
+              };
+          ];
+      } );
+    ( "evict",
+      {
+        Wal.header = hdr ~rng:(-1L) 3;
+        bodies = [ Wal.Evict { digest = None }; Wal.Evict { digest = Some d } ];
+      } );
+    ( "flush",
+      {
+        Wal.header = hdr 4;
+        bodies =
+          [
+            Wal.Flush
+              {
+                touches = [ "t1"; "t2" ];
+                inserts = [ ("k1", result) ];
+                warm = [ (d, "algo=streaming", golden_matching) ];
+              };
+          ];
+      } );
+    ("stop", { Wal.header = hdr ~rng:0L 5; bodies = [ Wal.Stop ] });
+    ( "base",
+      {
+        Wal.header = hdr 6;
+        bodies =
+          [
+            Wal.Base
+              {
+                lsn = 6;
+                order = [];
+                last = None;
+                stopped = false;
+                cache = [];
+                evictions = 0;
+              };
+            Wal.Base
+              {
+                lsn = 300;
+                order = [ (1, d); (4, "0123456789abcdef") ];
+                last = Some d;
+                stopped = true;
+                cache = [ ("k1", result); ("k2", J.Str "x") ];
+                evictions = 130;
+              };
+          ];
+      } );
+    ("mark", { Wal.header = hdr 7; bodies = [] });
+  ]
+
+let golden_snapshot =
+  {
+    Wm_serve.Snapshot.origin = 3;
+    lsn = 9;
+    digest = IO.digest golden_graph;
+    generation = 2;
+    graph = golden_graph;
+    warm = [ ("p1", golden_matching); ("p2", M.create 6) ];
+  }
+
+(* The bytes the current code emits for each golden case. *)
+let golden_bytes () =
+  let dir = fresh_dir () in
+  ignore (Wm_serve.Snapshot.write ~dir golden_snapshot);
+  write_log dir (List.map snd golden_records);
+  List.map
+    (fun (name, r) -> ("record " ^ name, Wal.encode_record r))
+    golden_records
+  @ [
+      ("graph frame", IO.to_binary golden_graph);
+      ("matching frame", IO.matching_to_binary golden_matching);
+      ("snapshot file", slurp (Wm_serve.Snapshot.file ~dir 3));
+      ("log file", slurp (Wal.path ~dir));
+    ]
+
+(* The version-1 bytes, generated once and never regenerated. *)
+let golden_hex =
+  [
+    ( "record load",
+      "0101e80701efcdab89674523010500017f8001808080808020014c0110333235\
+       6364323864363339376430346525574d423106040001050203ac020104f0a204\
+       04050133323563643238643633393764303465" );
+    ( "record mutate",
+      "0102d00f000500017f8001808080808020024d10333235636432386436333937\
+       6430346510303132333435363738396162636465660002020006090307c80101\
+       02034d1030313233343536373839616263646566103332356364323864363339\
+       376430346501000000" );
+    ( "record evict",
+      "0103b81701ffffffffffffffff0500017f800180808080802002450045011033\
+       323563643238643633393764303465" );
+    ( "record flush",
+      "0104a01f000500017f800180808080802001460202743102743201026b31127b\
+       2277223a31322c226f6b223a747275657d011033323563643238643633393764\
+       3034650e616c676f3d73747265616d696e670d574d4d3106020001050203ac02" );
+    ( "record stop",
+      "010588270100000000000000000500017f80018080808080200153" );
+    ( "record base",
+      "0106f02e000500017f8001808080808020024206000000000042ac0202011033\
+       3235636432386436333937643034650410303132333435363738396162636465\
+       660110333235636432386436333937643034650102026b31127b2277223a3132\
+       2c226f6b223a747275657d026b32032278228201" );
+    ( "record mark",
+      "0107d836000500017f800180808080802000" );
+    ( "graph frame",
+      "574d423106040001050203ac020104f0a2040405013332356364323864363339\
+       3764303465" );
+    ( "matching frame",
+      "574d4d3106020001050203ac02" );
+    ( "snapshot file",
+      "5a000000f9a5a59557534e310309103332356364323864363339376430346502\
+       25574d423106040001050203ac020104f0a20404050133323563643238643633\
+       393764303465020270310d574d4d3106020001050203ac0202703206574d4d31\
+       0600" );
+    ( "log file",
+      "5300000059451f1d0101e80701efcdab89674523010500017f80018080808080\
+       20014c01103332356364323864363339376430346525574d4231060400010502\
+       03ac020104f0a2040405013332356364323864363339376430346569000000d4\
+       30845f0102d00f000500017f8001808080808020024d10333235636432386436\
+       3339376430346510303132333435363738396162636465660002020006090307\
+       c8010102034d1030313233343536373839616263646566103332356364323864\
+       3633393764303465010000002f00000062f90b140103b81701ffffffffffffff\
+       ff0500017f800180808080802002450045011033323563643238643633393764\
+       303465600000009481ab970104a01f000500017f800180808080802001460202\
+       743102743201026b31127b2277223a31322c226f6b223a747275657d01103332\
+       35636432386436333937643034650e616c676f3d73747265616d696e670d574d\
+       4d3106020001050203ac021b000000a56b57a501058827010000000000000000\
+       0500017f80018080808080200153740000001d81b1330106f02e000500017f80\
+       01808080808020024206000000000042ac020201103332356364323864363339\
+       3764303465041030313233343536373839616263646566011033323563643238\
+       6436333937643034650102026b31127b2277223a31322c226f6b223a74727565\
+       7d026b3203227822820112000000adbf856e0107d836000500017f8001808080\
+       80802000" );
+  ]
+
+let hex = Wm_serve.Protocol.hex_encode
+let unhex = Wm_serve.Protocol.hex_decode
+
+let test_format_goldens () =
+  List.iter2
+    (fun (name, want) (name', bytes) ->
+      check_str "golden case" name name';
+      check_str name want (hex bytes))
+    golden_hex (golden_bytes ());
+  let golden name = unhex (List.assoc name golden_hex) in
+  List.iter
+    (fun (name, r) ->
+      check_bool ("decode record " ^ name) true
+        (Wal.decode_record (golden ("record " ^ name)) = r))
+    golden_records;
+  check_bool "decode graph frame" true
+    (IO.of_binary (golden "graph frame") = golden_graph);
+  check_bool "decode matching frame" true
+    (IO.matching_of_binary (golden "matching frame") = golden_matching);
+  let dir = fresh_dir () in
+  spew (Wm_serve.Snapshot.file ~dir 3) (golden "snapshot file");
+  spew (Wal.path ~dir) (golden "log file");
+  (match Wm_serve.Snapshot.load_all ~dir with
+  | [ (s, _) ] -> check_bool "decode snapshot file" true (s = golden_snapshot)
+  | l -> Alcotest.failf "expected one snapshot, got %d" (List.length l));
+  let recs, cut = Wal.scan ~dir in
+  check "decode log file: nothing cut" 0 cut;
+  check_bool "decode log file" true (recs = List.map snd golden_records)
+
+(* A CRC-clean frame whose payload does not decode ends the valid
+   prefix exactly like a torn tail: [scan] keeps the records before it
+   and cuts the frame. *)
+let scan_cuts_undecodable payload () =
+  let dir = fresh_dir () in
+  let recs = sample_records () in
+  write_log dir recs;
+  let path = Wal.path ~dir in
+  let good = slurp path in
+  let bad = Wm_graph.Bin.frame payload in
+  spew path (good ^ bad);
+  let got, cut = Wal.scan ~dir in
+  check_bool "good prefix kept" true (got = recs);
+  check "bad frame cut" (String.length bad) cut;
+  check_str "file truncated to the prefix" good (slurp path)
+
+(* Header: version 1, reqno 9, batchno 4, no rng, no counters, one body. *)
+let record_header = "\x01\x09\x04\x00\x00\x01"
+
+let test_scan_cuts_junk_load =
+  scan_cuts_undecodable
+    (record_header ^ "L\x01\x100123456789abcdef\x08WMB1junk")
+
+(* A Flush whose touch count is a 9-byte varint with the sign bit set. *)
+let test_scan_cuts_negative_count =
+  scan_cuts_undecodable
+    (record_header ^ "F\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
+
+(* ------------------------------------------------------------------ *)
 (* Binary codec properties *)
 
 let gen_graph =
@@ -176,9 +424,70 @@ let prop_matching_binary_roundtrip =
            (List.sort E.compare (M.edges m))
            (List.sort E.compare (M.edges m')))
 
+(* Truncated or byte-flipped durable bytes either decode or raise
+   [Bin.Corrupt] — no other exception escapes a decoder, and
+   [Snapshot.load_all] skips a corrupt snapshot payload (re-framed with
+   a valid CRC, so the decoder is what must catch it) without raising. *)
+let prop_corrupt_bytes_raise_corrupt =
+  let snapshot_payload =
+    let file = unhex (List.assoc "snapshot file" golden_hex) in
+    String.sub file 8 (String.length file - 8)
+  in
+  let snap_dir = fresh_dir () in
+  let cases =
+    [
+      ( "record",
+        (fun s -> ignore (Wal.decode_record s)),
+        List.map (fun (_, r) -> Wal.encode_record r) golden_records );
+      ( "graph frame",
+        (fun s -> ignore (IO.of_binary s)),
+        [ IO.to_binary golden_graph ] );
+      ( "matching frame",
+        (fun s -> ignore (IO.matching_of_binary s)),
+        [ IO.matching_to_binary golden_matching ] );
+      ( "snapshot payload",
+        (fun s ->
+          spew (Wm_serve.Snapshot.file ~dir:snap_dir 3) (Wm_graph.Bin.frame s);
+          ignore (Wm_serve.Snapshot.load_all ~dir:snap_dir)),
+        [ snapshot_payload ] );
+    ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* case = int_bound (List.length cases - 1) in
+      let _, _, inputs = List.nth cases case in
+      let* input = oneofl inputs in
+      let* cut = bool in
+      let* flips = list_size (int_range 1 3) (pair nat (int_range 1 255)) in
+      return (case, input, cut, flips))
+  in
+  QCheck2.Test.make ~name:"corrupt durable bytes raise only Bin.Corrupt"
+    ~count:2000 gen (fun (case, input, cut, flips) ->
+      let _, decode, _ = List.nth cases case in
+      let len = String.length input in
+      let s =
+        if cut then String.sub input 0 (fst (List.hd flips) mod len)
+        else begin
+          let b = Bytes.of_string input in
+          List.iter
+            (fun (pos, x) ->
+              let pos = pos mod len in
+              Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x)))
+            flips;
+          Bytes.to_string b
+        end
+      in
+      match decode s with
+      | _ -> true
+      | exception Wm_graph.Bin.Corrupt _ -> true)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_graph_binary_roundtrip; prop_matching_binary_roundtrip ]
+    [
+      prop_graph_binary_roundtrip;
+      prop_matching_binary_roundtrip;
+      prop_corrupt_bytes_raise_corrupt;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Restore semantics *)
@@ -637,6 +946,12 @@ let () =
             test_crc_mismatch_midlog;
           Alcotest.test_case "empty and missing logs" `Quick
             test_empty_and_missing;
+          Alcotest.test_case "on-disk format goldens" `Quick
+            test_format_goldens;
+          Alcotest.test_case "scan cuts a junk load payload" `Quick
+            test_scan_cuts_junk_load;
+          Alcotest.test_case "scan cuts a negative list count" `Quick
+            test_scan_cuts_negative_count;
         ] );
       ("codec", qcheck_tests);
       ( "restore",

@@ -666,6 +666,42 @@ let test_io_file_roundtrip () =
   check "weight" (G.total_weight g) (G.total_weight g');
   check "m" (G.m g) (G.m g')
 
+(* The weight-range guard: a graph's total weight is at most 2^53 on
+   every construction path, so solver sums cannot wrap.  Two edges of
+   weight 2^62 - 1 used to parse and solve to total weight -2. *)
+let test_weight_bound () =
+  let bound = 1 lsl 53 and big = max_int in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  check "bound" bound G.max_total_weight;
+  let g = G.create ~n:4 [ E.make 0 1 (bound - 1); E.make 2 3 1 ] in
+  check "total weight at the bound is accepted" bound (G.total_weight g);
+  rejects "create" (fun () ->
+      G.create ~n:4 [ E.make 0 1 (bound - 1); E.make 2 3 2 ]);
+  rejects "create, wrapping sum" (fun () ->
+      G.create ~n:4 [ E.make 0 1 big; E.make 2 3 big ]);
+  rejects "patch" (fun () -> G.patch g ~add:[ E.make 1 2 1 ] ());
+  let g' = G.patch g ~remove:[ (2, 3) ] ~add:[ E.make 1 2 1 ] () in
+  check "patch within the bound" bound (G.total_weight g');
+  (match
+     IO.of_string (Printf.sprintf "p wm 4 2\ne 0 1 %d\ne 2 3 2\n" (bound - 1))
+   with
+  | _ -> Alcotest.fail "text: accepted"
+  | exception IO.Parse_error { line; msg } ->
+      check "text: line of the crossing edge" 3 line;
+      Alcotest.(check string) "text: message" "total weight exceeds 2^53" msg);
+  (* a binary frame whose content exceeds the bound is corrupt *)
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "WMB1";
+  List.iter (Wm_graph.Bin.add_varint buf) [ 4; 2; 0; 1; big; 2; 3; big ];
+  Buffer.add_string buf (String.make 16 '0');
+  match IO.of_binary (Buffer.contents buf) with
+  | _ -> Alcotest.fail "binary: accepted"
+  | exception Wm_graph.Bin.Corrupt _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Property-based tests *)
 
@@ -886,6 +922,7 @@ let () =
             test_io_digest_invariance;
           Alcotest.test_case "matching roundtrip" `Quick test_io_matching_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
+          Alcotest.test_case "weight bound" `Quick test_weight_bound;
         ] );
       ("properties", qcheck_tests);
     ]

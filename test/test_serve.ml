@@ -459,6 +459,58 @@ let test_mutate_error_leaves_session () =
   let r2 = one srv (solve_req ~id:5 ()) in
   check_bool "cache survives the failed mutation" true (cached r2)
 
+let load_text_req ?(id = 1) text =
+  req
+    (J.to_string
+       (J.Obj
+          [
+            ("schema", J.Str "WM_REQ_v1");
+            ("id", J.Int id);
+            ("verb", J.Str "load");
+            ("graph", J.Str text);
+          ]))
+
+(* The weight-range guard on the serve path: a load or a mutation that
+   would take a session's total weight past 2^53 is an error response,
+   and the session is left exactly as it was. *)
+let test_weight_bound_rejected () =
+  let srv = server () in
+  let big = max_int in
+  let r =
+    one srv
+      (load_text_req (Printf.sprintf "p wm 4 2\ne 0 1 %d\ne 2 3 %d\n" big big))
+  in
+  check_str "over-weight load rejected" "error" (status r);
+  check "no session" 0 (List.length (Server.sessions srv));
+  let d = str_field (one srv (load_text_req ~id:2 "p wm 4 1\ne 0 1 3\n")) "digest" in
+  let r = one srv (req (add_edges_req ~id:3 [ (2, 3, 1 lsl 53) ])) in
+  check_str "over-weight add_edges rejected" "error" (status r);
+  match Server.sessions srv with
+  | [ (d', _, m) ] ->
+      check_str "digest untouched" d d';
+      check "edge count untouched" 1 m
+  | _ -> Alcotest.fail "expected one session"
+
+(* [x_warm] is router-internal: it only ever carries a matching taken
+   from the same session, so a frame on more vertices than the session
+   is refused before the matching is allocated. *)
+let test_x_warm_bounded () =
+  let srv = server () in
+  let d = str_field (one srv (load_text_req "p wm 4 2\ne 0 1 3\ne 2 3 5\n")) "digest" in
+  let solve id n =
+    one srv
+      (req
+         (Printf.sprintf
+            "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":\"solve\",\"algo\":\"streaming\",\"seed\":%d,\"digest\":%S,\"x_warm\":%S}"
+            id id d
+            (Protocol.hex_encode
+               (Wm_graph.Graph_io.matching_to_binary (Wm_graph.Matching.create n)))))
+  in
+  check_str "warm start on the session's n" "ok" (status (solve 2 4));
+  let r = solve 3 5 in
+  check_str "larger n refused" "error" (status r);
+  check_str "reason" "malformed x_warm payload" (str_field r "error")
+
 (* The equivalence property behind incremental sessions: mutating a
    loaded session must be indistinguishable from loading the mutated
    content directly — same digest, and (cold-for-cold) the same solve.
@@ -755,6 +807,10 @@ let () =
             test_mutate_rekeys_session;
           Alcotest.test_case "mutate error leaves session" `Quick
             test_mutate_error_leaves_session;
+          Alcotest.test_case "weight bound rejected" `Quick
+            test_weight_bound_rejected;
+          Alcotest.test_case "x_warm bounded by the session" `Quick
+            test_x_warm_bounded;
           Alcotest.test_case "mutate equals direct load" `Quick
             test_mutate_equiv_direct_load;
           Alcotest.test_case "warm solve after delete" `Quick
