@@ -210,14 +210,14 @@ let execute ~verbose ~family ~n ~density ~weights ~seed ~algo ~epsilon ~input =
         r.Wm_core.Model_driver.matching
     | Mpc_algo ->
         let params = Wm_core.Params.practical ~epsilon () in
-        let machines = Stdlib.max 2 (G.m g / Stdlib.max 1 (G.n g)) in
-        let memory_words = 16 * G.n g * 10 in
-        let cluster = Wm_mpc.Cluster.create ~machines ~memory_words () in
-        let r = Wm_core.Model_driver.mpc params rng cluster g in
+        let r =
+          Wm_core.Model_driver.(mpc params rng (mpc_cluster g) g)
+        in
         if verbose then
           Printf.printf "rounds=%d peak-machine-memory=%d machines=%d\n"
             r.Wm_core.Model_driver.rounds
-            r.Wm_core.Model_driver.peak_machine_memory machines;
+            r.Wm_core.Model_driver.peak_machine_memory
+            r.Wm_core.Model_driver.machines;
         r.Wm_core.Model_driver.matching
     | Exact_algo -> (
         match Wm_exact.Mwm_general.solve_opt g with

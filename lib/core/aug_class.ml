@@ -15,99 +15,60 @@ type stats = {
       (* max measured stream passes across the (parallel) instances *)
 }
 
-(* Bucket membership lives in two epoch-stamped sets over the dense
-   granule universe [0 .. cap] — a per-domain arena, so the scan
-   allocates only the two result lists (one cell per *distinct*
-   bucket).  Returned ascending; every consumer sorts anyway. *)
-let pb_slot =
-  Arena.slot (fun () -> (Arena.Stamp.create (), Arena.Stamp.create ()))
+(* The unmatched incidences of [m] as a CSR: vertex [v]'s entries are
+   [off.(v) .. off.(v + 1) - 1] of [nbr]/[wt], in [G.iter_neighbors]
+   order.  It depends on [g] and [m] alone, so one per round serves
+   every class, read-only from any domain. *)
+type incidence = { off : int array; nbr : int array; wt : int array }
 
-let present_buckets params (gp : Layered.parametrized) ~scale =
-  let tp = Params.tau_params params in
-  let granule = params.Params.granularity *. scale in
-  let cap = Tau.max_granules tp in
-  let a_set, b_set = Arena.get pb_slot in
-  Arena.Stamp.reset a_set (cap + 1);
-  Arena.Stamp.reset b_set (cap + 1);
-  G.iter_edges
-    (fun e ->
-      let u, v = E.endpoints e in
-      if gp.Layered.side.(u) <> gp.Layered.side.(v) then
-        if M.mem gp.Layered.matching e then begin
-          let bkt = Tau.bucket_up ~granule (E.weight e) in
-          if bkt <= cap then Arena.Stamp.mark a_set bkt
-        end
-        else begin
-          let bkt = Tau.bucket_down ~granule (E.weight e) in
-          if bkt >= 2 && bkt <= cap then Arena.Stamp.mark b_set bkt
+let incidence g m =
+  let n = G.n g in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <-
+      G.fold_neighbors g v (fun k _ e -> if M.mem m e then k else k + 1) off.(v)
+  done;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0 in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    G.iter_neighbors g v (fun x e ->
+        if not (M.mem m e) then begin
+          nbr.(!k) <- x;
+          wt.(!k) <- E.weight e;
+          incr k
         end)
-    gp.Layered.graph;
-  let collect set =
-    let acc = ref [] in
-    for k = cap downto 0 do
-      if Arena.Stamp.mem set k then acc := k :: !acc
-    done;
-    !acc
-  in
-  (collect a_set, collect b_set)
+  done;
+  { off; nbr; wt }
 
-(* Per-domain walk scratch: the round-start matching's unmatched
-   incidences as a CSR ([off]/[nbr]/[wt], each vertex's entries in
-   [G.iter_neighbors] order) and the current walk's bucket sequences. *)
-type walk_scratch = {
-  off : Arena.Ints.t;
-  nbr : Arena.Ints.t;
-  wt : Arena.Ints.t;
-  a_bk : Arena.Ints.t;
-  b_bk : Arena.Ints.t;
-}
-
+(* Per-domain buffers for the current walk's bucket sequences. *)
 let walk_slot =
-  Arena.slot (fun () ->
-      let i () = Arena.Ints.create () in
-      { off = i (); nbr = i (); wt = i (); a_bk = i (); b_bk = i () })
+  Arena.slot (fun () -> (Arena.Ints.create (), Arena.Ints.create ()))
 
 (* Random alternating walks give tau pairs biased towards shapes that
    are actually realisable in the data — a practical stand-in for the
    paper's exhaustive enumeration, which only ever matters on pairs
    whose layered graphs are non-empty. *)
-let walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
+let walk_pairs params rng ~inc (gp : Layered.parametrized) ~scale ~count =
   let tp = Params.tau_params params in
-  let g = gp.Layered.graph and m = gp.Layered.matching in
-  let n = G.n g in
+  let m = gp.Layered.matching in
+  let n = G.n gp.Layered.graph in
   if n = 0 then []
   else begin
     let granule = params.Params.granularity *. scale in
-    let s = Arena.get walk_slot in
-    Arena.Ints.clear s.off;
-    Arena.Ints.clear s.nbr;
-    Arena.Ints.clear s.wt;
-    let add_unmatched x e =
-      if not (M.mem m e) then begin
-        Arena.Ints.push s.nbr x;
-        Arena.Ints.push s.wt (E.weight e)
-      end
-    in
-    for v = 0 to n - 1 do
-      Arena.Ints.push s.off (Arena.Ints.length s.nbr);
-      G.iter_neighbors g v add_unmatched
-    done;
-    Arena.Ints.push s.off (Arena.Ints.length s.nbr);
-    let off = Arena.Ints.data s.off
-    and nbr = Arena.Ints.data s.nbr
-    and wt = Arena.Ints.data s.wt in
+    let a_bk, b_bk = Arena.get walk_slot in
+    let { off; nbr; wt } = inc in
     let pairs = ref [] in
     for _ = 1 to count do
       let start = Wm_graph.Prng.int rng n in
-      Arena.Ints.clear s.a_bk;
-      Arena.Ints.clear s.b_bk;
+      Arena.Ints.clear a_bk;
+      Arena.Ints.clear b_bk;
       (* First matched bucket: the anchor's matching edge, or a free end. *)
       let cur = ref start in
       (match M.edge_at m start with
       | Some e ->
-          Arena.Ints.push s.a_bk (Tau.bucket_up ~granule (E.weight e));
+          Arena.Ints.push a_bk (Tau.bucket_up ~granule (E.weight e));
           cur := E.other e start
-      | None -> Arena.Ints.push s.a_bk 0);
+      | None -> Arena.Ints.push a_bk 0);
       let steps = 1 + Wm_graph.Prng.int rng (params.Params.max_layers - 1) in
       let step = ref 1 in
       while !step <= steps do
@@ -120,20 +81,20 @@ let walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
         if unmatched_count = 0 then step := steps + 1
         else begin
           let i = lo + Wm_graph.Prng.int rng unmatched_count in
-          Arena.Ints.push s.b_bk (Tau.bucket_down ~granule wt.(i));
+          Arena.Ints.push b_bk (Tau.bucket_down ~granule wt.(i));
           let x = nbr.(i) in
           match M.edge_at m x with
           | Some e' ->
-              Arena.Ints.push s.a_bk (Tau.bucket_up ~granule (E.weight e'));
+              Arena.Ints.push a_bk (Tau.bucket_up ~granule (E.weight e'));
               cur := E.other e' x;
               incr step
           | None ->
-              Arena.Ints.push s.a_bk 0;
+              Arena.Ints.push a_bk 0;
               step := steps + 1
         end
       done;
-      let la = Arena.Ints.length s.a_bk and lb = Arena.Ints.length s.b_bk in
-      let a = Arena.Ints.data s.a_bk and b = Arena.Ints.data s.b_bk in
+      let la = Arena.Ints.length a_bk and lb = Arena.Ints.length b_bk in
+      let a = Arena.Ints.data a_bk and b = Arena.Ints.data b_bk in
       if lb >= 1 && Tau.is_good_prefix tp ~a ~la ~b ~lb then
         pairs := { Tau.a = Array.sub a 0 la; b = Array.sub b 0 lb } :: !pairs
     done;
@@ -167,9 +128,9 @@ let one_augmentations g m =
          | n -> n)
        !augs)
 
-let candidate_pairs params rng gp ~scale =
+let candidate_pairs params rng ~inc ~cache gp ~scale =
   let tp = Params.tau_params params in
-  let a_values, b_values = present_buckets params gp ~scale in
+  let a_values, b_values = Layered.present cache in
   if b_values = [] then []
   else begin
     (* Single first-wins dedup over the arrival order (homogeneous
@@ -193,29 +154,19 @@ let candidate_pairs params rng gp ~scale =
       end
     in
     Tau.iter_homogeneous tp ~a_values ~b_values add_scratch;
-    if params.Params.tau_samples > 0 then begin
-      List.iter add_own
-        (walk_pairs params rng gp ~scale ~count:params.Params.tau_samples);
-      List.iter add_own
-        (Tau.sample tp rng ~a_values ~b_values
-           ~count:(params.Params.tau_samples / 4))
-    end;
-    let all = List.rev !out in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    take params.Params.tau_budget all
+    List.iter add_own
+      (walk_pairs params rng ~inc gp ~scale ~count:Params.tau_samples);
+    List.iter add_own
+      (Tau.sample tp rng ~a_values ~b_values ~count:(Params.tau_samples / 4));
+    List.filteri (fun i _ -> i < Params.tau_budget) (List.rev !out)
   end
 
 (* One pair's layered-graph evaluation, up to (but excluding) the
    used-vertex filtering: build the layered graph, run the black box,
    and project every augmenting path back to candidate components in
-   path order.  Reads [gp]/[m] only, so evaluations of different pairs
-   are independent and run through the domain pool. *)
+   path order.  Reads [gp]/[m] only and draws no randomness. *)
 type pair_eval = {
-  pe_candidates : (Aug.t * int) list;  (* path-order (component, gain) *)
+  pe_candidates : Aug.t list;  (* path order, each strictly gainful *)
   pe_layered_edges : int;
   pe_black_box : bool;
   pe_passes : int;
@@ -247,12 +198,11 @@ let eval_pair ~cache params tp (gp : Layered.parametrized) m ~scale pair =
           let verts, edges =
             Decompose.project ~base_n:lay.Layered.base_n layered_path
           in
-          match Decompose.decompose ~verts ~edges with
-          | [] -> None
-          | comps -> (
-              match Decompose.best_component comps m with
-              | Some (c, gain) when gain > 0 -> Some (c, gain)
-              | Some _ | None -> None))
+          match
+            Decompose.best_component (Decompose.decompose ~verts ~edges) m
+          with
+          | Some (c, gain) when gain > 0 -> Some c
+          | Some _ | None -> None)
         paths
     in
     {
@@ -265,83 +215,56 @@ let eval_pair ~cache params tp (gp : Layered.parametrized) m ~scale pair =
 
 let used_slot = Arena.slot (fun () -> Arena.Stamp.create ())
 
-let run ?(span_path = "core.aug_class") params rng g m ~scale =
+let run ?(span_path = "core.aug_class") params rng g m ~inc ~scale =
   let tp = Params.tau_params params in
   let gp = Layered.parametrize rng g m in
-  (* Two root spans per class — candidate generation, then the layered
-     cache and every pair's evaluation — under explicit paths, so the
-     timer set is the same at any jobs setting and bounded per scale
-     rather than growing with the distinct tau pairs seen. *)
+  (* Two root spans per class — the layered cache and candidate
+     generation, then every pair's evaluation — under explicit paths,
+     so the timer set is the same at any jobs setting and bounded per
+     scale rather than growing with the distinct tau pairs seen. *)
   let span name f =
     Wm_obs.Obs.with_span_root Wm_obs.Obs.default (span_path ^ name) f
   in
-  let pairs = span "/pairs" (fun () -> candidate_pairs params rng gp ~scale) in
-  (* Phase 1 (parallel): evaluate every pair's layered graph.  The pool
-     preserves input order, and [eval_pair] draws no randomness, so the
-     result is independent of the jobs setting.  Inside Main_alg's own
-     per-scale fan-out this degrades to a sequential map (nested pool
-     calls fall back), and pair-level parallelism kicks in when a class
-     is run on its own. *)
+  let cache, pairs =
+    span "/pairs" (fun () ->
+        let cache = Layered.prepare tp gp ~scale in
+        (cache, candidate_pairs params rng ~inc ~cache gp ~scale))
+  in
+  (* Phase 1: evaluate every pair's layered graph, in pair order. *)
   let evals =
     span "/eval" (fun () ->
-        let cache = Layered.prepare tp gp ~scale in
-        Wm_par.Pool.map (Wm_par.Pool.default ())
-          (fun pair -> eval_pair ~cache params tp gp m ~scale pair)
-          pairs)
+        List.map (eval_pair ~cache params tp gp m ~scale) pairs)
   in
+  let sum f = List.fold_left (fun acc e -> acc + f e) 0 evals in
+  let peak f = List.fold_left (fun acc e -> Stdlib.max acc (f e)) 0 evals in
   let stats =
-    List.fold_left
-      (fun s e ->
-        {
-          pairs_tried = s.pairs_tried + 1;
-          layered_edges = s.layered_edges + e.pe_layered_edges;
-          layered_edges_max = Stdlib.max s.layered_edges_max e.pe_layered_edges;
-          paths_found = s.paths_found + e.pe_paths;
-          black_box_calls = s.black_box_calls + (if e.pe_black_box then 1 else 0);
-          black_box_passes = Stdlib.max s.black_box_passes e.pe_passes;
-        })
-      {
-        pairs_tried = 0;
-        layered_edges = 0;
-        layered_edges_max = 0;
-        paths_found = 0;
-        black_box_calls = 0;
-        black_box_passes = 0;
-      }
-      evals
+    {
+      pairs_tried = List.length evals;
+      layered_edges = sum (fun e -> e.pe_layered_edges);
+      layered_edges_max = peak (fun e -> e.pe_layered_edges);
+      paths_found = sum (fun e -> e.pe_paths);
+      black_box_calls = sum (fun e -> Bool.to_int e.pe_black_box);
+      black_box_passes = peak (fun e -> e.pe_passes);
+    }
   in
-  (* Phase 2 (sequential, pair order): used-vertex filtering.  With
-     [combine_pairs], the used-vertex set persists across pairs and
-     every pair contributes; otherwise each pair starts from an empty
-     set and the best one wins (Algorithm 4 line 13, verbatim).  Either
-     way ONE epoch-stamped arena serves every pair: persisting is
-     keeping the epoch, emptying is bumping it — no per-pair tables. *)
+  (* Phase 2 (pair order): one used-vertex set across all pairs keeps
+     every vertex-disjoint, well-formed alternating candidate, newest
+     first.  Algorithm 4 line 13 keeps only the best pair's set; the
+     union is a sound superset that converges much faster. *)
   let used = Arena.get used_slot in
   Arena.Stamp.reset used (G.n g);
-  let combined = ref ([], 0) in
-  let best = ref ([], 0) in
-  List.iter
-    (fun e ->
-      if e.pe_black_box then begin
-        if not params.Params.combine_pairs then
-          Arena.Stamp.reset used (G.n g);
-        let chosen = ref [] and gain_sum = ref 0 in
-        List.iter
-          (fun (c, gain) ->
-            let touched = Aug.touched_vertices c m in
-            let clear =
-              List.for_all (fun v -> not (Arena.Stamp.mem used v)) touched
-            in
-            if clear && Aug.is_wellformed c && Aug.is_alternating c m then begin
-              List.iter (Arena.Stamp.mark used) touched;
-              chosen := c :: !chosen;
-              gain_sum := !gain_sum + gain
-            end)
-          e.pe_candidates;
-        if params.Params.combine_pairs then
-          combined := (!chosen @ fst !combined, !gain_sum + snd !combined)
-        else if !gain_sum > snd !best then best := (!chosen, !gain_sum)
-      end)
-    evals;
-  let result = if params.Params.combine_pairs then !combined else !best in
-  (fst result, stats)
+  let keep acc c =
+    let touched = Aug.touched_vertices c m in
+    if
+      List.for_all (fun v -> not (Arena.Stamp.mem used v)) touched
+      && Aug.is_wellformed c && Aug.is_alternating c m
+    then begin
+      List.iter (Arena.Stamp.mark used) touched;
+      c :: acc
+    end
+    else acc
+  in
+  let chosen =
+    List.fold_left (fun acc e -> List.fold_left keep acc e.pe_candidates) [] evals
+  in
+  (chosen, stats)

@@ -4,9 +4,10 @@
     For a random bipartition and a family of good [(tau^A, tau^B)]
     pairs, build each layered graph, run the [(1 - delta)] bipartite
     unweighted black box, translate its augmenting paths back to the
-    original graph via Lemma 4.11, and keep — per pair — a
-    vertex-disjoint set of strictly gainful augmentations.  The pair
-    whose set has the largest total gain wins (line 13). *)
+    original graph via Lemma 4.11, and keep a vertex-disjoint set of
+    strictly gainful augmentations.  Line 13 keeps only the best pair's
+    set; here one greedy pass unions the sets of all pairs of the
+    class, a sound superset (DESIGN.md §6). *)
 
 type stats = {
   pairs_tried : int;
@@ -32,9 +33,20 @@ val one_augmentations :
     bipartition or rounding, so it is pulled out of the layered-graph
     machinery and swept separately by Algorithm 3. *)
 
+type incidence
+(** The unmatched incidences of a matching as a CSR, each vertex's in
+    neighbour order.  Immutable; share one across every class of a
+    round, from any number of domains. *)
+
+val incidence :
+  Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t -> incidence
+(** [incidence g m] for the walks of every class run against [g] and
+    [m]. *)
+
 val walk_pairs :
   Params.t ->
   Wm_graph.Prng.t ->
+  inc:incidence ->
   Layered.parametrized ->
   scale:float ->
   count:int ->
@@ -45,18 +57,22 @@ val walk_pairs :
     bucket sequences of actual walks).  Newest walk first; a pair two
     walks capture appears twice ({!candidate_pairs} keeps the first).
     Each walk step is one draw over the vertex's unmatched incidences,
-    read from a CSR built once per call. *)
+    read from [inc], which must be [incidence] of [gp]'s graph and
+    matching. *)
 
 val candidate_pairs :
   Params.t ->
   Wm_graph.Prng.t ->
+  inc:incidence ->
+  cache:Layered.cache ->
   Layered.parametrized ->
   scale:float ->
   Tau.pair list
 (** The tau-pair pool for one scale: homogeneous pairs over the weight
-    buckets present in the data, walk-sampled pairs, and a few uniform
-    draws, truncated to [tau_budget].  An empty list means the scale
-    cannot host any augmentation. *)
+    buckets present in the data ({!Layered.present} of [cache], which
+    must be prepared from [gp] at [scale]), walk-sampled pairs, and a
+    few uniform draws, truncated to {!Params.tau_budget}.  An empty
+    list means the scale cannot host any augmentation. *)
 
 val run :
   ?span_path:string ->
@@ -64,14 +80,15 @@ val run :
   Wm_graph.Prng.t ->
   Wm_graph.Weighted_graph.t ->
   Wm_graph.Matching.t ->
+  inc:incidence ->
   scale:float ->
   Aug.t list * stats
-(** [run params rng g m ~scale] returns the winning pair's
+(** [run params rng g m ~inc ~scale] returns the class's
     vertex-disjoint augmentations (possibly empty), each strictly
-    gainful against [m].  Two root spans time the class: candidate
-    generation under [<span_path>/pairs], and the layered cache plus
-    every pair's evaluation under [<span_path>/eval] (default
-    [span_path] is ["core.aug_class"]).  [Main_alg] passes its
-    per-scale path, so attribution nests under the round whichever
-    pool domain runs the class, and the timer count stays bounded by
-    the scales rather than the distinct pairs. *)
+    gainful against [m]; [inc] is [incidence g m].  Two root spans time
+    the class: the layered cache and candidate generation under
+    [<span_path>/pairs], and every pair's evaluation under
+    [<span_path>/eval] (default [span_path] is ["core.aug_class"]).
+    [Main_alg] passes its per-scale path, so attribution nests under the
+    round whichever pool domain runs the class, and the timer count
+    stays bounded by the scales rather than the distinct pairs. *)

@@ -67,8 +67,8 @@ let scratch_slot =
    [0 .. max_granules], which bounds every good pair's [tau^B]
    entries, plus one overflow slot for heavier edges), so the
    trivial-build test visits only the edges of the pair's own
-   buckets.  Immutable after [prepare], so it is shared
-   read-only across pool workers. *)
+   buckets.  Immutable after [prepare]; [present] reads the buckets
+   present in the data off it. *)
 type cache = {
   xm_u : int array;
   xm_v : int array;
@@ -153,6 +153,16 @@ let prepare params (gp : parametrized) ~scale =
       next.(slot) <- next.(slot) + 1)
     c.yc_b;
   c
+
+(* Slot [b <= cap] of the down-bucket index holds exactly bucket [b]'s
+   edges, so its non-empty slots are the present b-values. *)
+let present c =
+  let cap = Array.length c.yb_off - 3 in
+  ( List.sort_uniq Int.compare
+      (List.filter (fun a -> a <= cap) (Array.to_list c.xm_b)),
+    List.filter
+      (fun b -> c.yb_off.(b + 1) > c.yb_off.(b))
+      (List.init (Stdlib.max 0 (cap - 1)) (fun i -> i + 2)) )
 
 (* Mark the per-domain scratch's [keep] set for one pair's layered
    vertices and push its X edges; shared by [build] and [build_opt].

@@ -67,6 +67,14 @@ type cache
 
 val prepare : Tau.params -> parametrized -> scale:float -> cache
 
+val present : cache -> int list * int list
+(** The weight buckets present at the cache's granule, each list
+    ascending and distinct: the up-buckets [<= max_granules] of the
+    crossing matched edges (candidate [tau^A] entries), and the
+    down-buckets in [2 .. max_granules] of the crossing unmatched edges
+    (candidate [tau^B] entries).  Read off the cache, with no edge
+    scan. *)
+
 val build :
   ?cache:cache -> Tau.params -> parametrized -> Tau.pair -> scale:float -> t
 (** Construct [L'] for one [(tau^A, tau^B)] pair and scale [W].

@@ -28,8 +28,7 @@ let scales_for params g =
   else begin
     let upper = float_of_int (wmax * params.Params.max_layers) in
     let all =
-      Weight_class.geometric_scales ~ratio:params.Params.class_ratio
-        ~max_value:upper
+      Weight_class.geometric_scales ~ratio:Params.class_ratio ~max_value:upper
     in
     (* An unmatched edge needs bucket >= 2, i.e. w >= 2 g W; scales above
        w_max / (2 g) host none and are pruned. *)
@@ -50,7 +49,9 @@ let improve_once params rng g m =
      (and hence the results) are identical whether the classes then
      execute sequentially or on any number of domains.  The k = 1 class
      (single-edge augmentations) is solved exactly and swept first, as a
-     pseudo-class of infinite scale. *)
+     pseudo-class of infinite scale.  The walks' unmatched-incidence
+     CSR depends on [g] and [m] alone, so it is built once here. *)
+  let inc = Aug_class.incidence g m in
   let tasks =
     List.map (fun scale -> (scale, Wm_graph.Prng.split rng)) scales
   in
@@ -65,7 +66,8 @@ let improve_once params rng g m =
           Printf.sprintf "core.main_alg.round/scale=%g" scale
         in
         Obs.with_span_root Obs.default span_path (fun () ->
-            (scale, Aug_class.run params class_rng g m ~scale ~span_path)))
+            ( scale,
+              Aug_class.run params class_rng g m ~inc ~scale ~span_path )))
       tasks
   in
   let one_augs = Aug_class.one_augmentations g m in

@@ -27,7 +27,7 @@ type run_stats = {
 val scales_for :
   Params.t -> Wm_graph.Weighted_graph.t -> float list
 (** The augmentation-class scales swept by one round: powers of
-    [class_ratio] from 1 up to [max_layers * max_weight], pruned to
+    {!Params.class_ratio} from 1 up to [max_layers * max_weight], pruned to
     scales that can host an unmatched edge ([W <= w_max / (2 g)]). *)
 
 val improve_once :

@@ -207,6 +207,12 @@ type mpc_result = {
   warm : bool;
 }
 
+let mpc_cluster g =
+  let n = G.n g in
+  Wm_mpc.Cluster.create
+    ~machines:(Stdlib.max 2 (G.m g / Stdlib.max 1 n))
+    ~memory_words:(16 * n * 10) ()
+
 let mpc ?(patience = 4) ?init ?cancel params rng cluster g =
   let module C = Wm_mpc.Cluster in
   let inj = C.faults cluster in

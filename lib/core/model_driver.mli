@@ -122,6 +122,11 @@ val mpc :
     committed matching; a warm-start matching is repaired against [g]
     before the first round. *)
 
+val mpc_cluster : Wm_graph.Weighted_graph.t -> Wm_mpc.Cluster.t
+(** The fault-free cluster an MPC solve of [g] runs on: [m / n]
+    machines (at least 2), each of [160 n] words — the [O(m / n)]
+    machines of [O~(n)] memory of Theorem 1.2.1. *)
+
 val peak_instance_load : (float * Aug_class.stats) list -> int
 (** The largest single [(W, tau)]-pair layered graph across all scales
     of one round — the per-machine load the MPC driver charges.  (A

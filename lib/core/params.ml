@@ -3,12 +3,12 @@ type t = {
   granularity : float;
   max_layers : int;
   delta : float;
-  class_ratio : float;
-  tau_budget : int;
-  tau_samples : int;
   max_iterations : int;
-  combine_pairs : bool;
 }
+
+let class_ratio = 2.0
+let tau_budget = 3000
+let tau_samples = 300
 
 let practical ?(epsilon = 0.1) () =
   if epsilon <= 0.0 || epsilon >= 1.0 then
@@ -18,33 +18,7 @@ let practical ?(epsilon = 0.1) () =
     granularity = 1.0 /. 32.0;
     max_layers = 9;
     delta = 0.1;
-    class_ratio = 2.0;
-    tau_budget = 3000;
-    tau_samples = 300;
     max_iterations = int_of_float (Float.ceil (4.0 /. epsilon));
-    combine_pairs = true;
-  }
-
-let paper ~epsilon =
-  if epsilon <= 0.0 || epsilon > 1.0 /. 16.0 then
-    invalid_arg "Params.paper: the paper assumes epsilon <= 1/16";
-  let granularity = epsilon ** 12.0 in
-  let max_layers =
-    int_of_float (Float.ceil ((2.0 /. epsilon) *. (16.0 /. epsilon))) + 1
-  in
-  let delta = epsilon ** (28.0 +. (900.0 /. (epsilon *. epsilon))) in
-  {
-    epsilon;
-    granularity;
-    max_layers;
-    delta;
-    class_ratio = 1.0 +. (epsilon ** 4.0);
-    tau_budget = max_int;
-    tau_samples = 0;
-    max_iterations =
-      (* (1/eps)^O(1/eps^2) truncated to something finite. *)
-      int_of_float (Float.ceil (10.0 /. (epsilon *. epsilon)));
-    combine_pairs = false;
   }
 
 let tau_params t =

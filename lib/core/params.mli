@@ -1,41 +1,38 @@
 (** Parameters of the Section 4 reduction.
 
-    The paper fixes every constant as a function of [epsilon]
-    (granularity [eps^12], at most [2/eps * 16/eps + 1] layers, black-box
-    slack [delta = eps^(28 + 900/eps^2)], class ratio [1 + eps^4]) —
-    values that are existentially sufficient but astronomically far
-    from practical.  We implement the identical structure with each
-    constant exposed as a knob: {!practical} gives tractable defaults,
-    {!paper} instantiates the exact formulas (usable only on micro
-    instances, exercised by unit tests). *)
+    The paper fixes every constant as a function of [epsilon]:
+    granularity [eps^12], at most [2/eps * 16/eps + 1] layers,
+    black-box slack [delta = eps^(28 + 900/eps^2)], class ratio
+    [1 + eps^4] and exhaustive tau-pair enumeration.  Those values are
+    existentially sufficient but cannot run: at [eps = 1/16] the bucket
+    universe {!Tau.max_granules} alone is about [2.8 * 10^14] granules,
+    so the first layered-graph cache runs out of memory on a 12-vertex
+    graph.  The implementation keeps the identical structure with
+    tractable values: {!practical} sets the ones experiments vary, and
+    the rest are the constants below. *)
 
 type t = {
   epsilon : float;  (** target approximation slack *)
   granularity : float;  (** Tau granule, fraction of the class scale W *)
   max_layers : int;  (** longest [tau^A] considered *)
   delta : float;  (** slack of the unweighted bipartite black box *)
-  class_ratio : float;  (** ratio between consecutive class scales W *)
-  tau_budget : int;  (** max tau pairs tried per augmentation class *)
-  tau_samples : int;  (** random tau pairs drawn per augmentation class *)
   max_iterations : int;  (** outer improvement iterations *)
-  combine_pairs : bool;
-      (** Algorithm 4 line 13 keeps only the best pair's augmentations;
-          with [combine_pairs] the practical implementation instead
-          greedily unions the vertex-disjoint, strictly gainful
-          augmentations across all pairs of the class — a sound
-          superset that converges much faster *)
 }
+
+val class_ratio : float
+(** Ratio between consecutive class scales W: 2. *)
+
+val tau_budget : int
+(** Tau pairs tried per augmentation class, at most: 3000. *)
+
+val tau_samples : int
+(** Walk-sampled tau pairs drawn per augmentation class (plus a quarter
+    as many uniform draws): 300. *)
 
 val practical : ?epsilon:float -> unit -> t
 (** Tractable defaults (default [epsilon = 0.1]): granularity 1/32,
-    9 layers, [delta = 0.1], class ratio 2, pair combining on, and
-    budgets sized for laptop-scale instances.  The number of iterations
-    scales as [ceil (4 / epsilon)]. *)
-
-val paper : epsilon:float -> t
-(** The paper's exact formulas.  [delta] underflows to [0.] (exact
-    black box) for every representable [epsilon]; enumeration budgets
-    are set to [max_int].  Only usable on micro instances. *)
+    9 layers and [delta = 0.1].  The number of iterations scales as
+    [ceil (4 / epsilon)]. *)
 
 val tau_params : t -> Tau.params
 (** The projection used by {!Tau} ([slack = epsilon^4]). *)

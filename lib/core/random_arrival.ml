@@ -41,6 +41,23 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
   let wap = ref None in
   let t_set = ref [] in
   let t_size = ref 0 in
+  (* Crossing the cut: close the prefix pass segment's ledger row,
+     unwind the prefix stack into M0, freeze potentials, start
+     WGT-AUG-PATHS. *)
+  let cut_over () =
+    Ledger.record Ledger.default ~label:"prefix"
+      ~section:"core.random_arrival"
+      [
+        ("peak_words", Meter.checkpoint meter);
+        ("stack_edges", LR.stack_size lr);
+      ];
+    LR.freeze lr;
+    let w =
+      Wgt_aug_paths.create ?alpha ?beta ~meter ~rng ~m0:(LR.unwind lr) ()
+    in
+    wap := Some w;
+    w
+  in
   Obs.span_open Obs.default "core.random_arrival";
   Obs.span_open Obs.default "prefix";
   S.iteri stream (fun i e ->
@@ -50,24 +67,12 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
           match !wap with
           | Some w -> w
           | None ->
-              (* Crossing the cut: unwind the prefix stack into M0,
-                 freeze potentials, start WGT-AUG-PATHS. *)
               Obs.span_close Obs.default (* prefix *);
-              Ledger.record Ledger.default ~label:"prefix"
-                ~section:"core.random_arrival"
-                [
-                  ("peak_words", Meter.checkpoint meter);
-                  ("stack_edges", LR.stack_size lr);
-                ];
               if Trace.enabled () then
                 Trace.instant "core.random_arrival.cut"
                   ~args:[ ("prefix_edges", string_of_int cut) ];
               Obs.span_open Obs.default "suffix";
-              LR.freeze lr;
-              let m0 = LR.unwind lr in
-              let w = Wgt_aug_paths.create ?alpha ?beta ~meter ~rng ~m0 () in
-              wap := Some w;
-              w
+              cut_over ()
         in
         let r = LR.residual lr e in
         if r > 0 then begin
@@ -81,22 +86,7 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
       end);
   Obs.span_close Obs.default (* prefix or suffix *);
   (* Degenerate stream shorter than the cut: everything was prefix. *)
-  let w =
-    match !wap with
-    | Some w -> w
-    | None ->
-        Ledger.record Ledger.default ~label:"prefix"
-          ~section:"core.random_arrival"
-          [
-            ("peak_words", Meter.checkpoint meter);
-            ("stack_edges", LR.stack_size lr);
-          ];
-        LR.freeze lr;
-        let m0 = LR.unwind lr in
-        let w = Wgt_aug_paths.create ?alpha ?beta ~meter ~rng ~m0 () in
-        wap := Some w;
-        w
-  in
+  let w = match !wap with Some w -> w | None -> cut_over () in
   let m0_weight =
     (* M0 as unwound at the cut. *)
     M.weight (LR.unwind lr)
@@ -106,23 +96,23 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
      matching is replaced by the strongest applicable solver; see
      Mwm_general. *)
   let m1 = M.create n in
-  if !t_set <> [] then begin
-    let originals = Hashtbl.create !t_size in
-    List.iter (fun e -> Hashtbl.replace originals (E.endpoints e) e) !t_set;
-    let residual_edges =
-      List.filter_map
-        (fun e ->
-          let r = LR.residual lr e in
-          if r > 0 then Some (E.reweight e r) else None)
-        !t_set
-    in
-    let sub = G.create ~n residual_edges in
-    let best_residual = Wm_exact.Mwm_general.lower_bound sub in
-    (* Translate back to original weights. *)
-    M.iter
-      (fun e' -> M.add m1 (Hashtbl.find originals (E.endpoints e')))
-      best_residual
-  end;
+  if !t_set <> [] then
+    Obs.with_span Obs.default "m1" (fun () ->
+        let originals = Hashtbl.create !t_size in
+        List.iter (fun e -> Hashtbl.replace originals (E.endpoints e) e) !t_set;
+        let residual_edges =
+          List.filter_map
+            (fun e ->
+              let r = LR.residual lr e in
+              if r > 0 then Some (E.reweight e r) else None)
+            !t_set
+        in
+        let sub = G.create ~n residual_edges in
+        let best_residual = Wm_exact.Mwm_general.lower_bound sub in
+        (* Translate back to original weights. *)
+        M.iter
+          (fun e' -> M.add m1 (Hashtbl.find originals (E.endpoints e')))
+          best_residual);
   LR.unwind_onto lr m1;
   let wres =
     Obs.with_span Obs.default "finalize" (fun () -> Wgt_aug_paths.finalize w)

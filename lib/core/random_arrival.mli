@@ -43,7 +43,9 @@ val run :
     ({!Wm_stream.Space_meter.checkpoint}) and retained-edge counts —
     the per-pass shape of Thm 3.14's space claim.  On a fresh [meter],
     the lifetime peak equals the max over the run's [peak_words]
-    rows. *)
+    rows.  Spans: [core.random_arrival] with children [prefix],
+    [suffix], [m1] (the exact solve on [T], entered only when [T] is
+    non-empty) and [finalize]. *)
 
 val solve :
   ?p:float -> rng:Wm_graph.Prng.t -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t

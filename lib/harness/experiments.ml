@@ -627,10 +627,12 @@ let run_a1 ~quick ~seed =
     let tp = Wm_core.Params.tau_params params in
     let rng = P.create (seed + 31) in
     let paths = ref 0 and nonsimple = ref 0 and comps = ref 0 and invalid = ref 0 in
+    let inc = Wm_core.Aug_class.incidence g m in
     for _ = 1 to trials do
       let gp = Wm_core.Layered.parametrize rng g m in
       List.iter
         (fun scale ->
+          let cache = Wm_core.Layered.prepare tp gp ~scale in
           List.iter
             (fun pair ->
               let lay = Wm_core.Layered.build tp gp pair ~scale in
@@ -660,7 +662,8 @@ let run_a1 ~quick ~seed =
                       cs)
                   (Wm_core.Layered.augmenting_paths lay m')
               end)
-            (Wm_core.Aug_class.candidate_pairs params rng gp ~scale))
+            (Wm_core.Aug_class.candidate_pairs params rng ~inc ~cache gp
+               ~scale))
         (Wm_core.Main_alg.scales_for params g)
     done;
     R.row

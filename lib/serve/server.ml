@@ -644,14 +644,9 @@ let execute t (q : queued) =
             ~passes:r.Wm_core.Model_driver.passes ~mpc_rounds:0,
           r.Wm_core.Model_driver.matching )
     | Protocol.Mpc ->
-        let machines = Stdlib.max 2 (G.m q.graph / Stdlib.max 1 (G.n q.graph)) in
-        let cluster =
-          Wm_mpc.Cluster.create ~machines ~memory_words:(16 * G.n q.graph * 10)
-            ()
-        in
         let r =
           Wm_core.Model_driver.mpc ~patience ?init:q.warm_init ~cancel params
-            rng cluster q.graph
+            rng (Wm_core.Model_driver.mpc_cluster q.graph) q.graph
         in
         if r.Wm_core.Model_driver.cancelled then deadline_hit := true;
         ( result_json ~algo:Protocol.Mpc ~m:r.Wm_core.Model_driver.matching

@@ -384,24 +384,15 @@ let test_decompose_count_mismatch () =
 
 let test_params_practical () =
   let p = Params.practical ~epsilon:0.2 () in
-  check_bool "granularity sane" true (p.Params.granularity > 0.0);
+  check_bool "granularity 1/32" true (p.Params.granularity = 1.0 /. 32.0);
+  check "layers" 9 p.Params.max_layers;
+  check_bool "delta 0.1" true (p.Params.delta = 0.1);
+  check_bool "class ratio 2" true (Params.class_ratio = 2.0);
+  check "tau budget" 3000 Params.tau_budget;
+  check "tau samples" 300 Params.tau_samples;
   check "iterations" 20 (p.Params.max_iterations);
-  check_bool "combine on" true p.Params.combine_pairs
-
-let test_params_paper_formulas () =
-  let p = Params.paper ~epsilon:0.0625 in
-  (* granularity = eps^12 *)
-  check_bool "granularity formula" true
-    (Float.abs (p.Params.granularity -. (0.0625 ** 12.0)) < 1e-18);
-  (* max_layers = 2/eps * 16/eps + 1 = 32 * 256 + 1 *)
-  check "layers formula" 8193 p.Params.max_layers;
-  (* delta = eps^(28+900/eps^2) underflows to 0 *)
-  check_bool "delta tiny" true (p.Params.delta < 1e-300)
-
-let test_params_bad_epsilon () =
-  Alcotest.check_raises "eps too big"
-    (Invalid_argument "Params.paper: the paper assumes epsilon <= 1/16")
-    (fun () -> ignore (Params.paper ~epsilon:0.5))
+  check "iterations eps=0.3" 14
+    (Params.practical ~epsilon:0.3 ()).Params.max_iterations
 
 (* ------------------------------------------------------------------ *)
 (* Wgt_aug_paths (Algorithm 1) *)
@@ -626,6 +617,44 @@ let test_ra_ledger_matches_meter_peak () =
   | _ -> Alcotest.fail "unexpected row shape");
   Wm_obs.Ledger.reset ledger
 
+(* A stream no longer than the cut is all prefix: the cut-over runs
+   after the pass and records the same prefix row as a live cut. *)
+let test_ra_all_prefix_rows () =
+  let ledger = Wm_obs.Ledger.default in
+  Wm_obs.Ledger.reset ledger;
+  let g = Gen.gnp (P.create 159) ~n:40 ~p:0.2 ~weights:(Gen.Uniform (1, 30)) in
+  let s = ES.of_graph ~order:(ES.Random (P.create 161)) g in
+  let r = RA.run ~p:1.0 ~rng:(P.create 160) s in
+  check "weight" 387 (M.weight r.RA.matching);
+  check "empty T" 0 r.RA.t_size;
+  let rows =
+    List.map
+      (fun r -> (r.Wm_obs.Ledger.label, r.Wm_obs.Ledger.fields))
+      (Wm_obs.Ledger.rows ledger "core.random_arrival")
+  in
+  check_bool "prefix and suffix rows" true
+    (rows
+    = [
+        (Some "prefix", [ ("peak_words", 33); ("stack_edges", 33) ]);
+        (Some "suffix", [ ("peak_words", 33); ("t_edges", 0) ]);
+      ]);
+  Wm_obs.Ledger.reset ledger
+
+(* The M1 exact solve on T has its own span, entered once per run whose
+   T is non-empty. *)
+let test_ra_m1_span () =
+  let module Obs = Wm_obs.Obs in
+  let m1_spans () = Obs.span_count Obs.default "core.random_arrival/m1" in
+  let g = Gen.gnp (P.create 155) ~n:130 ~p:0.15 ~weights:(Gen.Uniform (1, 40)) in
+  let before = m1_spans () in
+  let r =
+    RA.run ~rng:(P.create 157) (ES.of_graph ~order:(ES.Random (P.create 156)) g)
+  in
+  check_bool "T non-empty" true (r.RA.t_size > 0);
+  check "one m1 span" (before + 1) (m1_spans ());
+  ignore (RA.run ~p:1.0 ~rng:(P.create 157) (ES.of_graph g));
+  check "none for an empty T" (before + 1) (m1_spans ())
+
 let test_ra_tiny_stream () =
   let g = Gen.path_graph [ 5 ] in
   let s = ES.of_graph g in
@@ -656,7 +685,9 @@ let test_walk_pairs_good () =
   let m = Wm_algos.Greedy.by_weight g in
   let params = Params.practical ~epsilon:0.1 () in
   let gp = Layered.parametrize rng g m in
-  let pairs = AC.walk_pairs params rng gp ~scale:16.0 ~count:200 in
+  let pairs =
+    AC.walk_pairs params rng ~inc:(AC.incidence g m) gp ~scale:16.0 ~count:200
+  in
   let tp = Params.tau_params params in
   List.iter (fun pr -> check_bool "good" true (Tau.is_good tp pr)) pairs
 
@@ -665,9 +696,10 @@ let test_aug_class_run_disjoint_and_gainful () =
   let g = Gen.gnp rng ~n:50 ~p:0.2 ~weights:(Gen.Uniform (1, 20)) in
   let m = Wm_algos.Greedy.by_weight g in
   let params = Params.practical ~epsilon:0.1 () in
+  let inc = AC.incidence g m in
   List.iter
     (fun scale ->
-      let augs, _ = AC.run params rng g m ~scale in
+      let augs, _ = AC.run params rng g m ~inc ~scale in
       let used = Hashtbl.create 32 in
       List.iter
         (fun c ->
@@ -1045,7 +1077,10 @@ let prop_layered_invariants =
       let gp = Layered.parametrize rng g m in
       let scale = 16.0 in
       let granule = params.Params.granularity *. scale in
-      let pairs = AC.candidate_pairs params rng gp ~scale in
+      let pairs =
+        AC.candidate_pairs params rng ~inc:(AC.incidence g m)
+          ~cache:(Layered.prepare tp gp ~scale) gp ~scale
+      in
       List.for_all
         (fun pair ->
           let lay = Layered.build tp gp pair ~scale in
@@ -1187,10 +1222,11 @@ let prop_walk_pairs_oracle =
     (fun seed ->
       let rng, gp = oracle_instance seed in
       let params = Params.practical ~epsilon:(0.1 +. P.float rng 0.3) () in
+      let inc = AC.incidence gp.Layered.graph gp.Layered.matching in
       List.for_all
         (fun scale ->
           let r1 = P.copy rng and r2 = P.copy rng in
-          let got = AC.walk_pairs params r1 gp ~scale ~count:200 in
+          let got = AC.walk_pairs params r1 ~inc gp ~scale ~count:200 in
           let want = reference_walk_pairs params r2 gp ~scale ~count:200 in
           got = want && P.state r1 = P.state r2)
         oracle_scales)
@@ -1212,6 +1248,7 @@ let prop_build_opt_oracle =
       let edges = G.edges gp.Layered.graph in
       let matched = Array.of_list (M.edges gp.Layered.matching) in
       let pick arr = arr.(P.int rng (Array.length arr)) in
+      let inc = AC.incidence gp.Layered.graph gp.Layered.matching in
       (* Thresholds mostly taken from the instance's own buckets, so the
          shapes keep vertices and edges, including heavy edges past
          [max_granules]. *)
@@ -1232,7 +1269,7 @@ let prop_build_opt_oracle =
           let granule = params.Params.granularity *. scale in
           let cache = Layered.prepare tp gp ~scale in
           let pairs =
-            AC.candidate_pairs params rng gp ~scale
+            AC.candidate_pairs params rng ~inc ~cache gp ~scale
             @ List.init 40 (fun _ -> arbitrary granule)
           in
           List.for_all
@@ -1250,6 +1287,66 @@ let prop_build_opt_oracle =
             pairs)
         oracle_scales)
 
+(* The edge scan that [Layered.present] replaced, kept as its oracle:
+   the up-buckets [<= cap] of the crossing matched edges and the
+   down-buckets in [2 .. cap] of the crossing unmatched ones. *)
+let reference_present tp (gp : Layered.parametrized) ~scale =
+  let granule = tp.Tau.granularity *. scale in
+  let cap = Tau.max_granules tp in
+  let a = ref [] and b = ref [] in
+  G.iter_edges
+    (fun e ->
+      let u, v = E.endpoints e in
+      if gp.Layered.side.(u) <> gp.Layered.side.(v) then
+        if M.mem gp.Layered.matching e then begin
+          let k = Tau.bucket_up ~granule (E.weight e) in
+          if k <= cap then a := k :: !a
+        end
+        else begin
+          let k = Tau.bucket_down ~granule (E.weight e) in
+          if k >= 2 && k <= cap then b := k :: !b
+        end)
+    gp.Layered.graph;
+  (List.sort_uniq Int.compare !a, List.sort_uniq Int.compare !b)
+
+(* Weights from 0 (zero-weight edges bucket to 0 on both sides) up to
+   thousands (buckets far past [max_granules] at the small scales),
+   under a random matching that also takes zero-weight edges. *)
+let prop_present_oracle =
+  QCheck2.Test.make ~name:"Layered.present equals the edge scan" ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = P.create seed in
+      let n = 4 + P.int rng 40 in
+      let hi = [| 3; 100; 5000 |].(P.int rng 3) in
+      let g =
+        G.map_weights
+          (Gen.gnp rng ~n ~p:(0.05 +. P.float rng 0.4)
+             ~weights:(Gen.Uniform (1, hi + 1)))
+          (fun e -> E.weight e - 1)
+      in
+      let m = M.create n in
+      G.iter_edges
+        (fun e ->
+          let u, v = E.endpoints e in
+          if P.bool rng && not (M.is_matched m u || M.is_matched m v) then
+            M.add m e)
+        g;
+      let tp =
+        Params.tau_params
+          {
+            (Params.practical ~epsilon:(0.1 +. P.float rng 0.3) ()) with
+            Params.granularity =
+              [| 0.125; 1.0 /. 32.0; 1.0 /. 64.0 |].(P.int rng 3);
+          }
+      in
+      let gp = Layered.parametrize rng g m in
+      List.for_all
+        (fun scale ->
+          Layered.present (Layered.prepare tp gp ~scale)
+          = reference_present tp gp ~scale)
+        oracle_scales)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1260,6 +1357,7 @@ let qcheck_tests =
       prop_round_gain_is_exact;
       prop_walk_pairs_oracle;
       prop_build_opt_oracle;
+      prop_present_oracle;
       prop_certify_planted_quintuples;
       prop_certify_uniform_cycles;
     ]
@@ -1324,8 +1422,6 @@ let () =
       ( "params",
         [
           Alcotest.test_case "practical" `Quick test_params_practical;
-          Alcotest.test_case "paper formulas" `Quick test_params_paper_formulas;
-          Alcotest.test_case "bad epsilon" `Quick test_params_bad_epsilon;
         ] );
       ( "wgt_aug_paths",
         [
@@ -1347,6 +1443,8 @@ let () =
           Alcotest.test_case "ledger matches meter peak" `Quick
             test_ra_ledger_matches_meter_peak;
           Alcotest.test_case "tiny stream" `Quick test_ra_tiny_stream;
+          Alcotest.test_case "all-prefix rows" `Quick test_ra_all_prefix_rows;
+          Alcotest.test_case "m1 span" `Quick test_ra_m1_span;
         ] );
       ( "aug_class",
         [
