@@ -511,6 +511,94 @@ let test_x_warm_bounded () =
   check_str "larger n refused" "error" (status r);
   check_str "reason" "malformed x_warm payload" (str_field r "error")
 
+(* Every refusal path: one "error" response, one [serve.errors] bump and
+   one [serve.requests] ledger row labelled with the refused verb. *)
+let test_refusal_paths () =
+  let tiny = "p wm 4 2\ne 0 1 3\ne 2 3 5\n" in
+  let line id verb fields =
+    Printf.sprintf "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":%S%s}" id verb
+      fields
+  in
+  let no_session = Some "no session loaded (load a graph first)" in
+  let unknown = Some "unknown session digest beef" in
+  let cases =
+    [
+      ("solve, no session", false, line 1 "solve" "", "solve", 1, no_session);
+      ( "mutate, no session",
+        false,
+        line 2 "add_vertices" ",\"count\":1",
+        "mutate",
+        2,
+        no_session );
+      ( "solve, unknown digest",
+        true,
+        line 3 "solve" ",\"digest\":\"beef\"",
+        "solve",
+        3,
+        unknown );
+      ( "mutate, unknown digest",
+        true,
+        line 4 "add_vertices" ",\"digest\":\"beef\",\"count\":1",
+        "mutate",
+        4,
+        unknown );
+      ( "evict, unknown digest",
+        true,
+        line 5 "evict" ",\"digest\":\"beef\"",
+        "evict",
+        5,
+        unknown );
+      ( "bad delta",
+        true,
+        line 6 "remove_edges" ",\"edges\":[[0,2]]",
+        "mutate",
+        6,
+        None );
+      ("malformed line", false, "{\"schema\":", "malformed", 0, None);
+      ( "malformed x_warm",
+        true,
+        line 8 "solve" ",\"x_warm\":\"zz\"",
+        "solve",
+        8,
+        Some "malformed x_warm payload" );
+    ]
+  in
+  List.iter
+    (fun (name, loaded, l, label, id, msg) ->
+      let srv = server () in
+      if loaded then ignore (one srv (load_text_req tiny));
+      let errors0 = Obs.counter_value Obs.default "serve.errors" in
+      let rows0 =
+        List.length (Wm_obs.Ledger.rows Wm_obs.Ledger.default "serve.requests")
+      in
+      let r =
+        match Server.handle_line srv l with
+        | [ r ] -> r
+        | _ -> Alcotest.failf "%s: expected one response" name
+      in
+      check_str (name ^ ": status") "error" (status r);
+      check (name ^ ": id") id
+        (match J.member "id" r with Some (J.Int i) -> i | _ -> -1);
+      (match msg with
+      | Some m -> check_str (name ^ ": message") m (str_field r "error")
+      | None ->
+          check_bool (name ^ ": message") true (str_field r "error" <> ""));
+      check (name ^ ": serve.errors delta") 1
+        (Obs.counter_value Obs.default "serve.errors" - errors0);
+      match Wm_obs.Ledger.rows Wm_obs.Ledger.default "serve.requests" with
+      | rows when List.length rows = rows0 + 1 ->
+          let row = List.nth rows rows0 in
+          check_bool (name ^ ": ledger label") true
+            (row.Wm_obs.Ledger.label = Some label);
+          check (name ^ ": ledger id") id
+            (List.assoc "id" row.Wm_obs.Ledger.fields);
+          check (name ^ ": ledger status") (Protocol.status_code "error")
+            (List.assoc "status" row.Wm_obs.Ledger.fields)
+      | rows ->
+          Alcotest.failf "%s: expected one ledger row, got %d" name
+            (List.length rows - rows0))
+    cases
+
 (* The equivalence property behind incremental sessions: mutating a
    loaded session must be indistinguishable from loading the mutated
    content directly — same digest, and (cold-for-cold) the same solve.
@@ -811,6 +899,7 @@ let () =
             test_weight_bound_rejected;
           Alcotest.test_case "x_warm bounded by the session" `Quick
             test_x_warm_bounded;
+          Alcotest.test_case "refusal paths" `Quick test_refusal_paths;
           Alcotest.test_case "mutate equals direct load" `Quick
             test_mutate_equiv_direct_load;
           Alcotest.test_case "warm solve after delete" `Quick
