@@ -461,7 +461,6 @@ let run_serve jobs queue_depth cache_entries deadline_ms no_warm report faults
         queue_depth;
         cache_entries;
         deadline_ms;
-        destroy_pool_on_shutdown = true;
         warm_start = not no_warm;
         wal_dir;
         snapshot_every;

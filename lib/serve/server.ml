@@ -5,14 +5,15 @@ module G = Wm_graph.Weighted_graph
 module M = Wm_graph.Matching
 module P = Wm_graph.Prng
 module ES = Wm_stream.Edge_stream
+module Driver = Wm_core.Model_driver
 module Injector = Wm_fault.Injector
 module Recovery = Wm_fault.Recovery
 module Spec = Wm_fault.Spec
 
-(* One unit of remote work handed to an [executor]: a deduplicated
-   leader solve with everything pre-drawn at admission (chaos plan,
-   warm-start matching), so executing it anywhere — another process,
-   another machine — replays the single-process plan exactly. *)
+(* One deduplicated leader solve, with everything pre-drawn at
+   admission (chaos plan, warm-start matching), so executing it anywhere
+   — a pool domain, another process — replays the single-process plan
+   exactly. *)
 type job = {
   job_key : string;
   job_id : int;  (** the batch-unique arrival number, echoed in responses *)
@@ -27,20 +28,23 @@ type job = {
 type outcome =
   [ `Ok of J.t * M.t | `Deadline of J.t * M.t | `Error of string ]
 
+type delegate = {
+  execute : job list -> (string * outcome) list;
+  observe : Wal.body -> unit;
+  report : unit -> J.t;
+}
+
 type config = {
   queue_depth : int;
   cache_entries : int;
   deadline_ms : int;
   faults : Spec.t;
-  destroy_pool_on_shutdown : bool;
   warm_start : bool;
   wal_dir : string option;
   snapshot_every : int;
   crash_after : int option;
   shard_id : int;
-  executor : (job list -> (string * outcome) list) option;
-  observe : (Wal.body -> unit) option;
-  reporter : (unit -> J.t) option;
+  delegate : delegate option;
 }
 
 let default_config () =
@@ -49,15 +53,12 @@ let default_config () =
     cache_entries = 64;
     deadline_ms = 0;
     faults = Spec.default ();
-    destroy_pool_on_shutdown = false;
     warm_start = true;
     wal_dir = None;
     snapshot_every = 8;
     crash_after = None;
     shard_id = 0;
-    executor = None;
-    observe = None;
-    reporter = None;
+    delegate = None;
   }
 
 type recovery = {
@@ -106,11 +107,6 @@ let counter_vec =
     c_compacted;
   |]
 
-(* One admitted solve.  Chaos decisions (injected crash count, injected
-   deadline-expiry round) are pre-drawn sequentially at admission time on
-   the request-loop domain, so executing the job on any pool domain
-   replays a fixed plan — the fault pattern cannot depend on
-   scheduling. *)
 (* A loaded graph under its current content digest.  Mutation verbs
    rewrite [graph]/[digest] in place (the session object survives
    re-keying); [warm] maps canonical solve params to the last completed
@@ -125,17 +121,12 @@ type session = {
   warm : (string, M.t) Hashtbl.t;
 }
 
+(* An admitted solve: its job plus what only the fronting server
+   needs to answer it. *)
 type queued = {
-  arrival : int;
+  job : job;
   id : int;
-  digest : string;
-  graph : G.t;
-  params : Protocol.solve_params;
-  key : string;
-  warm_init : M.t option;  (** warm-start matching captured at admission *)
   enqueued_ns : int;
-  expire_round : int option;  (** injected deadline expiry round *)
-  mutable crashes_left : int;  (** pre-drawn serve-level crashes *)
   deadline_ns : int option;  (** wall-clock deadline *)
   want_matching : bool;
       (** internal solve: bypass the result cache, return the matching *)
@@ -285,7 +276,7 @@ let apply t ?image ?graph body =
 let effect t ?graph body =
   apply t ?graph body;
   if t.wal <> None then t.pending <- body :: t.pending;
-  Option.iter (fun observe -> observe body) t.config.observe
+  Option.iter (fun d -> d.observe body) t.config.delegate
 
 (* ------------------------------------------------------------------ *)
 (* Durability: WAL commit, snapshots, restore (DESIGN.md §5.5) *)
@@ -559,21 +550,29 @@ let ledger_row t ~label ~id ~cached ~status ~latency_ns =
       ("latency_us", latency_ns / 1000);
     ]
 
+(* [ack] answers an accepted, untimed request; [refuse] answers a
+   request that fails before it is queued or applied, with one
+   [serve.errors] bump.  Each writes the request's one ledger row. *)
+let ack t ~label ~id fields =
+  ledger_row t ~label ~id ~cached:false ~status:"ok" ~latency_ns:0;
+  Protocol.response ~id ~status:"ok" fields
+
+let refuse t ?(latency_ns = 0) ~label ~id msg =
+  Obs.incr c_errors;
+  ledger_row t ~label ~id ~cached:false ~status:"error" ~latency_ns;
+  Protocol.error_response ~id msg
+
+(* The session a request names: its digest, else the last one loaded. *)
+let resolve t digest =
+  match (match digest with Some d -> Some d | None -> t.last) with
+  | None -> Error "no session loaded (load a graph first)"
+  | Some d -> (
+      match Hashtbl.find_opt t.sessions d with
+      | Some s -> Ok s
+      | None -> Error (Printf.sprintf "unknown session digest %s" d))
+
 (* ------------------------------------------------------------------ *)
 (* Solve execution (runs on pool domains) *)
-
-let result_json ~algo ~m ~g ~warm ~rounds ~passes ~mpc_rounds =
-  J.Obj
-    [
-      ("algo", J.Str (Protocol.algo_name algo));
-      ("size", J.Int (M.size m));
-      ("weight", J.Int (M.weight m));
-      ("valid", J.Bool (M.is_valid_in m g));
-      ("warm", J.Bool warm);
-      ("rounds", J.Int rounds);
-      ("passes", J.Int passes);
-      ("mpc_rounds", J.Int mpc_rounds);
-    ]
 
 (* Warm re-solves converge from a repaired previous matching, so they
    get a much shorter dry-round patience than the cold default of 4:
@@ -583,84 +582,78 @@ let result_json ~algo ~m ~g ~warm ~rounds ~passes ~mpc_rounds =
 let cold_patience = 4
 let warm_patience = 1
 
-let execute t (q : queued) =
+let execute t ~deadline_ns (j : job) =
   let deadline_hit = ref false in
   let cancel ~rounds_run =
     let injected =
-      match q.expire_round with Some k -> rounds_run >= k | None -> false
+      match j.job_expire with Some k -> rounds_run >= k | None -> false
     in
     let wall =
-      match q.deadline_ns with Some d -> Obs.now_ns () > d | None -> false
+      match deadline_ns with Some d -> Obs.now_ns () > d | None -> false
     in
-    if injected || wall then begin
-      deadline_hit := true;
-      true
-    end
-    else false
+    if injected || wall then deadline_hit := true;
+    injected || wall
   in
   let params =
-    Wm_core.Params.practical ~epsilon:q.params.Protocol.epsilon ()
+    Wm_core.Params.practical ~epsilon:j.job_params.Protocol.epsilon ()
   in
   let attempts = (Injector.spec t.inj).Spec.max_attempts in
+  let crashes_left = ref j.job_crashes in
+  (* One attempt: [(matching, warm, rounds, passes, mpc_rounds)]. *)
   let body () =
     (* Replay the pre-drawn serve-level crash plan: each planned crash
        aborts one attempt; Recovery.with_retry below re-runs the solve
        from scratch (solves are pure in (graph, params, seed), so the
        replay commits the same result the fault-free run would). *)
-    if q.crashes_left > 0 then begin
-      q.crashes_left <- q.crashes_left - 1;
-      raise (Injector.Injected_crash { site = "serve.solve"; at = q.arrival })
+    if !crashes_left > 0 then begin
+      decr crashes_left;
+      raise (Injector.Injected_crash { site = "serve.solve"; at = j.job_id })
     end;
     deadline_hit := false;
-    let rng = P.create q.params.Protocol.seed in
+    let rng = P.create j.job_params.Protocol.seed in
     let patience =
-      match q.warm_init with Some _ -> warm_patience | None -> cold_patience
+      match j.job_warm with Some _ -> warm_patience | None -> cold_patience
     in
-    match q.params.Protocol.algo with
+    match j.job_params.Protocol.algo with
     | Protocol.Greedy ->
         (* Single-shot: no round structure, so the deadline is checked
            once, up front; warm starts don't apply. *)
         if cancel ~rounds_run:0 then
-          let m = M.create (G.n q.graph) in
-          ( result_json ~algo:Protocol.Greedy ~m ~g:q.graph ~warm:false
-              ~rounds:0 ~passes:0 ~mpc_rounds:0,
-            m )
-        else
-          let m = Wm_algos.Greedy.by_weight q.graph in
-          ( result_json ~algo:Protocol.Greedy ~m ~g:q.graph ~warm:false
-              ~rounds:0 ~passes:1 ~mpc_rounds:0,
-            m )
+          (M.create (G.n j.job_graph), false, 0, 0, 0)
+        else (Wm_algos.Greedy.by_weight j.job_graph, false, 0, 1, 0)
     | Protocol.Streaming ->
-        let s = ES.of_graph q.graph in
         let r =
-          Wm_core.Model_driver.streaming ~patience ?init:q.warm_init ~cancel
-            params rng s
+          Driver.streaming ~patience ?init:j.job_warm ~cancel params rng
+            (ES.of_graph j.job_graph)
         in
-        if r.Wm_core.Model_driver.cancelled then deadline_hit := true;
-        ( result_json ~algo:Protocol.Streaming
-            ~m:r.Wm_core.Model_driver.matching ~g:q.graph
-            ~warm:r.Wm_core.Model_driver.warm
-            ~rounds:r.Wm_core.Model_driver.rounds_run
-            ~passes:r.Wm_core.Model_driver.passes ~mpc_rounds:0,
-          r.Wm_core.Model_driver.matching )
+        Driver.(r.matching, r.warm, r.rounds_run, r.passes, 0)
     | Protocol.Mpc ->
         let r =
-          Wm_core.Model_driver.mpc ~patience ?init:q.warm_init ~cancel params
-            rng (Wm_core.Model_driver.mpc_cluster q.graph) q.graph
+          Driver.mpc ~patience ?init:j.job_warm ~cancel params rng
+            (Driver.mpc_cluster j.job_graph) j.job_graph
         in
-        if r.Wm_core.Model_driver.cancelled then deadline_hit := true;
-        ( result_json ~algo:Protocol.Mpc ~m:r.Wm_core.Model_driver.matching
-            ~g:q.graph ~warm:r.Wm_core.Model_driver.warm
-            ~rounds:r.Wm_core.Model_driver.rounds_run ~passes:0
-            ~mpc_rounds:r.Wm_core.Model_driver.rounds,
-          r.Wm_core.Model_driver.matching )
+        Driver.(r.matching, r.warm, r.rounds_run, 0, r.rounds)
   in
   match
     Recovery.with_retry ~attempts ~site:"serve.solve"
       ~on_retry:(fun ~attempt:_ ~backoff:_ -> Obs.incr c_retries)
       body
   with
-  | result -> if !deadline_hit then `Deadline result else `Ok result
+  | m, warm, rounds, passes, mpc_rounds ->
+      let result =
+        J.Obj
+          [
+            ("algo", J.Str (Protocol.algo_name j.job_params.Protocol.algo));
+            ("size", J.Int (M.size m));
+            ("weight", J.Int (M.weight m));
+            ("valid", J.Bool (M.is_valid_in m j.job_graph));
+            ("warm", J.Bool warm);
+            ("rounds", J.Int rounds);
+            ("passes", J.Int passes);
+            ("mpc_rounds", J.Int mpc_rounds);
+          ]
+      in
+      if !deadline_hit then `Deadline (result, m) else `Ok (result, m)
   | exception Injector.Budget_exhausted { site; attempts } ->
       `Error
         (Printf.sprintf "fault budget exhausted at %s after %d attempts" site
@@ -680,6 +673,25 @@ let split_at k xs =
     | x :: tl -> go (i - 1) (x :: acc) tl
   in
   go k [] xs
+
+(* A queued solve's response, with its counters, latency sample and
+   ledger row. *)
+let answer t q ~status ~cached fields =
+  (match status with
+  | "ok" -> Obs.incr (if cached then c_hits else c_misses)
+  | "overloaded" ->
+      Obs.incr c_overloaded;
+      Obs.incr c_shed
+  | "deadline" ->
+      Obs.incr c_misses;
+      Obs.incr c_deadline
+  | _ ->
+      Obs.incr c_misses;
+      Obs.incr c_errors);
+  let lat = Obs.now_ns () - q.enqueued_ns in
+  Obs.observe h_latency lat;
+  ledger_row t ~label:"solve" ~id:q.id ~cached ~status ~latency_ns:lat;
+  Protocol.response ~id:q.id ~status fields
 
 let flush t =
   if t.queue_len = 0 then []
@@ -710,12 +722,13 @@ let flush t =
     let looked =
       List.map
         (fun q ->
-          (q, if q.want_matching then None else Cache.peek t.cache q.key))
+          let key = q.job.job_key in
+          (q, if q.want_matching then None else Cache.peek t.cache key))
         batch
     in
     let touches =
       List.filter_map
-        (fun (q, hit) -> if hit <> None then Some q.key else None)
+        (fun (q, hit) -> if hit <> None then Some q.job.job_key else None)
         looked
     in
     (* Deduplicate misses by result key — compatible requests are the
@@ -725,23 +738,21 @@ let flush t =
     let jobs =
       List.filter_map
         (fun (q, hit) ->
-          match hit with
-          | Some _ -> None
-          | None ->
-              if Hashtbl.mem leader q.key then None
-              else begin
-                Hashtbl.add leader q.key q.arrival;
-                Some q
-              end)
+          if hit <> None || Hashtbl.mem leader q.job.job_key then None
+          else begin
+            Hashtbl.add leader q.job.job_key q.job.job_id;
+            Some q
+          end)
         looked
     in
     let outcomes =
-      match t.config.executor with
+      match t.config.delegate with
       | None ->
           Wm_par.Pool.map (Wm_par.Pool.default ())
-            (fun q -> (q.key, execute t q))
+            (fun q ->
+              (q.job.job_key, execute t ~deadline_ns:q.deadline_ns q.job))
             jobs
-      | Some exec ->
+      | Some d ->
           (* Delegated execution (the shard router).  The worker bills
              planned-crash retries to its own counters, so mirror the
              exact with_retry tally — min(crashes, attempts - 1) per
@@ -749,22 +760,9 @@ let flush t =
           let attempts = (Injector.spec t.inj).Spec.max_attempts in
           List.iter
             (fun q ->
-              Obs.add c_retries (Stdlib.min q.crashes_left (attempts - 1)))
+              Obs.add c_retries (Stdlib.min q.job.job_crashes (attempts - 1)))
             jobs;
-          exec
-            (List.map
-               (fun q ->
-                 {
-                   job_key = q.key;
-                   job_id = q.arrival;
-                   job_digest = q.digest;
-                   job_graph = q.graph;
-                   job_params = q.params;
-                   job_warm = q.warm_init;
-                   job_expire = q.expire_round;
-                   job_crashes = q.crashes_left;
-                 })
-               jobs)
+          d.execute (List.map (fun q -> q.job) jobs)
     in
     let by_key = Hashtbl.create 16 in
     List.iter (fun (k, o) -> Hashtbl.replace by_key k o) outcomes;
@@ -777,18 +775,18 @@ let flush t =
     let completed =
       List.filter_map
         (fun q ->
-          match Hashtbl.find_opt by_key q.key with
-          | Some (`Ok (result, m)) -> Some (q, result, m)
-          | Some (`Deadline _) | Some (`Error _) | None -> None)
+          match Hashtbl.find by_key q.job.job_key with
+          | `Ok (result, m) -> Some (q.job, result, m)
+          | `Deadline _ | `Error _ -> None)
         jobs
     in
-    let inserts = List.map (fun (q, result, _) -> (q.key, result)) completed in
+    let inserts = List.map (fun (j, r, _) -> (j.job_key, r)) completed in
     let warm =
       if t.config.warm_start then
         List.filter_map
-          (fun (q, _, m) ->
-            if q.params.Protocol.algo = Protocol.Greedy then None
-            else Some (q.digest, Protocol.canonical_params q.params, m))
+          (fun (j, _, m) ->
+            if j.job_params.Protocol.algo = Protocol.Greedy then None
+            else Some (j.job_digest, Protocol.canonical_params j.job_params, m))
           completed
       else []
     in
@@ -802,211 +800,161 @@ let flush t =
         ("shed", List.length squeezed);
       ];
     let respond (q, hit) =
-      let status, cached, fields =
-        match hit with
-        | Some result ->
-            ("ok", true, [ ("cached", J.Bool true); ("result", result) ])
-        | None -> (
-            match Hashtbl.find_opt by_key q.key with
-            | Some (`Ok (result, m)) ->
-                (* Within-batch duplicates of the leader are cache hits
-                   against the entry the leader just inserted. *)
-                let is_leader = Hashtbl.find_opt leader q.key = Some q.arrival in
-                let extra =
-                  if q.want_matching then
-                    [
-                      ( "matching",
-                        J.Str
-                          (Protocol.hex_encode
-                             (Wm_graph.Graph_io.matching_to_binary m)) );
-                    ]
-                  else []
-                in
-                ( "ok",
-                  not is_leader,
-                  [ ("cached", J.Bool (not is_leader)); ("result", result) ]
-                  @ extra )
-            | Some (`Deadline (result, _)) ->
-                ( "deadline",
-                  false,
-                  [ ("cached", J.Bool false); ("result", result) ] )
-            | Some (`Error msg) -> ("error", false, [ ("error", J.Str msg) ])
-            | None -> assert false)
+      let digest = ("digest", J.Str q.job.job_digest) in
+      let solved ~status ~cached result extra =
+        answer t q ~status ~cached
+          ((digest :: ("cached", J.Bool cached) :: ("result", result) :: extra))
       in
-      (match status with
-      | "ok" -> if cached then Obs.incr c_hits else Obs.incr c_misses
-      | "deadline" ->
-          Obs.incr c_misses;
-          Obs.incr c_deadline
-      | _ ->
-          Obs.incr c_misses;
-          Obs.incr c_errors);
-      let lat = Obs.now_ns () - q.enqueued_ns in
-      Obs.observe h_latency lat;
-      ledger_row t ~label:"solve" ~id:q.id ~cached ~status ~latency_ns:lat;
-      Protocol.response ~id:q.id ~status
-        (("digest", J.Str q.digest) :: fields)
+      match hit with
+      | Some result -> solved ~status:"ok" ~cached:true result []
+      | None -> (
+          match Hashtbl.find by_key q.job.job_key with
+          | `Ok (result, m) ->
+              (* Within-batch duplicates of the leader are cache hits
+                 against the entry the leader just inserted. *)
+              solved ~status:"ok"
+                ~cached:(Hashtbl.find leader q.job.job_key <> q.job.job_id)
+                result
+                (if q.want_matching then
+                   [
+                     ( "matching",
+                       J.Str
+                         (Protocol.hex_encode
+                            (Wm_graph.Graph_io.matching_to_binary m)) );
+                   ]
+                 else [])
+          | `Deadline (result, _) ->
+              solved ~status:"deadline" ~cached:false result []
+          | `Error msg ->
+              answer t q ~status:"error" ~cached:false
+                [ digest; ("error", J.Str msg) ])
     in
     let solve_resps = List.map respond looked in
-    let shed_resps =
-      List.map
-        (fun q ->
-          Obs.incr c_overloaded;
-          Obs.incr c_shed;
-          let lat = Obs.now_ns () - q.enqueued_ns in
-          Obs.observe h_latency lat;
-          ledger_row t ~label:"solve" ~id:q.id ~cached:false
-            ~status:"overloaded" ~latency_ns:lat;
-          Protocol.response ~id:q.id ~status:"overloaded"
-            [ ("reason", J.Str "queue_pressure") ])
-        squeezed
-    in
     (* The squeezed tail follows the kept head, so the concatenation is
        in arrival order. *)
-    solve_resps @ shed_resps
+    solve_resps
+    @ List.map
+        (fun q ->
+          answer t q ~status:"overloaded" ~cached:false
+            [ ("reason", J.Str "queue_pressure") ])
+        squeezed
   end
 
 (* ------------------------------------------------------------------ *)
 (* Admission *)
 
-let admit t ~id ~(digest : string option) ~chaos
-    (params : Protocol.solve_params) =
-  let fail msg =
-    Obs.incr c_errors;
-    ledger_row t ~label:"solve" ~id ~cached:false ~status:"error" ~latency_ns:0;
-    [ Protocol.error_response ~id msg ]
-  in
-  match (match digest with Some d -> Some d | None -> t.last) with
-  | None -> fail "no session loaded (load a graph first)"
-  | Some d -> (
-      match Hashtbl.find_opt t.sessions d with
-      | None -> fail (Printf.sprintf "unknown session digest %s" d)
-      | Some s ->
-          if t.queue_len >= t.config.queue_depth then begin
-            (* Admission control: bounded queue, explicit rejection. *)
-            Obs.incr c_overloaded;
-            ledger_row t ~label:"solve" ~id ~cached:false ~status:"overloaded"
-              ~latency_ns:0;
-            [
-              Protocol.response ~id ~status:"overloaded"
-                [ ("reason", J.Str "queue_full") ];
-            ]
-          end
-          else begin
-            Obs.incr c_solves;
-            let plan =
-              match chaos with
-              | Some c -> (
-                  (* Replay a carried plan (router -> shard solve): the
-                     draws already happened at the router's admission,
-                     and the warm start — if any — arrives inline.  The
-                     worker's own warm table is never consulted. *)
-                  match c.Protocol.warm with
-                  | None ->
-                      Ok
-                        ( c.Protocol.expire_round,
-                          c.Protocol.crashes,
-                          None,
-                          c.Protocol.want_matching )
-                  | Some hx -> (
-                      (* The router ships only matchings taken from this
-                         session, so n is at most the session's: a larger
-                         one is refused before it is allocated. *)
-                      match
-                        Wm_graph.Graph_io.matching_of_binary
-                          ~max_n:(G.n s.graph) (Protocol.hex_decode hx)
-                      with
-                      | m ->
-                          Ok
-                            ( c.Protocol.expire_round,
-                              c.Protocol.crashes,
-                              Some m,
-                              c.Protocol.want_matching )
-                      | exception (Wm_graph.Bin.Corrupt _ | Invalid_argument _)
-                        ->
-                          Error "malformed x_warm payload"))
-              | None ->
-                  (* Chaos pre-draws (sequential, request-loop domain):
-                     a straggler hit expires the request's deadline at a
-                     deterministic round; the crash plan counts how many
-                     attempts will be aborted before one succeeds. *)
-                  let expire_round =
-                    match
-                      Injector.straggler t.inj ~site:"serve.deadline"
-                        ~at:t.reqno
-                    with
-                    | 0 -> None
-                    | k -> Some k
-                  in
-                  let attempts = (Injector.spec t.inj).Spec.max_attempts in
-                  let rec crash_plan k =
-                    if k >= attempts then k
-                    else
-                      match
-                        Injector.crash t.inj ~site:"serve.solve" ~at:t.reqno
-                          ~machines:1
-                      with
-                      | () -> k
-                      | exception Injector.Injected_crash _ -> crash_plan (k + 1)
-                  in
-                  let crashes_left = crash_plan 0 in
-                  (* Warm-start capture happens here, sequentially on the
-                     request-loop domain: the matching the session holds
-                     right now is the one this solve starts from,
-                     whatever order the pool later runs the batch in.
-                     Greedy is single-shot and never warm-starts. *)
-                  let warm_init =
-                    if
-                      t.config.warm_start
-                      && params.Protocol.algo <> Protocol.Greedy
-                    then
-                      Hashtbl.find_opt s.warm (Protocol.canonical_params params)
-                    else None
-                  in
-                  Ok (expire_round, crashes_left, warm_init, false)
+let admit t ~id ~digest ~chaos (params : Protocol.solve_params) =
+  match resolve t digest with
+  | Error msg -> [ refuse t ~label:"solve" ~id msg ]
+  | Ok _ when t.queue_len >= t.config.queue_depth ->
+      (* Admission control: bounded queue, explicit rejection. *)
+      Obs.incr c_overloaded;
+      ledger_row t ~label:"solve" ~id ~cached:false ~status:"overloaded"
+        ~latency_ns:0;
+      [
+        Protocol.response ~id ~status:"overloaded"
+          [ ("reason", J.Str "queue_full") ];
+      ]
+  | Ok s -> (
+      Obs.incr c_solves;
+      let plan =
+        match chaos with
+        | Some c -> (
+            (* Replay a carried plan (router -> shard solve): the draws
+               already happened at the router's admission, and the warm
+               start — if any — arrives inline.  The worker's own warm
+               table is never consulted.  The router ships only
+               matchings taken from this session, so n is at most the
+               session's: a larger one is refused before it is
+               allocated. *)
+            match
+              Option.map
+                (fun hx ->
+                  Wm_graph.Graph_io.matching_of_binary ~max_n:(G.n s.graph)
+                    (Protocol.hex_decode hx))
+                c.Protocol.warm
+            with
+            | warm ->
+                Ok
+                  ( c.Protocol.expire_round,
+                    c.Protocol.crashes,
+                    warm,
+                    c.Protocol.want_matching )
+            | exception (Wm_graph.Bin.Corrupt _ | Invalid_argument _) ->
+                Error "malformed x_warm payload")
+        | None ->
+            (* Chaos pre-draws (sequential, request-loop domain): a
+               straggler hit expires the request's deadline at a
+               deterministic round; the crash plan counts how many
+               attempts will be aborted before one succeeds. *)
+            let expire_round =
+              match
+                Injector.straggler t.inj ~site:"serve.deadline" ~at:t.reqno
+              with
+              | 0 -> None
+              | k -> Some k
             in
-            match plan with
-            | Error msg -> fail msg
-            | Ok (expire_round, crashes_left, warm_init, want_matching) ->
-                if Option.is_some warm_init then Obs.incr c_warm;
-                let now = Obs.now_ns () in
-                let deadline_ns =
-                  match (params.Protocol.deadline_ms, t.config.deadline_ms) with
-                  | Some ms, _ -> Some (now + (ms * 1_000_000))
-                  | None, ms when ms > 0 -> Some (now + (ms * 1_000_000))
-                  | None, _ -> None
-                in
-                t.queue <-
-                  {
-                    arrival = t.reqno;
-                    id;
-                    digest = d;
-                    graph = s.graph;
-                    params;
-                    key = Protocol.cache_key ~digest:d params;
-                    warm_init;
-                    enqueued_ns = now;
-                    expire_round;
-                    crashes_left;
-                    deadline_ns;
-                    want_matching;
-                  }
-                  :: t.queue;
-                t.queue_len <- t.queue_len + 1;
-                t.volatile_line <- true;
-                []
-          end)
+            let attempts = (Injector.spec t.inj).Spec.max_attempts in
+            let rec crash_plan k =
+              if k >= attempts then k
+              else
+                match
+                  Injector.crash t.inj ~site:"serve.solve" ~at:t.reqno
+                    ~machines:1
+                with
+                | () -> k
+                | exception Injector.Injected_crash _ -> crash_plan (k + 1)
+            in
+            let crashes = crash_plan 0 in
+            (* Warm-start capture happens here, sequentially on the
+               request-loop domain: the matching the session holds
+               right now is the one this solve starts from, whatever
+               order the pool later runs the batch in.  Greedy is
+               single-shot and never warm-starts. *)
+            let warm =
+              if t.config.warm_start && params.Protocol.algo <> Protocol.Greedy
+              then Hashtbl.find_opt s.warm (Protocol.canonical_params params)
+              else None
+            in
+            Ok (expire_round, crashes, warm, false)
+      in
+      match plan with
+      | Error msg -> [ refuse t ~label:"solve" ~id msg ]
+      | Ok (job_expire, job_crashes, job_warm, want_matching) ->
+          if Option.is_some job_warm then Obs.incr c_warm;
+          let now = Obs.now_ns () in
+          let deadline_ns =
+            match (params.Protocol.deadline_ms, t.config.deadline_ms) with
+            | Some ms, _ -> Some (now + (ms * 1_000_000))
+            | None, ms when ms > 0 -> Some (now + (ms * 1_000_000))
+            | None, _ -> None
+          in
+          let job =
+            {
+              job_key = Protocol.cache_key ~digest:s.digest params;
+              job_id = t.reqno;
+              job_digest = s.digest;
+              job_graph = s.graph;
+              job_params = params;
+              job_warm;
+              job_expire;
+              job_crashes;
+            }
+          in
+          t.queue <-
+            { job; id; enqueued_ns = now; deadline_ns; want_matching }
+            :: t.queue;
+          t.queue_len <- t.queue_len + 1;
+          t.volatile_line <- true;
+          [])
 
 (* ------------------------------------------------------------------ *)
 (* Non-solve verbs *)
 
 let load t ~id ~graph ~path =
   let started = Obs.now_ns () in
-  let finish ~status resp =
-    (if status = "error" then Obs.incr c_errors else Obs.incr c_loads);
-    ledger_row t ~label:"load" ~id ~cached:false ~status
-      ~latency_ns:(Obs.now_ns () - started);
-    resp
+  let fail msg =
+    refuse t ~label:"load" ~id ~latency_ns:(Obs.now_ns () - started) msg
   in
   match
     match (graph, path) with
@@ -1025,22 +973,19 @@ let load t ~id ~graph ~path =
         | None, None -> t.reqno
       in
       effect t (Wal.Load { origin; digest = d; graph = g });
-      finish ~status:"ok"
-        (Protocol.response ~id ~status:"ok"
-           [
-             ("digest", J.Str d);
-             ("n", J.Int (G.n g));
-             ("m", J.Int (G.m g));
-             ("total_weight", J.Int (G.total_weight g));
-           ])
+      Obs.incr c_loads;
+      ledger_row t ~label:"load" ~id ~cached:false ~status:"ok"
+        ~latency_ns:(Obs.now_ns () - started);
+      Protocol.response ~id ~status:"ok"
+        [
+          ("digest", J.Str d);
+          ("n", J.Int (G.n g));
+          ("m", J.Int (G.m g));
+          ("total_weight", J.Int (G.total_weight g));
+        ]
   | exception Wm_graph.Graph_io.Parse_error { line; msg } ->
-      finish ~status:"error"
-        (Protocol.error_response ~id
-           (Printf.sprintf "input line %d: %s" line msg))
-  | exception Sys_error msg ->
-      finish ~status:"error" (Protocol.error_response ~id msg)
-  | exception Invalid_argument msg ->
-      finish ~status:"error" (Protocol.error_response ~id msg)
+      fail (Printf.sprintf "input line %d: %s" line msg)
+  | exception (Sys_error msg | Invalid_argument msg) -> fail msg
 
 (* Session mutation (add_edges / remove_edges / add_vertices).  Always
    reached at a batch boundary — queued solves against the old content
@@ -1055,57 +1000,81 @@ let load t ~id ~graph ~path =
 let mutate t ~id ~digest ~add_vertices ~add ~remove =
   let started = Obs.now_ns () in
   let fail msg =
-    Obs.incr c_errors;
-    ledger_row t ~label:"mutate" ~id ~cached:false ~status:"error"
-      ~latency_ns:(Obs.now_ns () - started);
-    Protocol.error_response ~id msg
+    refuse t ~label:"mutate" ~id ~latency_ns:(Obs.now_ns () - started) msg
   in
-  match (match digest with Some d -> Some d | None -> t.last) with
-  | None -> fail "no session loaded (load a graph first)"
-  | Some d -> (
-      match Hashtbl.find_opt t.sessions d with
-      | None -> fail (Printf.sprintf "unknown session digest %s" d)
-      | Some s -> (
-          match patch s.graph ~add_vertices ~add ~remove with
-          | exception Invalid_argument msg -> fail msg
-          | g' ->
-              let d' = Wm_graph.Graph_io.digest g' in
-              effect t ~graph:g'
-                (Wal.Mutate
-                   {
-                     old_digest = d;
-                     new_digest = d';
-                     subsumed = d' <> d && Hashtbl.mem t.sessions d';
-                     add_vertices;
-                     add;
-                     remove;
-                   });
-              Obs.incr c_mutations;
-              Obs.add c_edges_added (List.length add);
-              Obs.add c_edges_removed (List.length remove);
-              Obs.add c_vertices_added add_vertices;
-              let delta = Protocol.canonical_delta ~add_vertices ~add ~remove in
-              Ledger.record ~label:delta Ledger.default
-                ~section:"serve.mutations"
-                [
-                  ("id", id);
-                  ("added", List.length add);
-                  ("removed", List.length remove);
-                  ("vertices", add_vertices);
-                  ("generation", s.generation);
-                ];
-              ledger_row t ~label:"mutate" ~id ~cached:false ~status:"ok"
-                ~latency_ns:(Obs.now_ns () - started);
-              Protocol.response ~id ~status:"ok"
-                [
-                  ("previous_digest", J.Str d);
-                  ("digest", J.Str d');
-                  ("n", J.Int (G.n g'));
-                  ("m", J.Int (G.m g'));
-                  ("total_weight", J.Int (G.total_weight g'));
-                  ("generation", J.Int s.generation);
-                  ("delta", J.Str delta);
-                ]))
+  match resolve t digest with
+  | Error msg -> fail msg
+  | Ok s -> (
+      let d = s.digest in
+      match patch s.graph ~add_vertices ~add ~remove with
+      | exception Invalid_argument msg -> fail msg
+      | g' ->
+          let d' = Wm_graph.Graph_io.digest g' in
+          effect t ~graph:g'
+            (Wal.Mutate
+               {
+                 old_digest = d;
+                 new_digest = d';
+                 subsumed = d' <> d && Hashtbl.mem t.sessions d';
+                 add_vertices;
+                 add;
+                 remove;
+               });
+          Obs.incr c_mutations;
+          Obs.add c_edges_added (List.length add);
+          Obs.add c_edges_removed (List.length remove);
+          Obs.add c_vertices_added add_vertices;
+          let delta = Protocol.canonical_delta ~add_vertices ~add ~remove in
+          Ledger.record ~label:delta Ledger.default ~section:"serve.mutations"
+            [
+              ("id", id);
+              ("added", List.length add);
+              ("removed", List.length remove);
+              ("vertices", add_vertices);
+              ("generation", s.generation);
+            ];
+          ledger_row t ~label:"mutate" ~id ~cached:false ~status:"ok"
+            ~latency_ns:(Obs.now_ns () - started);
+          Protocol.response ~id ~status:"ok"
+            [
+              ("previous_digest", J.Str d);
+              ("digest", J.Str d');
+              ("n", J.Int (G.n g'));
+              ("m", J.Int (G.m g'));
+              ("total_weight", J.Int (G.total_weight g'));
+              ("generation", J.Int s.generation);
+              ("delta", J.Str delta);
+            ])
+
+let evict t ~id ~digest =
+  match Option.map (fun d -> resolve t (Some d)) digest with
+  | Some (Error msg) -> refuse t ~label:"evict" ~id msg
+  | _ ->
+      let sessions = Hashtbl.length t.sessions in
+      let results = Cache.length t.cache in
+      effect t (Wal.Evict { digest });
+      Obs.incr c_evicts;
+      ack t ~label:"evict" ~id
+        [
+          ("evicted_sessions", J.Int (sessions - Hashtbl.length t.sessions));
+          ("evicted_results", J.Int (results - Cache.length t.cache));
+        ]
+
+(* ------------------------------------------------------------------ *)
+(* Reporting *)
+
+let counters t named =
+  J.Obj (List.map (fun (k, c) -> (k, J.Int (rel t c))) named)
+
+let cache_json t =
+  J.Obj
+    [
+      ("entries", J.Int (Cache.length t.cache));
+      ("capacity", J.Int (Cache.capacity t.cache));
+      ("hits", J.Int (rel t c_hits));
+      ("misses", J.Int (rel t c_misses));
+      ("evictions", J.Int (Cache.evictions t.cache));
+    ]
 
 (* Deterministic service snapshot: every field is a pure function of the
    request history (no wall-clock values), so stats responses diff clean
@@ -1124,59 +1093,26 @@ let stats_response t ~id =
           ])
       t.order
   in
-  ledger_row t ~label:"stats" ~id ~cached:false ~status:"ok" ~latency_ns:0;
-  Protocol.response ~id ~status:"ok"
+  ack t ~label:"stats" ~id
     [
       ("sessions", J.List sessions);
-      ( "cache",
-        J.Obj
-          [
-            ("entries", J.Int (Cache.length t.cache));
-            ("capacity", J.Int (Cache.capacity t.cache));
-            ("hits", J.Int (rel t c_hits));
-            ("misses", J.Int (rel t c_misses));
-            ("evictions", J.Int (Cache.evictions t.cache));
-          ] );
+      ("cache", cache_json t);
       ("requests", J.Int t.reqno);
       ("batches", J.Int t.batchno);
       ("queue_depth", J.Int t.config.queue_depth);
       ( "counters",
-        J.Obj
-          (List.map
-             (fun (k, c) -> (k, J.Int (rel t c)))
-             [
-               ("loads", c_loads);
-               ("solves", c_solves);
-               ("overloaded", c_overloaded);
-               ("shed_requests", c_shed);
-               ("deadline_expired", c_deadline);
-               ("retries", c_retries);
-               ("errors", c_errors);
-               ("evicts", c_evicts);
-             ]) );
+        counters t
+          [
+            ("loads", c_loads);
+            ("solves", c_solves);
+            ("overloaded", c_overloaded);
+            ("shed_requests", c_shed);
+            ("deadline_expired", c_deadline);
+            ("retries", c_retries);
+            ("errors", c_errors);
+            ("evicts", c_evicts);
+          ] );
     ]
-
-let evict t ~id ~digest =
-  match digest with
-  | Some d when not (Hashtbl.mem t.sessions d) ->
-      Obs.incr c_errors;
-      ledger_row t ~label:"evict" ~id ~cached:false ~status:"error"
-        ~latency_ns:0;
-      Protocol.error_response ~id (Printf.sprintf "unknown session digest %s" d)
-  | _ ->
-      let sessions = Hashtbl.length t.sessions in
-      let results = Cache.length t.cache in
-      effect t (Wal.Evict { digest });
-      Obs.incr c_evicts;
-      ledger_row t ~label:"evict" ~id ~cached:false ~status:"ok" ~latency_ns:0;
-      Protocol.response ~id ~status:"ok"
-        [
-          ("evicted_sessions", J.Int (sessions - Hashtbl.length t.sessions));
-          ("evicted_results", J.Int (results - Cache.length t.cache));
-        ]
-
-(* ------------------------------------------------------------------ *)
-(* Reporting *)
 
 let report_json t =
   let serve =
@@ -1187,42 +1123,30 @@ let report_json t =
         ("sessions", J.Int (Hashtbl.length t.sessions));
         ("queue_depth", J.Int t.config.queue_depth);
         ( "counters",
-          J.Obj
-            (List.map
-               (fun (k, c) -> (k, J.Int (rel t c)))
-               [
-                 ("requests", c_requests);
-                 ("loads", c_loads);
-                 ("solves", c_solves);
-                 ("overloaded", c_overloaded);
-                 ("shed_requests", c_shed);
-                 ("deadline_expired", c_deadline);
-                 ("retries", c_retries);
-                 ("errors", c_errors);
-                 ("batches", c_batches);
-                 ("evicts", c_evicts);
-                 ("shutdowns", c_shutdowns);
-               ]) );
-        ( "incremental",
-          J.Obj
-            (List.map
-               (fun (k, c) -> (k, J.Int (rel t c)))
-               [
-                 ("mutations", c_mutations);
-                 ("edges_added", c_edges_added);
-                 ("edges_removed", c_edges_removed);
-                 ("vertices_added", c_vertices_added);
-                 ("warm_solves", c_warm);
-               ]) );
-        ( "cache",
-          J.Obj
+          counters t
             [
-              ("entries", J.Int (Cache.length t.cache));
-              ("capacity", J.Int (Cache.capacity t.cache));
-              ("hits", J.Int (rel t c_hits));
-              ("misses", J.Int (rel t c_misses));
-              ("evictions", J.Int (Cache.evictions t.cache));
+              ("requests", c_requests);
+              ("loads", c_loads);
+              ("solves", c_solves);
+              ("overloaded", c_overloaded);
+              ("shed_requests", c_shed);
+              ("deadline_expired", c_deadline);
+              ("retries", c_retries);
+              ("errors", c_errors);
+              ("batches", c_batches);
+              ("evicts", c_evicts);
+              ("shutdowns", c_shutdowns);
             ] );
+        ( "incremental",
+          counters t
+            [
+              ("mutations", c_mutations);
+              ("edges_added", c_edges_added);
+              ("edges_removed", c_edges_removed);
+              ("vertices_added", c_vertices_added);
+              ("warm_solves", c_warm);
+            ] );
+        ("cache", cache_json t);
         ( "recovery",
           match t.recovery with
           | None -> J.Obj []
@@ -1237,7 +1161,8 @@ let report_json t =
       ]
   in
   (* Single-process shape of the mandatory shard block; the shard
-     router's reporter replaces it with real per-shard metering. *)
+     router's delegate report replaces it with real per-shard
+     metering. *)
   Wm_fault.Bench_v1.report ~mode:"serve" ~seed:0
     ~jobs:(Wm_par.Pool.default_jobs ())
     ~gc:(Wm_obs.Gcstat.since_start ())
@@ -1246,132 +1171,88 @@ let report_json t =
 (* ------------------------------------------------------------------ *)
 (* Request dispatch *)
 
-let dispatch t (req : Protocol.request) =
+(* One input line, parsed or not.  Every line counts as a request and
+   gets exactly one ledger row. *)
+let dispatch t (req : (Protocol.request, string) result) =
   t.reqno <- t.reqno + 1;
   Obs.incr c_requests;
-  if t.stopped then begin
-    Obs.incr c_errors;
-    [ Protocol.error_response ~id:req.Protocol.id "server stopped" ]
-  end
-  else
-    match req.Protocol.verb with
-    | Protocol.Solve { digest; params; chaos } ->
-        admit t ~id:req.Protocol.id ~digest ~chaos params
-    | Protocol.Ping ->
-        (* Health probe — deliberately {e not} a batch boundary, so the
-           router (or an operator) can peek at queue pressure without
-           forcing queued solves to run. *)
-        ledger_row t ~label:"ping" ~id:req.Protocol.id ~cached:false
-          ~status:"ok" ~latency_ns:0;
-        [
-          Protocol.response ~id:req.Protocol.id ~status:"ok"
-            [
-              ("shard", J.Int t.config.shard_id);
-              ("queue", J.Int t.queue_len);
-              ("queue_depth", J.Int t.config.queue_depth);
-              ("sessions", J.Int (Hashtbl.length t.sessions));
-              ("cache_entries", J.Int (Cache.length t.cache));
-              ("cache_capacity", J.Int (Cache.capacity t.cache));
-            ];
-        ]
-    | Protocol.Report ->
-        let flushed = flush t in
-        ledger_row t ~label:"report" ~id:req.Protocol.id ~cached:false
-          ~status:"ok" ~latency_ns:0;
-        let r =
-          match t.config.reporter with
-          | Some f -> f ()
-          | None -> report_json t
-        in
-        flushed
-        @ [ Protocol.response ~id:req.Protocol.id ~status:"ok"
-              [ ("report", r) ] ]
-    | Protocol.Load { graph; path } ->
-        (* Every non-solve verb is a batch boundary: queued solves run
-           (and are answered) first, so responses stay in arrival order
-           and the verb observes the post-batch state.  The explicit
-           [let] matters: [@] evaluates its right operand first. *)
-        let flushed = flush t in
-        flushed @ [ load t ~id:req.Protocol.id ~graph ~path ]
-    | Protocol.Add_edges { digest; edges } ->
-        let flushed = flush t in
-        flushed
-        @ [
-            mutate t ~id:req.Protocol.id ~digest ~add_vertices:0 ~add:edges
-              ~remove:[];
+  match req with
+  | Error msg -> [ refuse t ~label:"malformed" ~id:0 msg ]
+  | Ok { Protocol.id; _ } when t.stopped ->
+      [ refuse t ~label:"stopped" ~id "server stopped" ]
+  | Ok { Protocol.id; verb } -> (
+      (* Every verb but solve and ping is a batch boundary: queued
+         solves run (and are answered) first, so responses stay in
+         arrival order and the verb observes the post-batch state.  Ping
+         is a health probe, so the router (or an operator) can peek at
+         queue pressure without forcing queued solves to run. *)
+      let flushed =
+        match verb with Protocol.Solve _ | Protocol.Ping -> [] | _ -> flush t
+      in
+      flushed
+      @
+      match verb with
+      | Protocol.Solve { digest; params; chaos } ->
+          admit t ~id ~digest ~chaos params
+      | Protocol.Ping ->
+          [
+            ack t ~label:"ping" ~id
+              [
+                ("shard", J.Int t.config.shard_id);
+                ("queue", J.Int t.queue_len);
+                ("queue_depth", J.Int t.config.queue_depth);
+                ("sessions", J.Int (Hashtbl.length t.sessions));
+                ("cache_entries", J.Int (Cache.length t.cache));
+                ("cache_capacity", J.Int (Cache.capacity t.cache));
+              ];
           ]
-    | Protocol.Remove_edges { digest; edges } ->
-        let flushed = flush t in
-        flushed
-        @ [
-            mutate t ~id:req.Protocol.id ~digest ~add_vertices:0 ~add:[]
-              ~remove:edges;
-          ]
-    | Protocol.Add_vertices { digest; count } ->
-        let flushed = flush t in
-        flushed
-        @ [
-            mutate t ~id:req.Protocol.id ~digest ~add_vertices:count ~add:[]
-              ~remove:[];
-          ]
-    | Protocol.Stats ->
-        let flushed = flush t in
-        flushed @ [ stats_response t ~id:req.Protocol.id ]
-    | Protocol.Evict { digest } ->
-        let flushed = flush t in
-        flushed @ [ evict t ~id:req.Protocol.id ~digest ]
-    | Protocol.Shutdown ->
-        let flushed = flush t in
-        effect t Wal.Stop;
-        Obs.incr c_shutdowns;
-        ledger_row t ~label:"shutdown" ~id:req.Protocol.id ~cached:false
-          ~status:"ok" ~latency_ns:0;
-        let resp =
-          Protocol.response ~id:req.Protocol.id ~status:"ok"
-            [ ("stopped", J.Bool true) ]
-        in
-        if t.config.destroy_pool_on_shutdown then
-          Wm_par.Pool.destroy (Wm_par.Pool.default ());
-        flushed @ [ resp ]
+      | Protocol.Report ->
+          (* The row goes in first: the report carries the ledger. *)
+          ledger_row t ~label:"report" ~id ~cached:false ~status:"ok"
+            ~latency_ns:0;
+          let r =
+            match t.config.delegate with
+            | Some d -> d.report ()
+            | None -> report_json t
+          in
+          [ Protocol.response ~id ~status:"ok" [ ("report", r) ] ]
+      | Protocol.Load { graph; path } -> [ load t ~id ~graph ~path ]
+      | Protocol.Add_edges { digest; edges } ->
+          [ mutate t ~id ~digest ~add_vertices:0 ~add:edges ~remove:[] ]
+      | Protocol.Remove_edges { digest; edges } ->
+          [ mutate t ~id ~digest ~add_vertices:0 ~add:[] ~remove:edges ]
+      | Protocol.Add_vertices { digest; count } ->
+          [ mutate t ~id ~digest ~add_vertices:count ~add:[] ~remove:[] ]
+      | Protocol.Stats -> [ stats_response t ~id ]
+      | Protocol.Evict { digest } -> [ evict t ~id ~digest ]
+      | Protocol.Shutdown ->
+          effect t Wal.Stop;
+          Obs.incr c_shutdowns;
+          [ ack t ~label:"shutdown" ~id [ ("stopped", J.Bool true) ] ])
 
 (* Every public entry point commits the line's WAL record before
    returning its responses: an effect the client can observe is durable
    first (the inverse — durable but unacknowledged — is re-executed
    harmlessly on replay, since replay never re-runs solves). *)
-let handle_request t (req : Protocol.request) =
-  let resps = dispatch t req in
+let committed t resps =
   commit t;
   resps
 
+let handle_request t req = committed t (dispatch t (Ok req))
+
 let handle_line t line =
-  if String.trim line = "" then begin
-    let resps = flush t in
-    commit t;
-    resps
-  end
-  else
-    match Protocol.parse_request line with
-    | Ok req -> handle_request t req
-    | Error msg ->
-        t.reqno <- t.reqno + 1;
-        Obs.incr c_requests;
-        Obs.incr c_errors;
-        ledger_row t ~label:"malformed" ~id:0 ~cached:false ~status:"error"
-          ~latency_ns:0;
-        commit t;
-        [ Protocol.error_response ~id:0 msg ]
+  committed t
+    (if String.trim line = "" then flush t
+     else dispatch t (Protocol.parse_request line))
 
 let eof t =
-  let resps = flush t in
-  commit t;
+  let resps = committed t (flush t) in
   (* Final snapshot on an orderly exit (EOF or a drain signal): the
      next start restores without replaying anything. *)
   (match t.wal with
   | Some w when Wal.head w > t.last_snap_lsn -> write_snapshots t
   | _ -> ());
   resps
-
-let drain = eof
 
 exception Drained
 
@@ -1417,8 +1298,6 @@ let run t ic oc =
                   Unix.kill (Unix.getpid ()) Sys.sigkill
               | _ -> ());
               loop ()
-          | exception End_of_file -> emit (eof t)
-          | exception Drained -> emit (drain t)
+          | exception (End_of_file | Drained) -> emit (eof t)
       in
       loop ())
-

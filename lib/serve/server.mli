@@ -68,11 +68,11 @@ type job = {
   job_expire : int option;  (** injected deadline-expiry round *)
   job_crashes : int;  (** planned crashed attempts before success *)
 }
-(** One deduplicated solve (a batch leader), as handed to a delegating
-    [executor].  Carries everything a remote worker needs to reproduce
-    the exact outcome a local {!Wm_par.Pool} execution would commit:
-    the graph, the params, the pre-drawn chaos plan and the warm-start
-    matching. *)
+(** One deduplicated solve (a batch leader), as the default
+    {!Wm_par.Pool} or a {!delegate} executes it.  Carries everything a
+    remote worker needs to reproduce the exact outcome a local
+    execution would commit: the graph, the params, the pre-drawn chaos
+    plan and the warm-start matching. *)
 
 type outcome =
   [ `Ok of Wm_obs.Json.t * Wm_graph.Matching.t
@@ -81,16 +81,30 @@ type outcome =
 (** A solve's result: the response's [result] JSON plus the matching
     (which feeds the cache/warm-start stores), or a failure message. *)
 
+type delegate = {
+  execute : job list -> (string * outcome) list;
+      (** runs each flush's deduplicated leader jobs in place of the
+          default {!Wm_par.Pool}; must return one [(job_key, outcome)]
+          per job.  Admission, chaos draws, caching, warm-start
+          bookkeeping and response rendering all stay in the server,
+          which is what keeps transcripts byte-identical across
+          [--shards] settings. *)
+  observe : Wal.body -> unit;
+      (** called with every state effect a live request applies — the
+          same {!Wal.body} the WAL records — right after it is applied;
+          never for effects replayed by {!create} *)
+  report : unit -> Wm_obs.Json.t;
+      (** the [report] verb's payload, in place of {!report_json} *)
+}
+(** How a server hands work to the shard router: one record, set only
+    by [Wm_shard.Router.create]. *)
+
 type config = {
   queue_depth : int;  (** max queued solves per batch (default 16) *)
   cache_entries : int;  (** LRU result-cache capacity (default 64) *)
   deadline_ms : int;
       (** default per-solve wall-clock deadline; [0] disables *)
   faults : Wm_fault.Spec.t;  (** request-chaos plan *)
-  destroy_pool_on_shutdown : bool;
-      (** tear down the default pool when [shutdown] is acknowledged
-          (the CLI sets this; in-process embedders usually keep the
-          pool) *)
   warm_start : bool;
       (** warm-start solves from the session's last matching (default
           [true]); [false] forces every solve cold — the T10 baseline *)
@@ -105,7 +119,7 @@ type config = {
   snapshot_every : int;
       (** write session snapshots every this many WAL records
           (default 8); [0] disables periodic snapshots (one is still
-          written on shutdown, drain, and EOF).  Each snapshot point
+          written on shutdown and at {!eof}).  Each snapshot point
           also compacts the WAL to one base record and deletes the
           snapshots of sessions that are no longer live *)
   crash_after : int option;
@@ -115,29 +129,12 @@ type config = {
   shard_id : int;
       (** reported by the [ping] verb (default [0]; the shard router
           assigns each worker its index) *)
-  executor : (job list -> (string * outcome) list) option;
-      (** delegate batch execution: when set, {!flush} hands the
-          deduplicated leader jobs to this function instead of the
-          default {!Wm_par.Pool} — the shard router's hook.  Must
-          return one [(job_key, outcome)] per job.  Admission, chaos
-          draws, caching, warm-start bookkeeping and response
-          rendering all stay here, which is what keeps transcripts
-          byte-identical across [--shards] settings. *)
-  observe : (Wal.body -> unit) option;
-      (** called with every state effect a live request applies — the
-          same {!Wal.body} the WAL records — right after it is applied;
-          never for effects replayed by {!create}.  The shard router
-          uses it to tear down re-keyed and evicted sessions on their
-          home workers. *)
-  reporter : (unit -> Wm_obs.Json.t) option;
-      (** override for the [report] verb's payload (the router answers
-          with the merged multi-shard report); [None] = {!report_json} *)
+  delegate : delegate option;  (** default [None]: execute on the pool *)
 }
 
 val default_config : unit -> config
 (** Defaults as above, with [faults] = the process-wide
-    {!Wm_fault.Spec.default}, [destroy_pool_on_shutdown = false] and
-    [warm_start = true]. *)
+    {!Wm_fault.Spec.default} and [warm_start = true]. *)
 
 type recovery = {
   replayed : int;  (** WAL records replayed *)
@@ -182,19 +179,15 @@ val flush : t -> Wm_obs.Json.t list
     responses in arrival order. *)
 
 val eof : t -> Wm_obs.Json.t list
-(** End of input: {!flush}, commit the WAL, and write a final snapshot
-    of every session (so the next start replays nothing). *)
-
-val drain : t -> Wm_obs.Json.t list
-(** Orderly drain — what the SIGTERM/SIGINT handler runs: execute and
-    answer the queued solves, commit the WAL, final-snapshot every
-    session.  (Same as {!eof}.) *)
+(** End of input, and what the SIGTERM/SIGINT handler runs: {!flush},
+    commit the WAL, and write a final snapshot of every session (so the
+    next start replays nothing). *)
 
 val run : t -> in_channel -> out_channel -> unit
 (** The stdin/stdout transport: read request lines until EOF or
     [shutdown], emitting each response as one compact JSON line
     (flushed per batch).  While running, SIGTERM and SIGINT trigger
-    {!drain} (responses for queued solves are still emitted) instead of
+    {!eof} (responses for queued solves are still emitted) instead of
     killing the process; the previous handlers are restored on
     return. *)
 

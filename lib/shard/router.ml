@@ -5,7 +5,7 @@
    mutation re-keying, stats and response rendering all run here,
    unchanged — which is what makes transcripts byte-identical across
    [--shards] settings by construction.  Only batch execution is
-   delegated: the server's [executor] hook hands each flush's
+   delegated: the server's [delegate] hands each flush's
    deduplicated leader jobs to this module, which groups them by
    consistent-hash home, ships any graphs the home worker does not yet
    hold, and replays the pre-drawn chaos plan on a worker that is
@@ -222,7 +222,7 @@ let rec dispatch_group t slot jobs tries =
         dispatch_group t slot jobs (tries + 1)
       end
 
-let executor t jobs =
+let execute t jobs =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun j ->
@@ -276,7 +276,8 @@ let drop t = function
    and migration is plain eviction + lazy re-load: drop the stale
    content at the old home now; the next solve on the new digest ships
    the rebuilt graph (and the router-held warm state) to the new
-   home. *)
+   home.  It sees live effects only, so a restored router replays its
+   WAL without re-counting migrations or re-sending evictions. *)
 let observe t = function
   | Wal.Mutate { old_digest; new_digest; _ } ->
       if Ring.home t.ring old_digest <> Ring.home t.ring new_digest then
@@ -402,15 +403,15 @@ let create ~shards ?(vnodes = 64) ?kill ~spawn ~config () =
       server = None;
     }
   in
-  let config =
+  let delegate =
     {
-      config with
-      Server.executor = Some (fun jobs -> executor t jobs);
-      observe = Some (observe t);
-      reporter = Some (fun () -> merged_report t);
+      Server.execute = execute t;
+      observe = observe t;
+      report = (fun () -> merged_report t);
     }
   in
-  t.server <- Some (Server.create config);
+  t.server <-
+    Some (Server.create { config with Server.delegate = Some delegate });
   t
 
 let worker_config ~base ~shard ~wal_root =
@@ -427,7 +428,6 @@ let worker_config ~base ~shard ~wal_root =
         (fun root -> Filename.concat root (Printf.sprintf "shard-%d" shard))
         wal_root;
     crash_after = None;
-    destroy_pool_on_shutdown = true;
   }
 
 let shutdown_workers t =

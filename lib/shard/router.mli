@@ -6,10 +6,11 @@
     bookkeeping, and all response rendering run in it unchanged, which
     makes client transcripts byte-identical across [--shards] settings
     by construction.  Only batch execution is delegated: the server's
-    [executor] hook hands each flush's deduplicated leader jobs here,
-    and they are grouped by {!Ring.home}, shipped (with any graphs the
-    home worker does not yet hold, and the pre-drawn chaos plan) over
-    the ordinary WM_REQ_v1 line protocol, and their outcomes fed back.
+    {!Wm_serve.Server.delegate} hands each flush's deduplicated leader
+    jobs here, and they are grouped by {!Ring.home}, shipped (with any
+    graphs the home worker does not yet hold, and the pre-drawn chaos
+    plan) over the ordinary WM_REQ_v1 line protocol, and their outcomes
+    fed back.
 
     A worker that dies mid-group (EOF/SIGKILL) is respawned — the
     replacement recovers its own [wal_dir] through the durability path
@@ -29,10 +30,10 @@ val create :
   t
 (** A router over [shards] workers obtained from [spawn] (also used to
     respawn after a failure), fronted by a server built from [config]
-    with the delegation hooks installed.  [?kill:(k, n)] arms the fault
-    hook: worker [k] is SIGKILLed right after its [n]-th dispatch group
-    is sent, before any response is read — the smoke test's recovery
-    leg.  It fires once. *)
+    with the router's {!Wm_serve.Server.delegate} installed.
+    [?kill:(k, n)] arms the fault hook: worker [k] is SIGKILLed right
+    after its [n]-th dispatch group is sent, before any response is
+    read — the smoke test's recovery leg.  It fires once. *)
 
 val server : t -> Wm_serve.Server.t
 (** The fronting server — feed it lines ({!Wm_serve.Server.handle_line}
@@ -60,7 +61,7 @@ val worker_config :
   wal_root:string option ->
   Wm_serve.Server.config
 (** The config a shard worker runs: [base] — the caller's config,
-    before {!create} installs the router's hooks — with its shard id,
+    before {!create} installs the router's delegate — with its shard id,
     faults disabled (the router draws all chaos; only the retry budget
     is kept so planned crashes replay identically), and — when
     [wal_root] is set — a private [wal_root/shard-<k>] durability

@@ -645,7 +645,7 @@ let test_drain_writes_snapshots () =
   let dir = fresh_dir () in
   let a = Server.create (config ~wal_dir:dir ~snapshot_every:0 ()) in
   let _ = feed a [ load_line 1 g; solve_line 2 ] in
-  let drained = Server.drain a in
+  let drained = Server.eof a in
   check_bool "drain answers the queued solve" true (List.length drained >= 1);
   let snaps =
     Array.to_list (Sys.readdir dir)
@@ -681,7 +681,7 @@ let test_compaction_on_snapshot () =
   let c0 =
     Wm_obs.Obs.counter_value Wm_obs.Obs.default "serve.wal.compacted_records"
   in
-  ignore (Server.drain a);
+  ignore (Server.eof a);
   let after, cut = Wal.scan ~dir in
   check "clean log" 0 cut;
   check "single physical record" 1 (List.length after);
@@ -825,7 +825,7 @@ let test_kill_between_merge_snapshot_and_compaction () =
       |> List.map (fun f -> (f, slurp (Filename.concat dir f)))
     in
     let before = files () in
-    ignore (Server.drain srv);
+    ignore (Server.eof srv);
     let after = files () in
     List.iter
       (fun (f, bytes) ->

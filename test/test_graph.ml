@@ -1,11 +1,10 @@
 (* Tests for the wm_graph substrate: Prng, Edge, Weighted_graph,
-   Matching, Union_find, Bipartition, Gen. *)
+   Matching, Bipartition, Gen. *)
 
 module E = Wm_graph.Edge
 module G = Wm_graph.Weighted_graph
 module M = Wm_graph.Matching
 module P = Wm_graph.Prng
-module UF = Wm_graph.Union_find
 module B = Wm_graph.Bipartition
 module Gen = Wm_graph.Gen
 module Brute = Wm_exact.Brute
@@ -407,27 +406,6 @@ let test_symmetric_difference_random_property () =
         Hashtbl.iter (fun v _ -> Hashtbl.replace global v ()) deg)
       (M.symmetric_difference m1 m2)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Union_find *)
-
-let test_union_find_basic () =
-  let uf = UF.create 5 in
-  check "initial count" 5 (UF.count uf);
-  check_bool "union 0 1" true (UF.union uf 0 1);
-  check_bool "union again" false (UF.union uf 0 1);
-  check_bool "same" true (UF.same uf 0 1);
-  check_bool "not same" false (UF.same uf 0 2);
-  check "count" 4 (UF.count uf);
-  check "size" 2 (UF.size_of uf 1)
-
-let test_union_find_chain () =
-  let uf = UF.create 100 in
-  for i = 0 to 98 do
-    ignore (UF.union uf i (i + 1))
-  done;
-  check "one component" 1 (UF.count uf);
-  check "full size" 100 (UF.size_of uf 50)
 
 (* ------------------------------------------------------------------ *)
 (* Bipartition *)
@@ -880,11 +858,6 @@ let () =
             test_symmetric_difference_common_edge;
           Alcotest.test_case "symdiff random property" `Quick
             test_symmetric_difference_random_property;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "chain" `Quick test_union_find_chain;
         ] );
       ( "bipartition",
         [

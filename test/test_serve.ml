@@ -6,7 +6,8 @@
      deduplication, cache hits that bill zero new solver resources,
      bounded-queue admission control, eviction, cooperative
      deadline cancellation, jobs-invariant response bodies;
-   - shutdown destroying the default pool (and the pool surviving it). *)
+   - every refusal path, a stopped server's included, answering with
+     one error response, one serve.errors bump and one ledger row. *)
 
 module J = Wm_obs.Json
 module Obs = Wm_obs.Obs
@@ -512,61 +513,73 @@ let test_x_warm_bounded () =
   check_str "reason" "malformed x_warm payload" (str_field r "error")
 
 (* Every refusal path: one "error" response, one [serve.errors] bump and
-   one [serve.requests] ledger row labelled with the refused verb. *)
+   one [serve.requests] ledger row labelled with the refused verb.  Each
+   case runs on a fresh server after its setup lines. *)
 let test_refusal_paths () =
-  let tiny = "p wm 4 2\ne 0 1 3\ne 2 3 5\n" in
   let line id verb fields =
     Printf.sprintf "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":%S%s}" id verb
       fields
+  in
+  let loaded =
+    [
+      line 0 "load"
+        (",\"graph\":" ^ J.to_string (J.Str "p wm 4 2\ne 0 1 3\ne 2 3 5\n"));
+    ]
   in
   let no_session = Some "no session loaded (load a graph first)" in
   let unknown = Some "unknown session digest beef" in
   let cases =
     [
-      ("solve, no session", false, line 1 "solve" "", "solve", 1, no_session);
+      ("solve, no session", [], line 1 "solve" "", "solve", 1, no_session);
       ( "mutate, no session",
-        false,
+        [],
         line 2 "add_vertices" ",\"count\":1",
         "mutate",
         2,
         no_session );
       ( "solve, unknown digest",
-        true,
+        loaded,
         line 3 "solve" ",\"digest\":\"beef\"",
         "solve",
         3,
         unknown );
       ( "mutate, unknown digest",
-        true,
+        loaded,
         line 4 "add_vertices" ",\"digest\":\"beef\",\"count\":1",
         "mutate",
         4,
         unknown );
       ( "evict, unknown digest",
-        true,
+        loaded,
         line 5 "evict" ",\"digest\":\"beef\"",
         "evict",
         5,
         unknown );
       ( "bad delta",
-        true,
+        loaded,
         line 6 "remove_edges" ",\"edges\":[[0,2]]",
         "mutate",
         6,
         None );
-      ("malformed line", false, "{\"schema\":", "malformed", 0, None);
+      ("malformed line", [], "{\"schema\":", "malformed", 0, None);
       ( "malformed x_warm",
-        true,
+        loaded,
         line 8 "solve" ",\"x_warm\":\"zz\"",
         "solve",
         8,
         Some "malformed x_warm payload" );
+      ( "stopped server",
+        [ line 0 "shutdown" "" ],
+        line 9 "solve" "",
+        "stopped",
+        9,
+        Some "server stopped" );
     ]
   in
   List.iter
-    (fun (name, loaded, l, label, id, msg) ->
+    (fun (name, setup, l, label, id, msg) ->
       let srv = server () in
-      if loaded then ignore (one srv (load_text_req tiny));
+      List.iter (fun l -> ignore (Server.handle_line srv l)) setup;
       let errors0 = Obs.counter_value Obs.default "serve.errors" in
       let rows0 =
         List.length (Wm_obs.Ledger.rows Wm_obs.Ledger.default "serve.requests")
@@ -804,37 +817,21 @@ let test_report_shape () =
     (List.mem "serve.requests"
        (Wm_obs.Ledger.sections Wm_obs.Ledger.default))
 
-(* Last on purpose: destroys the process-wide default pool.  The
-   shutdown path must leave destroy idempotent (the at_exit hook runs
-   again) and later maps must fail loudly — then a jobs change rebuilds
-   a fresh default pool. *)
-let test_shutdown_destroys_pool () =
-  Wm_par.Pool.set_default_jobs 2;
-  let srv =
-    Server.create
-      { (config ()) with Server.destroy_pool_on_shutdown = true }
-  in
+let shutdown_req id =
+  req
+    (Printf.sprintf "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":\"shutdown\"}"
+       id)
+
+let test_shutdown_flushes_then_stops () =
+  let srv = server () in
   let _ = load_graph srv 3 in
   ignore (Server.handle_request srv (solve_req ~id:1 ()));
-  (match
-     Server.handle_request srv
-       (req "{\"schema\":\"WM_REQ_v1\",\"id\":2,\"verb\":\"shutdown\"}")
-   with
+  (match Server.handle_request srv (shutdown_req 2) with
   | [ solve; ack ] ->
       check_str "queued solve answered first" "ok" (status solve);
       check_str "shutdown acked" "ok" (status ack)
   | _ -> Alcotest.fail "expected flush + ack");
-  check_bool "stopped" true (Server.stopped srv);
-  (match Server.handle_request srv (solve_req ~id:3 ()) with
-  | [ r ] -> check_str "post-shutdown rejected" "error" (status r)
-  | _ -> Alcotest.fail "expected an error response");
-  (match Wm_par.Pool.map (Wm_par.Pool.default ()) (fun x -> x) [ 1 ] with
-  | _ -> Alcotest.fail "map on the destroyed default pool returned"
-  | exception Invalid_argument _ -> ());
-  (* a jobs change clears the dead pool; the next default () is live *)
-  Wm_par.Pool.set_default_jobs 1;
-  check_bool "default pool rebuilt" true
-    (Wm_par.Pool.map (Wm_par.Pool.default ()) (fun x -> x * 2) [ 21 ] = [ 42 ])
+  check_bool "stopped" true (Server.stopped srv)
 
 (* ------------------------------------------------------------------ *)
 (* Load generator *)
@@ -919,7 +916,7 @@ let () =
         ] );
       ( "shutdown",
         [
-          Alcotest.test_case "destroys default pool" `Quick
-            test_shutdown_destroys_pool;
+          Alcotest.test_case "flushes then stops" `Quick
+            test_shutdown_flushes_then_stops;
         ] );
     ]

@@ -6,7 +6,8 @@
    - the router over in-process endpoints: response transcripts
      byte-identical to a single stock server (mutations and evictions
      included), digest-rekey migration accounting, and the
-     revive-and-resend path after a worker endpoint dies mid-batch.
+     revive-and-resend path after a worker endpoint dies mid-batch,
+     and a wal_dir restore that re-runs no migration or eviction.
 
    Local endpoints share the process-wide Obs.default ledger between
    the router and its workers, so these tests never compare `stats`
@@ -264,6 +265,74 @@ let test_revive_after_endpoint_death () =
   List.iter2 (fun a b -> check_str "kill-invariant transcript" a b) expected got;
   check_bool "revivals recorded" true (Router.restarts t >= 1)
 
+(* A router restored from its wal_dir replays the log through the
+   server's state transition alone: the delegate's observer sees live
+   effects only, so the restore counts no migration and sends no worker
+   an evict line, though the first incarnation did both. *)
+let test_restore_skips_observer () =
+  let dir = Filename.temp_file "wm_shard_restore" "" in
+  Sys.remove dir;
+  let config = { (base_config ()) with Server.wal_dir = Some dir } in
+  let sent = ref [] in
+  let spawn k =
+    let ep = local_spawn (base_config ()) k in
+    {
+      ep with
+      Endpoint.send =
+        (fun l ->
+          sent := l :: !sent;
+          ep.Endpoint.send l);
+    }
+  in
+  let evicts () =
+    List.length
+      (List.filter
+         (fun l ->
+           match Wm_serve.Protocol.parse_request l with
+           | Ok { Wm_serve.Protocol.verb = Wm_serve.Protocol.Evict _; _ } ->
+               true
+           | _ -> false)
+         !sent)
+  in
+  let da = Gio.digest (graph 3) and db = Gio.digest (graph 7) in
+  let ring = Ring.create ~shards:2 () in
+  (* an added edge weight whose re-key moves the session's home *)
+  let moved w =
+    let g = G.patch (graph 3) ~add:[ Wm_graph.Edge.make 0 2 w ] () in
+    Ring.home ring da <> Ring.home ring (Gio.digest g)
+  in
+  let w = List.find moved (List.init 500 succ) in
+  let t1 = Router.create ~shards:2 ~spawn ~config () in
+  ignore
+    (transcript (Router.server t1)
+       [
+         load_line ~id:1 3;
+         load_line ~id:2 7;
+         solve_line ~id:3 ~digest:da ();
+         solve_line ~id:4 ~digest:db ();
+         "";
+         Printf.sprintf
+           "{\"schema\":\"WM_REQ_v1\",\"id\":5,\"verb\":\"add_edges\",\"digest\":%S,\"edges\":[[0,2,%d]]}"
+           da w;
+         Printf.sprintf
+           "{\"schema\":\"WM_REQ_v1\",\"id\":6,\"verb\":\"evict\",\"digest\":%S}"
+           db;
+       ]);
+  check "first incarnation migrated" 1 (Router.migrations t1);
+  check_bool "first incarnation sent evicts" true (evicts () >= 2);
+  (* abandon t1 without a shutdown, as a crash would *)
+  sent := [];
+  let t2 = Router.create ~shards:2 ~spawn ~config () in
+  check "restore counts no migration" 0 (Router.migrations t2);
+  check "restore sends no evict" 0 (evicts ());
+  check_bool "sessions restored" true
+    (Server.sessions (Router.server t2) = Server.sessions (Router.server t1));
+  match transcript (Router.server t2) [ solve_line ~id:7 ~seed:9 () ] with
+  | [ r ] ->
+      check_bool "restored router solves" true
+        (J.member "status" (Result.get_ok (J.of_string r)) = Some (J.Str "ok"))
+  | _ -> Alcotest.fail "expected one solve response"
+
 (* The merged report passes the BENCH_v1 schema (which balances the
    shard block's books) and meters real sessions and traffic. *)
 let test_merged_report_shape () =
@@ -311,5 +380,7 @@ let () =
             test_revive_after_endpoint_death;
           Alcotest.test_case "merged report shape" `Quick
             test_merged_report_shape;
+          Alcotest.test_case "restore skips the observer" `Quick
+            test_restore_skips_observer;
         ] );
     ]
