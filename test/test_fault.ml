@@ -117,7 +117,24 @@ let test_mpc_crash_recovery_same_weight () =
   check_bool "mpc.faults ledger rows present" true
     (Ledger.rows Ledger.default "mpc.faults" <> []);
   check_bool "core.recovery ledger rows present" true
-    (Ledger.rows Ledger.default "core.recovery" <> [])
+    (Ledger.rows Ledger.default "core.recovery" <> []);
+  (* Streaming leg: a crash-only plan replays each crashed round from its
+     checkpoint, so it commits the fault-free matching, paying passes. *)
+  let run_stream spec =
+    let inj = Injector.create ~salt:2 ~section:"stream.faults" spec in
+    MD.streaming ~faults:inj params (P.create 9) (ES.of_graph g)
+  in
+  let free = run_stream Spec.none in
+  let crashes0 = counter "fault.crashes" in
+  let faulty =
+    run_stream { Spec.none with Spec.seed = 2; crash = 0.2; max_attempts = 12 }
+  in
+  check_bool "streaming returns the fault-free matching" true
+    (M.equal free.MD.matching faulty.MD.matching);
+  check_bool "streaming plan injected crashes" true
+    (counter "fault.crashes" > crashes0);
+  check_bool "crashes cost extra passes" true
+    (faulty.MD.passes > free.MD.passes)
 
 (* ------------------------------------------------------------------ *)
 (* Inert specs change nothing. *)
