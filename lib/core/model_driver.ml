@@ -3,6 +3,7 @@ module G = Wm_graph.Weighted_graph
 module E = Wm_graph.Edge
 module P = Wm_graph.Prng
 module S = Wm_stream.Edge_stream
+module C = Wm_mpc.Cluster
 module Injector = Wm_fault.Injector
 module Recovery = Wm_fault.Recovery
 
@@ -14,13 +15,6 @@ type streaming_result = {
   cancelled : bool;
   warm : bool;
 }
-
-(* Cooperative cancellation: the [cancel] hook is consulted exactly once
-   per improvement round, at the round boundary — never mid-round, so a
-   cancelled run always holds a committed (round-atomic) matching.  The
-   hook sees the number of rounds already committed. *)
-let check_cancel cancel ~rounds_run =
-  match cancel with None -> false | Some f -> f ~rounds_run
 
 let round_memory (r : Main_alg.round_stats) =
   List.fold_left
@@ -72,6 +66,58 @@ let repair g m0 =
     (M.edges m);
   m
 
+(* The improvement loop of Theorem 4.1, shared by both models; a model
+   supplies only how a round is billed:
+   - [round ~at rng m] runs one improvement round on [m], with the
+     model's charges and crash sites;
+   - [recover ~at ~words attempt] bills a checkpoint of [words] words,
+     then runs [attempt] until it returns, billing every retry;
+   - [settle ~rounds m r] is the charge after a round commits; it
+     returns the number of matched edges shed.
+   Cooperative cancellation: [cancel] is consulted exactly once per
+   round, at the round boundary, with the number of rounds already
+   committed — never mid-round, so a cancelled run always holds a
+   committed (round-atomic) matching.  A round is dry when it gains
+   nothing and sheds nothing; [patience] dry rounds in a row stop the
+   loop.  Under an active fault plan every attempt runs on copies of the
+   round-start matching and rng, so a crash discards partial state and
+   the copies are committed only when the round returns. *)
+let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
+    rng g =
+  let m = ref (match init with None -> M.create (G.n g) | Some m0 -> repair g m0) in
+  let cancelled = ref false in
+  let stop_requested i =
+    match cancel with
+    | Some f when f ~rounds_run:i ->
+        cancelled := true;
+        true
+    | _ -> false
+  in
+  let dry = ref 0 and i = ref 0 in
+  while
+    !dry < patience && !i < params.Params.max_iterations
+    && not (stop_requested !i)
+  do
+    let at = !i in
+    let r =
+      if not active then round ~at rng !m
+      else begin
+        let mc, rc, r =
+          recover ~at ~words:(1 + (2 * M.size !m)) (fun () ->
+              let mc = M.copy !m and rc = P.copy rng in
+              (mc, rc, round ~at rc mc))
+        in
+        m := mc;
+        P.assign rng rc;
+        r
+      end
+    in
+    incr i;
+    let shed = settle ~rounds:!i !m r in
+    if r.Main_alg.gain = 0 && shed = 0 then incr dry else dry := 0
+  done;
+  (!m, !i, !cancelled)
+
 let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
   let inj =
     match faults with
@@ -80,13 +126,14 @@ let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
         Injector.create ~salt:2 ~section:"stream.faults"
           (Wm_fault.Spec.default ())
   in
-  let active = Injector.is_active inj in
   let g_true = S.to_ordered_graph stream in
   let n = G.n g_true in
   (* Ingest under record faults: the algorithm works from a degraded
      view (dropped records vanish, corrupted ones keep their perturbed
      weight), while [g_true] stays available to ground-truth solvers.
-     Duplicated records dedup at ingest, so only drop/corrupt bite. *)
+     Duplicated records dedup at ingest, so only drop/corrupt bite.
+     Warm start repairs against this view too: the improvement loop must
+     only ever see edges it could itself have read. *)
   let g =
     if Injector.has_record_faults inj then
       G.of_array ~n
@@ -97,62 +144,27 @@ let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
     else g_true
   in
   let attempts = (Injector.spec inj).Wm_fault.Spec.max_attempts in
-  (* Warm start repairs against the ingested (possibly fault-degraded)
-     view, not the ground truth: the improvement loop must only ever see
-     edges it could itself have read. *)
-  let m = ref (match init with None -> M.create n | Some m0 -> repair g m0) in
-  let peak = ref 0 in
-  let cancelled = ref false in
-  let stop_requested i =
-    check_cancel cancel ~rounds_run:i && (cancelled := true; true)
+  let round ~at rng m =
+    (* One pass feeds every (W, tau) filter; the black-box instances
+       then run in parallel over the same stream, so the round's pass
+       bill is the measured pass count of the slowest instance. *)
+    S.charge_passes stream 1;
+    Injector.crash inj ~site:"stream.feed" ~at ~machines:1;
+    let r = Main_alg.improve_once params rng g m in
+    Injector.crash inj ~site:"stream.collect" ~at ~machines:1;
+    r
   in
-  let dry = ref 0 and i = ref 0 in
-  while
-    !dry < patience && !i < params.Params.max_iterations
-    && not (stop_requested !i)
-  do
-    (* Per-round checkpoint: matching + rng position, so a crashed round
-       resumes from the last round boundary instead of aborting. *)
-    let snap =
-      if active then begin
-        Recovery.note_checkpoint ~words:(1 + (2 * M.size !m)) ~at:!i;
-        Some (M.copy !m, P.copy rng)
-      end
-      else None
-    in
-    let round () =
-      (* Under faults the round works on copies of the checkpoint, so a
-         crash discards partial state; commit happens on success. *)
-      let mc, rc =
-        match snap with
-        | None -> (!m, rng)
-        | Some (m0, r0) -> (M.copy m0, P.copy r0)
-      in
-      (* One pass feeds every (W, tau) filter; the black-box instances
-         then run in parallel over the same stream, so the round's pass
-         bill is the measured pass count of the slowest instance. *)
-      S.charge_passes stream 1;
-      Injector.crash inj ~site:"stream.feed" ~at:!i ~machines:1;
-      let r = Main_alg.improve_once params rc g mc in
-      Injector.crash inj ~site:"stream.collect" ~at:!i ~machines:1;
-      (mc, rc, r)
-    in
-    let mc, rc, r =
-      match snap with
-      | None -> round ()
-      | Some (m0, _) ->
-          Recovery.with_retry ~attempts ~site:"stream.round" round
-            ~on_retry:(fun ~attempt:_ ~backoff ->
-              (* Resuming re-reads the checkpoint (one pass) and idles
-                 through the backoff — both billed to the pass meter. *)
-              S.charge_passes stream (1 + backoff);
-              Recovery.note_restore ~words:(1 + (2 * M.size m0)) ~at:!i)
-    in
-    (match snap with
-    | Some _ ->
-        m := mc;
-        P.assign rng rc
-    | None -> ());
+  let recover ~at ~words attempt =
+    Recovery.note_checkpoint ~words ~at;
+    Recovery.with_retry ~attempts ~site:"stream.round" attempt
+      ~on_retry:(fun ~attempt:_ ~backoff ->
+        (* Resuming re-reads the checkpoint (one pass) and idles through
+           the backoff — both billed to the pass meter. *)
+        S.charge_passes stream (1 + backoff);
+        Recovery.note_restore ~words ~at)
+  in
+  let peak = ref 0 in
+  let settle ~rounds m r =
     let bb_passes =
       List.fold_left
         (fun acc (_, (s : Aug_class.stats)) ->
@@ -160,16 +172,15 @@ let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
         0 r.Main_alg.class_stats
     in
     S.charge_passes stream bb_passes;
-    let round_peak = round_memory r + M.size !m in
+    let round_peak = round_memory r + M.size m in
     peak := Stdlib.max !peak round_peak;
-    incr i;
     (* One ledger row per improvement round: the pass bill (feeding pass
        + black-box passes) and the round's peak stored-edge count, the
        per-round shape behind Thm 4.1's pass-overhead claim. *)
     Wm_obs.Ledger.record Wm_obs.Ledger.default
       ~section:"core.model_driver.stream"
       [
-        ("round", !i);
+        ("round", rounds);
         ("passes", 1 + bb_passes);
         ("peak_edges", round_peak);
         ("gain", r.Main_alg.gain);
@@ -177,23 +188,24 @@ let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
     (* Injected memory pressure squeezes the retained-edge budget; shed
        the lightest matched edges instead of aborting, and keep
        iterating so later rounds can win some of the weight back. *)
-    let shed =
-      match Injector.memory_pressure inj ~at:!i with
-      | Some keep ->
-          let target = int_of_float (keep *. float_of_int (M.size !m)) in
-          let edges, weight = shed_to ~target !m in
-          if edges > 0 then Recovery.note_shed ~edges ~weight ~at:!i;
-          edges
-      | None -> 0
-    in
-    if r.Main_alg.gain = 0 && shed = 0 then incr dry else dry := 0
-  done;
+    match Injector.memory_pressure inj ~at:rounds with
+    | Some keep ->
+        let target = int_of_float (keep *. float_of_int (M.size m)) in
+        let edges, weight = shed_to ~target m in
+        if edges > 0 then Recovery.note_shed ~edges ~weight ~at:rounds;
+        edges
+    | None -> 0
+  in
+  let m, rounds_run, cancelled =
+    improve ~patience ~init ~cancel ~active:(Injector.is_active inj) ~round
+      ~recover ~settle params rng g
+  in
   {
-    matching = !m;
+    matching = m;
     passes = S.passes stream;
     peak_edges = !peak;
-    rounds_run = !i;
-    cancelled = !cancelled;
+    rounds_run;
+    cancelled;
     warm = Option.is_some init;
   }
 
@@ -209,85 +221,52 @@ type mpc_result = {
 
 let mpc_cluster g =
   let n = G.n g in
-  Wm_mpc.Cluster.create
+  C.create
     ~machines:(Stdlib.max 2 (G.m g / Stdlib.max 1 n))
     ~memory_words:(16 * n * 10) ()
 
 let mpc ?(patience = 4) ?init ?cancel params rng cluster g =
-  let module C = Wm_mpc.Cluster in
   let inj = C.faults cluster in
-  let active = Injector.is_active inj in
   let n = G.n g in
-  let m = ref (match init with None -> M.create n | Some m0 -> repair g m0) in
   (* Initial placement of the edge set across machines; stateless, so a
      crashed scatter is simply repeated. *)
-  let place () = ignore (C.scatter cluster (G.edges g)) in
-  if active then C.with_retry cluster ~on_retry:(fun _ -> ()) place
-  else place ();
-  let cancelled = ref false in
-  let stop_requested i =
-    check_cancel cancel ~rounds_run:i && (cancelled := true; true)
+  C.with_retry cluster ~on_retry:ignore (fun () ->
+      ignore (C.scatter cluster (G.edges g)));
+  let round ~at:_ rng m =
+    (* Section 4.4 choreography: broadcast the bipartition and the
+       current matching, run the black box on every instance in
+       parallel, gather the augmentations on one machine. *)
+    C.broadcast cluster ~words:(n + (2 * M.size m));
+    let r = Main_alg.improve_once params rng g m in
+    Injector.crash inj ~site:"mpc.collect" ~at:(C.rounds cluster)
+      ~machines:(C.machines cluster);
+    (* Each (W, tau) instance must fit one machine; charge the largest
+       single pair's layered graph — the peak load, not the per-class
+       average, which understates skewed instances. *)
+    C.check_load cluster ~machine:0
+      ~words:(peak_instance_load r.Main_alg.class_stats);
+    C.charge_rounds cluster
+      (Wm_algos.Approx_bipartite.round_charge ~delta:params.Params.delta ~n);
+    C.charge_rounds cluster 1 (* gather augmentations *);
+    r
   in
-  let dry = ref 0 and i = ref 0 in
-  while
-    !dry < patience && !i < params.Params.max_iterations
-    && not (stop_requested !i)
-  do
-    (* Per-round checkpoint replicated across the cluster: matching +
-       rng position, the state a retry restarts the choreography from. *)
-    let snap =
-      if active then
-        Some
-          (C.checkpoint cluster
-             ~words:(1 + (2 * M.size !m))
-             (M.copy !m, P.copy rng))
-      else None
-    in
-    let round () =
-      let mc, rc =
-        match snap with
-        | None -> (!m, rng)
-        | Some s ->
-            let m0, r0 = C.peek s in
-            (M.copy m0, P.copy r0)
-      in
-      (* Section 4.4 choreography: broadcast the bipartition and the
-         current matching, run the black box on every instance in
-         parallel, gather the augmentations on one machine. *)
-      C.broadcast cluster ~words:(n + (2 * M.size mc));
-      let r = Main_alg.improve_once params rc g mc in
-      Injector.crash inj ~site:"mpc.collect" ~at:(C.rounds cluster)
-        ~machines:(C.machines cluster);
-      (* Each (W, tau) instance must fit one machine; charge the largest
-         single pair's layered graph — the peak load, not the per-class
-         average, which understates skewed instances. *)
-      C.check_load cluster ~machine:0
-        ~words:(peak_instance_load r.Main_alg.class_stats);
-      C.charge_rounds cluster
-        (Wm_algos.Approx_bipartite.round_charge ~delta:params.Params.delta ~n);
-      C.charge_rounds cluster 1 (* gather augmentations *);
-      (mc, rc, r)
-    in
-    let mc, rc, r =
-      match snap with
-      | None -> round ()
-      | Some s ->
-          C.with_retry cluster round ~on_retry:(fun _ -> ignore (C.restore cluster s))
-    in
-    (match snap with
-    | Some _ ->
-        m := mc;
-        P.assign rng rc
-    | None -> ());
-    incr i;
-    if r.Main_alg.gain = 0 then incr dry else dry := 0
-  done;
+  (* The checkpoint is replicated across the cluster; a retry restores
+     it before replaying the round. *)
+  let recover ~at:_ ~words attempt =
+    C.checkpoint cluster ~words;
+    C.with_retry cluster attempt ~on_retry:(fun () ->
+        C.restore cluster ~words)
+  in
+  let m, rounds_run, cancelled =
+    improve ~patience ~init ~cancel ~active:(Injector.is_active inj) ~round
+      ~recover ~settle:(fun ~rounds:_ _ _ -> 0) params rng g
+  in
   {
-    matching = !m;
+    matching = m;
     rounds = C.rounds cluster;
     peak_machine_memory = C.peak_machine_memory cluster;
     machines = C.machines cluster;
-    rounds_run = !i;
-    cancelled = !cancelled;
+    rounds_run;
+    cancelled;
     warm = Option.is_some init;
   }

@@ -127,9 +127,7 @@ let run_round t f shard_inputs =
   op_row t ~label:"compute" ~rounds:1 ~words:0 ~max_load:0;
   Array.map f shard_inputs
 
-type 'a snapshot = { payload : 'a; words : int }
-
-let checkpoint t ~words payload =
+let checkpoint t ~words =
   (* Replicating the checkpoint to every machine costs one round, and
      each machine must be able to hold it alongside nothing else (the
      checkpoint is taken at a round boundary). *)
@@ -137,27 +135,20 @@ let checkpoint t ~words payload =
   for i = 0 to t.machines - 1 do
     check_load t ~machine:i ~words
   done;
-  Recovery.note_checkpoint ~words ~at:t.rounds;
-  { payload; words }
+  Recovery.note_checkpoint ~words ~at:t.rounds
 
-let peek s = s.payload
-
-let restore t s =
+let restore t ~words =
   charge_rounds t 1;
-  Recovery.note_restore ~words:s.words ~at:t.rounds;
-  s.payload
+  Recovery.note_restore ~words ~at:t.rounds
 
-let with_retry ?attempts t ~on_retry f =
-  let attempts =
-    match attempts with
-    | Some a -> a
-    | None -> (Injector.spec t.faults).Wm_fault.Spec.max_attempts
-  in
-  Recovery.with_retry ~attempts ~site:"mpc" f
+let with_retry t ~on_retry f =
+  Recovery.with_retry
+    ~attempts:(Injector.spec t.faults).Wm_fault.Spec.max_attempts
+    ~site:"mpc" f
     ~on_retry:(fun ~attempt ~backoff ->
       (* The backoff is billed honestly to the round clock, and the
          extra rounds are visible next to the faults that caused them. *)
       charge_rounds t backoff;
       Ledger.record ~label:"retry_backoff" Ledger.default ~section:"mpc.faults"
         [ ("round", t.rounds); ("attempt", attempt); ("rounds", backoff) ];
-      on_retry attempt)
+      on_retry ())

@@ -23,11 +23,11 @@
     crashes raise {!Wm_fault.Injector.Injected_crash} mid-operation,
     scatter/gather payloads can lose or duplicate records, and a
     corrupted broadcast is repeated at a two-round cost.  Recovery is
-    explicit: {!checkpoint}/{!restore} snapshot driver state at a
-    one-round bill each, and {!with_retry} re-runs a crashed step with
-    exponential round-backoff billed to the same round clock, so the
-    price of riding out a fault plan shows up in [mpc.rounds] and the
-    [mpc.faults] ledger section.  With an inert spec every hook
+    billed here and kept by the caller: {!checkpoint}/{!restore} charge
+    one round each for state the driver holds itself, and {!with_retry}
+    re-runs a crashed step with exponential round-backoff billed to the
+    same round clock, so the price of riding out a fault plan shows up
+    in [mpc.rounds] and the [mpc.faults] ledger section.  With an inert spec every hook
     short-circuits and the op sequence is byte-identical to the
     fault-free build. *)
 
@@ -77,28 +77,21 @@ val faults : t -> Wm_fault.Injector.t
 (** The cluster's injector; drivers use it for their own fault points
     (e.g. a crash between compute and gather). *)
 
-type 'a snapshot
-(** A replicated checkpoint of driver state. *)
+val checkpoint : t -> words:int -> unit
+(** [checkpoint t ~words] bills replicating a [words]-word checkpoint of
+    driver state to every machine: one round, and each machine must
+    hold [words].  Recorded in [core.recovery].  The state itself stays
+    with the caller. *)
 
-val checkpoint : t -> words:int -> 'a -> 'a snapshot
-(** [checkpoint t ~words payload] replicates [payload] (billed at
-    [words] words per machine) to every machine: one round, each
-    machine must hold [words].  Recorded in [core.recovery]. *)
+val restore : t -> words:int -> unit
+(** [restore t ~words] bills reloading a [words]-word checkpoint after a
+    failure: one round, recorded in [core.recovery]. *)
 
-val peek : 'a snapshot -> 'a
-(** The checkpointed payload, without any billing (first use after
-    taking the checkpoint). *)
-
-val restore : t -> 'a snapshot -> 'a
-(** Reload a checkpoint after a failure: one round, recorded in
-    [core.recovery]. *)
-
-val with_retry : ?attempts:int -> t -> on_retry:(int -> unit) -> (unit -> 'a) -> 'a
+val with_retry : t -> on_retry:(unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_retry t ~on_retry f] runs [f], retrying on
     {!Wm_fault.Injector.Injected_crash} with exponential backoff
     ([2^(k-1)] rounds after attempt [k]) billed to this cluster's round
     clock and recorded as [retry_backoff] rows in [mpc.faults].
-    [on_retry] receives the failed attempt number — restore your
-    checkpoint there.  [attempts] defaults to the fault spec's
-    [max_attempts]; exhausting it raises
-    {!Wm_fault.Injector.Budget_exhausted}. *)
+    [on_retry] runs after each backoff, before the next attempt — bill
+    the {!restore} there.  After the fault spec's [max_attempts] failed
+    attempts it raises {!Wm_fault.Injector.Budget_exhausted}. *)
