@@ -200,6 +200,16 @@ let streaming ?(patience = 4) ?init ?cancel ?faults params rng stream =
     improve ~patience ~init ~cancel ~active:(Injector.is_active inj) ~round
       ~recover ~settle params rng g
   in
+  (* A corrupted record leaves its perturbed weight on the matched edge;
+     the answer is expressed on the input graph's edges.  Ingest only
+     drops and reweights, so every matched pair is an edge of [g_true]. *)
+  if g != g_true then
+    List.iter
+      (fun e ->
+        let u, v = E.endpoints e in
+        M.remove m e;
+        M.add m (Option.get (G.find_edge g_true u v)))
+      (M.edges m);
   {
     matching = m;
     passes = S.passes stream;
@@ -220,10 +230,9 @@ type mpc_result = {
 }
 
 let mpc_cluster g =
-  let n = G.n g in
-  C.create
-    ~machines:(Stdlib.max 2 (G.m g / Stdlib.max 1 n))
-    ~memory_words:(16 * n * 10) ()
+  (* An empty graph still runs on machines of positive memory. *)
+  let n = Stdlib.max 1 (G.n g) in
+  C.create ~machines:(Stdlib.max 2 (G.m g / n)) ~memory_words:(16 * n * 10) ()
 
 let mpc ?(patience = 4) ?init ?cancel params rng cluster g =
   let inj = C.faults cluster in

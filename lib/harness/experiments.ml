@@ -933,9 +933,9 @@ let run_t8 ~quick ~seed =
     "the rate-0 row matches the fault-free T3/T4 numbers exactly (inert \
      injectors are free); mpc-ratio is flat across rates — every crash is \
      replayed from the round checkpoint, so faults only buy extra rounds \
-     (x-rounds = straggler bills + retry backoff) — while st-ratio drifts \
-     down slowly with the injected data loss, the graceful-degradation \
-     trade"
+     (x-rounds = straggler bills + retry backoff) — while st-ratio falls \
+     with the injected data loss and shedding, scored on the true \
+     weights: the graceful-degradation trade"
 
 (* ------------------------------------------------------------------ *)
 (* T9: the serving layer under closed-loop load. *)

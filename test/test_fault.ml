@@ -188,6 +188,12 @@ let test_jobs_invariance_under_faults () =
     let rm = MD.mpc params (P.create 3) cluster g in
     let inj = Injector.create ~salt:2 ~section:"stream.faults" sspec in
     let rs = MD.streaming ~faults:inj params (P.create 5) (ES.of_graph g) in
+    (* Record faults degrade what the drivers read, never what they
+       return: both matchings carry the input graph's edges and weights. *)
+    check_bool "mpc matching valid in the input graph" true
+      (M.is_valid_in rm.MD.matching g);
+    check_bool "stream matching valid in the input graph" true
+      (M.is_valid_in rs.MD.matching g);
     let section k =
       match J.member k (Obs.to_json Obs.default) with
       | Some j -> J.to_string j

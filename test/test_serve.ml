@@ -706,6 +706,29 @@ let test_blank_line_and_eof_flush () =
       check_bool "id 0" true (J.member "id" r = Some (J.Int 0))
   | _ -> Alcotest.fail "expected one error response"
 
+(* An empty session is a graph like any other: every algorithm answers
+   ok with the empty matching, and the line after it is still answered. *)
+let test_empty_session () =
+  let srv = server () in
+  ignore
+    (one srv
+       {
+         Protocol.id = 0;
+         verb = Protocol.Load { graph = Some "p wm 0 0\n"; path = None };
+       });
+  List.iteri
+    (fun i algo ->
+      let r = one srv (solve_req ~id:(i + 1) ~algo ()) in
+      check_str (algo ^ " answers ok") "ok" (status r);
+      check_bool (algo ^ " returns the empty matching") true
+        (result_field r "size" = J.Int 0))
+    [ "greedy"; "streaming"; "mpc" ];
+  match
+    Server.handle_line srv "{\"schema\":\"WM_REQ_v1\",\"id\":9,\"verb\":\"ping\"}"
+  with
+  | [ r ] -> check_str "next line answered" "ok" (status r)
+  | _ -> Alcotest.fail "ping after the empty solves must answer once"
+
 (* Cooperative cancellation in the drivers (the mechanism behind
    per-request deadlines): stop at a round boundary with the last
    committed matching. *)
@@ -901,6 +924,7 @@ let () =
             test_mutate_equiv_direct_load;
           Alcotest.test_case "warm solve after delete" `Quick
             test_warm_solve_after_delete;
+          Alcotest.test_case "empty session" `Quick test_empty_session;
           Alcotest.test_case "blank line and eof" `Quick
             test_blank_line_and_eof_flush;
           Alcotest.test_case "driver cancellation" `Quick
