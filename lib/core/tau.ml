@@ -65,64 +65,6 @@ let dedup pairs =
       end)
     pairs
 
-let enumerate p ~max_pairs =
-  let budget = max_granules p in
-  let out = ref [] in
-  let count = ref 0 in
-  let emit pr =
-    if !count < max_pairs then begin
-      out := pr :: !out;
-      incr count
-    end
-  in
-  (* DFS over interleaved a/b slots: a_1, b_1, a_2, b_2, ..., a_(k+1).
-     Prune on the b-budget (E) and the a-sum implied by (F)
-     (sum a <= sum b - 1 <= budget - 1); check (F) at the leaves. *)
-  let rec go k a_rev b_rev a_sum b_sum =
-    if !count >= max_pairs then ()
-    else begin
-      let la = List.length a_rev in
-      let lb = List.length b_rev in
-      if la = k + 1 && lb = k then begin
-        let pr = { a = Array.of_list (List.rev a_rev); b = Array.of_list (List.rev b_rev) } in
-        if is_good p pr then emit pr
-      end
-      else if la = lb then
-        (* Next slot is an a-value: 0 allowed at the ends. *)
-        let lo = if la = 0 || la = k then 0 else 2 in
-        for v = lo to budget - 1 - a_sum do
-          go k (v :: a_rev) b_rev (a_sum + v) b_sum
-        done
-      else
-        (* Next slot is a b-value: at least 2 granules. *)
-        for v = 2 to budget - b_sum do
-          go k a_rev (v :: b_rev) a_sum (b_sum + v)
-        done
-    end
-  in
-  let max_k = p.max_layers - 1 in
-  for k = 1 to max_k do
-    go k [] [] 0 0
-  done;
-  List.rev !out
-
-let enumerate_k1 p ~a_values ~b_values =
-  let ends = 0 :: List.sort_uniq Int.compare a_values in
-  let bs = List.sort_uniq Int.compare b_values in
-  let out = ref [] in
-  List.iter
-    (fun a1 ->
-      List.iter
-        (fun a2 ->
-          List.iter
-            (fun b1 ->
-              let pr = { a = [| a1; a2 |]; b = [| b1 |] } in
-              if is_good p pr then out := pr :: !out)
-            bs)
-        ends)
-    ends;
-  List.rev !out
-
 let iter_homogeneous p ~a_values ~b_values f =
   let avs = List.sort_uniq Int.compare a_values in
   let bs = List.sort_uniq Int.compare b_values in
@@ -152,17 +94,6 @@ let iter_homogeneous p ~a_values ~b_values f =
           bs)
       avs
   done
-
-let homogeneous p ~a_values ~b_values =
-  let tbl = Hashtbl.create 64 in
-  let out = ref [] in
-  iter_homogeneous p ~a_values ~b_values (fun pr ->
-      if not (Hashtbl.mem tbl pr) then begin
-        let fresh = { a = Array.copy pr.a; b = Array.copy pr.b } in
-        Hashtbl.add tbl fresh ();
-        out := fresh :: !out
-      end);
-  List.rev !out
 
 let sample p rng ~a_values ~b_values ~count =
   let avs = Array.of_list (List.sort_uniq Int.compare (0 :: a_values)) in

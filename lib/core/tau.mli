@@ -17,14 +17,14 @@
       strictly gains).
 
     The paper enumerates {e all} good pairs — a constant, but an
-    astronomically large one.  We expose the same space through four
-    tractable entry points: exhaustive enumeration (for coarse
-    granularity), exhaustive [k = 1] enumeration over the buckets
-    actually present in the data, homogeneous pairs (uniform
-    thresholds, capturing the repeated-cycle constructions), and
-    random sampling; plus the Lemma 4.12 {e capture} constructions
-    used by tests to certify that structural augmentations appear in
-    some layered graph. *)
+    astronomically large one.  We draw from the same space through two
+    tractable generators over the buckets actually present in the data
+    — homogeneous pairs (uniform thresholds, capturing the
+    repeated-cycle constructions) and random sampling — while
+    {!Aug_class} adds the pairs realised by alternating walks, checked
+    with {!is_good_prefix}; plus the Lemma 4.12 {e capture}
+    constructions used to certify that structural augmentations appear
+    in some layered graph. *)
 
 type params = {
   granularity : float;  (** granule size as a fraction of [W]; in (0, 1] *)
@@ -62,32 +62,18 @@ val bucket_down : granule:float -> int -> int
 (** Largest [k] with [k * granule <= w] — the bucket of an {e unmatched}
     edge (rounded {e down}). *)
 
-val enumerate : params -> max_pairs:int -> pair list
-(** All good pairs in lexicographic DFS order, stopping after
-    [max_pairs].  Only practical for coarse granularity. *)
-
-val enumerate_k1 : params -> a_values:int list -> b_values:int list -> pair list
-(** All good pairs with [|tau^A| = 2] whose entries are drawn from the
-    given candidate buckets (ends of [tau^A] may also be 0).  Captures
-    every 1-augmentation and weighted 3-augmentation shape present in
-    the data. *)
-
-val homogeneous : params -> a_values:int list -> b_values:int list -> pair list
-(** Pairs with a uniform interior [tau^A] value and uniform [tau^B]
-    value, over all admissible lengths and end choices (0 or the
-    uniform value).  These capture uniform-weight augmentations and the
-    repeated-cycle construction of Section 1.1.2. *)
-
 val iter_homogeneous :
   params -> a_values:int list -> b_values:int list -> (pair -> unit) -> unit
-(** Allocation-free {!homogeneous}: the callback receives each good
-    homogeneous pair in generation order, but through a {e scratch}
-    pair whose arrays are overwritten between calls — copy [a]/[b]
-    before retaining anything.  Equal contents may be presented more
-    than once (end choices coincide when the uniform value is 0, and
-    short shapes repeat across uniform values); deduplication is the
-    caller's concern.  [homogeneous] is this iterator plus copy-on-new
-    dedup. *)
+(** The good homogeneous pairs: a uniform interior [tau^A] value and a
+    uniform [tau^B] value drawn from the given buckets, over all
+    admissible lengths and end choices (0 or the uniform value).  These
+    capture uniform-weight augmentations and the repeated-cycle
+    construction of Section 1.1.2.  The callback receives each pair in
+    generation order through a {e scratch} pair whose arrays are
+    overwritten between calls — copy [a]/[b] before retaining anything.
+    Equal contents may be presented more than once (end choices coincide
+    when the uniform value is 0, and short shapes repeat across uniform
+    values); deduplication is the caller's concern. *)
 
 val sample :
   params ->

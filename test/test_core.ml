@@ -192,33 +192,13 @@ let test_tau_bucket_inverse () =
       (float_of_int (bd + 1) *. granule > float_of_int w)
   done
 
-let test_tau_enumerate_all_good () =
-  let pairs = Tau.enumerate tp ~max_pairs:100000 in
-  check_bool "nonempty" true (pairs <> []);
-  List.iter (fun pr -> check_bool "each good" true (Tau.is_good tp pr)) pairs;
-  (* Deduped *)
-  check "no duplicates" (List.length pairs) (List.length (Tau.dedup pairs))
-
-let test_tau_enumerate_cap () =
-  let pairs = Tau.enumerate tp ~max_pairs:3 in
-  check "capped" 3 (List.length pairs)
-
-let test_tau_enumerate_k1 () =
-  let pairs = Tau.enumerate_k1 tp ~a_values:[ 2; 3 ] ~b_values:[ 3; 4 ] in
-  List.iter
-    (fun pr ->
-      check "two a-layers" 2 (Tau.layers pr);
-      check_bool "good" true (Tau.is_good tp pr))
-    pairs;
-  (* a=[0;0] b=[3] and b=[4]; a=[0;2] b=[3],[4]; a=[2;0]...; a=[0;3] b=[4];
-     a=[3;0] b=[4]; a=[2;2]? sum b - sum a >= 1 fails for b=4? 4-4=0 no. *)
-  check_bool "contains the free-free pair" true
-    (List.exists (fun pr -> pr.Tau.a = [| 0; 0 |] && pr.Tau.b = [| 3 |]) pairs)
-
 let test_tau_homogeneous () =
-  let pairs = Tau.homogeneous tp ~a_values:[ 2 ] ~b_values:[ 3 ] in
-  check_bool "nonempty" true (pairs <> []);
-  List.iter (fun pr -> check_bool "good" true (Tau.is_good tp pr)) pairs
+  let emitted = ref 0 in
+  Tau.iter_homogeneous tp ~a_values:[ 2 ] ~b_values:[ 3 ] (fun pr ->
+      incr emitted;
+      check_bool "good" true (Tau.is_good tp pr);
+      check_bool "uniform tau^B" true (Array.for_all (( = ) 3) pr.Tau.b));
+  check_bool "nonempty" true (!emitted > 0)
 
 let test_tau_sample () =
   let rng = P.create 3 in
@@ -1392,9 +1372,6 @@ let () =
           Alcotest.test_case "good pairs" `Quick test_tau_good_pair;
           Alcotest.test_case "buckets" `Quick test_tau_buckets;
           Alcotest.test_case "bucket inverse" `Quick test_tau_bucket_inverse;
-          Alcotest.test_case "enumerate" `Quick test_tau_enumerate_all_good;
-          Alcotest.test_case "enumerate cap" `Quick test_tau_enumerate_cap;
-          Alcotest.test_case "enumerate k1" `Quick test_tau_enumerate_k1;
           Alcotest.test_case "homogeneous" `Quick test_tau_homogeneous;
           Alcotest.test_case "sample" `Quick test_tau_sample;
           Alcotest.test_case "capture path" `Quick test_tau_capture_path;

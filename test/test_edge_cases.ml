@@ -96,36 +96,7 @@ let test_aug_cycle_vertices_unique () =
   check "four vertices" 4 (List.length (A.vertices c))
 
 (* ------------------------------------------------------------------ *)
-(* Tau: enumeration completeness cross-check *)
-
-let test_tau_enumerate_matches_bruteforce () =
-  (* On a tiny space, the DFS enumeration must equal the brute-force
-     filter of all (a, b) vectors. *)
-  let tp = Tau.make_params ~granularity:0.5 ~max_layers:3 ~slack:0.0 in
-  let maxg = Tau.max_granules tp in
-  check "two granules" 2 maxg;
-  let enumerated = Tau.enumerate tp ~max_pairs:10_000 in
-  (* Brute force: k in {1, 2}; values 0..maxg. *)
-  let brute = ref 0 in
-  let rec vectors len lo =
-    if len = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun rest -> List.init (maxg + 1 - lo) (fun v -> (v + lo) :: rest))
-        (vectors (len - 1) lo)
-  in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              let pr = { Tau.a = Array.of_list a; b = Array.of_list b } in
-              if Tau.is_good tp pr then incr brute)
-            (vectors k 0))
-        (vectors (k + 1) 0))
-    [ 1; 2 ];
-  check "enumeration complete" !brute (List.length enumerated)
+(* Tau *)
 
 let test_tau_layers_accessor () =
   check "layers" 3 (Tau.layers { Tau.a = [| 0; 2; 0 |]; b = [| 2; 2 |] })
@@ -293,8 +264,6 @@ let () =
         ] );
       ( "tau",
         [
-          Alcotest.test_case "enumeration complete" `Quick
-            test_tau_enumerate_matches_bruteforce;
           Alcotest.test_case "layers" `Quick test_tau_layers_accessor;
         ] );
       ( "decompose",
