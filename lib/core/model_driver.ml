@@ -84,7 +84,9 @@ let repair g m0 =
    the copies are committed only when the round returns. *)
 let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
     rng g =
-  let m = ref (match init with None -> M.create (G.n g) | Some m0 -> repair g m0) in
+  let m =
+    ref (match init with None -> M.create (G.n g) | Some m0 -> repair g m0)
+  in
   let cancelled = ref false in
   let stop_requested i =
     match cancel with

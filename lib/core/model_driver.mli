@@ -1,7 +1,9 @@
 (** Model instantiations of the [(1 - eps)] reduction (Theorem 1.2).
 
-    The computation is the one performed by {!Main_alg}; what the
-    drivers add is the {e model accounting} of Theorem 4.1's
+    The computation is the one performed by {!Main_alg}, and both
+    drivers run the same improvement loop (warm-start repair, the
+    round-boundary [cancel] hook, the patience rule, checkpoint/retry);
+    what they add is the {e model accounting} of Theorem 4.1's
     implementation sections:
 
     - streaming: each improvement round costs one pass to materialise
@@ -19,18 +21,20 @@
 
     {b Faults and recovery.}  Both drivers ride out injected faults
     (DESIGN.md §"Fault model & recovery semantics").  Each improvement
-    round is bracketed by a checkpoint of the matching and the rng
-    position; a round that crashes (an {!Wm_fault.Injector.Injected_crash}
-    from the substrate or the driver's own fault points) is retried from
-    the checkpoint with exponential backoff billed to the model's
-    resource meter (MPC rounds / stream passes).  Because the retry
-    replays the round from copies of the checkpointed state, a run that
-    survives its fault plan commits exactly the fault-free sequence of
-    matchings — same final weight, more rounds/passes.  The streaming
-    driver additionally degrades gracefully: injected memory pressure
-    sheds the lowest-excess retained edges instead of aborting.  With no
-    active fault plan every hook short-circuits and both drivers are
-    byte-identical to their fault-free behaviour. *)
+    round starts with a billed checkpoint of the matching and the rng
+    position (MPC: one round, replicated; streaming: a [core.recovery]
+    row) and runs on copies of that state, which commit when the round
+    returns.  A round that crashes (an {!Wm_fault.Injector.Injected_crash}
+    from the substrate or the driver's own fault points) is re-run on
+    fresh copies with exponential backoff billed to the model's resource
+    meter (MPC rounds / stream passes).  Because every attempt starts
+    from the same state, a run that rides out crashes and stragglers
+    commits exactly the fault-free sequence of matchings — same final
+    matching, more rounds/passes.  The streaming driver additionally
+    degrades gracefully: injected memory pressure sheds the lowest-excess
+    retained edges instead of aborting.  With no active fault plan every
+    hook short-circuits and both drivers are byte-identical to their
+    fault-free behaviour. *)
 
 type streaming_result = {
   matching : Wm_graph.Matching.t;
@@ -72,7 +76,8 @@ val streaming :
     process-wide {!Wm_fault.Spec.default}) drives the driver-level fault
     points: round crashes retried from per-round checkpoints (extra
     passes billed), record faults applied at ingest (the ground-truth
-    graph is untouched), and memory-pressure shedding.  Raises
+    graph is untouched, and the returned matching carries its edges and
+    weights), and memory-pressure shedding.  Raises
     {!Wm_fault.Injector.Budget_exhausted} when a round crashes on every
     retry attempt.
 

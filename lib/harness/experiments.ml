@@ -1269,11 +1269,11 @@ let run_t11 ~quick ~seed =
   let mwords w = float_of_int w /. 1e6 in
   List.iter
     (fun n ->
-      (* Per-family size ceiling: bip-skew's Zipf hubs make the
-         greedy+swaps exact stand-in in rand-arr's M1 step quadratic
-         (~300 s at n = 10^5 on the reference host, hours at 10^6), so
-         that family stops a decade early — a documented cap, not a
-         silent one (see the note below). *)
+      (* Per-family size ceiling: bip-skew's retained set is bipartite,
+         so rand-arr's M1 step fills the dense O(rows * cols^2)
+         Hungarian table on it (~300 s at n = 10^5 on the reference
+         host, hours at 10^6); that family stops a decade early — a
+         documented cap, not a silent one (see the note below). *)
       let families =
         [
           ( "power-law",
@@ -1337,11 +1337,13 @@ let run_t11 ~quick ~seed =
     "gen-Mw / solve-Mw are program-wide minor-allocation deltas in millions \
      of words, peak-Mw the process top-heap watermark; generation stays \
      O(m) ints of working set (no per-edge boxing).  Solve cost is not \
-     monotone in n: at small n the exact matcher on the retained prefix \
-     set dominates, while at n = 10^6 the stream passes do.  bip-skew \
-     stops at n = 10^5: its Zipf hubs make the greedy+swaps matcher on \
-     the retained set quadratic, which is a property of the exact \
-     stand-in, not of the generator or the arena kernels"
+     monotone in n: at n = 10^4 the power-law and geometric M1 step is \
+     the exact cubic Weighted_blossom on the retained set; above \
+     Mwm_general.blossom_cap (n > 20000) M1 is the heuristic \
+     greedy_plus_swaps, and at n = 10^6 the stream passes dominate.  \
+     bip-skew stops at n = 10^5: its retained set is bipartite, and the \
+     dense O(rows * cols^2) Hungarian table on it is the cost, not the \
+     generator or the arena kernels"
 
 (* ------------------------------------------------------------------ *)
 (* T12: durable sessions — kill mid-stream, restore, byte-identical.
