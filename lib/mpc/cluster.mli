@@ -27,9 +27,9 @@
     one round each for state the driver holds itself, and {!with_retry}
     re-runs a crashed step with exponential round-backoff billed to the
     same round clock, so the price of riding out a fault plan shows up
-    in [mpc.rounds] and the [mpc.faults] ledger section.  With an inert spec every hook
-    short-circuits and the op sequence is byte-identical to the
-    fault-free build. *)
+    in [mpc.rounds] and the [mpc.faults] ledger section.  With an inert
+    spec every hook short-circuits and the op sequence is
+    byte-identical to the fault-free build. *)
 
 type t
 
