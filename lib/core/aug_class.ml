@@ -17,9 +17,18 @@ type stats = {
 
 (* The unmatched incidences of [m] as a CSR: vertex [v]'s entries are
    [off.(v) .. off.(v + 1) - 1] of [nbr]/[wt], in [G.iter_neighbors]
-   order.  It depends on [g] and [m] alone, so one per round serves
-   every class, read-only from any domain. *)
-type incidence = { off : int array; nbr : int array; wt : int array }
+   order; each vertex's mate (-1 when free) and matched weight (0 when
+   free); and the flat edge view every class's layered cache is
+   prepared from.  All depend on [g] and [m] alone, so one per round
+   serves every class, read-only from any domain. *)
+type incidence = {
+  off : int array;
+  nbr : int array;
+  wt : int array;
+  mate : int array;
+  mwt : int array;
+  view : Layered.view;
+}
 
 let incidence g m =
   let n = G.n g in
@@ -38,7 +47,14 @@ let incidence g m =
           incr k
         end)
   done;
-  { off; nbr; wt }
+  {
+    off;
+    nbr;
+    wt;
+    mate = Array.init n (fun v -> Option.value (M.mate m v) ~default:(-1));
+    mwt = Array.init n (M.weight_at m);
+    view = Layered.view g m;
+  }
 
 (* Per-domain buffers for the current walk's bucket sequences. *)
 let walk_slot =
@@ -50,25 +66,25 @@ let walk_slot =
    whose layered graphs are non-empty. *)
 let walk_pairs params rng ~inc (gp : Layered.parametrized) ~scale ~count =
   let tp = Params.tau_params params in
-  let m = gp.Layered.matching in
   let n = G.n gp.Layered.graph in
   if n = 0 then []
   else begin
     let granule = params.Params.granularity *. scale in
     let a_bk, b_bk = Arena.get walk_slot in
-    let { off; nbr; wt } = inc in
+    let { off; nbr; wt; mate; mwt; _ } = inc in
+    (* The walks' buckets at this scale: each vertex's matched edge
+       rounded up (0 when free) and each unmatched incidence rounded
+       down, computed once rather than at every step. *)
+    let up = Array.map (Tau.bucket_up ~granule) mwt in
+    let down = Array.map (Tau.bucket_down ~granule) wt in
     let pairs = ref [] in
     for _ = 1 to count do
       let start = Wm_graph.Prng.int rng n in
       Arena.Ints.clear a_bk;
       Arena.Ints.clear b_bk;
       (* First matched bucket: the anchor's matching edge, or a free end. *)
-      let cur = ref start in
-      (match M.edge_at m start with
-      | Some e ->
-          Arena.Ints.push a_bk (Tau.bucket_up ~granule (E.weight e));
-          cur := E.other e start
-      | None -> Arena.Ints.push a_bk 0);
+      Arena.Ints.push a_bk up.(start);
+      let cur = ref (if mate.(start) >= 0 then mate.(start) else start) in
       let steps = 1 + Wm_graph.Prng.int rng (params.Params.max_layers - 1) in
       let step = ref 1 in
       while !step <= steps do
@@ -81,16 +97,14 @@ let walk_pairs params rng ~inc (gp : Layered.parametrized) ~scale ~count =
         if unmatched_count = 0 then step := steps + 1
         else begin
           let i = lo + Wm_graph.Prng.int rng unmatched_count in
-          Arena.Ints.push b_bk (Tau.bucket_down ~granule wt.(i));
+          Arena.Ints.push b_bk down.(i);
           let x = nbr.(i) in
-          match M.edge_at m x with
-          | Some e' ->
-              Arena.Ints.push a_bk (Tau.bucket_up ~granule (E.weight e'));
-              cur := E.other e' x;
-              incr step
-          | None ->
-              Arena.Ints.push a_bk 0;
-              step := steps + 1
+          Arena.Ints.push a_bk up.(x);
+          if mate.(x) >= 0 then begin
+            cur := mate.(x);
+            incr step
+          end
+          else step := steps + 1
         end
       done;
       let la = Arena.Ints.length a_bk and lb = Arena.Ints.length b_bk in
@@ -138,18 +152,18 @@ let candidate_pairs params rng ~inc ~cache gp ~scale =
        list the old [Tau.dedup] of the concatenation produced, but the
        homogeneous family streams through a scratch pair and only its
        {e new} members are ever materialised. *)
-    let seen = Hashtbl.create 256 in
+    let seen = Tau.Tbl.create 256 in
     let out = ref [] in
     let add_scratch pr =
-      if not (Hashtbl.mem seen pr) then begin
+      if not (Tau.Tbl.mem seen pr) then begin
         let fresh = { Tau.a = Array.copy pr.Tau.a; b = Array.copy pr.Tau.b } in
-        Hashtbl.add seen fresh ();
+        Tau.Tbl.add seen fresh ();
         out := fresh :: !out
       end
     in
     let add_own pr =
-      if not (Hashtbl.mem seen pr) then begin
-        Hashtbl.add seen pr ();
+      if not (Tau.Tbl.mem seen pr) then begin
+        Tau.Tbl.add seen pr ();
         out := pr :: !out
       end
     in
@@ -164,7 +178,7 @@ let candidate_pairs params rng ~inc ~cache gp ~scale =
 (* One pair's layered-graph evaluation, up to (but excluding) the
    used-vertex filtering: build the layered graph, run the black box,
    and project every augmenting path back to candidate components in
-   path order.  Reads [gp]/[m] only and draws no randomness. *)
+   path order.  Reads [cache]/[m] only and draws no randomness. *)
 type pair_eval = {
   pe_candidates : Aug.t list;  (* path order, each strictly gainful *)
   pe_layered_edges : int;
@@ -173,8 +187,8 @@ type pair_eval = {
   pe_paths : int;
 }
 
-let eval_pair ~cache params tp (gp : Layered.parametrized) m ~scale pair =
-  match Layered.build_opt ~cache tp gp pair ~scale with
+let eval_pair ~cache params m pair =
+  match Layered.build_opt cache pair with
   (* No between-layer edge survived the filter: nothing to find, and
      nothing was materialised. *)
   | Layered.Trivial layered_edges ->
@@ -217,7 +231,7 @@ let used_slot = Arena.slot (fun () -> Arena.Stamp.create ())
 
 let run ?(span_path = "core.aug_class") params rng g m ~inc ~scale =
   let tp = Params.tau_params params in
-  let gp = Layered.parametrize rng g m in
+  let gp = Layered.parametrize rng inc.view in
   (* Two root spans per class — the layered cache and candidate
      generation, then every pair's evaluation — under explicit paths,
      so the timer set is the same at any jobs setting and bounded per
@@ -233,7 +247,7 @@ let run ?(span_path = "core.aug_class") params rng g m ~inc ~scale =
   (* Phase 1: evaluate every pair's layered graph, in pair order. *)
   let evals =
     span "/eval" (fun () ->
-        List.map (eval_pair ~cache params tp gp m ~scale) pairs)
+        List.map (eval_pair ~cache params m) pairs)
   in
   let sum f = List.fold_left (fun acc e -> acc + f e) 0 evals in
   let peak f = List.fold_left (fun acc e -> Stdlib.max acc (f e)) 0 evals in

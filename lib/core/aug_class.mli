@@ -35,13 +35,14 @@ val one_augmentations :
 
 type incidence
 (** The unmatched incidences of a matching as a CSR, each vertex's in
-    neighbour order.  Immutable; share one across every class of a
-    round, from any number of domains. *)
+    neighbour order, and the {!Layered.view} of the graph and matching.
+    Immutable; share one across every class of a round, from any number
+    of domains. *)
 
 val incidence :
   Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t -> incidence
-(** [incidence g m] for the walks of every class run against [g] and
-    [m]. *)
+(** [incidence g m] for the walks and layered caches of every class run
+    against [g] and [m]. *)
 
 val walk_pairs :
   Params.t ->

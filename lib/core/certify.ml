@@ -296,7 +296,7 @@ let verify tp w g m aug =
             List.for_all
               (fun le ->
                 let x, y = E.endpoints le in
-                match G.find_edge lay.Layered.lgraph x y with
+                match Layered.find_edge lay x y with
                 | Some e' -> E.weight e' = E.weight le
                 | None -> false)
               layered_edges

@@ -14,18 +14,22 @@
     respect to the retained matched edges correspond to strictly
     gainful weighted augmentations of the original graph. *)
 
+type view
+(** The matched and unmatched edges of a graph and matching as flat
+    arrays — the round-invariant input of {!prepare}.  Immutable; share
+    one across every class of a round, from any number of domains. *)
+
+val view : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t -> view
+
 type parametrized = {
   side : bool array;  (** [true] = the vertex is in L *)
   graph : Wm_graph.Weighted_graph.t;
   matching : Wm_graph.Matching.t;  (** the current matching M *)
+  view : view;  (** [view graph matching] *)
 }
 
-val parametrize :
-  Wm_graph.Prng.t ->
-  Wm_graph.Weighted_graph.t ->
-  Wm_graph.Matching.t ->
-  parametrized
-(** Draw a uniform random bipartition. *)
+val parametrize : Wm_graph.Prng.t -> view -> parametrized
+(** Draw a uniform random bipartition of the view's graph. *)
 
 val parametrize_with :
   side:bool array ->
@@ -38,11 +42,17 @@ type t = {
   base_n : int;
   layer_count : int;  (** [k+1] *)
   lgraph : Wm_graph.Weighted_graph.t;
-      (** the graph [L'] on [(k+1) * base_n] vertices: intermediate-layer
-          matched edges plus all retained between-layer edges; edge
-          weights are the original weights *)
+      (** the graph [L'] on the endpoints of its edges: intermediate-layer
+          matched edges plus all retained between-layer edges, with the
+          original weights.  Vertex [x < Array.length ids] is the
+          layered vertex [ids.(x)]; a vertex past them is an isolated
+          left sentinel, present when some left layered copy has no
+          retained edge *)
   init : Wm_graph.Matching.t;
       (** [M_(L')]: the intermediate-layer matched edges *)
+  ids : int array;
+      (** the layered ids ({!vertex_id}) of [lgraph]'s non-sentinel
+          vertices, ascending *)
   pair : Tau.pair;
   scale : float;  (** [W] *)
   side : bool array;  (** the bipartition used, over base vertices *)
@@ -59,11 +69,12 @@ val layer_of : base_n:int -> int -> int
 (** The (1-based) layer a layered vertex lives in. *)
 
 type cache
-(** The pair-invariant half of a build — the bipartition-crossing
-    matched and unmatched edges with their buckets at one granule, the
-    unmatched ones also indexed by down-bucket.  Immutable; share one
-    across every pair of a (parametrization, scale), from any number
-    of domains. *)
+(** The pair-invariant half of a build: the bipartition-crossing
+    matched edges grouped by up-bucket, and the crossing unmatched
+    edges grouped by (down-bucket, key of the R end, key of the L end),
+    where a vertex's key is the up-bucket of its crossing matched edge
+    or a distinct free key.  Immutable; share one across every pair of
+    a (parametrization, scale), from any number of domains. *)
 
 val prepare : Tau.params -> parametrized -> scale:float -> cache
 
@@ -75,12 +86,9 @@ val present : cache -> int list * int list
     (candidate [tau^B] entries).  Read off the cache, with no edge
     scan. *)
 
-val build :
-  ?cache:cache -> Tau.params -> parametrized -> Tau.pair -> scale:float -> t
-(** Construct [L'] for one [(tau^A, tau^B)] pair and scale [W].
-    [cache] (from {!prepare} with the same parametrization and scale)
-    skips the per-pair rescan of all base edges; without it one is
-    computed on the fly. *)
+val build : Tau.params -> parametrized -> Tau.pair -> scale:float -> t
+(** Construct [L'] for one [(tau^A, tau^B)] pair and scale [W]: a fresh
+    {!prepare}, then the same construction as {!build_opt}'s [Graph]. *)
 
 type built =
   | Graph of t
@@ -88,26 +96,29 @@ type built =
       (** no between-layer edge survived the filter, so [L'] has no
           augmenting path; the payload is its (X-only) edge count *)
 
-val build_opt :
-  ?cache:cache -> Tau.params -> parametrized -> Tau.pair -> scale:float -> built
-(** As {!build}, but a pair whose layered graph cannot contain an
-    augmenting path returns [Trivial] without materialising the
-    O([layer_count * n]) graph and initial matching — the common case
-    for enumerated pairs, and the hot-path reason per-pair evaluation
-    is allocation-free.  Triviality is decided over the cache's
-    down-bucket index, visiting only the unmatched edges in the pair's
-    [tau^B] buckets; the ordered edge fill runs only for a [Graph].
-    Build counters are updated exactly as {!build} would. *)
+val build_opt : cache -> Tau.pair -> built
+(** [L'] for one pair at the cache's parametrization and scale, in
+    O(k + |L'| log |L'|).  A pair is [Trivial] iff no gap [t] has a
+    crossing unmatched edge group keyed (tau^B_t, R key kept in layer
+    [t], L key kept in layer [t+1]) — O(k) lookups that allocate
+    nothing, with the X count summed from per-bucket group sizes.  A
+    [Graph] is built from the kept groups alone: X edges layer-major in
+    reverse cache order, then Y edges in reverse (edge, gap) discovery
+    order.  Build counters are updated exactly as {!build} would. *)
 
 val left : t -> int -> bool
-(** Bipartition of the layered graph: a layered copy of an L-vertex is
-    on the left. *)
+(** Bipartition of the layered graph: a layered copy of an L-vertex,
+    and the sentinel, are on the left. *)
 
 val edge_count : t -> int
 (** Retained edges — the memory this instance charges. *)
+
+val find_edge : t -> int -> int -> Wm_graph.Edge.t option
+(** [find_edge t x y] is the retained edge between the layered vertices
+    [x] and [y] ({!vertex_id}s), with layered endpoints. *)
 
 val augmenting_paths :
   t -> Wm_graph.Matching.t -> Wm_graph.Edge.t list list
 (** [augmenting_paths t m'] extracts from [m' ∪ init] the alternating
     components that are augmenting paths for [init] (strictly more
-    [m']-edges), as ordered layered edge lists. *)
+    [m']-edges), as ordered edge lists over layered ids. *)

@@ -79,7 +79,8 @@ let repair g m0 =
    committed — never mid-round, so a cancelled run always holds a
    committed (round-atomic) matching.  A round is dry when it gains
    nothing and sheds nothing; [patience] dry rounds in a row stop the
-   loop.  Under an active fault plan every attempt runs on copies of the
+   loop, and a graph with no positive-weight edge, where every round
+   is dry, runs none.  Under an active fault plan every attempt runs on copies of the
    round-start matching and rng, so a crash discards partial state and
    the copies are committed only when the round returns. *)
 let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
@@ -97,7 +98,9 @@ let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
   in
   let dry = ref 0 and i = ref 0 in
   while
-    !dry < patience && !i < params.Params.max_iterations
+    G.max_weight g > 0
+    && !dry < patience
+    && !i < params.Params.max_iterations
     && not (stop_requested !i)
   do
     let at = !i in

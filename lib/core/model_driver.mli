@@ -2,7 +2,8 @@
 
     The computation is the one performed by {!Main_alg}, and both
     drivers run the same improvement loop (warm-start repair, the
-    round-boundary [cancel] hook, the patience rule, checkpoint/retry);
+    round-boundary [cancel] hook, the patience rule, checkpoint/retry;
+    on a graph with no positive-weight edge it runs no round at all);
     what they add is the {e model accounting} of Theorem 4.1's
     implementation sections:
 

@@ -53,14 +53,32 @@ let bucket_down ~granule w =
   if w <= 0 then 0
   else int_of_float (Float.floor ((float_of_int w /. granule) +. tol))
 
+module Tbl = Hashtbl.Make (struct
+  type t = pair
+
+  let same x y =
+    Array.length x = Array.length y
+    &&
+    let i = ref 0 in
+    while !i < Array.length x && x.(!i) = y.(!i) do
+      incr i
+    done;
+    !i = Array.length x
+
+  let equal p q = same p.a q.a && same p.b q.b
+
+  let hash p =
+    let mix h x = (h * 31) + x in
+    Array.fold_left mix (Array.fold_left mix 7 p.a) p.b land max_int
+end)
+
 let dedup pairs =
-  let tbl = Hashtbl.create (List.length pairs) in
+  let tbl = Tbl.create (List.length pairs) in
   List.filter
     (fun pr ->
-      let key = (Array.to_list pr.a, Array.to_list pr.b) in
-      if Hashtbl.mem tbl key then false
+      if Tbl.mem tbl pr then false
       else begin
-        Hashtbl.add tbl key ();
+        Tbl.add tbl pr ();
         true
       end)
     pairs
@@ -68,31 +86,46 @@ let dedup pairs =
 let iter_homogeneous p ~a_values ~b_values f =
   let avs = List.sort_uniq Int.compare a_values in
   let bs = List.sort_uniq Int.compare b_values in
+  let cap = max_granules p in
+  let max_b = List.fold_left Stdlib.max 0 bs in
   for k = 1 to p.max_layers - 1 do
     (* One scratch pair per length [k]; its contents are overwritten in
        place for every (av, bv, ends) combination, so the per-candidate
-       cost is a fill plus the goodness check — no allocation. *)
+       cost is a fill plus the goodness check — no allocation.  Values
+       that fail [is_good] whatever the rest of the pair are skipped
+       before the fill: a [tau^B] entry below 2 or summing past [cap],
+       an interior [tau^A] entry below 2, and (avs ascending) every
+       [av] from the first whose interior alone outweighs the largest
+       [tau^B] sum. *)
     let a = Array.make (k + 1) 0 in
     let pr = { a; b = Array.make k 0 } in
-    List.iter
-      (fun av ->
-        for i = 1 to k - 1 do
-          a.(i) <- av
-        done;
-        List.iter
-          (fun bv ->
-            Array.fill pr.b 0 k bv;
-            let try_ends first last =
-              a.(0) <- first;
-              a.(k) <- last;
-              if is_good p pr then f pr
-            in
-            try_ends av av;
-            try_ends 0 av;
-            try_ends av 0;
-            try_ends 0 0)
-          bs)
-      avs
+    let rec over_a = function
+      | [] -> ()
+      | av :: _ when (k - 1) * av >= k * max_b -> ()
+      | av :: rest ->
+          if k = 1 || av >= 2 then begin
+            for i = 1 to k - 1 do
+              a.(i) <- av
+            done;
+            List.iter
+              (fun bv ->
+                if bv >= 2 && k * bv <= cap then begin
+                  Array.fill pr.b 0 k bv;
+                  let try_ends first last =
+                    a.(0) <- first;
+                    a.(k) <- last;
+                    if is_good p pr then f pr
+                  in
+                  try_ends av av;
+                  try_ends 0 av;
+                  try_ends av 0;
+                  try_ends 0 0
+                end)
+              bs
+          end;
+          over_a rest
+    in
+    over_a avs
   done
 
 let sample p rng ~a_values ~b_values ~count =

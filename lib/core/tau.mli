@@ -85,7 +85,11 @@ val sample :
 (** [count] random draws over the given buckets, filtered to good pairs
     and deduplicated (the result may be shorter than [count]). *)
 
+module Tbl : Hashtbl.S with type key = pair
+(** Hash tables keyed by a pair's contents. *)
+
 val dedup : pair list -> pair list
+(** First occurrence of each pair's contents, in order. *)
 
 val capture_path : params -> a_buckets:int list -> b_buckets:int list -> pair option
 (** Lemma 4.12 (path case): the pair whose layered graph contains a path

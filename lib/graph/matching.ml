@@ -155,45 +155,51 @@ let symmetric_difference m1 m2 =
           comps := [ e1; e2 ] :: !comps
       | _ -> ()
   done;
-  let candidates v =
-    List.filter_map Fun.id [ m1.mates.(v); m2.mates.(v) ]
+  (* The union degree of [v] is 0, 1 or 2: its [m1] and [m2] edges, in
+     that order. *)
+  let degree v =
+    Bool.to_int (Option.is_some m1.mates.(v))
+    + Bool.to_int (Option.is_some m2.mates.(v))
   in
   let walk_from start =
     let acc = ref [] in
     let v = ref start in
+    (* The edge the walk arrived by; [start] has none. *)
     let prev = ref None in
+    let fresh = function
+      | Some e as o -> (
+          match !prev with
+          | Some p when Edge.same_endpoints e p -> None
+          | _ -> o)
+      | None -> None
+    in
     let running = ref true in
     while !running do
       visited.(!v) <- true;
       let next =
-        List.filter
-          (fun e ->
-            match !prev with
-            | Some p -> not (Edge.same_endpoints e p)
-            | None -> true)
-          (candidates !v)
+        match fresh m1.mates.(!v) with
+        | Some _ as o -> o
+        | None -> fresh m2.mates.(!v)
       in
       match next with
-      | [] -> running := false
-      | e :: _ ->
+      | None -> running := false
+      | Some e ->
           acc := e :: !acc;
           let u = Edge.other e !v in
           if visited.(u) then running := false
           else (
-            prev := Some e;
+            prev := next;
             v := u)
     done;
     List.rev !acc
   in
   (* Paths: start at vertices of union-degree one. *)
   for v = 0 to nv - 1 do
-    if (not visited.(v)) && List.length (candidates v) = 1 then
-      comps := walk_from v :: !comps
+    if (not visited.(v)) && degree v = 1 then comps := walk_from v :: !comps
   done;
   (* Cycles: whatever unvisited matched vertices remain. *)
   for v = 0 to nv - 1 do
-    if (not visited.(v)) && candidates v <> [] then
-      comps := walk_from v :: !comps
+    if (not visited.(v)) && degree v > 0 then comps := walk_from v :: !comps
   done;
   !comps
 

@@ -629,7 +629,7 @@ let run_a1 ~quick ~seed =
     let paths = ref 0 and nonsimple = ref 0 and comps = ref 0 and invalid = ref 0 in
     let inc = Wm_core.Aug_class.incidence g m in
     for _ = 1 to trials do
-      let gp = Wm_core.Layered.parametrize rng g m in
+      let gp = Wm_core.Layered.parametrize rng (Wm_core.Layered.view g m) in
       List.iter
         (fun scale ->
           let cache = Wm_core.Layered.prepare tp gp ~scale in

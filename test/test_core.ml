@@ -664,7 +664,7 @@ let test_walk_pairs_good () =
   let g = Gen.gnp rng ~n:40 ~p:0.2 ~weights:(Gen.Uniform (1, 20)) in
   let m = Wm_algos.Greedy.by_weight g in
   let params = Params.practical ~epsilon:0.1 () in
-  let gp = Layered.parametrize rng g m in
+  let gp = Layered.parametrize rng (Layered.view g m) in
   let pairs =
     AC.walk_pairs params rng ~inc:(AC.incidence g m) gp ~scale:16.0 ~count:200
   in
@@ -911,6 +911,27 @@ let test_mpc_driver () =
   check_bool "rounds charged" true (r.MD.rounds > r.MD.rounds_run);
   check "machines" 8 r.MD.machines
 
+(* A graph with no positive-weight edge has nothing to gain: the shared
+   loop runs no round, so streaming bills no pass and MPC no round
+   beyond the initial scatter. *)
+let test_drivers_empty_graph () =
+  let params = Params.practical ~epsilon:0.2 () in
+  let g = G.create ~n:4 [ E.make 0 1 0; E.make 2 3 0 ] in
+  List.iter
+    (fun g ->
+      let s = MD.streaming params (P.create 77) (ES.of_graph g) in
+      check "streaming rounds" 0 s.MD.rounds_run;
+      check "streaming passes" 0 s.MD.passes;
+      let cluster = MD.mpc_cluster g in
+      let scattered = Wm_mpc.Cluster.rounds cluster in
+      ignore (Wm_mpc.Cluster.scatter cluster (G.edges g));
+      let scatter = Wm_mpc.Cluster.rounds cluster - scattered in
+      let r = MD.mpc params (P.create 78) (MD.mpc_cluster g) g in
+      check "mpc rounds run" 0 r.MD.rounds_run;
+      check "mpc bills only the scatter" scatter r.MD.rounds;
+      check "matching empty" 0 (M.size r.MD.matching))
+    [ G.empty 0; g ]
+
 let test_mpc_driver_memory_violation () =
   let grng = P.create 75 in
   let g = Gen.gnp grng ~n:60 ~p:0.4 ~weights:(Gen.Uniform (1, 20)) in
@@ -1054,7 +1075,7 @@ let prop_layered_invariants =
       let m = Wm_algos.Greedy.by_weight g in
       let params = Params.practical ~epsilon:0.2 () in
       let tp = Params.tau_params params in
-      let gp = Layered.parametrize rng g m in
+      let gp = Layered.parametrize rng (Layered.view g m) in
       let scale = 16.0 in
       let granule = params.Params.granularity *. scale in
       let pairs =
@@ -1073,8 +1094,8 @@ let prop_layered_invariants =
                 ok
                 &&
                 let x, y = E.endpoints e in
-                let lx = Layered.layer_of ~base_n:n x
-                and ly = Layered.layer_of ~base_n:n y in
+                let layer v = Layered.layer_of ~base_n:n lay.Layered.ids.(v) in
+                let lx = layer x and ly = layer y in
                 let w = E.weight e in
                 if lx = ly then
                   (* matched copy in an intermediate layer: bucket-up
@@ -1095,7 +1116,7 @@ let prop_layered_invariants =
                 ok
                 &&
                 let x, _ = E.endpoints e in
-                let t = Layered.layer_of ~base_n:n x in
+                let t = Layered.layer_of ~base_n:n lay.Layered.ids.(x) in
                 t >= 2 && t <= lay.Layered.layer_count - 1)
               true lay.Layered.init
           in
@@ -1179,9 +1200,11 @@ let reference_walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
     !pairs
   end
 
-(* A random oracle instance: a gnp or power-law graph with a greedy or
-   an empty matching, parametrized by a random bipartition, plus the
-   generator to keep drawing from. *)
+(* A random oracle instance: a gnp or power-law graph, in a third of
+   the draws with every weight lowered by one so that zero-weight edges
+   (bucket 0 either way) occur, matched or not; a greedy or an empty
+   matching; a random bipartition; and the generator to keep drawing
+   from. *)
 let oracle_instance seed =
   let rng = P.create seed in
   let n = 8 + P.int rng 60 in
@@ -1190,8 +1213,11 @@ let oracle_instance seed =
     if P.bool rng then Gen.gnp rng ~n ~p:(0.05 +. P.float rng 0.3) ~weights
     else Gen.power_law_scale rng ~n ~attach:(1 + P.int rng 4) ~weights
   in
+  let g =
+    if P.int rng 3 = 0 then G.map_weights g (fun e -> E.weight e - 1) else g
+  in
   let m = if P.bool rng then Wm_algos.Greedy.by_weight g else M.create n in
-  (rng, Layered.parametrize rng g m)
+  (rng, Layered.parametrize rng (Layered.view g m))
 
 let oracle_scales = [ 1.0; 4.0; 16.0; 64.0; 256.0 ]
 
@@ -1211,61 +1237,204 @@ let prop_walk_pairs_oracle =
           got = want && P.state r1 = P.state r2)
         oracle_scales)
 
-(* [build_opt] decides triviality from the down-bucket index; [build]
-   fills every Y edge.  They must agree: [Trivial] exactly when the
-   full build kept only X edges (all of them in [init]), and otherwise
-   the very same edges in the very same order.  Pairs come from the
+(* The (k+1)·n construction that [Layered.build_opt] replaced, kept as
+   its oracle on full layered ids: mark every kept layered copy (the
+   endpoints of a crossing matched edge in each layer whose tau^A entry
+   is its up-bucket, plus M-free R starts in layer 1 and L ends in
+   layer k+1 under a zero end threshold), emit the intermediate-layer
+   X edges layer-major in reverse matching order, then every crossing
+   unmatched edge whose down-bucket is its gap's tau^B entry and whose
+   two layered endpoints are kept, in reverse (edge, gap) order.
+   Returns the edges and the X count. *)
+let reference_build tp (gp : Layered.parametrized) pair ~scale =
+  let g = gp.Layered.graph and m = gp.Layered.matching in
+  let side = gp.Layered.side in
+  let n = G.n g and k = Array.length pair.Tau.b in
+  let granule = tp.Tau.granularity *. scale in
+  let id layer v = Layered.vertex_id ~base_n:n ~layer v in
+  let keep = Array.make ((k + 1) * n) false in
+  let crossing e =
+    let u, v = E.endpoints e in
+    side.(u) <> side.(v)
+  in
+  let matched = List.rev (List.filter crossing (M.edges m)) in
+  let xs = ref [] in
+  for layer = 1 to k + 1 do
+    List.iter
+      (fun e ->
+        if Tau.bucket_up ~granule (E.weight e) = pair.Tau.a.(layer - 1) then begin
+          let u, v = E.endpoints e in
+          keep.(id layer u) <- true;
+          keep.(id layer v) <- true;
+          if layer >= 2 && layer <= k then
+            xs := E.make (id layer u) (id layer v) (E.weight e) :: !xs
+        end)
+      matched
+  done;
+  for v = 0 to n - 1 do
+    if not (M.is_matched m v) then begin
+      if (not side.(v)) && pair.Tau.a.(0) = 0 then keep.(id 1 v) <- true;
+      if side.(v) && pair.Tau.a.(k) = 0 then keep.(id (k + 1) v) <- true
+    end
+  done;
+  let ys = ref [] in
+  G.iter_edges
+    (fun e ->
+      if crossing e && not (M.mem m e) then begin
+        let u, v = E.endpoints e in
+        let r, l = if side.(u) then (v, u) else (u, v) in
+        for t = 1 to k do
+          if
+            Tau.bucket_down ~granule (E.weight e) = pair.Tau.b.(t - 1)
+            && keep.(id t r)
+            && keep.(id (t + 1) l)
+          then ys := E.make (id t r) (id (t + 1) l) (E.weight e) :: !ys
+        done
+      end)
+    g;
+  (List.rev_append !xs !ys, List.length !xs)
+
+(* [lay]'s edges over layered ids, in [lgraph] order. *)
+let layered_edges lay =
+  let ids = lay.Layered.ids in
+  List.map
+    (fun e ->
+      let x, y = E.endpoints e in
+      E.make ids.(x) ids.(y) (E.weight e))
+    (G.edge_list lay.Layered.lgraph)
+
+(* Oracle instances and pairs for [build_opt]: every pair of the
    candidate pool plus arbitrary shapes whose [tau^B] entries may
-   exceed [max_granules]. *)
+   exceed [max_granules], at each oracle scale.  [check] receives the
+   instance, its cache, the pair and the scale. *)
+let for_all_build_cases seed check =
+  let rng, gp = oracle_instance seed in
+  let params = Params.practical ~epsilon:(0.2 +. P.float rng 0.2) () in
+  let tp = Params.tau_params params in
+  let cap = Tau.max_granules tp in
+  let edges = G.edges gp.Layered.graph in
+  let matched = Array.of_list (M.edges gp.Layered.matching) in
+  let pick arr = arr.(P.int rng (Array.length arr)) in
+  let inc = AC.incidence gp.Layered.graph gp.Layered.matching in
+  (* Thresholds mostly taken from the instance's own buckets, so the
+     shapes keep vertices and edges, including heavy edges past
+     [max_granules]. *)
+  let arbitrary granule =
+    let k = 1 + P.int rng (tp.Tau.max_layers - 1) in
+    let a_entry _ =
+      if matched = [||] || P.bool rng then 0
+      else Tau.bucket_up ~granule (E.weight (pick matched))
+    in
+    let b_entry _ =
+      if edges = [||] || P.int rng 4 = 0 then P.int rng (cap + 4)
+      else Tau.bucket_down ~granule (E.weight (pick edges))
+    in
+    { Tau.a = Array.init (k + 1) a_entry; b = Array.init k b_entry }
+  in
+  List.for_all
+    (fun scale ->
+      let granule = params.Params.granularity *. scale in
+      let cache = Layered.prepare tp gp ~scale in
+      let pairs =
+        AC.candidate_pairs params rng ~inc ~cache gp ~scale
+        @ List.init 40 (fun _ -> arbitrary granule)
+      in
+      List.for_all (fun pair -> check params tp gp cache pair ~scale) pairs)
+    oracle_scales
+
+(* [build_opt] against the reference: [Trivial] exactly when the
+   reference kept only X edges, with their count; otherwise the same
+   edges in the same order once mapped back to layered ids, the same
+   [init], ascending ids that are all endpoints, and the sentinel
+   exactly when some left layered copy has no edge. *)
 let prop_build_opt_oracle =
   QCheck2.Test.make ~name:"build_opt agrees with build" ~count:60
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
-      let rng, gp = oracle_instance seed in
-      let params = Params.practical ~epsilon:(0.2 +. P.float rng 0.2) () in
-      let tp = Params.tau_params params in
-      let cap = Tau.max_granules tp in
-      let edges = G.edges gp.Layered.graph in
-      let matched = Array.of_list (M.edges gp.Layered.matching) in
-      let pick arr = arr.(P.int rng (Array.length arr)) in
-      let inc = AC.incidence gp.Layered.graph gp.Layered.matching in
-      (* Thresholds mostly taken from the instance's own buckets, so the
-         shapes keep vertices and edges, including heavy edges past
-         [max_granules]. *)
-      let arbitrary granule =
-        let k = 1 + P.int rng (tp.Tau.max_layers - 1) in
-        let a_entry _ =
-          if matched = [||] || P.bool rng then 0
-          else Tau.bucket_up ~granule (E.weight (pick matched))
-        in
-        let b_entry _ =
-          if edges = [||] || P.int rng 4 = 0 then P.int rng (cap + 4)
-          else Tau.bucket_down ~granule (E.weight (pick edges))
-        in
-        { Tau.a = Array.init (k + 1) a_entry; b = Array.init k b_entry }
-      in
-      List.for_all
-        (fun scale ->
-          let granule = params.Params.granularity *. scale in
-          let cache = Layered.prepare tp gp ~scale in
-          let pairs =
-            AC.candidate_pairs params rng ~inc ~cache gp ~scale
-            @ List.init 40 (fun _ -> arbitrary granule)
-          in
-          List.for_all
-            (fun pair ->
-              let full = Layered.build tp gp pair ~scale in
-              let x_only =
-                G.m full.Layered.lgraph = M.size full.Layered.init
+      for_all_build_cases seed (fun _ tp gp cache pair ~scale ->
+          let want, x_len = reference_build tp gp pair ~scale in
+          match Layered.build_opt cache pair with
+          | Layered.Trivial x -> List.length want = x_len && x = x_len
+          | Layered.Graph lay ->
+              let n = G.n gp.Layered.graph in
+              let ids = Array.to_list lay.Layered.ids in
+              let ends =
+                List.sort_uniq Int.compare
+                  (List.concat_map
+                     (fun e ->
+                       let x, y = E.endpoints e in
+                       [ x; y ])
+                     want)
               in
-              match Layered.build_opt ~cache tp gp pair ~scale with
-              | Layered.Trivial x -> x_only && x = G.m full.Layered.lgraph
-              | Layered.Graph lay ->
-                  (not x_only)
-                  && G.edges lay.Layered.lgraph = G.edges full.Layered.lgraph
-                  && M.equal lay.Layered.init full.Layered.init)
-            pairs)
-        oracle_scales)
+              let isolated_left =
+                Array.fold_left (fun k l -> if l then k + 1 else k) 0
+                  gp.Layered.side
+                * lay.Layered.layer_count
+                > List.length
+                    (List.filter (fun x -> gp.Layered.side.(x mod n)) ends)
+              in
+              let init =
+                List.sort E.compare
+                  (List.filteri (fun i _ -> i < x_len) (layered_edges lay))
+              in
+              List.length want > x_len
+              && layered_edges lay = want
+              && ids = ends
+              && G.n lay.Layered.lgraph
+                 = List.length ids + Bool.to_int isolated_left
+              && M.size lay.Layered.init = x_len
+              && List.for_all (M.mem lay.Layered.init)
+                   (List.filteri (fun i _ -> i < x_len)
+                      (G.edge_list lay.Layered.lgraph))
+              && init = List.sort E.compare (List.filteri (fun i _ -> i < x_len) want)))
+
+(* The black box sees the compact [L'] as it saw the (k+1)·n graph: the
+   same matching once mapped back to layered ids, and the same pass
+   count — the isolated left sentinel is what keeps the count when
+   every kept left vertex is matched in [init]. *)
+let prop_compact_black_box =
+  QCheck2.Test.make ~name:"black box on compact L' equals the full graph"
+    ~count:30
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      for_all_build_cases seed (fun params tp gp cache pair ~scale ->
+          match Layered.build_opt cache pair with
+          | Layered.Trivial _ -> true
+          | Layered.Graph lay ->
+              let want, x_len = reference_build tp gp pair ~scale in
+              let n = G.n gp.Layered.graph in
+              let full = G.create ~n:(lay.Layered.layer_count * n) want in
+              let full_init =
+                M.of_edges (G.n full) (List.filteri (fun i _ -> i < x_len) want)
+              in
+              let delta = params.Params.delta in
+              let m_full, passes_full =
+                Wm_algos.Approx_bipartite.solve_metered ~init:full_init ~delta
+                  full ~left:(fun x -> gp.Layered.side.(x mod n))
+              in
+              let m', passes =
+                Wm_algos.Approx_bipartite.solve_metered ~init:lay.Layered.init
+                  ~delta lay.Layered.lgraph ~left:(Layered.left lay)
+              in
+              let ids = lay.Layered.ids in
+              let back =
+                List.map
+                  (fun e ->
+                    let x, y = E.endpoints e in
+                    E.make ids.(x) ids.(y) (E.weight e))
+                  (M.edges m')
+              in
+              passes = passes_full
+              && List.sort E.compare back = M.edges m_full
+              && Layered.augmenting_paths lay m'
+                 = List.filter_map
+                     (fun comp ->
+                       let count mm =
+                         List.length (List.filter (M.mem mm) comp)
+                       in
+                       if count m_full = count full_init + 1 then Some comp
+                       else None)
+                     (M.symmetric_difference m_full full_init)))
 
 (* The edge scan that [Layered.present] replaced, kept as its oracle:
    the up-buckets [<= cap] of the crossing matched edges and the
@@ -1320,7 +1489,7 @@ let prop_present_oracle =
               [| 0.125; 1.0 /. 32.0; 1.0 /. 64.0 |].(P.int rng 3);
           }
       in
-      let gp = Layered.parametrize rng g m in
+      let gp = Layered.parametrize rng (Layered.view g m) in
       List.for_all
         (fun scale ->
           Layered.present (Layered.prepare tp gp ~scale)
@@ -1337,6 +1506,7 @@ let qcheck_tests =
       prop_round_gain_is_exact;
       prop_walk_pairs_oracle;
       prop_build_opt_oracle;
+      prop_compact_black_box;
       prop_present_oracle;
       prop_certify_planted_quintuples;
       prop_certify_uniform_cycles;
@@ -1454,6 +1624,8 @@ let () =
           Alcotest.test_case "mpc" `Quick test_mpc_driver;
           Alcotest.test_case "mpc memory violation" `Quick
             test_mpc_driver_memory_violation;
+          Alcotest.test_case "empty graph runs no round" `Quick
+            test_drivers_empty_graph;
           Alcotest.test_case "shed_to exact" `Quick test_shed_to_exact;
           Alcotest.test_case "repair drops stale" `Quick
             test_repair_drops_stale;

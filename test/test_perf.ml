@@ -1,8 +1,9 @@
 (* Performance-contract tests for the allocation-free kernels:
    Arena.Stamp / Arena.Ints semantics, minor-word budgets for the hot
    iterators (Weighted_graph.iter_neighbors, Tau.iter_homogeneous, the
-   cached Layered fill), the canonical equal-gain tie-break, the stable
-   weight-ordered stream arrangement, and the scale-tier generators.
+   cached Layered builds, Prng draws), the canonical equal-gain
+   tie-break, the stable weight-ordered stream arrangement, and the
+   scale-tier generators.
 
    The budget tests measure [Gc.minor_words] deltas (domain-local, so
    they are exact for single-domain code) after a warm-up call that
@@ -150,31 +151,78 @@ let test_iter_homogeneous_budget () =
     (List.length !reprs <= 9);
   check_bool (Printf.sprintf "call cost %d words" w) true (w < 8192)
 
-(* The cached Layered fill: with a prepared pair-invariant cache, a
-   build that retains no Y edge must allocate only the scratch-growth
-   warm-up — the steady state is allocation-free. *)
-let test_layered_trivial_build_budget () =
-  let g, m = Gen.paper_fig1 () in
-  let side = [| false; false; true; false; false; true |] in
+(* The fig1 instance (c-d matched at weight 5; a-c, d-f at 4; b-c, d-e
+   at 2) embedded in [n] vertices, the rest isolated, parametrized so
+   the a-c-d-f path is capturable, with its cache at scale 8 (granule
+   1). *)
+let fig1_embedded n =
+  let g0, m0 = Gen.paper_fig1 () in
+  let g = G.create ~n (G.edge_list g0) in
+  let m = M.of_edges n (M.edges m0) in
+  let fig1_side = [| false; false; true; false; false; true |] in
+  let side = Array.init n (fun v -> if v < 6 then fig1_side.(v) else v mod 2 = 0) in
   let gp = Layered.parametrize_with ~side g m in
   let tp = Tau.make_params ~granularity:0.125 ~max_layers:5 ~slack:0.0 in
-  let scale = 8.0 in
-  let cache = Layered.prepare tp gp ~scale in
-  let granule = 0.125 *. scale in
-  let mid = Tau.bucket_up ~granule 5 in
+  Layered.prepare tp gp ~scale:8.0
+
+(* A build whose pair keeps no Y edge is decided by O(k) lookups in the
+   prepared cache: it allocates nothing but its two-word [Trivial]
+   result, however large the instance. *)
+let test_layered_trivial_build_budget () =
+  let cache = fig1_embedded 100_000 in
   (* b-bucket 31 matches no edge weight, so every Y edge is filtered
      and the build short-circuits to Trivial. *)
-  let pair = { Tau.a = [| 0; mid; 0 |]; b = [| 31; 31 |] } in
+  let pair = { Tau.a = [| 0; 5; 0 |]; b = [| 31; 31 |] } in
   let run () =
-    match Layered.build_opt ~cache tp gp pair ~scale with
+    match Layered.build_opt cache pair with
     | Layered.Trivial _ -> ()
     | Layered.Graph _ -> Alcotest.fail "expected a trivial build"
   in
   run ();
-  (* warm: per-domain scratch slot initialised *)
   let w = words (fun () -> for _ = 1 to 100 do run () done) in
-  check_bool (Printf.sprintf "100 trivial builds cost %d words" w) true
-    (w < 2048)
+  check "100 trivial builds at n = 10^5 allocate only their results"
+    (100 * 2) w
+
+(* A non-trivial build allocates for the [L'] it returns — its edges,
+   vertices and initial matching — and nothing that grows with the base
+   graph: the same local shape costs the same at n = 10^3 and 10^5. *)
+let test_layered_build_output_sensitive () =
+  let pair = { Tau.a = [| 0; 5; 0 |]; b = [| 4; 4 |] } in
+  let cost n =
+    let cache = fig1_embedded n in
+    let run () =
+      match Layered.build_opt cache pair with
+      | Layered.Graph lay -> check "a-c, c-d, d-f" 3 (Layered.edge_count lay)
+      | Layered.Trivial _ -> Alcotest.fail "expected a layered graph"
+    in
+    run ();
+    words run
+  in
+  let small = cost 1_000 and large = cost 100_000 in
+  check_bool (Printf.sprintf "build costs %d words at n = 10^3" small) true
+    (small < 1024);
+  check "same words at n = 10^5" small large
+
+(* A draw updates the generator state in place, unboxed: [int] and
+   [bool] allocate nothing.  A [float] result is boxed on return unless
+   the call is inlined, which cross-module inlining does in release
+   builds and [-opaque] dev builds do not, so it may cost exactly its
+   two-word box. *)
+let test_prng_allocation_free () =
+  let rng = P.create 7 in
+  let draws name ~per_draw draw =
+    draw ();
+    check (Printf.sprintf "%s: 1000 draws allocate <= %d words each" name per_draw)
+      0
+      (Stdlib.max 0
+         (words (fun () -> for _ = 1 to 1000 do draw () done) - (1000 * per_draw)))
+  in
+  draws "int" ~per_draw:0 (fun () ->
+      if P.int rng 1000 >= 1000 then Alcotest.fail "int");
+  draws "bool" ~per_draw:0 (fun () ->
+      if P.bool rng && P.bool rng && false then Alcotest.fail "bool");
+  draws "float" ~per_draw:2 (fun () ->
+      if P.float rng 1.0 >= 1.0 then Alcotest.fail "float")
 
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
@@ -322,6 +370,10 @@ let () =
           Alcotest.test_case "tau iterator" `Quick test_iter_homogeneous_budget;
           Alcotest.test_case "layered trivial build" `Quick
             test_layered_trivial_build_budget;
+          Alcotest.test_case "layered build output-sensitive" `Quick
+            test_layered_build_output_sensitive;
+          Alcotest.test_case "prng draws allocation-free" `Quick
+            test_prng_allocation_free;
         ] );
       ( "tie-break",
         [
