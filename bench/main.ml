@@ -82,8 +82,10 @@ let micro_benchmarks () =
                     G.iter_edges f bip))));
       Test.make ~name:"substrate:layered-build(n=300)"
         (Staged.stage (fun () ->
-             let gp = Wm_core.Layered.parametrize (P.create 17)
-                 (Wm_core.Layered.view gnp matching) in
+             let gp =
+               Wm_core.Layered.parametrize (P.create 17)
+                 (Wm_core.Layered.view gnp matching)
+             in
              let tp = Wm_core.Params.tau_params params in
              let pair = { Wm_core.Tau.a = [| 0; 4; 0 |]; b = [| 3; 3 |] } in
              ignore (Wm_core.Layered.build tp gp pair ~scale:16.0)));

@@ -56,9 +56,12 @@ let incidence g m =
     view = Layered.view g m;
   }
 
-(* Per-domain buffers for the current walk's bucket sequences. *)
+(* Per-domain buffers for the current walk's bucket sequences, and for
+   the class's per-vertex and per-incidence buckets. *)
 let walk_slot =
-  Arena.slot (fun () -> (Arena.Ints.create (), Arena.Ints.create ()))
+  Arena.slot (fun () ->
+      let i () = Arena.Ints.create () in
+      (i (), i (), i (), i ()))
 
 (* Random alternating walks give tau pairs biased towards shapes that
    are actually realisable in the data — a practical stand-in for the
@@ -70,13 +73,18 @@ let walk_pairs params rng ~inc (gp : Layered.parametrized) ~scale ~count =
   if n = 0 then []
   else begin
     let granule = params.Params.granularity *. scale in
-    let a_bk, b_bk = Arena.get walk_slot in
+    let a_bk, b_bk, up_bk, down_bk = Arena.get walk_slot in
     let { off; nbr; wt; mate; mwt; _ } = inc in
     (* The walks' buckets at this scale: each vertex's matched edge
        rounded up (0 when free) and each unmatched incidence rounded
        down, computed once rather than at every step. *)
-    let up = Array.map (Tau.bucket_up ~granule) mwt in
-    let down = Array.map (Tau.bucket_down ~granule) wt in
+    let buckets into f ws =
+      Arena.Ints.clear into;
+      Array.iter (fun w -> Arena.Ints.push into (f ~granule w)) ws;
+      Arena.Ints.data into
+    in
+    let up = buckets up_bk Tau.bucket_up mwt in
+    let down = buckets down_bk Tau.bucket_down wt in
     let pairs = ref [] in
     for _ = 1 to count do
       let start = Wm_graph.Prng.int rng n in

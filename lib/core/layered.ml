@@ -198,20 +198,6 @@ let search a x =
   done;
   if !lo < Array.length a && a.(!lo) = x then !lo else -1
 
-(* Sort [a] ascending and drop repeats in place; the distinct prefix
-   length. *)
-let sort_uniq a =
-  Array.sort Int.compare a;
-  let len = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if i = 0 || x <> a.(!len - 1) then begin
-        a.(!len) <- x;
-        incr len
-      end)
-    a;
-  !len
-
 (* Group [len] items by the dense ids [gid.(0 .. len - 1)] in
    [0 .. groups - 1]: a stable counting sort, returning the offsets and
    the item order. *)
@@ -242,36 +228,28 @@ let prepare params (gp : parametrized) ~scale =
   let n = G.n gp.graph in
   let granule = params.Tau.granularity *. scale in
   let cap = Tau.max_granules params in
+  let crossing u w = side.(u) <> side.(w) in
   let key = Array.make n free_key in
-  let nx = ref 0 in
-  for i = 0 to Array.length v.mu - 1 do
-    let u = v.mu.(i) and w = v.mv.(i) in
-    if side.(u) <> side.(w) then begin
-      let b = Tau.bucket_up ~granule v.mw.(i) in
+  Array.iteri
+    (fun i u ->
+      let w = v.mv.(i) in
+      let b = if crossing u w then Tau.bucket_up ~granule v.mw.(i) else no_key in
       key.(u) <- b;
-      key.(w) <- b;
-      incr nx
-    end
-    else begin
-      key.(u) <- no_key;
-      key.(w) <- no_key
-    end
-  done;
-  let xi = Array.make !nx 0 and xb = Array.make !nx 0 in
-  let j = ref 0 in
-  for i = 0 to Array.length v.mu - 1 do
-    if side.(v.mu.(i)) <> side.(v.mv.(i)) then begin
-      xi.(!j) <- i;
-      xb.(!j) <- key.(v.mu.(i));
-      incr j
-    end
-  done;
-  let x_keys =
-    let a = Array.copy xb in
-    Array.sub a 0 (sort_uniq a)
+      key.(w) <- b)
+    v.mu;
+  (* The crossing matched edges' indices, and their buckets. *)
+  let xi =
+    Array.of_seq
+      (Seq.filter
+         (fun i -> crossing v.mu.(i) v.mv.(i))
+         (Seq.init (Array.length v.mu) Fun.id))
   in
+  let xb = Array.map (fun i -> key.(v.mu.(i))) xi in
+  let x_keys = Array.of_list (List.sort_uniq Int.compare (Array.to_list xb)) in
   let x_off, x_ord =
-    group ~groups:(Array.length x_keys) (Array.map (search x_keys) xb) !nx
+    group ~groups:(Array.length x_keys)
+      (Array.map (search x_keys) xb)
+      (Array.length xi)
   in
   let pick src = Array.map (fun o -> src.(xi.(o))) x_ord in
   let b_seen = Array.make (cap + 1) false in
@@ -280,7 +258,7 @@ let prepare params (gp : parametrized) ~scale =
   List.iter Arena.Ints.clear [ yr; yl; yw; yg ];
   for i = 0 to Array.length v.uu - 1 do
     let u = v.uu.(i) and w = v.uv.(i) in
-    if side.(u) <> side.(w) then begin
+    if crossing u w then begin
       let r, l = if side.(u) then (w, u) else (u, w) in
       let b = Tau.bucket_down ~granule v.uw.(i) in
       if b >= 2 && b <= cap then b_seen.(b) <- true;
@@ -304,7 +282,9 @@ let prepare params (gp : parametrized) ~scale =
     left_count = Array.fold_left (fun k l -> if l then k + 1 else k) 0 side;
     a_present = List.filter (fun a -> a <= cap) (Array.to_list x_keys);
     b_present =
-      List.filter (fun b -> b_seen.(b)) (List.init (Stdlib.max 0 (cap - 1)) (( + ) 2));
+      List.filter
+        (fun b -> b_seen.(b))
+        (List.init (Stdlib.max 0 (cap - 1)) (( + ) 2));
     x_keys;
     x_off;
     x_u = pick v.mu;
@@ -372,7 +352,8 @@ let scratch_slot =
    O(len) per pass, where a comparison sort cost a third of every
    build. *)
 let radix_sort s a len =
-  if Array.length s.buf < len then s.buf <- Array.make (Stdlib.max len (2 * Array.length s.buf)) 0;
+  if Array.length s.buf < len then
+    s.buf <- Array.make (Stdlib.max len (2 * Array.length s.buf)) 0;
   let top = ref 0 in
   for i = 0 to len - 1 do
     top := Stdlib.max !top a.(i)
@@ -413,7 +394,8 @@ let radix_sort s a len =
 let materialise c pair =
   let n = c.c_n and k = Array.length pair.Tau.b in
   let s = Arena.get scratch_slot in
-  List.iter Arena.Ints.clear [ s.e_src; s.e_dst; s.e_w; s.y_keys; s.ends; s.vids ];
+  List.iter Arena.Ints.clear
+    [ s.e_src; s.e_dst; s.e_w; s.y_keys; s.ends; s.vids ];
   let push x y w =
     Arena.Ints.push s.e_src x;
     Arena.Ints.push s.e_dst y;

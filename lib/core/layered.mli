@@ -12,7 +12,11 @@
     with first- and last-layer matched edges removed (the graph
     [L'] of Algorithm 4), is bipartite, and its augmenting paths with
     respect to the retained matched edges correspond to strictly
-    gainful weighted augmentations of the original graph. *)
+    gainful weighted augmentations of the original graph.
+
+    [L'] is built on the endpoints of its edges only, renumbered in
+    increasing layered id, so a build costs O(k + |L'|) however large
+    the base graph; {!t.ids} maps its vertices back. *)
 
 type view
 (** The matched and unmatched edges of a graph and matching as flat

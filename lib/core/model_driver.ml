@@ -80,9 +80,10 @@ let repair g m0 =
    committed (round-atomic) matching.  A round is dry when it gains
    nothing and sheds nothing; [patience] dry rounds in a row stop the
    loop, and a graph with no positive-weight edge, where every round
-   is dry, runs none.  Under an active fault plan every attempt runs on copies of the
-   round-start matching and rng, so a crash discards partial state and
-   the copies are committed only when the round returns. *)
+   is dry, runs none.  Under an active fault plan every attempt runs on
+   copies of the round-start matching and rng, so a crash discards
+   partial state and the copies are committed only when the round
+   returns. *)
 let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
     rng g =
   let m =
@@ -96,9 +97,10 @@ let improve ~patience ~init ~cancel ~active ~round ~recover ~settle params
         true
     | _ -> false
   in
+  let gainless = G.max_weight g = 0 in
   let dry = ref 0 and i = ref 0 in
   while
-    G.max_weight g > 0
+    (not gainless)
     && !dry < patience
     && !i < params.Params.max_iterations
     && not (stop_requested !i)

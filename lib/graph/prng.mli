@@ -3,7 +3,12 @@
     All randomness in the library flows through this module so that every
     algorithm run, test and experiment row is reproducible from an explicit
     seed.  The generator is splitmix64, which is fast, has a 64-bit state
-    and supports cheap splitting into independent sub-streams. *)
+    and supports cheap splitting into independent sub-streams.
+
+    The state is 8 mutable bytes, read and written unboxed, so a draw
+    updates it in place: {!int} and {!bool} allocate nothing, and
+    {!float} at most its boxed result (none where the call is
+    inlined). *)
 
 type t
 (** Mutable generator state. *)

@@ -629,39 +629,41 @@ let run_a1 ~quick ~seed =
     let paths = ref 0 and nonsimple = ref 0 and comps = ref 0 and invalid = ref 0 in
     let inc = Wm_core.Aug_class.incidence g m in
     for _ = 1 to trials do
-      let gp = Wm_core.Layered.parametrize rng (Wm_core.Layered.view g m) in
+      let gp =
+        Wm_core.Layered.parametrize rng (Wm_core.Layered.view g m)
+      in
       List.iter
         (fun scale ->
           let cache = Wm_core.Layered.prepare tp gp ~scale in
           List.iter
             (fun pair ->
-              let lay = Wm_core.Layered.build tp gp pair ~scale in
-              if Wm_core.Layered.edge_count lay > M.size lay.Wm_core.Layered.init
-              then begin
-                let m' =
-                  Wm_algos.Approx_bipartite.solve ~init:lay.Wm_core.Layered.init
-                    ~delta:0.1 lay.Wm_core.Layered.lgraph
-                    ~left:(Wm_core.Layered.left lay)
-                in
-                List.iter
-                  (fun path ->
-                    incr paths;
-                    let verts, edges =
-                      Wm_core.Decompose.project
-                        ~base_n:lay.Wm_core.Layered.base_n path
-                    in
-                    let distinct =
-                      List.length (List.sort_uniq Int.compare verts)
-                    in
-                    if distinct < List.length verts then incr nonsimple;
-                    let cs = Wm_core.Decompose.decompose ~verts ~edges in
-                    comps := !comps + List.length cs;
-                    List.iter
-                      (fun c ->
-                        if not (Wm_core.Aug.is_wellformed c) then incr invalid)
-                      cs)
-                  (Wm_core.Layered.augmenting_paths lay m')
-              end)
+              match Wm_core.Layered.build_opt cache pair with
+              | Wm_core.Layered.Trivial _ -> ()
+              | Wm_core.Layered.Graph lay ->
+                  let m' =
+                    Wm_algos.Approx_bipartite.solve
+                      ~init:lay.Wm_core.Layered.init ~delta:0.1
+                      lay.Wm_core.Layered.lgraph
+                      ~left:(Wm_core.Layered.left lay)
+                  in
+                  List.iter
+                    (fun path ->
+                      incr paths;
+                      let verts, edges =
+                        Wm_core.Decompose.project
+                          ~base_n:lay.Wm_core.Layered.base_n path
+                      in
+                      let distinct =
+                        List.length (List.sort_uniq Int.compare verts)
+                      in
+                      if distinct < List.length verts then incr nonsimple;
+                      let cs = Wm_core.Decompose.decompose ~verts ~edges in
+                      comps := !comps + List.length cs;
+                      List.iter
+                        (fun c ->
+                          if not (Wm_core.Aug.is_wellformed c) then incr invalid)
+                        cs)
+                    (Wm_core.Layered.augmenting_paths lay m'))
             (Wm_core.Aug_class.candidate_pairs params rng ~inc ~cache gp
                ~scale))
         (Wm_core.Main_alg.scales_for params g)

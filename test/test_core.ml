@@ -1262,7 +1262,8 @@ let reference_build tp (gp : Layered.parametrized) pair ~scale =
   for layer = 1 to k + 1 do
     List.iter
       (fun e ->
-        if Tau.bucket_up ~granule (E.weight e) = pair.Tau.a.(layer - 1) then begin
+        let b = Tau.bucket_up ~granule (E.weight e) in
+        if b = pair.Tau.a.(layer - 1) then begin
           let u, v = E.endpoints e in
           keep.(id layer u) <- true;
           keep.(id layer v) <- true;
@@ -1373,10 +1374,7 @@ let prop_build_opt_oracle =
                 > List.length
                     (List.filter (fun x -> gp.Layered.side.(x mod n)) ends)
               in
-              let init =
-                List.sort E.compare
-                  (List.filteri (fun i _ -> i < x_len) (layered_edges lay))
-              in
+              let x_edges l = List.filteri (fun i _ -> i < x_len) l in
               List.length want > x_len
               && layered_edges lay = want
               && ids = ends
@@ -1384,9 +1382,7 @@ let prop_build_opt_oracle =
                  = List.length ids + Bool.to_int isolated_left
               && M.size lay.Layered.init = x_len
               && List.for_all (M.mem lay.Layered.init)
-                   (List.filteri (fun i _ -> i < x_len)
-                      (G.edge_list lay.Layered.lgraph))
-              && init = List.sort E.compare (List.filteri (fun i _ -> i < x_len) want)))
+                   (x_edges (G.edge_list lay.Layered.lgraph))))
 
 (* The black box sees the compact [L'] as it saw the (k+1)·n graph: the
    same matching once mapped back to layered ids, and the same pass

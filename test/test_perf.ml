@@ -160,7 +160,9 @@ let fig1_embedded n =
   let g = G.create ~n (G.edge_list g0) in
   let m = M.of_edges n (M.edges m0) in
   let fig1_side = [| false; false; true; false; false; true |] in
-  let side = Array.init n (fun v -> if v < 6 then fig1_side.(v) else v mod 2 = 0) in
+  let side =
+    Array.init n (fun v -> if v < 6 then fig1_side.(v) else v mod 2 = 0)
+  in
   let gp = Layered.parametrize_with ~side g m in
   let tp = Tau.make_params ~granularity:0.125 ~max_layers:5 ~slack:0.0 in
   Layered.prepare tp gp ~scale:8.0
@@ -212,17 +214,16 @@ let test_prng_allocation_free () =
   let rng = P.create 7 in
   let draws name ~per_draw draw =
     draw ();
-    check (Printf.sprintf "%s: 1000 draws allocate <= %d words each" name per_draw)
-      0
-      (Stdlib.max 0
-         (words (fun () -> for _ = 1 to 1000 do draw () done) - (1000 * per_draw)))
+    let w = words (fun () -> for _ = 1 to 1000 do draw () done) in
+    check_bool
+      (Printf.sprintf "%s: 1000 draws cost %d words (<= %d each)" name w
+         per_draw)
+      true
+      (w <= 1000 * per_draw)
   in
-  draws "int" ~per_draw:0 (fun () ->
-      if P.int rng 1000 >= 1000 then Alcotest.fail "int");
-  draws "bool" ~per_draw:0 (fun () ->
-      if P.bool rng && P.bool rng && false then Alcotest.fail "bool");
-  draws "float" ~per_draw:2 (fun () ->
-      if P.float rng 1.0 >= 1.0 then Alcotest.fail "float")
+  draws "int" ~per_draw:0 (fun () -> ignore (P.int rng 1000));
+  draws "bool" ~per_draw:0 (fun () -> ignore (P.bool rng));
+  draws "float" ~per_draw:2 (fun () -> ignore (P.float rng 1.0))
 
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
