@@ -102,13 +102,14 @@ type built =
 
 val build_opt : cache -> Tau.pair -> built
 (** [L'] for one pair at the cache's parametrization and scale, in
-    O(k + |L'| log |L'|).  A pair is [Trivial] iff no gap [t] has a
-    crossing unmatched edge group keyed (tau^B_t, R key kept in layer
-    [t], L key kept in layer [t+1]) — O(k) lookups that allocate
-    nothing, with the X count summed from per-bucket group sizes.  A
-    [Graph] is built from the kept groups alone: X edges layer-major in
-    reverse cache order, then Y edges in reverse (edge, gap) discovery
-    order.  Build counters are updated exactly as {!build} would. *)
+    O(k + |L'|) plus a few radix passes over [L']'s endpoints.  A pair
+    is [Trivial] iff no gap [t] has a crossing unmatched edge group
+    keyed (tau^B_t, R key kept in layer [t], L key kept in layer
+    [t+1]) — O(k) lookups, with the X count summed from per-bucket
+    group sizes and nothing allocated but the result.  A [Graph] is
+    built from the kept groups alone: X edges layer-major in reverse
+    cache order, then Y edges in reverse (edge, gap) discovery order.
+    Build counters are updated exactly as {!build} would. *)
 
 val left : t -> int -> bool
 (** Bipartition of the layered graph: a layered copy of an L-vertex,

@@ -91,6 +91,7 @@ module Tbl : Hashtbl.S with type key = pair
 val dedup : pair list -> pair list
 (** First occurrence of each pair's contents, in order. *)
 
+
 val capture_path : params -> a_buckets:int list -> b_buckets:int list -> pair option
 (** Lemma 4.12 (path case): the pair whose layered graph contains a path
     augmentation with the given matched-edge buckets (in path order,
