@@ -1,12 +1,8 @@
 (* The splitmix64 state lives in 8 bytes rather than in a mutable
    int64 field: storing to such a field boxes a fresh int64 on every
-   draw, while the bytes primitives move the state unboxed, so with
-   [mix64] and [next] inlined a draw allocates nothing.  Every [t] is
-   8 bytes long, so the draw path reads and writes unchecked. *)
+   draw, while [Bytes.get/set_int64_ne] move the state unboxed, so with
+   [mix64] and [next] inlined a draw allocates nothing. *)
 type t = Bytes.t
-
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -28,8 +24,8 @@ let assign dst src = Bytes.blit src 0 dst 0 8
 
 (* Advance the state and mix it: the draw every sampler is built on. *)
 let[@inline] next t =
-  let s = Int64.add (get64u t 0) golden_gamma in
-  set64u t 0 s;
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
   mix64 s
 
 let bits64 t = next t
