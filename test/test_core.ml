@@ -1295,14 +1295,12 @@ let reference_build tp (gp : Layered.parametrized) pair ~scale =
     g;
   (List.rev_append !xs !ys, List.length !xs)
 
-(* [lay]'s edges over layered ids, in [lgraph] order. *)
-let layered_edges lay =
-  let ids = lay.Layered.ids in
-  List.map
-    (fun e ->
-      let x, y = E.endpoints e in
-      E.make ids.(x) ids.(y) (E.weight e))
-    (G.edge_list lay.Layered.lgraph)
+(* An edge of [lay]'s compact graph, over layered ids. *)
+let to_layered lay e =
+  let x, y = E.endpoints e in
+  E.make lay.Layered.ids.(x) lay.Layered.ids.(y) (E.weight e)
+
+let take n l = List.filteri (fun i _ -> i < n) l
 
 (* Oracle instances and pairs for [build_opt]: every pair of the
    candidate pool plus arbitrary shapes whose [tau^B] entries may
@@ -1374,15 +1372,14 @@ let prop_build_opt_oracle =
                 > List.length
                     (List.filter (fun x -> gp.Layered.side.(x mod n)) ends)
               in
-              let x_edges l = List.filteri (fun i _ -> i < x_len) l in
+              let edges = G.edge_list lay.Layered.lgraph in
               List.length want > x_len
-              && layered_edges lay = want
+              && List.map (to_layered lay) edges = want
               && ids = ends
               && G.n lay.Layered.lgraph
                  = List.length ids + Bool.to_int isolated_left
               && M.size lay.Layered.init = x_len
-              && List.for_all (M.mem lay.Layered.init)
-                   (x_edges (G.edge_list lay.Layered.lgraph))))
+              && List.for_all (M.mem lay.Layered.init) (take x_len edges)))
 
 (* The black box sees the compact [L'] as it saw the (k+1)·n graph: the
    same matching once mapped back to layered ids, and the same pass
@@ -1400,9 +1397,7 @@ let prop_compact_black_box =
               let want, x_len = reference_build tp gp pair ~scale in
               let n = G.n gp.Layered.graph in
               let full = G.create ~n:(lay.Layered.layer_count * n) want in
-              let full_init =
-                M.of_edges (G.n full) (List.filteri (fun i _ -> i < x_len) want)
-              in
+              let full_init = M.of_edges (G.n full) (take x_len want) in
               let delta = params.Params.delta in
               let m_full, passes_full =
                 Wm_algos.Approx_bipartite.solve_metered ~init:full_init ~delta
@@ -1412,16 +1407,9 @@ let prop_compact_black_box =
                 Wm_algos.Approx_bipartite.solve_metered ~init:lay.Layered.init
                   ~delta lay.Layered.lgraph ~left:(Layered.left lay)
               in
-              let ids = lay.Layered.ids in
-              let back =
-                List.map
-                  (fun e ->
-                    let x, y = E.endpoints e in
-                    E.make ids.(x) ids.(y) (E.weight e))
-                  (M.edges m')
-              in
               passes = passes_full
-              && List.sort E.compare back = M.edges m_full
+              && List.sort E.compare (List.map (to_layered lay) (M.edges m'))
+                 = M.edges m_full
               && Layered.augmenting_paths lay m'
                  = List.filter_map
                      (fun comp ->
