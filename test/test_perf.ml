@@ -344,14 +344,17 @@ let test_bipartite_skew_scale_valid () =
   check_simple_graph ~bip_left:1000 g
 
 (* Scale generators must be a pure function of the seed — the T11 rows
-   and the @scale-smoke fixtures rely on it. *)
+   and the @scale-smoke fixtures rely on it.  The digest is pinned to a
+   constant, not only compared with itself, so a change to either the
+   generator or the digest's fed bytes fails here directly. *)
 let test_scale_generators_deterministic () =
   let dig () =
     Wm_graph.Graph_io.digest
       (Gen.power_law_scale (P.create 21) ~n:1000 ~attach:5
          ~weights:(Gen.Uniform (1, 9)))
   in
-  Alcotest.(check string) "same seed, same graph" (dig ()) (dig ())
+  Alcotest.(check string) "same seed, same graph" (dig ()) (dig ());
+  Alcotest.(check string) "pinned digest" "05e80e89cfc40a19" (dig ())
 
 let () =
   Alcotest.run "perf"
