@@ -9,37 +9,65 @@ let to_string g =
     g;
   Buffer.contents buf
 
-(* Content digest: 64-bit FNV-1a over the canonicalized edge list.
-   Each edge is normalized to (min endpoint, max endpoint, weight) and
-   the list is sorted, so the digest is invariant under both the order
-   the endpoints were given in and the order the edges were added —
-   two graphs with the same vertex count and edge set always hash
-   alike, however they were constructed or serialized. *)
+(* Content digest: 64-bit FNV-1a over the canonical bytes — [n], then
+   [u], [v], [w] of every edge in increasing (u, v) order, each int as
+   8 little-endian bytes.  [Edge.make] stores u < v and graphs have no
+   parallel edges, so (u, v) order is the (u, v, w) order and neither
+   endpoint order nor edge order shows.
+
+   O(n + m) with no per-edge allocation: count the edges per min
+   endpoint u, then visit max endpoints v = 0 .. n-1 and drop each edge
+   with u < v into u's bucket, which so fills in increasing v.
+   [off.(u)] is bucket u's fill cursor.  The hash is a local [Int64]
+   ref that nothing captures, so ocamlopt keeps it unboxed.  A zero
+   byte only multiplies by the FNV prime, so each int feeds its bytes
+   up to the highest non-zero one and then multiplies once by the
+   prime's power for the zero bytes left. *)
+let fnv_prime = 0x100000001b3L
+
+let fnv_prime_pow =
+  Array.init 9 (fun k ->
+      let p = ref 1L in
+      for _ = 1 to k do
+        p := Int64.mul !p fnv_prime
+      done;
+      !p)
+
 let digest g =
-  let edges =
-    Array.map
-      (fun e ->
-        let u, v = Edge.endpoints e in
-        (Stdlib.min u v, Stdlib.max u v, Edge.weight e))
-      (Weighted_graph.edges g)
+  let n = Weighted_graph.n g and edges = Weighted_graph.edges g in
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun (e : Edge.t) -> off.(e.u + 1) <- off.(e.u + 1) + 1) edges;
+  for u = 1 to n do
+    off.(u) <- off.(u) + off.(u - 1)
+  done;
+  let sorted = Array.copy edges in
+  let v = ref 0 in
+  let place u e =
+    if u < !v then begin
+      sorted.(off.(u)) <- e;
+      off.(u) <- off.(u) + 1
+    end
   in
-  Array.sort compare edges;
+  for x = 0 to n - 1 do
+    v := x;
+    Weighted_graph.iter_neighbors g x place
+  done;
   let h = ref 0xcbf29ce484222325L in
-  let feed_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
-  in
-  let feed_int x =
-    for i = 0 to 7 do
-      feed_byte (x asr (8 * i))
-    done
-  in
-  feed_int (Weighted_graph.n g);
-  Array.iter
-    (fun (u, v, w) ->
-      feed_int u;
-      feed_int v;
-      feed_int w)
-    edges;
+  for i = -1 to (3 * Array.length sorted) - 1 do
+    let x =
+      if i < 0 then n
+      else
+        let e : Edge.t = sorted.(i / 3) in
+        match i mod 3 with 0 -> e.u | 1 -> e.v | _ -> e.w
+    in
+    let rest = ref x and zeros = ref 8 in
+    while !rest <> 0 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (!rest land 0xff))) fnv_prime;
+      rest := !rest lsr 8;
+      decr zeros
+    done;
+    h := Int64.mul !h fnv_prime_pow.(!zeros)
+  done;
   Printf.sprintf "%016Lx" !h
 
 type header = { kind : string; n : int; count : int }

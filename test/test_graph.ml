@@ -790,6 +790,102 @@ let prop_two_color_sound =
       | Some side -> G.is_bipartition g ~left:(fun v -> side.(v))
       | None -> true)
 
+(* The sort-based digest the bucketed [Graph_io.digest] replaced, kept
+   as its oracle: map every edge to a (min, max, weight) tuple, sort
+   with the polymorphic [compare], feed [n] and each tuple through
+   FNV-1a 64 byte by byte, 8 little-endian bytes an int. *)
+let reference_digest g =
+  let edges =
+    Array.map
+      (fun e ->
+        let u, v = E.endpoints e in
+        (Stdlib.min u v, Stdlib.max u v, E.weight e))
+      (G.edges g)
+  in
+  Array.sort compare edges;
+  let h = ref 0xcbf29ce484222325L in
+  let feed_int x =
+    for i = 0 to 7 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int ((x asr (8 * i)) land 0xff)))
+          0x100000001b3L
+    done
+  in
+  feed_int (G.n g);
+  Array.iter
+    (fun (u, v, w) ->
+      feed_int u;
+      feed_int v;
+      feed_int w)
+    edges;
+  Printf.sprintf "%016Lx" !h
+
+(* One edge set on [n] vertices, up to 600 so ids cross the one-byte
+   boundary, with a fifth of the draws edgeless.  Weights come from
+   byte- and word-boundary values, and one draw in 32 takes whatever is
+   left of the 2^53 total budget.  Endpoints are swapped at random
+   and the list is shuffled. *)
+let gen_digest_case =
+  QCheck2.Gen.(
+    let* n = oneof [ pure 0; pure 1; int_range 0 600 ] in
+    let* seed = int_range 0 1_000_000 in
+    return
+      (let rng = P.create seed in
+       let pairs = n * (n - 1) / 2 in
+       let target =
+         if pairs = 0 || P.int rng 5 = 0 then 0
+         else 1 + P.int rng (Stdlib.min pairs (4 * n))
+       in
+       let pool = [| 0; 1; 255; 256; 1 lsl 32 |] in
+       let seen = Hashtbl.create 64 and edges = ref [] and total = ref 0 in
+       while Hashtbl.length seen < target do
+         let u = P.int rng n and v = P.int rng n in
+         if u <> v && not (Hashtbl.mem seen (Stdlib.min u v, Stdlib.max u v))
+         then begin
+           Hashtbl.add seen (Stdlib.min u v, Stdlib.max u v) ();
+           let left = G.max_total_weight - !total in
+           let w =
+             if P.int rng 32 = 0 then left
+             else Stdlib.min left pool.(P.int rng (Array.length pool))
+           in
+           total := !total + w;
+           let u, v = if P.bool rng then (u, v) else (v, u) in
+           edges := E.make u v w :: !edges
+         end
+       done;
+       let es = Array.of_list !edges in
+       P.shuffle_in_place rng es;
+       (n, seed, Array.to_list es)))
+
+(* The same content built three more ways: patched onto a base that
+   holds part of the edges plus the rest at weight 0 (removed and
+   re-added, i.e. reweighted) and fewer vertices, and round-tripped
+   through the binary frame. *)
+let prop_digest_matches_reference =
+  QCheck2.Test.make ~name:"digest equals the sort-based reference" ~count:300
+    ~print:(fun (n, seed, es) ->
+      Printf.sprintf "n=%d seed=%d m=%d" n seed (List.length es))
+    gen_digest_case
+    (fun (n, seed, es) ->
+      let g = G.create ~n es in
+      let d = reference_digest g in
+      let rng = P.create (seed + 1) in
+      let kept, moved = List.partition (fun _ -> P.bool rng) es in
+      let zeroed = List.map (fun e -> E.reweight e 0) moved in
+      let base_n =
+        List.fold_left (fun a (e : E.t) -> Stdlib.max a (e.v + 1)) 0 es
+      in
+      let base = G.create ~n:base_n (kept @ zeroed) in
+      let patched =
+        G.patch base ~add_vertices:(n - base_n) ~add:moved
+          ~remove:(List.map E.endpoints moved) ()
+      in
+      let decoded = IO.of_binary (IO.to_binary g) in
+      List.for_all
+        (fun g' -> IO.digest g' = d && reference_digest g' = d)
+        [ g; patched; decoded ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -798,6 +894,7 @@ let qcheck_tests =
       prop_two_color_sound;
       prop_io_roundtrip;
       prop_io_malformed;
+      prop_digest_matches_reference;
     ]
 
 let () =

@@ -225,6 +225,36 @@ let test_prng_allocation_free () =
   draws "bool" ~per_draw:0 (fun () -> ignore (P.bool rng));
   draws "float" ~per_draw:2 (fun () -> ignore (P.float rng 1.0))
 
+(* Words allocated by [f ()] on either heap: arrays past the minor
+   heap's size limit go straight to the major heap, which
+   [Gc.minor_words] does not see. *)
+let all_words f =
+  let a = Gc.allocated_bytes () in
+  f ();
+  int_of_float ((Gc.allocated_bytes () -. a) /. float (Sys.word_size / 8))
+
+(* The digest buckets edges by min endpoint: an (n+1)-int offset array
+   and an m-slot copy of the edge array, then a hash loop that must
+   allocate nothing.  Per-edge tuples or per-byte Int64 boxes (the
+   sort-based digest spent over 70 words an edge) blow the budget. *)
+let test_digest_allocation () =
+  List.iter
+    (fun n ->
+      let g =
+        Gen.power_law_scale (P.create 5) ~n ~attach:4
+          ~weights:(Gen.Uniform (1, 1000))
+      in
+      ignore (Wm_graph.Graph_io.digest g);
+      let w = all_words (fun () -> ignore (Wm_graph.Graph_io.digest g)) in
+      (* The result: 16 hex digits are 2 words of bytes, a padding word
+         and a header. *)
+      let budget = n + G.m g + 64 + 4 in
+      check_bool
+        (Printf.sprintf "n=%d m=%d: digest costs %d words (budget %d)" n
+           (G.m g) w budget)
+        true (w <= budget))
+    [ 1_000; 10_000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
 
@@ -378,6 +408,8 @@ let () =
             test_layered_build_output_sensitive;
           Alcotest.test_case "prng draws allocation-free" `Quick
             test_prng_allocation_free;
+          Alcotest.test_case "digest is linear and allocation-lean" `Quick
+            test_digest_allocation;
         ] );
       ( "tie-break",
         [
