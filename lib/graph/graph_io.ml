@@ -18,11 +18,13 @@ let to_string g =
    O(n + m) with no per-edge allocation: count the edges per min
    endpoint u, then visit max endpoints v = 0 .. n-1 and drop each edge
    with u < v into u's bucket, which so fills in increasing v.
-   [off.(u)] is bucket u's fill cursor.  The hash is a local [Int64]
-   ref that nothing captures, so ocamlopt keeps it unboxed.  A zero
-   byte only multiplies by the FNV prime, so each int feeds its bytes
-   up to the highest non-zero one and then multiplies once by the
-   prime's power for the zero bytes left. *)
+   [off.(u)] is bucket u's fill cursor; [sorted] starts as a copy of
+   the edge array only to have an element, and the fill overwrites
+   every slot.  The hash is a local [Int64] ref that nothing captures,
+   so ocamlopt keeps it unboxed.  A zero byte only multiplies by the
+   FNV prime, so each (non-negative) int feeds its bytes up to the
+   highest non-zero one, then multiplies once by the prime's power for
+   the zero bytes left. *)
 let fnv_prime = 0x100000001b3L
 
 let fnv_prime_pow =
@@ -62,7 +64,8 @@ let digest g =
     in
     let rest = ref x and zeros = ref 8 in
     while !rest <> 0 do
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (!rest land 0xff))) fnv_prime;
+      h :=
+        Int64.mul (Int64.logxor !h (Int64.of_int (!rest land 0xff))) fnv_prime;
       rest := !rest lsr 8;
       decr zeros
     done;

@@ -21,12 +21,14 @@ exception Parse_error of { line : int; msg : string }
     count mismatch) report the last line of the input. *)
 
 val digest : Weighted_graph.t -> string
-(** Content digest of a graph: 64-bit FNV-1a over the canonicalized
-    (endpoint-sorted, edge-sorted) edge list plus the vertex count,
-    rendered as 16 lowercase hex digits.  Invariant under endpoint
+(** Content digest of a graph: 64-bit FNV-1a, rendered as 16
+    lowercase hex digits, over the bytes of [n] followed by [u], [v],
+    [w] of every edge in increasing [(u, v)] order, where [u < v]; each
+    int is fed as 8 little-endian bytes.  Invariant under endpoint
     order and edge order, so any two structurally equal graphs digest
     identically — the session key of the serving layer and the
-    [instance.digest] field of WM_STATS_v1 reports. *)
+    [instance.digest] field of WM_STATS_v1 reports.  O(n + m) time;
+    allocates one [n + 1] int array and one [m]-slot edge array. *)
 
 val to_string : Weighted_graph.t -> string
 

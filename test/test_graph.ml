@@ -606,7 +606,7 @@ let test_io_errors () =
   expect_error ~line:3 ~msg:"duplicate edge" "p wm 3 2\ne 0 1 2\ne 1 0 5\n";
   expect_error ~line:1 "p wm -3 0\n"
 
-(* The content digest must identify the canonicalized edge multiset:
+(* The content digest must identify the vertex count and edge set:
    invariant under edge order and endpoint order, sensitive to n,
    weights and membership. *)
 let test_io_digest_invariance () =
