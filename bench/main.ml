@@ -27,6 +27,16 @@ let micro_benchmarks () =
   let stream_graph = Gen.gnp rng ~n:400 ~p:0.05 ~weights:(Gen.Uniform (1, 100)) in
   let params = Wm_core.Params.practical ~epsilon:0.2 () in
   let matching = Wm_algos.Greedy.by_weight gnp in
+  (* The serve-session window's graph layers, on its canonical graph. *)
+  let session =
+    G.canonical
+      (Gen.power_law_scale (P.create 20191) ~n:10_000 ~attach:8
+         ~weights:(Gen.Uniform (1, 100)))
+  in
+  let delta = List.init 32 (fun i -> Wm_graph.Edge.make (300 * i) (10_000 + i) 7) in
+  let layer name f =
+    Test.make ~name:(name ^ "(n=10^4)") (Staged.stage (fun () -> ignore (f ())))
+  in
   let tests =
     [
       Test.make ~name:"T1:random-arrival(n=400)"
@@ -89,6 +99,9 @@ let micro_benchmarks () =
              let tp = Wm_core.Params.tau_params params in
              let pair = { Wm_core.Tau.a = [| 0; 4; 0 |]; b = [| 3; 3 |] } in
              ignore (Wm_core.Layered.build tp gp pair ~scale:16.0)));
+      layer "serve:greedy-by-weight" (fun () -> Wm_algos.Greedy.by_weight session);
+      layer "serve:digest" (fun () -> Wm_graph.Graph_io.digest session);
+      layer "serve:patch" (fun () -> G.patch session ~add_vertices:32 ~add:delta ());
     ]
   in
   Printf.printf "\n=== micro-benchmarks (bechamel; monotonic clock) ===\n%!";

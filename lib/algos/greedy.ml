@@ -19,8 +19,7 @@ let maximal g =
   m
 
 let by_weight g =
-  let edges = Array.copy (G.edges g) in
-  Array.sort (fun a b -> Int.compare (E.weight b) (E.weight a)) edges;
   let m = M.create (G.n g) in
+  let edges = E.sort_by_weight ~descending:true (G.canonical_edges g) in
   Array.iter (fun e -> ignore (M.try_add m e)) edges;
   m

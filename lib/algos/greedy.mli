@@ -19,4 +19,7 @@ val maximal : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 
 val by_weight : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 (** Offline greedy on edges sorted by decreasing weight: the classic
-    1/2-approximate maximum weighted matching. *)
+    1/2-approximate maximum weighted matching.  Edges are taken in
+    (weight desc, u, v) order, a stable radix sort of
+    {!Wm_graph.Weighted_graph.canonical_edges}, so the result depends on
+    the edge set alone. *)

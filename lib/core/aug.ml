@@ -113,8 +113,6 @@ let gain c m =
   in
   added - removed
 
-let is_augmenting c m = gain c m > 0
-
 let apply c m =
   if not (is_wellformed c) then invalid_arg "Aug.apply: malformed augmentation";
   if not (is_alternating c m) then invalid_arg "Aug.apply: not alternating";

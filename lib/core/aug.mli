@@ -46,9 +46,6 @@ val unmatched_part : t -> Wm_graph.Matching.t -> Wm_graph.Edge.t list
 val gain : t -> Wm_graph.Matching.t -> int
 (** [w+ C = w (C \ M) - w (C^M)]. *)
 
-val is_augmenting : t -> Wm_graph.Matching.t -> bool
-(** [gain > 0]. *)
-
 val apply : t -> Wm_graph.Matching.t -> unit
 (** Remove [C^M], add [C \ M].  Raises [Invalid_argument] if [C] is not
     a well-formed alternating structure for the matching. *)

@@ -84,8 +84,6 @@ type t = {
 
 let vertex_id ~base_n ~layer v = ((layer - 1) * base_n) + v
 let base_vertex ~base_n x = x mod base_n
-let layer_of ~base_n x = (x / base_n) + 1
-
 (* An open-addressed map from int triples to the dense ids 0, 1, ... in
    insertion order, with linear probing and doubling at half load.
    [find] allocates nothing. *)

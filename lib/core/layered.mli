@@ -69,9 +69,6 @@ val vertex_id : base_n:int -> layer:int -> int -> int
 val base_vertex : base_n:int -> int -> int
 (** Project a layered vertex back to the original graph. *)
 
-val layer_of : base_n:int -> int -> int
-(** The (1-based) layer a layered vertex lives in. *)
-
 type cache
 (** The pair-invariant half of a build: the bipartition-crossing
     matched edges grouped by up-bucket, and the crossing unmatched

@@ -18,8 +18,6 @@ let solve g =
   | Some m -> m
   | None -> failwith "Mwm_general.solve: no exact solver applies (large non-bipartite)"
 
-let optimum_weight_opt g = Option.map M.weight (solve_opt g)
-
 (* Greedy by decreasing weight followed by exhaustive 1-augmentations:
    replace up to two incident matched edges by a heavier outside edge
    while any such swap gains weight. *)

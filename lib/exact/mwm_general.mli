@@ -12,8 +12,6 @@ val solve_opt : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t option
 val solve : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 (** As {!solve_opt} but raises [Failure] when no exact solver applies. *)
 
-val optimum_weight_opt : Wm_graph.Weighted_graph.t -> int option
-
 val lower_bound : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 (** Best matching found by the strongest applicable method, exact or
     heuristic: exact solver when available, otherwise iterated local

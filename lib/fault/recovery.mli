@@ -67,12 +67,6 @@ val durability_json : unit -> Wm_obs.Json.t
     records replayed, bytes truncated, snapshots written/restored, and
     the underlying checkpoint/restore tallies. *)
 
-val recovery_json : unit -> Wm_obs.Json.t
-(** Snapshot of the process-wide recovery counters ([fault.retries],
-    [fault.backoff_rounds], [fault.checkpoints], [fault.restores],
-    [fault.shed_edges], [fault.shed_weight],
-    [fault.budget_exhausted]). *)
-
 val report_json : unit -> Wm_obs.Json.t
 (** The BENCH_v1 [faults] block:
     [{"spec": .., "injected": {..}, "recovery": {..}}], where [spec] is

@@ -69,9 +69,6 @@ val read_magic : r -> string -> unit
 
 (** {1 CRC32 framing} *)
 
-val crc32 : string -> int
-(** CRC32 (IEEE 802.3, reflected polynomial [0xEDB88320]). *)
-
 val frame : string -> string
 (** [u32-LE length | u32-LE crc32 | payload]. *)
 

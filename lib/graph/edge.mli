@@ -41,6 +41,11 @@ val hash : t -> int
 val reweight : t -> int -> t
 (** [reweight e w] is [e] with weight [w]. *)
 
+val sort_by_weight : descending:bool -> t array -> t array
+(** A copy of the array sorted by weight, stably: equal weights keep
+    their input order.  O(m) per 11 bits of the largest weight (an LSD
+    radix sort); [edges] is not modified. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [u-v:w]. *)
 

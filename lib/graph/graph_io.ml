@@ -15,16 +15,13 @@ let to_string g =
    parallel edges, so (u, v) order is the (u, v, w) order and neither
    endpoint order nor edge order shows.
 
-   O(n + m) with no per-edge allocation: count the edges per min
-   endpoint u, then visit max endpoints v = 0 .. n-1 and drop each edge
-   with u < v into u's bucket, which so fills in increasing v.
-   [off.(u)] is bucket u's fill cursor; [sorted] starts as a copy of
-   the edge array only to have an element, and the fill overwrites
-   every slot.  The hash is a local [Int64] ref that nothing captures,
-   so ocamlopt keeps it unboxed.  A zero byte only multiplies by the
-   FNV prime, so each (non-negative) int feeds its bytes up to the
-   highest non-zero one, then multiplies once by the prime's power for
-   the zero bytes left. *)
+   One pass over [Weighted_graph.canonical_edges], which on a canonical
+   graph is the edge array itself.  The hash is a local [Int64] ref that
+   nothing captures, so ocamlopt keeps it unboxed.  A zero byte only
+   multiplies by the FNV prime, so each (non-negative) int feeds its
+   bytes up to the highest non-zero one, then multiplies once by the
+   prime's power for the zero bytes left.  The hex result string is the
+   only allocation on a canonical graph. *)
 let fnv_prime = 0x100000001b3L
 
 let fnv_prime_pow =
@@ -36,30 +33,13 @@ let fnv_prime_pow =
       !p)
 
 let digest g =
-  let n = Weighted_graph.n g and edges = Weighted_graph.edges g in
-  let off = Array.make (n + 1) 0 in
-  Array.iter (fun (e : Edge.t) -> off.(e.u + 1) <- off.(e.u + 1) + 1) edges;
-  for u = 1 to n do
-    off.(u) <- off.(u) + off.(u - 1)
-  done;
-  let sorted = Array.copy edges in
-  let v = ref 0 in
-  let place u e =
-    if u < !v then begin
-      sorted.(off.(u)) <- e;
-      off.(u) <- off.(u) + 1
-    end
-  in
-  for x = 0 to n - 1 do
-    v := x;
-    Weighted_graph.iter_neighbors g x place
-  done;
+  let n = Weighted_graph.n g and edges = Weighted_graph.canonical_edges g in
   let h = ref 0xcbf29ce484222325L in
-  for i = -1 to (3 * Array.length sorted) - 1 do
+  for i = -1 to (3 * Array.length edges) - 1 do
     let x =
       if i < 0 then n
       else
-        let e : Edge.t = sorted.(i / 3) in
+        let e : Edge.t = edges.(i / 3) in
         match i mod 3 with 0 -> e.u | 1 -> e.v | _ -> e.w
     in
     let rest = ref x and zeros = ref 8 in
@@ -71,7 +51,12 @@ let digest g =
     done;
     h := Int64.mul !h fnv_prime_pow.(!zeros)
   done;
-  Printf.sprintf "%016Lx" !h
+  let hex = Bytes.create 16 in
+  for k = 0 to 15 do
+    let d = Int64.to_int (Int64.shift_right_logical !h (60 - (4 * k))) land 15 in
+    Bytes.unsafe_set hex k "0123456789abcdef".[d]
+  done;
+  Bytes.unsafe_to_string hex
 
 type header = { kind : string; n : int; count : int }
 
@@ -175,26 +160,6 @@ let of_string s =
     parse_fail 1 (Printf.sprintf "expected 'p wm', got 'p %s'" h.kind);
   Weighted_graph.create ~n:h.n edges
 
-let matching_to_string m =
-  let edges = Matching.edges m in
-  let buf = Buffer.create (64 + (List.length edges * 16)) in
-  Buffer.add_string buf
-    (Printf.sprintf "p matching %d %d\n" (Matching.n m) (Matching.size m));
-  List.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      Buffer.add_string buf (Printf.sprintf "e %d %d %d\n" u v (Edge.weight e)))
-    edges;
-  Buffer.contents buf
-
-let matching_of_string s =
-  let h, edges = parse_lines s in
-  if h.kind <> "matching" then
-    parse_fail 1 (Printf.sprintf "expected 'p matching', got 'p %s'" h.kind);
-  match Matching.of_edges h.n edges with
-  | m -> m
-  | exception Invalid_argument msg -> parse_fail 1 msg
-
 let write_file path g =
   Out_channel.with_open_text path (fun oc -> output_string oc (to_string g))
 
@@ -208,9 +173,10 @@ let read_file path =
               | 16-byte hex {!digest}
    Matchings: "WMM1" | varint n | list of (varint u, varint v, varint w)
 
-   Edges are emitted in stored order, so a graph round-trips exactly
-   (same [edges] array, same digest).  [of_binary] recomputes the
-   digest of the decoded graph and refuses a frame whose embedded
+   Edges are emitted in stored order, and [of_binary] returns the
+   canonical graph of the frame, so a canonical graph round-trips
+   exactly (same [edges] array, same digest).  [of_binary] recomputes
+   the digest of the decoded graph and refuses a frame whose embedded
    digest disagrees: a flipped byte can corrupt the varint stream in
    ways that still parse, and the digest check turns that into a
    detected failure instead of a silently wrong session. *)
@@ -230,13 +196,13 @@ let read_edge r =
   let w = Bin.read_varint r in
   valid (fun () -> Edge.make u v w)
 
-let to_binary g =
+let to_binary ?digest:held g =
   let buf = Buffer.create (16 + (Weighted_graph.m g * 4)) in
   Buffer.add_string buf "WMB1";
   Bin.add_varint buf (Weighted_graph.n g);
   Bin.add_varint buf (Weighted_graph.m g);
   Weighted_graph.iter_edges (add_edge buf) g;
-  Buffer.add_string buf (digest g);
+  Buffer.add_string buf (match held with Some d -> d | None -> digest g);
   Buffer.contents buf
 
 let of_binary =
@@ -246,6 +212,7 @@ let of_binary =
       let edges = Bin.read_list read_edge r in
       let claimed = Bin.read_fixed r 16 in
       let g = valid (fun () -> Weighted_graph.create ~n edges) in
+      let g = Weighted_graph.canonical g in
       if digest g <> claimed then
         Bin.corrupt
           (Printf.sprintf "graph digest mismatch: frame says %s, content is %s"

@@ -1,5 +1,5 @@
-(** Reading and writing graphs and matchings in a DIMACS-style text
-    format.
+(** Reading and writing graphs in a DIMACS-style text format, and graphs
+    and matchings in a binary one.
 
     Format ("wm" problem line, 0-based vertex ids):
     {v
@@ -7,8 +7,7 @@
     p wm <n> <m>
     e <u> <v> <w>      (one line per edge)
     v}
-    Matchings use the same edge lines under a [p matching <n> <k>]
-    header.  The format round-trips exactly (edge order preserved).
+    The format round-trips exactly (edge order preserved).
 
     Parsers validate strictly and never crash mid-parse: NaN, infinite,
     fractional or negative weights, self-loops, endpoints outside
@@ -27,8 +26,9 @@ val digest : Weighted_graph.t -> string
     int is fed as 8 little-endian bytes.  Invariant under endpoint
     order and edge order, so any two structurally equal graphs digest
     identically — the session key of the serving layer and the
-    [instance.digest] field of WM_STATS_v1 reports.  O(n + m) time;
-    allocates one [n + 1] int array and one [m]-slot edge array. *)
+    [instance.digest] field of WM_STATS_v1 reports.  One hashing pass
+    over {!Weighted_graph.canonical_edges}; on a canonical graph the
+    result string is its only allocation. *)
 
 val to_string : Weighted_graph.t -> string
 
@@ -40,10 +40,6 @@ val write_file : string -> Weighted_graph.t -> unit
 
 val read_file : string -> Weighted_graph.t
 
-val matching_to_string : Matching.t -> string
-
-val matching_of_string : string -> Matching.t
-
 (** {1 Binary codec}
 
     Compact {!Bin} frames for durable state (the serving layer's
@@ -54,11 +50,15 @@ val matching_of_string : string -> Matching.t
     recomputes it from the decoded structure and refuses a mismatch, so
     a corrupted snapshot is detected rather than restored. *)
 
-val to_binary : Weighted_graph.t -> string
+val to_binary : ?digest:string -> Weighted_graph.t -> string
 (** ["WMB1"]-tagged frame: n, m, the edges in stored order, and the
-    16-hex-digit {!digest} as a trailer. *)
+    16-hex-digit {!digest} as a trailer.  A caller that already holds
+    the graph's digest passes it as [?digest] and saves the hashing
+    pass; it must be [digest g]. *)
 
 val of_binary : string -> Weighted_graph.t
+(** The canonical graph of the frame (see
+    {!Weighted_graph.canonical}). *)
 
 val matching_to_binary : Matching.t -> string
 (** ["WMM1"]-tagged frame: n, k, the edges. *)

@@ -68,9 +68,6 @@ val remove : t -> Edge.t -> unit
     disagree (a stale mate left by a buggy caller) — both endpoints are
     validated so that removal can never half-apply. *)
 
-val remove_at : t -> int -> Edge.t option
-(** [remove_at m v] removes and returns the matching edge at [v], if any. *)
-
 val edges : t -> Edge.t list
 (** The matched edges, each listed once. *)
 

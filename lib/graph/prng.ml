@@ -66,11 +66,6 @@ let shuffle_in_place t a =
     a.(j) <- tmp
   done
 
-let shuffle t a =
-  let b = Array.copy a in
-  shuffle_in_place t b;
-  b
-
 let permutation t n =
   let a = Array.init n (fun i -> i) in
   shuffle_in_place t a;
@@ -87,10 +82,6 @@ let sample_without_replacement t k n =
       Hashtbl.replace map j vi;
       Hashtbl.replace map i vj;
       vj)
-
-let exponential t lambda =
-  let u = Stdlib.max 1e-300 (float t 1.0) in
-  -.Float.log u /. lambda
 
 let state t = Bytes.get_int64_ne t 0
 

@@ -50,18 +50,12 @@ val bernoulli : t -> float -> bool
 val shuffle_in_place : t -> 'a array -> unit
 (** Uniform Fisher–Yates shuffle. *)
 
-val shuffle : t -> 'a array -> 'a array
-(** Functional shuffle: returns a shuffled copy. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform random permutation of [0..n-1]. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] returns [k] distinct values drawn
     uniformly from [0..n-1], in random order.  Requires [k <= n]. *)
-
-val exponential : t -> float -> float
-(** [exponential t lambda] samples an exponential with rate [lambda]. *)
 
 val state : t -> int64
 (** The raw 64-bit splitmix state, for durable checkpoints (the serving

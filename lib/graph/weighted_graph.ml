@@ -1,13 +1,13 @@
 (* CSR (compressed sparse row) adjacency: [off] has length [n + 1];
    vertex [v]'s incident edges occupy slots [off.(v) .. off.(v+1) - 1]
-   of the packed [nbr] (other endpoint) and [eix] (index into [edges])
-   arrays.  Built eagerly at construction, so a graph value is immutable
-   after [of_array] returns and can be shared freely across domains. *)
+   of the packed [eix] (index into [edges]) array; a neighbour is read
+   off the edge record, which every visit loads anyway.  Built eagerly
+   at construction, so a graph value is immutable after [of_array]
+   returns and can be shared freely across domains. *)
 type t = {
   n : int;
   edges : Edge.t array;
   off : int array;
-  nbr : int array;
   eix : int array;
 }
 
@@ -23,6 +23,15 @@ let check_total_weight edges =
            invalid_arg "Weighted_graph: total weight exceeds 2^53"
          else acc + Edge.weight e)
        0 edges)
+
+(* Canonical order: strictly increasing (u, v). *)
+let before (a : Edge.t) (b : Edge.t) = a.u < b.u || (a.u = b.u && a.v < b.v)
+
+let in_canonical_order edges =
+  let rec go i =
+    i >= Array.length edges || (before edges.(i - 1) edges.(i) && go (i + 1))
+  in
+  go 1
 
 let validate n edges =
   check_total_weight edges;
@@ -46,34 +55,30 @@ let validate n edges =
 let index ~n edges =
   let off = Array.make (n + 1) 0 in
   Array.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1)
+    (fun (e : Edge.t) ->
+      off.(e.u + 1) <- off.(e.u + 1) + 1;
+      off.(e.v + 1) <- off.(e.v + 1) + 1)
     edges;
   for v = 1 to n do
     off.(v) <- off.(v) + off.(v - 1)
   done;
   let total = 2 * Array.length edges in
-  let nbr = Array.make total 0 and eix = Array.make total 0 in
+  let eix = Array.make total 0 in
   let cursor = Array.sub off 0 n in
   Array.iteri
-    (fun i e ->
-      let u, v = Edge.endpoints e in
-      nbr.(cursor.(u)) <- v;
+    (fun i ({ u; v; _ } : Edge.t) ->
       eix.(cursor.(u)) <- i;
       cursor.(u) <- cursor.(u) + 1;
-      nbr.(cursor.(v)) <- u;
       eix.(cursor.(v)) <- i;
       cursor.(v) <- cursor.(v) + 1)
     edges;
-  (off, nbr, eix)
+  (off, eix)
 
 (* Internal constructor for edge arrays already known to be in range and
    parallel-edge-free (owned, not aliased by the caller). *)
 let unsafe_of_owned_array ~n ~edges =
-  let off, nbr, eix = index ~n edges in
-  { n; edges; off; nbr; eix }
+  let off, eix = index ~n edges in
+  { n; edges; off; eix }
 
 let of_array ~n edges =
   if n < 0 then invalid_arg "Weighted_graph: negative n";
@@ -116,22 +121,28 @@ let fold_edges f init g = Array.fold_left f init g.edges
 
 let degree g v = g.off.(v + 1) - g.off.(v)
 
+(* The endpoint of [e] that is not [v], for [v] an endpoint. *)
+let other (e : Edge.t) v = if e.u = v then e.v else e.u
+
 let neighbors g v =
   let acc = ref [] in
   for i = g.off.(v + 1) - 1 downto g.off.(v) do
-    acc := (g.nbr.(i), g.edges.(g.eix.(i))) :: !acc
+    let e = g.edges.(g.eix.(i)) in
+    acc := (other e v, e) :: !acc
   done;
   !acc
 
 let iter_neighbors g v f =
   for i = g.off.(v) to g.off.(v + 1) - 1 do
-    f g.nbr.(i) g.edges.(g.eix.(i))
+    let e = g.edges.(g.eix.(i)) in
+    f (other e v) e
   done
 
 let fold_neighbors g v f init =
   let acc = ref init in
   for i = g.off.(v) to g.off.(v + 1) - 1 do
-    acc := f !acc g.nbr.(i) g.edges.(g.eix.(i))
+    let e = g.edges.(g.eix.(i)) in
+    acc := f !acc (other e v) e
   done;
   !acc
 
@@ -142,8 +153,9 @@ let find_edge g u v =
     let u, v = if degree g u <= degree g v then (u, v) else (v, u) in
     let rec scan i =
       if i >= g.off.(u + 1) then None
-      else if g.nbr.(i) = v then Some g.edges.(g.eix.(i))
-      else scan (i + 1)
+      else
+        let e = g.edges.(g.eix.(i)) in
+        if other e u = v then Some e else scan (i + 1)
     in
     scan g.off.(u)
   end
@@ -165,19 +177,49 @@ let map_weights g f =
   unsafe_of_owned_array ~n:g.n
     ~edges:(Array.map (fun e -> Edge.reweight e (f e)) g.edges)
 
+(* Canonicalisation, O(n + m): count the edges per min endpoint u, then
+   visit max endpoints v = 0 .. n-1 through the CSR and drop each edge
+   with u < v into u's bucket, which so fills in increasing v.  The fill
+   overwrites every slot of the [sorted] copy. *)
+let canonical_edges g =
+  if in_canonical_order g.edges then g.edges
+  else begin
+    let off = Array.make (g.n + 1) 0 in
+    Array.iter (fun (e : Edge.t) -> off.(e.u + 1) <- off.(e.u + 1) + 1) g.edges;
+    for u = 1 to g.n do
+      off.(u) <- off.(u) + off.(u - 1)
+    done;
+    let sorted = Array.copy g.edges in
+    for v = 0 to g.n - 1 do
+      for i = g.off.(v) to g.off.(v + 1) - 1 do
+        let e = g.edges.(g.eix.(i)) in
+        if e.u < v then begin
+          sorted.(off.(e.u)) <- e;
+          off.(e.u) <- off.(e.u) + 1
+        end
+      done
+    done;
+    sorted
+  end
+
+let canonical g =
+  let edges = canonical_edges g in
+  if edges == g.edges then g else unsafe_of_owned_array ~n:g.n ~edges
+
 (* Delta rebuild: kept base edges were validated when [g] was built, so
    only the delta is checked — removals must name existing edges, and
    additions must be in range for the grown vertex set and must not
-   parallel a kept base edge or another addition. *)
+   parallel a kept base edge or another addition.  Then one merge over
+   the canonical base edges drops the sorted removals as it meets them
+   and slots the sorted additions in, so the result is canonical. *)
 let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
   if add_vertices < 0 then
     invalid_arg "Weighted_graph.patch: negative add_vertices";
   let n' = g.n + add_vertices in
-  let norm (u, v) = if u <= v then (u, v) else (v, u) in
   let removed = Hashtbl.create (max 1 (2 * List.length remove)) in
   List.iter
-    (fun pair ->
-      let u, v = norm pair in
+    (fun (u, v) ->
+      let u, v = if u <= v then (u, v) else (v, u) in
       if Hashtbl.mem removed (u, v) then
         invalid_arg
           (Printf.sprintf "Weighted_graph.patch: edge %d-%d removed twice" u v);
@@ -202,13 +244,30 @@ let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
              (Edge.to_string e));
       Hashtbl.add seen_add (u, v) ())
     add;
-  let kept =
-    Array.of_seq
-      (Seq.filter
-         (fun e -> not (Hashtbl.mem removed (Edge.endpoints e)))
-         (Array.to_seq g.edges))
+  let base = canonical_edges g and adds = Array.of_list add in
+  let gone = Array.of_seq (Hashtbl.to_seq_keys removed) in
+  Array.sort Edge.compare adds;
+  Array.sort compare gone;
+  let m = Array.length base and a = Array.length adds in
+  let edges = Array.make (m - Array.length gone + a) (Edge.make 0 1 0) in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  let next_gone (e : Edge.t) =
+    !k < Array.length gone && (let u, v = gone.(!k) in e.u = u && e.v = v)
   in
-  let edges = Array.append kept (Array.of_list add) in
+  for o = 0 to Array.length edges - 1 do
+    while !i < m && next_gone base.(!i) do
+      incr i;
+      incr k
+    done;
+    if !j < a && (!i >= m || before adds.(!j) base.(!i)) then begin
+      edges.(o) <- adds.(!j);
+      incr j
+    end
+    else begin
+      edges.(o) <- base.(!i);
+      incr i
+    end
+  done;
   check_total_weight edges;
   unsafe_of_owned_array ~n:n' ~edges
 

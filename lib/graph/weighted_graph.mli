@@ -1,13 +1,19 @@
 (** Weighted undirected graphs on vertices [0 .. n-1].
 
     The representation stores the edge list plus a CSR (compressed
-    sparse row) adjacency index — int-array offsets plus packed
-    neighbour / edge-index arrays — built eagerly at construction; both
+    sparse row) adjacency index — int-array offsets plus a packed
+    edge-index array — built eagerly at construction; both
     the streaming algorithms (which consume edge lists in a given order)
     and the offline solvers (which need neighbourhood queries) are
     served without duplication.  [degree] is O(1) and [iter_neighbors]
     walks a contiguous slice.  Values are immutable once constructed,
-    so a graph can be read concurrently from any number of domains. *)
+    so a graph can be read concurrently from any number of domains.
+
+    {b Canonical order.}  A graph is {e canonical} when its edge array
+    is in strictly increasing [(u, v)] order.  Constructors keep the
+    order they are given and solvers read edges in array order;
+    {!canonical} and {!patch} return canonical graphs, and the serving
+    layer holds only those, so a served answer depends on content alone. *)
 
 type t
 
@@ -88,17 +94,27 @@ val map_weights : t -> (Edge.t -> int) -> t
 (** Reweight every edge.  Skips re-validation (endpoints unchanged);
     negative weights are still rejected by [Edge.reweight]. *)
 
+val canonical_edges : t -> Edge.t array
+(** The edges in canonical order: [edges g] itself, after an O(m) check,
+    when [g] is canonical, else an O(n + m) bucketed copy.  Do not
+    mutate the result. *)
+
+val canonical : t -> t
+(** [g] itself when it is canonical, otherwise the same graph rebuilt
+    on {!canonical_edges}. *)
+
 val patch :
   t -> ?add_vertices:int -> ?add:Edge.t list -> ?remove:(int * int) list ->
   unit -> t
-(** [patch g ~add_vertices ~add ~remove ()] rebuilds the CSR from [g]
-    plus a delta: [add_vertices] fresh isolated vertices, the edges in
-    [add], minus the endpoint pairs in [remove] (order-insensitive).
-    Only the delta is validated — kept base edges were checked when [g]
-    was built.  Raises [Invalid_argument] if a removal names a missing
-    edge (or repeats a pair), or an addition is out of range or would
-    create a parallel edge.  Removing then re-adding a pair in the same
-    patch expresses a weight update. *)
+(** [patch g ~add_vertices ~add ~remove ()] is the canonical graph of
+    [g] plus a delta: [add_vertices] fresh isolated vertices, the edges
+    in [add], minus the endpoint pairs in [remove] (order-insensitive),
+    by one merge over {!canonical_edges}.  Only the delta is validated —
+    kept base edges were checked when [g] was built.  Raises
+    [Invalid_argument] if a removal names a missing edge (or repeats a
+    pair), or an addition is out of range or would create a parallel
+    edge.  Removing then re-adding a pair in the same patch expresses a
+    weight update. *)
 
 val is_bipartition : t -> left:(int -> bool) -> bool
 (** [is_bipartition g ~left] checks that every edge joins a [left] vertex

@@ -51,5 +51,3 @@ let ops t ~label =
 let words t ~label =
   match Hashtbl.find_opt t.by_label label with Some x -> x.words | None -> 0
 
-let total_ops t = Hashtbl.fold (fun _ x acc -> acc + x.ops) t.by_label 0
-let total_words t = Hashtbl.fold (fun _ x acc -> acc + x.words) t.by_label 0

@@ -30,7 +30,3 @@ val ops : t -> label:string -> int
 
 val words : t -> label:string -> int
 (** Total words moved under [label]. *)
-
-val total_ops : t -> int
-
-val total_words : t -> int

@@ -125,16 +125,11 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span reg name f] runs [f] inside a span, closing it even when
     [f] raises. *)
 
-val span_open_root : t -> string -> unit
-(** [span_open_root reg path] opens a span recorded under exactly
-    [path] (which may contain ['/'] separators), ignoring the calling
-    domain's ambient span stack.  Subsequent {!span_open} calls on the
-    same domain nest under it as usual.  Use this to keep attribution
-    stable when the same work may run inline or on a pool worker
-    domain. *)
-
 val with_span_root : t -> string -> (unit -> 'a) -> 'a
-(** {!span_open_root} + {!span_close}, exception-safe. *)
+(** [with_span_root reg path f] runs [f] inside a span recorded under
+    exactly [path], ignoring the calling domain's ambient span stack, so
+    attribution is stable whether [f] runs inline or on a pool worker
+    domain.  Exception-safe. *)
 
 val span_total_ns : t -> string -> int
 (** Accumulated nanoseconds recorded under a span path ([0] if never

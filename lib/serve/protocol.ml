@@ -189,8 +189,11 @@ let parse_add_vertices obj =
 
 let parse_request line =
   match J.of_string line with
-  | Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
-  | Ok (J.Obj _ as obj) -> (
+  | Error e -> Error (0, Printf.sprintf "invalid JSON: %s" e)
+  | Ok (J.Obj _ as obj) ->
+      let id = match J.member "id" obj with Some (J.Int n) -> Some n | _ -> None in
+      Result.map_error (fun msg -> (Option.value id ~default:0, msg))
+      @@
       let* () =
         match J.member "schema" obj with
         | Some (J.Str "WM_REQ_v1") -> Ok ()
@@ -198,11 +201,7 @@ let parse_request line =
             Error (Printf.sprintf "unexpected schema %s" (J.to_string j))
         | None -> Error "missing \"schema\" field (expected \"WM_REQ_v1\")"
       in
-      let* id =
-        match J.member "id" obj with
-        | Some (J.Int n) -> Ok n
-        | _ -> Error "missing or non-integer \"id\" field"
-      in
+      let* id = Option.to_result id ~none:"missing or non-integer \"id\" field" in
       let* verb_s =
         match J.member "verb" obj with
         | Some (J.Str s) -> Ok s
@@ -236,8 +235,8 @@ let parse_request line =
                   shutdown)"
                  s)
       in
-      Ok { id; verb })
-  | Ok _ -> Error "request is not a JSON object"
+      Ok { id; verb }
+  | Ok _ -> Error (0, "request is not a JSON object")
 
 (* Canonical textual form of a mutation delta: endpoints normalised to
    (min, max), entries sorted, additions before removals.  Two requests

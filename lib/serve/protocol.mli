@@ -99,13 +99,13 @@ type verb =
 
 type request = { id : int; verb : verb }
 
-val parse_request : string -> (request, string) result
-(** Parse one request line.  [Error msg] is a one-line, user-facing
-    diagnostic (bad JSON, wrong schema, missing field, unknown verb). *)
+val parse_request : string -> (request, int * string) result
+(** Parse one request line.  In [Error (id, msg)], [msg] is a one-line,
+    user-facing diagnostic (bad JSON, wrong schema, missing field,
+    unknown verb) and [id] is the request's id when it parsed, else 0,
+    so a pipelining client can tell which request was refused. *)
 
 val algo_name : algo -> string
-
-val algo_of_name : string -> algo option
 
 val canonical_params : solve_params -> string
 (** The canonical textual form of the parameters that determine a

@@ -963,6 +963,8 @@ let load t ~id ~graph ~path =
     | None, None -> invalid_arg "load: no graph or path"
   with
   | g ->
+      (* Sessions hold canonical graphs: cold answers depend on content. *)
+      let g = G.canonical g in
       let d = Wm_graph.Graph_io.digest g in
       (* One WAL record per input line, so a fresh session's origin is
          the LSN this line's record is about to take. *)
@@ -1173,11 +1175,11 @@ let report_json t =
 
 (* One input line, parsed or not.  Every line counts as a request and
    gets exactly one ledger row. *)
-let dispatch t (req : (Protocol.request, string) result) =
+let dispatch t (req : (Protocol.request, int * string) result) =
   t.reqno <- t.reqno + 1;
   Obs.incr c_requests;
   match req with
-  | Error msg -> [ refuse t ~label:"malformed" ~id:0 msg ]
+  | Error (id, msg) -> [ refuse t ~label:"malformed" ~id msg ]
   | Ok { Protocol.id; _ } when t.stopped ->
       [ refuse t ~label:"stopped" ~id "server stopped" ]
   | Ok { Protocol.id; verb } -> (

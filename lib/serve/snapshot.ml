@@ -25,7 +25,7 @@ let encode s =
   add_varint buf s.lsn;
   add_string buf s.digest;
   add_varint buf s.generation;
-  add_string buf (Gio.to_binary s.graph);
+  add_string buf (Gio.to_binary ~digest:s.digest s.graph);
   let add_matching buf m = add_string buf (Gio.matching_to_binary m) in
   add_list (add_pair add_string add_matching) buf s.warm;
   Buffer.contents buf

@@ -69,7 +69,7 @@ let encode_body buf body =
       Buffer.add_char buf 'L';
       add_varint buf origin;
       add_string buf digest;
-      add_string buf (Gio.to_binary graph)
+      add_string buf (Gio.to_binary ~digest graph)
   | Mutate { old_digest; new_digest; subsumed; add_vertices; add; remove } ->
       Buffer.add_char buf 'M';
       add_string buf old_digest;

@@ -23,71 +23,15 @@ type t = {
   faults : Injector.t;
 }
 
-(* Weight ordering is a stable LSD radix sort on 11-bit digits: one
-   counting pass per digit actually present, against [Array.sort]'s
-   O(m log m) comparator calls and its unspecified equal-weight order
-   (stability makes the arranged stream a function of the input order
-   alone).  Count and swap buffers live in per-domain arenas. *)
-let radix_bits = 11
-let radix_size = 1 lsl radix_bits
-let radix_mask = radix_size - 1
-
-type radix_scratch = { counts : int array; mutable aux : E.t array }
-
-let radix_slot =
-  Wm_graph.Arena.slot (fun () ->
-      { counts = Array.make radix_size 0; aux = [||] })
-
-let sort_by_weight ~descending edges =
-  let m = Array.length edges in
-  if m > 1 then begin
-    let maxw =
-      Array.fold_left (fun acc e -> Stdlib.max acc (E.weight e)) 0 edges
-    in
-    (* Weights are non-negative; descending order uses the reflected
-       key so the same ascending passes serve both directions. *)
-    let key = if descending then fun e -> maxw - E.weight e else E.weight in
-    let s = Wm_graph.Arena.get radix_slot in
-    if Array.length s.aux < m then s.aux <- Array.make m edges.(0);
-    let counts = s.counts in
-    let src = ref edges and dst = ref s.aux in
-    let shift = ref 0 in
-    while maxw lsr !shift > 0 do
-      let sa = !src and da = !dst in
-      Array.fill counts 0 radix_size 0;
-      for i = 0 to m - 1 do
-        let d = (key sa.(i) lsr !shift) land radix_mask in
-        counts.(d) <- counts.(d) + 1
-      done;
-      let total = ref 0 in
-      for d = 0 to radix_size - 1 do
-        let c = counts.(d) in
-        counts.(d) <- !total;
-        total := !total + c
-      done;
-      for i = 0 to m - 1 do
-        let e = sa.(i) in
-        let d = (key e lsr !shift) land radix_mask in
-        da.(counts.(d)) <- e;
-        counts.(d) <- counts.(d) + 1
-      done;
-      src := da;
-      dst := sa;
-      shift := !shift + radix_bits
-    done;
-    (* All-equal weights need zero passes; otherwise land the result
-       back in [edges] if the pass count was odd. *)
-    if !src != edges then Array.blit !src 0 edges 0 m
-  end
-
 let arrange order edges =
-  let edges = Array.copy edges in
-  (match order with
-  | As_given -> ()
-  | Random rng -> Wm_graph.Prng.shuffle_in_place rng edges
-  | Increasing_weight -> sort_by_weight ~descending:false edges
-  | Decreasing_weight -> sort_by_weight ~descending:true edges);
-  edges
+  match order with
+  | As_given -> Array.copy edges
+  | Random rng ->
+      let edges = Array.copy edges in
+      Wm_graph.Prng.shuffle_in_place rng edges;
+      edges
+  | Increasing_weight -> E.sort_by_weight ~descending:false edges
+  | Decreasing_weight -> E.sort_by_weight ~descending:true edges
 
 let make ?faults n edges =
   Obs.incr c_streams;

@@ -29,7 +29,6 @@ let set_current t k =
 
 let current t = t.current
 let peak t = t.peak
-let pass_peak t = t.pass_peak
 
 (* The next pass's peak starts at the carried-over holding, not zero:
    whatever is still retained at the boundary is space the next pass is

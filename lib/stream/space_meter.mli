@@ -25,10 +25,6 @@ val current : t -> int
 val peak : t -> int
 (** Highest value [current] ever reached. *)
 
-val pass_peak : t -> int
-(** Highest value [current] reached since the last {!checkpoint} (or
-    since creation/{!reset}). *)
-
 val checkpoint : t -> int
 (** [checkpoint t] closes the current accounting pass: it returns the
     peak reached since the previous checkpoint and restarts the

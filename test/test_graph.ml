@@ -631,7 +631,7 @@ let test_io_digest_invariance () =
 
 let test_io_matching_roundtrip () =
   let m = M.of_edges 5 [ E.make 0 1 4; E.make 2 3 6 ] in
-  let m' = IO.matching_of_string (IO.matching_to_string m) in
+  let m' = IO.matching_of_binary (IO.matching_to_binary m) in
   check_bool "equal" true (M.equal m m')
 
 let test_io_file_roundtrip () =
@@ -860,8 +860,9 @@ let gen_digest_case =
 
 (* The same content built three more ways: patched onto a base that
    holds part of the edges plus the rest at weight 0 (removed and
-   re-added, i.e. reweighted) and fewer vertices, and round-tripped
-   through the binary frame. *)
+   re-added, i.e. reweighted) and fewer vertices, in the base's order
+   and in canonical order, and round-tripped through the binary frame.
+   Each of those is the canonical form of [g], edge for edge. *)
 let prop_digest_matches_reference =
   QCheck2.Test.make ~name:"digest equals the sort-based reference" ~count:300
     ~print:(fun (n, seed, es) ->
@@ -877,14 +878,22 @@ let prop_digest_matches_reference =
         List.fold_left (fun a (e : E.t) -> Stdlib.max a (e.v + 1)) 0 es
       in
       let base = G.create ~n:base_n (kept @ zeroed) in
-      let patched =
+      let patched base =
         G.patch base ~add_vertices:(n - base_n) ~add:moved
           ~remove:(List.map E.endpoints moved) ()
       in
       let decoded = IO.of_binary (IO.to_binary g) in
-      List.for_all
-        (fun g' -> IO.digest g' = d && reference_digest g' = d)
-        [ g; patched; decoded ])
+      let canonical = G.canonical g in
+      G.canonical canonical == canonical
+      && List.for_all
+           (fun g' -> IO.digest g' = d && reference_digest g' = d)
+           [ g; canonical ]
+      && List.for_all
+           (fun g' ->
+             IO.digest g' = d
+             && G.n g' = n
+             && Array.for_all2 E.equal (G.edges canonical) (G.edges g'))
+           [ patched base; patched (G.canonical base); decoded ])
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

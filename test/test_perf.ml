@@ -3,8 +3,9 @@
    iterators (Weighted_graph.iter_neighbors, Tau.iter_homogeneous, the
    cached Layered builds, Prng draws) and Graph_io.digest's
    allocation, the canonical equal-gain
-   tie-break, the stable weight-ordered stream arrangement, and the
-   scale-tier generators.
+   tie-break, greedy's content-defined (weight desc, u, v) order, the
+   stable weight-ordered stream arrangement, and the scale-tier
+   generators.
 
    The budget tests measure [Gc.minor_words] deltas (domain-local, so
    they are exact for single-domain code) after a warm-up call that
@@ -234,10 +235,13 @@ let all_words f =
   f ();
   int_of_float ((Gc.allocated_bytes () -. a) /. float (Sys.word_size / 8))
 
-(* The digest buckets edges by min endpoint: an (n+1)-int offset array
-   and an m-slot copy of the edge array, then a hash loop that must
-   allocate nothing.  Per-edge tuples or per-byte Int64 boxes (the
-   sort-based digest spent 84 words an edge) blow the budget. *)
+(* On a graph out of canonical order the digest buckets edges by min
+   endpoint: an (n+1)-int offset array and an m-slot copy of the edge
+   array.  On a canonical graph it hashes the edge array in place, and
+   the result string is its only allocation: 16 hex digits are 2 words
+   of bytes, a padding word and a header.  Per-edge tuples or per-byte
+   Int64 boxes (the sort-based digest spent 84 words an edge) blow
+   either budget. *)
 let test_digest_allocation () =
   List.iter
     (fun n ->
@@ -245,19 +249,50 @@ let test_digest_allocation () =
         Gen.power_law_scale (P.create 5) ~n ~attach:4
           ~weights:(Gen.Uniform (1, 1000))
       in
-      ignore (Wm_graph.Graph_io.digest g);
-      let w = all_words (fun () -> ignore (Wm_graph.Graph_io.digest g)) in
-      (* The result: 16 hex digits are 2 words of bytes, a padding word
-         and a header. *)
-      let budget = n + G.m g + 64 + 4 in
+      let cost g =
+        ignore (Wm_graph.Graph_io.digest g);
+        all_words (fun () -> ignore (Wm_graph.Graph_io.digest g))
+      in
+      let w = cost g and budget = n + G.m g + 64 + 4 in
       check_bool
         (Printf.sprintf "n=%d m=%d: digest costs %d words (budget %d)" n
            (G.m g) w budget)
-        true (w <= budget))
+        true (w <= budget);
+      let c = G.canonical g in
+      check_bool "generator order is not canonical" true (c != g);
+      let w = cost c in
+      check_bool
+        (Printf.sprintf "n=%d: canonical digest costs %d words (budget 4)" n w)
+        true (w <= 4))
     [ 1_000; 10_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
+
+(* Greedy.by_weight depends on the edge set only: ties break on (u, v),
+   so a shuffled copy of a graph gets the identical matching, and both
+   equal greedy over a comparison sort on (weight desc, u, v). *)
+let test_greedy_order_free () =
+  let g =
+    Gen.power_law_scale (P.create 3) ~n:2000 ~attach:4
+      ~weights:(Gen.Uniform (1, 20))
+  in
+  let shuffled = Array.copy (G.edges g) in
+  P.shuffle_in_place (P.create 9) shuffled;
+  let reference =
+    let m = M.create (G.n g) in
+    List.iter
+      (fun e -> ignore (M.try_add m e))
+      (List.sort
+         (fun (a : E.t) (b : E.t) -> compare (b.w, a.u, a.v) (a.w, b.u, b.v))
+         (G.edge_list g));
+    m
+  in
+  let edges m = List.sort E.compare (M.edges m) in
+  let greedy g = edges (Wm_algos.Greedy.by_weight g) in
+  check_bool "shuffled copy, same matching" true
+    (greedy g = greedy (G.of_array ~n:(G.n g) shuffled));
+  check_bool "(weight desc, u, v) order" true (greedy g = edges reference)
 
 let test_canonical_key_path_reversal () =
   let p1 = A.Path [ E.make 0 1 5; E.make 1 2 3 ] in
@@ -308,17 +343,22 @@ let collect stream =
 
 let test_arrange_matches_stable_sort () =
   (* Few distinct weights force heavy ties, so stability is load-bearing
-     in the expected sequence. *)
-  let g = Gen.gnp (P.create 3) ~n:120 ~p:0.05 ~weights:(Gen.Uniform (1, 4)) in
-  let given = collect (ES.of_graph g) in
-  let incr_got = collect (ES.of_graph ~order:ES.Increasing_weight g) in
-  let decr_got = collect (ES.of_graph ~order:ES.Decreasing_weight g) in
-  let by f = List.stable_sort (fun a b -> Stdlib.compare (f a) (f b)) given in
-  check_bool "nontrivial instance" true (List.length given > 200);
-  check_bool "increasing = stable sort" true
-    (List.equal E.equal incr_got (by E.weight));
-  check_bool "decreasing = stable reverse sort" true
-    (List.equal E.equal decr_got (by (fun e -> -E.weight e)))
+     in the expected sequence; the wider ranges take two and three radix
+     passes, the first crossing the 11-bit digit boundary. *)
+  List.iter
+    (fun (lo, hi) ->
+      let g = Gen.gnp (P.create 3) ~n:120 ~p:0.05 ~weights:(Gen.Uniform (lo, hi)) in
+      let given = collect (ES.of_graph g) in
+      let incr_got = collect (ES.of_graph ~order:ES.Increasing_weight g) in
+      let decr_got = collect (ES.of_graph ~order:ES.Decreasing_weight g) in
+      let by f = List.stable_sort (fun a b -> Stdlib.compare (f a) (f b)) given in
+      check_bool "nontrivial instance" true (List.length given > 200);
+      check_bool "increasing = stable sort" true
+        (List.equal E.equal incr_got (by E.weight));
+      check_bool "decreasing = stable reverse sort" true
+        (List.equal E.equal decr_got (by (fun e -> -E.weight e)));
+      check_bool "graph order untouched" true (List.equal E.equal given (G.edge_list g)))
+    [ (1, 4); (2046, 2050); (1, 1 lsl 23) ]
 
 (* ------------------------------------------------------------------ *)
 (* Scale-tier generator validity *)
@@ -420,6 +460,8 @@ let () =
             test_canonical_key_cycle_rotation;
           Alcotest.test_case "one_augmentations canonical order" `Quick
             test_one_augmentations_tie_break;
+          Alcotest.test_case "greedy by weight is order-free" `Quick
+            test_greedy_order_free;
         ] );
       ( "arrange",
         [

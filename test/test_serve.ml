@@ -43,7 +43,7 @@ let server ?queue_depth ?cache_entries ?warm_start () =
 let req line =
   match Protocol.parse_request line with
   | Ok r -> r
-  | Error e -> Alcotest.fail ("unexpected parse error: " ^ e)
+  | Error (_, e) -> Alcotest.fail ("unexpected parse error: " ^ e)
 
 let load_graph srv seed =
   match
@@ -140,7 +140,7 @@ let test_parse_latest_normalised () =
 let test_parse_rejects () =
   let bad line =
     match Protocol.parse_request line with
-    | Error msg ->
+    | Error (_, msg) ->
         check_bool "one-line error" true (not (String.contains msg '\n'))
     | Ok _ -> Alcotest.fail ("accepted: " ^ line)
   in
@@ -202,7 +202,7 @@ let test_parse_mutations () =
 let test_parse_mutation_rejects () =
   let bad line =
     match Protocol.parse_request line with
-    | Error msg ->
+    | Error (_, msg) ->
         check_bool "one-line error" true (not (String.contains msg '\n'))
     | Ok _ -> Alcotest.fail ("accepted: " ^ line)
   in
@@ -562,6 +562,12 @@ let test_refusal_paths () =
         6,
         None );
       ("malformed line", [], "{\"schema\":", "malformed", 0, None);
+      ( "malformed line with an id",
+        [],
+        line 2 "solve" ",\"algo\":\"main\"",
+        "malformed",
+        2,
+        Some "unknown algo \"main\" (expected streaming, mpc or greedy)" );
       ( "malformed x_warm",
         loaded,
         line 8 "solve" ",\"x_warm\":\"zz\"",
@@ -611,6 +617,59 @@ let test_refusal_paths () =
           Alcotest.failf "%s: expected one ledger row, got %d" name
             (List.length rows - rows0))
     cases
+
+(* A cold served answer is a function of its cache key.  [cold_answers
+   text mutations] loads [text] into a fresh server with no cache and
+   no warm starts, applies the [mutations] lines, and returns each
+   algorithm's session digest and cold result, rendered. *)
+let cold_answers text mutations =
+  let srv = server ~cache_entries:0 ~warm_start:false () in
+  ignore
+    (Server.handle_request srv
+       { Protocol.id = 0; verb = Protocol.Load { graph = Some text; path = None } });
+  List.iter (fun l -> check_str "mutation" "ok" (status (one srv (req l)))) mutations;
+  List.map
+    (fun algo ->
+      let r = one srv (solve_req ~algo ~seed:1 ()) in
+      ( algo,
+        str_field r "digest" ^ " "
+        ^ Option.fold ~none:"" ~some:J.to_string (J.member "result" r) ))
+    [ "streaming"; "mpc"; "greedy" ]
+
+(* [g]'s file text with its edge lines in the order [perm]. *)
+let permuted_text g perm =
+  let edges = G.edges g in
+  Wm_graph.Graph_io.to_string (G.of_array ~n:(G.n g) (Array.map (Array.get edges) perm))
+
+(* One digest reached by two histories: two file orders, and a load
+   followed by removing and re-adding an edge. *)
+let test_two_histories_one_answer () =
+  List.iter
+    (fun seed ->
+      let g = small_graph seed in
+      let m = G.m g and e = (G.edges g).(0) in
+      let u, v = Wm_graph.Edge.endpoints e in
+      let base = cold_answers (graph_text seed) [] in
+      let same history answers =
+        List.iter2
+          (fun (algo, want) (_, got) ->
+            check_str (Printf.sprintf "seed %d, %s: %s" seed history algo) want got)
+          base answers
+      in
+      same "first edge line last"
+        (cold_answers (permuted_text g (Array.init m (fun i -> (i + 1) mod m))) []);
+      same "remove and re-add"
+        (cold_answers (graph_text seed)
+           [ remove_edges_req [ (u, v) ]; add_edges_req [ (u, v, Wm_graph.Edge.weight e) ] ]))
+    [ 3; 7; 11 ]
+
+let prop_permuted_lines_same_answers =
+  QCheck2.Test.make ~name:"permuted edge lines, same cold answers" ~count:15
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 1_000_000))
+    (fun (seed, perm_seed) ->
+      let g = small_graph seed in
+      cold_answers (graph_text seed) []
+      = cold_answers (permuted_text g (P.permutation (P.create perm_seed) (G.m g))) [])
 
 (* The equivalence property behind incremental sessions: mutating a
    loaded session must be indistinguishable from loading the mutated
@@ -920,6 +979,9 @@ let () =
           Alcotest.test_case "x_warm bounded by the session" `Quick
             test_x_warm_bounded;
           Alcotest.test_case "refusal paths" `Quick test_refusal_paths;
+          Alcotest.test_case "two histories, one cold answer" `Quick
+            test_two_histories_one_answer;
+          QCheck_alcotest.to_alcotest prop_permuted_lines_same_answers;
           Alcotest.test_case "mutate equals direct load" `Quick
             test_mutate_equiv_direct_load;
           Alcotest.test_case "warm solve after delete" `Quick
