@@ -266,6 +266,25 @@ let test_digest_allocation () =
         true (w <= 4))
     [ 1_000; 10_000 ]
 
+(* A served window patches a canonical session graph and never asks it
+   for a neighbour, so a patch allocates its new edge array (m words and
+   a header), its result record and per-delta-edge scratch: no CSR index
+   (2m words for the packed slots, n for the offsets). *)
+let test_patch_builds_no_index () =
+  let base =
+    G.canonical
+      (Gen.power_law_scale (P.create 20191) ~n:10_000 ~attach:8
+         ~weights:(Gen.Uniform (1, 100)))
+  in
+  let add = List.init 32 (fun i -> E.make (300 * i) (10_000 + i) 7) in
+  let patch () = ignore (G.patch base ~add_vertices:32 ~add ()) in
+  patch ();
+  let w = all_words patch and budget = G.m base + 256 + (64 * 32) in
+  check_bool
+    (Printf.sprintf "m=%d: a 32-edge patch costs %d words (budget %d)"
+       (G.m base) w budget)
+    true (w <= budget)
+
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
 
@@ -451,6 +470,8 @@ let () =
             test_prng_allocation_free;
           Alcotest.test_case "digest is linear and allocation-lean" `Quick
             test_digest_allocation;
+          Alcotest.test_case "patch builds no index" `Quick
+            test_patch_builds_no_index;
         ] );
       ( "tie-break",
         [
