@@ -3,45 +3,119 @@ exception Corrupt of string
 let corrupt msg = raise (Corrupt msg)
 
 (* ------------------------------------------------------------------ *)
-(* Writers *)
+(* Writers.  [encode] runs an encoder twice over one writer: a sizing run
+   that only advances [pos], then a run that fills a buffer of exactly
+   that size.  [add_nested] records each nested payload's size on the
+   sizing run, in the order the calls start, so the writing run knows
+   its length prefix before writing the payload itself. *)
 
-let add_varint buf x =
+type w = {
+  mutable sizing : bool;
+  mutable out : Bytes.t;
+  mutable pos : int;
+  mutable sizes : int array;
+  mutable nested : int;  (* [add_nested] calls so far in this run *)
+}
+
+let varint_size x =
+  if x < 0x80 then 1
+  else if x < 0x4000 then 2
+  else
+    let rec go k x = if x < 0x80 then k else go (k + 1) (x lsr 7) in
+    go 3 (x lsr 14)
+
+let add_char w c =
+  if not w.sizing then Bytes.set w.out w.pos c;
+  w.pos <- w.pos + 1
+
+(* The hot writer of every graph frame: the common one-byte case is a
+   single store, and the loop keeps its cursor in a local. *)
+let add_varint w x =
   if x < 0 then invalid_arg "Bin.add_varint: negative value";
-  let rec go x =
-    if x < 0x80 then Buffer.add_char buf (Char.chr x)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
-      go (x lsr 7)
-    end
-  in
-  go x
+  let pos = w.pos in
+  if w.sizing then w.pos <- pos + varint_size x
+  else if x < 0x80 then begin
+    Bytes.set w.out pos (Char.unsafe_chr x);
+    w.pos <- pos + 1
+  end
+  else begin
+    let out = w.out and x = ref x and p = ref pos in
+    while !x >= 0x80 do
+      Bytes.set out !p (Char.unsafe_chr (0x80 lor (!x land 0x7f)));
+      incr p;
+      x := !x lsr 7
+    done;
+    Bytes.set out !p (Char.unsafe_chr !x);
+    w.pos <- !p + 1
+  end
 
-let add_string buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+let add_fixed w s =
+  if not w.sizing then Bytes.blit_string s 0 w.out w.pos (String.length s);
+  w.pos <- w.pos + String.length s
 
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
+let add_string w s =
+  add_varint w (String.length s);
+  add_fixed w s
 
-let add_option f buf = function
-  | None -> add_bool buf false
+let add_bool w b = add_char w (if b then '\001' else '\000')
+
+let add_option f w = function
+  | None -> add_bool w false
   | Some v ->
-      add_bool buf true;
-      f buf v
+      add_bool w true;
+      f w v
 
-let add_list f buf l =
-  add_varint buf (List.length l);
-  List.iter (f buf) l
+let add_list f w l =
+  add_varint w (List.length l);
+  List.iter (f w) l
 
-let add_pair fa fb buf (a, b) =
-  fa buf a;
-  fb buf b
+let add_pair fa fb w (a, b) =
+  fa w a;
+  fb w b
 
-let add_triple fa fb fc buf (a, b, c) =
-  fa buf a;
-  fb buf b;
-  fc buf c
+let add_triple fa fb fc w (a, b, c) =
+  fa w a;
+  fb w b;
+  fc w c
 
-let add_int64 buf v = Buffer.add_int64_le buf v
+let add_int64 w v =
+  if not w.sizing then Bytes.set_int64_le w.out w.pos v;
+  w.pos <- w.pos + 8
+
+let add_nested w f =
+  let slot = w.nested in
+  w.nested <- slot + 1;
+  if w.sizing then begin
+    if slot = Array.length w.sizes then
+      w.sizes <- Array.append w.sizes (Array.make (slot + 4) 0);
+    let start = w.pos in
+    f w;
+    let len = w.pos - start in
+    w.sizes.(slot) <- len;
+    w.pos <- w.pos + varint_size len
+  end
+  else begin
+    add_varint w w.sizes.(slot);
+    f w
+  end
+
+(* [f]'s bytes after [header] reserved bytes, in a buffer of exactly
+   their size. *)
+let run ~header f =
+  let w =
+    { sizing = true; out = Bytes.empty; pos = header; sizes = [||]; nested = 0 }
+  in
+  f w;
+  w.sizing <- false;
+  w.out <- Bytes.create w.pos;
+  w.pos <- header;
+  w.nested <- 0;
+  f w;
+  if w.pos <> Bytes.length w.out then
+    invalid_arg "Bin.encode: the encoder wrote different sizes on its two runs";
+  w.out
+
+let encode f = Bytes.unsafe_to_string (run ~header:0 f)
 
 (* ------------------------------------------------------------------ *)
 (* Cursor reader *)
@@ -115,20 +189,19 @@ let read_magic r magic =
 (* CRC32 framing *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 1 to 8 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
+let crc32 b ~off ~len =
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    let byte = Char.code (Bytes.get b i) in
+    c := crc_table.((!c lxor byte) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 (* Frames larger than this are treated as corruption: no legitimate
@@ -136,12 +209,13 @@ let crc32 s =
    gigabyte allocation. *)
 let max_frame = 1 lsl 30
 
-let frame payload =
-  let buf = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_le buf (Int32.of_int (crc32 payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* The frame header is filled in place, in front of the payload. *)
+let encode_frame f =
+  let b = run ~header:8 f in
+  let len = Bytes.length b - 8 in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (Int32.of_int (crc32 b ~off:8 ~len));
+  Bytes.unsafe_to_string b
 
 let read_frame s pos =
   let u32 at = Int32.to_int (String.get_int32_le s at) land 0xFFFFFFFF in
@@ -149,7 +223,6 @@ let read_frame s pos =
   else
     let len = u32 pos in
     if len > max_frame || pos + 8 + len > String.length s then None
-    else
-      let payload = String.sub s (pos + 8) len in
-      if crc32 payload <> u32 (pos + 4) then None
-      else Some (payload, pos + 8 + len)
+    else if crc32 (Bytes.unsafe_of_string s) ~off:(pos + 8) ~len <> u32 (pos + 4)
+    then None
+    else Some (String.sub s (pos + 8) len, pos + 8 + len)

@@ -18,24 +18,47 @@ exception Corrupt of string
 val corrupt : string -> 'a
 (** [corrupt msg] raises [Corrupt msg]. *)
 
-(** {1 Writers} *)
+(** {1 Writers}
 
-val add_varint : Buffer.t -> int -> unit
+    An encoder is a function over a writer.  {!encode} and
+    {!encode_frame} run it twice: once to size the output, once to fill
+    a buffer of exactly that size, which becomes the result string with
+    no further copy.  An encoder must therefore write the same bytes on
+    both runs, as any pure function of the value it encodes does. *)
+
+type w
+
+val encode : (w -> unit) -> string
+
+val encode_frame : (w -> unit) -> string
+(** [encode_frame f] is [u32-LE length | u32-LE crc32 | encode f], with
+    the length and CRC filled in place in front of the payload. *)
+
+val add_varint : w -> int -> unit
 (** Raises [Invalid_argument] on a negative value. *)
 
-val add_string : Buffer.t -> string -> unit
-val add_bool : Buffer.t -> bool -> unit
-val add_option : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
-val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
-val add_pair :
-  (Buffer.t -> 'a -> unit) -> (Buffer.t -> 'b -> unit) -> Buffer.t ->
-  'a * 'b -> unit
+val add_char : w -> char -> unit
+
+val add_fixed : w -> string -> unit
+(** The bytes of the string, with no length prefix (the inverse of
+    {!read_fixed}). *)
+
+val add_string : w -> string -> unit
+val add_bool : w -> bool -> unit
+val add_option : (w -> 'a -> unit) -> w -> 'a option -> unit
+val add_list : (w -> 'a -> unit) -> w -> 'a list -> unit
+val add_pair : (w -> 'a -> unit) -> (w -> 'b -> unit) -> w -> 'a * 'b -> unit
 
 val add_triple :
-  (Buffer.t -> 'a -> unit) -> (Buffer.t -> 'b -> unit) ->
-  (Buffer.t -> 'c -> unit) -> Buffer.t -> 'a * 'b * 'c -> unit
+  (w -> 'a -> unit) -> (w -> 'b -> unit) -> (w -> 'c -> unit) -> w ->
+  'a * 'b * 'c -> unit
 
-val add_int64 : Buffer.t -> int64 -> unit
+val add_int64 : w -> int64 -> unit
+
+val add_nested : w -> (w -> unit) -> unit
+(** [add_nested w f] writes what [add_string w (encode f)] would, without
+    building the inner string: the payload's size is taken from the
+    sizing run. *)
 
 (** {1 Cursor reader} *)
 
@@ -69,10 +92,8 @@ val read_magic : r -> string -> unit
 
 (** {1 CRC32 framing} *)
 
-val frame : string -> string
-(** [u32-LE length | u32-LE crc32 | payload]. *)
-
 val read_frame : string -> int -> (string * int) option
-(** [read_frame s pos] is the payload of the frame at [pos] and the
+(** [read_frame s pos] is the payload of the {!encode_frame} frame at
+    [pos] and the
     position after it, or [None] when the bytes from [pos] are not a
     complete, CRC-clean frame of at most 1 GiB. *)

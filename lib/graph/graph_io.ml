@@ -83,9 +83,14 @@ let parse_weight fail w =
                w)
       | None -> fail (Printf.sprintf "bad weight %s" w))
 
+(* Every edge is checked here, with its line number: range, self-loop,
+   weight, running total and duplicates.  The result is three parallel
+   endpoint/weight vectors for the trusted [Weighted_graph.of_flat]. *)
 let parse_lines s =
   let header = ref None in
-  let edges = ref [] in
+  let src = Arena.Ints.create ()
+  and dst = Arena.Ints.create ()
+  and ws = Arena.Ints.create () in
   let count = ref 0 in
   let total = ref 0 in
   let seen = Hashtbl.create 64 in
@@ -141,7 +146,9 @@ let parse_lines s =
                          (fst key) (snd key) first)
                 | None -> Hashtbl.add seen key (lineno + 1));
                 incr count;
-                edges := Edge.make u v w :: !edges
+                Arena.Ints.push src u;
+                Arena.Ints.push dst v;
+                Arena.Ints.push ws w
             | _ -> fail "bad edge line")
         | _ -> fail "unrecognised line")
     lines;
@@ -152,13 +159,15 @@ let parse_lines s =
         parse_fail last_line
           (Printf.sprintf "problem line announces %d edges, found %d" h.count
              !count);
-      (h, List.rev !edges)
+      (h, src, dst, ws)
 
 let of_string s =
-  let h, edges = parse_lines s in
+  let h, src, dst, w = parse_lines s in
   if h.kind <> "wm" then
     parse_fail 1 (Printf.sprintf "expected 'p wm', got 'p %s'" h.kind);
-  Weighted_graph.create ~n:h.n edges
+  Weighted_graph.of_flat ~n:h.n ~m:(Arena.Ints.length src)
+    ~src:(Arena.Ints.data src) ~dst:(Arena.Ints.data dst)
+    ~w:(Arena.Ints.data w)
 
 let write_file path g =
   Out_channel.with_open_text path (fun oc -> output_string oc (to_string g))
@@ -184,11 +193,10 @@ let read_file path =
 (* A value the graph constructors refuse is a corrupt frame. *)
 let valid f = try f () with Invalid_argument msg -> Bin.corrupt msg
 
-let add_edge buf e =
-  let u, v = Edge.endpoints e in
-  Bin.add_varint buf u;
-  Bin.add_varint buf v;
-  Bin.add_varint buf (Edge.weight e)
+let add_edge w (e : Edge.t) =
+  Bin.add_varint w e.u;
+  Bin.add_varint w e.v;
+  Bin.add_varint w e.w
 
 let read_edge r =
   let u = Bin.read_varint r in
@@ -196,35 +204,43 @@ let read_edge r =
   let w = Bin.read_varint r in
   valid (fun () -> Edge.make u v w)
 
-let to_binary ?digest:held g =
-  let buf = Buffer.create (16 + (Weighted_graph.m g * 4)) in
-  Buffer.add_string buf "WMB1";
-  Bin.add_varint buf (Weighted_graph.n g);
-  Bin.add_varint buf (Weighted_graph.m g);
-  Weighted_graph.iter_edges (add_edge buf) g;
-  Buffer.add_string buf (match held with Some d -> d | None -> digest g);
-  Buffer.contents buf
+let add_graph w ~digest g =
+  Bin.add_fixed w "WMB1";
+  Bin.add_varint w (Weighted_graph.n g);
+  Bin.add_varint w (Weighted_graph.m g);
+  let edges = Weighted_graph.edges g in
+  for i = 0 to Array.length edges - 1 do
+    add_edge w edges.(i)
+  done;
+  Bin.add_fixed w digest
 
+let to_binary ?digest:held g =
+  let digest = match held with Some d -> d | None -> digest g in
+  Bin.encode (fun w -> add_graph w ~digest g)
+
+(* A frame in canonical order is taken as decoded: its order rules out
+   parallel edges, so no duplicate check runs and no index is built. *)
 let of_binary =
   Bin.decode (fun r ->
       Bin.read_magic r "WMB1";
       let n = Bin.read_varint r in
-      let edges = Bin.read_list read_edge r in
+      let edges = Array.of_list (Bin.read_list read_edge r) in
       let claimed = Bin.read_fixed r 16 in
-      let g = valid (fun () -> Weighted_graph.create ~n edges) in
-      let g = Weighted_graph.canonical g in
+      let g = valid (fun () -> Weighted_graph.canonical_of_array ~n edges) in
       if digest g <> claimed then
         Bin.corrupt
           (Printf.sprintf "graph digest mismatch: frame says %s, content is %s"
              claimed (digest g));
       g)
 
-let matching_to_binary m =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "WMM1";
-  Bin.add_varint buf (Matching.n m);
-  Bin.add_list add_edge buf (Matching.edges m);
-  Buffer.contents buf
+(* The count and [Matching.iter]'s order are those of [Matching.edges]. *)
+let add_matching w m =
+  Bin.add_fixed w "WMM1";
+  Bin.add_varint w (Matching.n m);
+  Bin.add_varint w (Matching.size m);
+  Matching.iter (add_edge w) m
+
+let matching_to_binary m = Bin.encode (fun w -> add_matching w m)
 
 let matching_of_binary ?(max_n = max_int) s =
   Bin.decode

@@ -56,12 +56,20 @@ val to_binary : ?digest:string -> Weighted_graph.t -> string
     the graph's digest passes it as [?digest] and saves the hashing
     pass; it must be [digest g]. *)
 
+val add_graph : Bin.w -> digest:string -> Weighted_graph.t -> unit
+(** Writes the {!to_binary} frame into an encoder, so a record that
+    embeds it (through {!Bin.add_nested}) is written in one buffer. *)
+
 val of_binary : string -> Weighted_graph.t
 (** The canonical graph of the frame (see
-    {!Weighted_graph.canonical}). *)
+    {!Weighted_graph.canonical_of_array}): a frame in canonical order
+    needs no duplicate-edge check and gets no adjacency index. *)
 
 val matching_to_binary : Matching.t -> string
 (** ["WMM1"]-tagged frame: n, k, the edges. *)
+
+val add_matching : Bin.w -> Matching.t -> unit
+(** Writes the {!matching_to_binary} frame into an encoder. *)
 
 val matching_of_binary : ?max_n:int -> string -> Matching.t
 (** Also raises {!Bin.Corrupt}, before allocating, when the frame's

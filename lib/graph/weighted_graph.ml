@@ -1,28 +1,37 @@
 (* CSR (compressed sparse row) adjacency: [off] has length [n + 1];
    vertex [v]'s incident edges occupy slots [off.(v) .. off.(v+1) - 1]
    of the packed [eix] (index into [edges]) array; a neighbour is read
-   off the edge record, which every visit loads anyway.  Built eagerly
-   at construction, so a graph value is immutable after [of_array]
-   returns and can be shared freely across domains. *)
+   off the edge record, which every visit loads anyway.
+
+   The index is a memo behind an [Atomic]: [no_index] until the first
+   neighbour query builds and publishes it.  The general constructors
+   build it at once; [canonical], [patch] and [canonical_of_array] leave
+   it unbuilt, since the serving layer only reads their edges.  [canon]
+   records that [edges] is in strictly increasing (u, v) order, which
+   lets [find_edge] binary-search the edge array with no index. *)
+type index = { off : int array; eix : int array }
+
 type t = {
   n : int;
   edges : Edge.t array;
-  off : int array;
-  eix : int array;
+  canon : bool;
+  index : index Atomic.t;
 }
+
+let no_index = { off = [||]; eix = [||] }
 
 let max_total_weight = 1 lsl 53
 
 (* The bound is checked before each addition, so the running sum itself
    never overflows. *)
 let check_total_weight edges =
-  ignore
-    (Array.fold_left
-       (fun acc e ->
-         if Edge.weight e > max_total_weight - acc then
-           invalid_arg "Weighted_graph: total weight exceeds 2^53"
-         else acc + Edge.weight e)
-       0 edges)
+  let total = ref 0 in
+  for i = 0 to Array.length edges - 1 do
+    let w = Edge.weight edges.(i) in
+    if w > max_total_weight - !total then
+      invalid_arg "Weighted_graph: total weight exceeds 2^53";
+    total := !total + w
+  done
 
 (* Canonical order: strictly increasing (u, v). *)
 let before (a : Edge.t) (b : Edge.t) = a.u < b.u || (a.u = b.u && a.v < b.v)
@@ -33,9 +42,23 @@ let in_canonical_order edges =
   in
   go 1
 
-let validate n edges =
+(* The first slot of a canonical edge array whose (u, v) is not below
+   (a, b). *)
+let lower_bound edges a b =
+  let lo = ref 0 and hi = ref (Array.length edges) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let e : Edge.t = edges.(mid) in
+    if e.u < a || (e.u = a && e.v < b) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Range-checks every edge, and rejects parallel edges with a Hashtbl
+   pass unless the array is [canon]ical: strictly increasing (u, v)
+   order already rules them out. *)
+let validate n ~canon edges =
   check_total_weight edges;
-  let seen = Hashtbl.create (Array.length edges) in
+  let seen = Hashtbl.create (if canon then 1 else Array.length edges) in
   Array.iter
     (fun e ->
       let u, v = Edge.endpoints e in
@@ -45,14 +68,17 @@ let validate n edges =
         invalid_arg
           (Printf.sprintf "Weighted_graph: edge %s out of range [0,%d)"
              (Edge.to_string e) n);
-      if Hashtbl.mem seen (u, v) then
-        invalid_arg
-          (Printf.sprintf "Weighted_graph: parallel edge %s" (Edge.to_string e));
-      Hashtbl.add seen (u, v) ())
+      if not canon then begin
+        if Hashtbl.mem seen (u, v) then
+          invalid_arg
+            (Printf.sprintf "Weighted_graph: parallel edge %s"
+               (Edge.to_string e));
+        Hashtbl.add seen (u, v) ()
+      end)
     edges
 
 (* Counting sort into CSR; per-vertex slices come out in edge order. *)
-let index ~n edges =
+let build_index ~n edges =
   let off = Array.make (n + 1) 0 in
   Array.iter
     (fun (e : Edge.t) ->
@@ -62,8 +88,7 @@ let index ~n edges =
   for v = 1 to n do
     off.(v) <- off.(v) + off.(v - 1)
   done;
-  let total = 2 * Array.length edges in
-  let eix = Array.make total 0 in
+  let eix = Array.make (2 * Array.length edges) 0 in
   let cursor = Array.sub off 0 n in
   Array.iteri
     (fun i ({ u; v; _ } : Edge.t) ->
@@ -72,26 +97,43 @@ let index ~n edges =
       eix.(cursor.(v)) <- i;
       cursor.(v) <- cursor.(v) + 1)
     edges;
-  (off, eix)
+  { off; eix }
 
-(* Internal constructor for edge arrays already known to be in range and
-   parallel-edge-free (owned, not aliased by the caller). *)
-let unsafe_of_owned_array ~n ~edges =
-  let off, eix = index ~n edges in
-  { n; edges; off; eix }
+(* The memo.  Domains racing on a fresh graph each build the same index
+   and the compare-and-set keeps one copy.  (A [Lazy.t] forced from two
+   domains at once raises instead.) *)
+let index g =
+  let ix = Atomic.get g.index in
+  if ix != no_index then ix
+  else begin
+    ignore
+      (Atomic.compare_and_set g.index no_index (build_index ~n:g.n g.edges));
+    Atomic.get g.index
+  end
+
+(* Internal constructors for edge arrays already known to be in range
+   and parallel-edge-free (owned, not aliased by the caller): [lazily]
+   leaves the index to the first neighbour query, [indexed] builds it. *)
+let lazily ~n ~canon edges = { n; edges; canon; index = Atomic.make no_index }
+
+let indexed ~n ~canon edges =
+  let g = lazily ~n ~canon edges in
+  ignore (index g);
+  g
 
 let of_array ~n edges =
   if n < 0 then invalid_arg "Weighted_graph: negative n";
   let edges = Array.copy edges in
-  validate n edges;
-  unsafe_of_owned_array ~n ~edges
+  let canon = in_canonical_order edges in
+  validate n ~canon edges;
+  indexed ~n ~canon edges
 
 (* Trusted flat constructor: endpoints/weights come as parallel int
    arrays from a caller that guarantees validity by construction (the
-   layered-graph builder, the scale generators), so the per-edge
-   Hashtbl pass of [validate] is skipped along with any intermediate
-   edge list.  [Edge.make] still normalises endpoint order and rejects
-   self-loops and negative weights per edge. *)
+   layered-graph builder, the scale generators, the text parser), so the
+   per-edge Hashtbl pass of [validate] is skipped along with any
+   intermediate edge list.  [Edge.make] still normalises endpoint order
+   and rejects self-loops and negative weights per edge. *)
 let of_flat ~n ~m ~src ~dst ~w =
   if n < 0 then invalid_arg "Weighted_graph.of_flat: negative n";
   if m < 0 || m > Array.length src || m > Array.length dst
@@ -106,7 +148,7 @@ let of_flat ~n ~m ~src ~dst ~w =
           (Printf.sprintf "Weighted_graph.of_flat: edge %s out of range [0,%d)"
              (Edge.to_string e) n))
     edges;
-  unsafe_of_owned_array ~n ~edges
+  indexed ~n ~canon:(in_canonical_order edges) edges
 
 let create ~n edges = of_array ~n (Array.of_list edges)
 
@@ -119,71 +161,93 @@ let edge_list g = Array.to_list g.edges
 let iter_edges f g = Array.iter f g.edges
 let fold_edges f init g = Array.fold_left f init g.edges
 
-let degree g v = g.off.(v + 1) - g.off.(v)
+let degree g v =
+  let { off; _ } = index g in
+  off.(v + 1) - off.(v)
 
 (* The endpoint of [e] that is not [v], for [v] an endpoint. *)
 let other (e : Edge.t) v = if e.u = v then e.v else e.u
 
 let neighbors g v =
+  let { off; eix } = index g in
   let acc = ref [] in
-  for i = g.off.(v + 1) - 1 downto g.off.(v) do
-    let e = g.edges.(g.eix.(i)) in
+  for i = off.(v + 1) - 1 downto off.(v) do
+    let e = g.edges.(eix.(i)) in
     acc := (other e v, e) :: !acc
   done;
   !acc
 
 let iter_neighbors g v f =
-  for i = g.off.(v) to g.off.(v + 1) - 1 do
-    let e = g.edges.(g.eix.(i)) in
+  let { off; eix } = index g in
+  for i = off.(v) to off.(v + 1) - 1 do
+    let e = g.edges.(eix.(i)) in
     f (other e v) e
   done
 
 let fold_neighbors g v f init =
+  let { off; eix } = index g in
   let acc = ref init in
-  for i = g.off.(v) to g.off.(v + 1) - 1 do
-    let e = g.edges.(g.eix.(i)) in
+  for i = off.(v) to off.(v + 1) - 1 do
+    let e = g.edges.(eix.(i)) in
     acc := f !acc (other e v) e
   done;
   !acc
 
-let find_edge g u v =
-  if u < 0 || u >= g.n || v < 0 || v >= g.n then None
+(* The slot in [edges] of the edge joining [u] and [v], or -1.  A
+   canonical edge array is binary-searched for (min, max); otherwise
+   the smaller of the two incidence slices is scanned. *)
+let slot g u v =
+  if u < 0 || u >= g.n || v < 0 || v >= g.n then -1
+  else if g.canon then begin
+    let a = if u < v then u else v and b = if u < v then v else u in
+    let i = lower_bound g.edges a b in
+    if i < Array.length g.edges && g.edges.(i).u = a && g.edges.(i).v = b
+    then i
+    else -1
+  end
   else begin
-    (* Scan the smaller of the two incidence slices. *)
-    let u, v = if degree g u <= degree g v then (u, v) else (v, u) in
-    let rec scan i =
-      if i >= g.off.(u + 1) then None
-      else
-        let e = g.edges.(g.eix.(i)) in
-        if other e u = v then Some e else scan (i + 1)
+    let { off; eix } = index g in
+    let u, v =
+      if off.(u + 1) - off.(u) <= off.(v + 1) - off.(v) then (u, v) else (v, u)
     in
-    scan g.off.(u)
+    let rec scan i =
+      if i >= off.(u + 1) then -1
+      else if other g.edges.(eix.(i)) u = v then eix.(i)
+      else scan (i + 1)
+    in
+    scan off.(u)
   end
 
-let mem_edge g u v = Option.is_some (find_edge g u v)
+let find_edge g u v =
+  let i = slot g u v in
+  if i < 0 then None else Some g.edges.(i)
+
+let mem_edge g u v = slot g u v >= 0
 
 let total_weight g = Array.fold_left (fun acc e -> acc + Edge.weight e) 0 g.edges
 
 let max_weight g = Array.fold_left (fun acc e -> Stdlib.max acc (Edge.weight e)) 0 g.edges
 
 (* [subgraph] and [map_weights] cannot introduce out-of-range vertices
-   or parallel edges (they filter / reweight a validated edge set), so
-   they skip the Hashtbl re-validation pass of [of_array]. *)
+   or parallel edges (they filter / reweight a validated edge set), and
+   keep the edge order, so they skip the Hashtbl re-validation pass of
+   [of_array] and inherit [canon]. *)
 let subgraph g keep =
-  unsafe_of_owned_array ~n:g.n
-    ~edges:(Array.of_seq (Seq.filter keep (Array.to_seq g.edges)))
+  indexed ~n:g.n ~canon:g.canon
+    (Array.of_seq (Seq.filter keep (Array.to_seq g.edges)))
 
 let map_weights g f =
-  unsafe_of_owned_array ~n:g.n
-    ~edges:(Array.map (fun e -> Edge.reweight e (f e)) g.edges)
+  indexed ~n:g.n ~canon:g.canon
+    (Array.map (fun e -> Edge.reweight e (f e)) g.edges)
 
 (* Canonicalisation, O(n + m): count the edges per min endpoint u, then
    visit max endpoints v = 0 .. n-1 through the CSR and drop each edge
    with u < v into u's bucket, which so fills in increasing v.  The fill
    overwrites every slot of the [sorted] copy. *)
 let canonical_edges g =
-  if in_canonical_order g.edges then g.edges
+  if g.canon then g.edges
   else begin
+    let { off = csr; eix } = index g in
     let off = Array.make (g.n + 1) 0 in
     Array.iter (fun (e : Edge.t) -> off.(e.u + 1) <- off.(e.u + 1) + 1) g.edges;
     for u = 1 to g.n do
@@ -191,8 +255,8 @@ let canonical_edges g =
     done;
     let sorted = Array.copy g.edges in
     for v = 0 to g.n - 1 do
-      for i = g.off.(v) to g.off.(v + 1) - 1 do
-        let e = g.edges.(g.eix.(i)) in
+      for i = csr.(v) to csr.(v + 1) - 1 do
+        let e = g.edges.(eix.(i)) in
         if e.u < v then begin
           sorted.(off.(e.u)) <- e;
           off.(e.u) <- off.(e.u) + 1
@@ -203,15 +267,24 @@ let canonical_edges g =
   end
 
 let canonical g =
-  let edges = canonical_edges g in
-  if edges == g.edges then g else unsafe_of_owned_array ~n:g.n ~edges
+  if g.canon then g else lazily ~n:g.n ~canon:true (canonical_edges g)
+
+let canonical_of_array ~n edges =
+  if n < 0 then invalid_arg "Weighted_graph: negative n";
+  if in_canonical_order edges then begin
+    validate n ~canon:true edges;
+    lazily ~n ~canon:true edges
+  end
+  else canonical (of_array ~n edges)
 
 (* Delta rebuild: kept base edges were validated when [g] was built, so
    only the delta is checked — removals must name existing edges, and
    additions must be in range for the grown vertex set and must not
    parallel a kept base edge or another addition.  Then one merge over
    the canonical base edges drops the sorted removals as it meets them
-   and slots the sorted additions in, so the result is canonical. *)
+   and slots the sorted additions in, so the result is canonical.  On a
+   canonical [g] the membership checks binary-search its edge array and
+   no index is built. *)
 let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
   if add_vertices < 0 then
     invalid_arg "Weighted_graph.patch: negative add_vertices";
@@ -245,31 +318,42 @@ let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
       Hashtbl.add seen_add (u, v) ())
     add;
   let base = canonical_edges g and adds = Array.of_list add in
-  let gone = Array.of_seq (Hashtbl.to_seq_keys removed) in
   Array.sort Edge.compare adds;
-  Array.sort compare gone;
-  let m = Array.length base and a = Array.length adds in
-  let edges = Array.make (m - Array.length gone + a) (Edge.make 0 1 0) in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  let next_gone (e : Edge.t) =
-    !k < Array.length gone && (let u, v = gone.(!k) in e.u = u && e.v = v)
+  let gone =
+    Array.of_seq
+      (Seq.map (fun (u, v) -> lower_bound base u v) (Hashtbl.to_seq_keys removed))
   in
-  for o = 0 to Array.length edges - 1 do
-    while !i < m && next_gone base.(!i) do
-      incr i;
-      incr k
-    done;
-    if !j < a && (!i >= m || before adds.(!j) base.(!i)) then begin
-      edges.(o) <- adds.(!j);
-      incr j
-    end
-    else begin
-      edges.(o) <- base.(!i);
-      incr i
-    end
-  done;
+  Array.sort Int.compare gone;
+  let m = Array.length base and r = Array.length gone in
+  (* Seeded with an old edge: a fresh one would make [Array.make] force a
+     minor collection before allocating on the major heap. *)
+  let edges =
+    Array.make (m - r + Array.length adds)
+      (if m > 0 then base.(0) else Edge.make 0 1 0)
+  in
+  (* Blit the runs of [base] up to slot [stop], skipping removed slots. *)
+  let i = ref 0 and o = ref 0 and k = ref 0 in
+  let copy_to stop =
+    while !i < stop do
+      let next = if !k < r && gone.(!k) < stop then gone.(!k) else stop in
+      Array.blit base !i edges !o (next - !i);
+      o := !o + next - !i;
+      i := next;
+      if next < stop then begin
+        incr i;
+        incr k
+      end
+    done
+  in
+  Array.iter
+    (fun (e : Edge.t) ->
+      copy_to (lower_bound base e.u e.v);
+      edges.(!o) <- e;
+      incr o)
+    adds;
+  copy_to m;
   check_total_weight edges;
-  unsafe_of_owned_array ~n:n' ~edges
+  lazily ~n:n' ~canon:true edges
 
 let is_bipartition g ~left =
   Array.for_all

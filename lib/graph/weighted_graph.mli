@@ -2,18 +2,31 @@
 
     The representation stores the edge list plus a CSR (compressed
     sparse row) adjacency index — int-array offsets plus a packed
-    edge-index array — built eagerly at construction; both
-    the streaming algorithms (which consume edge lists in a given order)
-    and the offline solvers (which need neighbourhood queries) are
-    served without duplication.  [degree] is O(1) and [iter_neighbors]
-    walks a contiguous slice.  Values are immutable once constructed,
-    so a graph can be read concurrently from any number of domains.
+    edge-index array — so both the streaming algorithms (which consume
+    edge lists in a given order) and the offline solvers (which need
+    neighbourhood queries) are served without duplication.  The index is
+    built on the first neighbour query ({!iter_neighbors},
+    {!fold_neighbors}, {!neighbors}, {!degree}, or {!find_edge} on a
+    non-canonical graph); after that [degree] is O(1) and
+    [iter_neighbors] walks a contiguous slice.  The general constructors
+    ({!create}, {!of_array}, {!of_flat}, {!subgraph}, {!map_weights})
+    build it at once; {!canonical}, {!canonical_of_array} and {!patch}
+    leave it to that first query, so a graph that is only read edge by
+    edge (a served session) never pays its 2m + n words.
+
+    The edges of a graph are immutable once constructed, and the index
+    is published through an [Atomic]: any number of domains may read a
+    graph concurrently, including its first neighbour query.  Domains
+    that race on that query each build the same index and one copy is
+    kept.  Polymorphic equality on graphs is not meaningful (it sees
+    whether the index is built yet); compare [(n g, edges g)].
 
     {b Canonical order.}  A graph is {e canonical} when its edge array
     is in strictly increasing [(u, v)] order.  Constructors keep the
     order they are given and solvers read edges in array order;
-    {!canonical} and {!patch} return canonical graphs, and the serving
-    layer holds only those, so a served answer depends on content alone. *)
+    {!canonical}, {!canonical_of_array} and {!patch} return canonical
+    graphs, and the serving layer holds only those, so a served answer
+    depends on content alone. *)
 
 type t
 
@@ -30,7 +43,9 @@ val create : n:int -> Edge.t list -> t
     if the total weight exceeds {!max_total_weight}. *)
 
 val of_array : n:int -> Edge.t array -> t
-(** As {!create} from an array (the array is copied). *)
+(** As {!create} from an array (the array is copied).  An array in
+    canonical order needs no duplicate check: the order rules out
+    parallel edges. *)
 
 val of_flat :
   n:int -> m:int -> src:int array -> dst:int array -> w:int array -> t
@@ -68,17 +83,21 @@ val neighbors : t -> int -> (int * Edge.t) list
     {!fold_neighbors} on hot paths. *)
 
 val iter_neighbors : t -> int -> (int -> Edge.t -> unit) -> unit
-(** Allocation-free iteration over a contiguous CSR slice. *)
+(** Allocation-free iteration over a contiguous CSR slice, once the
+    index is built. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> Edge.t -> 'a) -> 'a -> 'a
 
 val degree : t -> int -> int
-(** O(1): an offset subtraction. *)
+(** O(1) once the index is built: an offset subtraction. *)
 
 val find_edge : t -> int -> int -> Edge.t option
-(** [find_edge g u v] is the edge joining [u] and [v], if present. *)
+(** [find_edge g u v] is the edge joining [u] and [v], if present.  On
+    a canonical graph, a binary search of the edge array (O(log m), no
+    index); otherwise a scan of the smaller incidence slice. *)
 
 val mem_edge : t -> int -> int -> bool
+(** As {!find_edge}, allocation-free. *)
 
 val total_weight : t -> int
 
@@ -95,13 +114,20 @@ val map_weights : t -> (Edge.t -> int) -> t
     negative weights are still rejected by [Edge.reweight]. *)
 
 val canonical_edges : t -> Edge.t array
-(** The edges in canonical order: [edges g] itself, after an O(m) check,
-    when [g] is canonical, else an O(n + m) bucketed copy.  Do not
-    mutate the result. *)
+(** The edges in canonical order: [edges g] itself, in O(1), when [g]
+    is canonical (each graph records whether it is), else an
+    O(n + m) bucketed copy read through the index.  Do not mutate the
+    result. *)
 
 val canonical : t -> t
 (** [g] itself when it is canonical, otherwise the same graph rebuilt
-    on {!canonical_edges}. *)
+    on {!canonical_edges}, with its index not yet built. *)
+
+val canonical_of_array : n:int -> Edge.t array -> t
+(** [canonical (of_array ~n edges)], validated alike.  An array already
+    in canonical order is taken as it is, not copied (the caller must
+    not mutate it afterwards), is checked for range and total weight
+    only, and gets no index until a neighbour query asks for one. *)
 
 val patch :
   t -> ?add_vertices:int -> ?add:Edge.t list -> ?remove:(int * int) list ->
@@ -114,7 +140,8 @@ val patch :
     [Invalid_argument] if a removal names a missing edge (or repeats a
     pair), or an addition is out of range or would create a parallel
     edge.  Removing then re-adding a pair in the same patch expresses a
-    weight update. *)
+    weight update.  On a canonical [g] the delta checks binary-search its
+    edges, so neither [g] nor the result gets an index. *)
 
 val is_bipartition : t -> left:(int -> bool) -> bool
 (** [is_bipartition g ~left] checks that every edge joins a [left] vertex

@@ -17,18 +17,16 @@ let prefix = "snap-"
 let name origin = Printf.sprintf "%s%d.bin" prefix origin
 let file ~dir origin = Filename.concat dir (name origin)
 
-let encode s =
+let add_snapshot w s =
   let open Bin in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
-  add_varint buf s.origin;
-  add_varint buf s.lsn;
-  add_string buf s.digest;
-  add_varint buf s.generation;
-  add_string buf (Gio.to_binary ~digest:s.digest s.graph);
-  let add_matching buf m = add_string buf (Gio.matching_to_binary m) in
-  add_list (add_pair add_string add_matching) buf s.warm;
-  Buffer.contents buf
+  add_fixed w magic;
+  add_varint w s.origin;
+  add_varint w s.lsn;
+  add_string w s.digest;
+  add_varint w s.generation;
+  add_nested w (fun w -> Gio.add_graph w ~digest:s.digest s.graph);
+  let add_matching w m = add_nested w (fun w -> Gio.add_matching w m) in
+  add_list (add_pair add_string add_matching) w s.warm
 
 (* [Gio.of_binary] recomputes the content digest and refuses a mismatch;
    the header's digest is cross-checked against it so the file cannot
@@ -48,7 +46,7 @@ let decode =
       { origin; lsn; digest; generation; graph; warm })
 
 let write ~dir s =
-  let framed = Bin.frame (encode s) in
+  let framed = Bin.encode_frame (fun w -> add_snapshot w s) in
   Wal.publish ~dir (name s.origin) framed;
   let bytes = String.length framed in
   Recovery.note_snapshot ~bytes ~at:s.lsn;

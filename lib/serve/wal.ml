@@ -52,49 +52,49 @@ let version = 1
 (* The record codec, writer and reader side by side.  Cached results
    travel as JSON text; graphs and matchings as {!Gio} frames. *)
 
-let add_result buf v = Bin.add_string buf (J.to_string v)
+let add_result w v = Bin.add_string w (J.to_string v)
 
 let read_result r =
   match J.of_string (Bin.read_string r) with
   | Ok v -> v
   | Error _ -> Bin.corrupt "bad cached result"
 
-let add_matching buf m = Bin.add_string buf (Gio.matching_to_binary m)
+let add_matching w m = Bin.add_nested w (fun w -> Gio.add_matching w m)
 let read_matching r = Gio.matching_of_binary (Bin.read_string r)
 
-let encode_body buf body =
+let add_body w body =
   let open Bin in
   match body with
   | Load { origin; digest; graph } ->
-      Buffer.add_char buf 'L';
-      add_varint buf origin;
-      add_string buf digest;
-      add_string buf (Gio.to_binary ~digest graph)
+      add_char w 'L';
+      add_varint w origin;
+      add_string w digest;
+      add_nested w (fun w -> Gio.add_graph w ~digest graph)
   | Mutate { old_digest; new_digest; subsumed; add_vertices; add; remove } ->
-      Buffer.add_char buf 'M';
-      add_string buf old_digest;
-      add_string buf new_digest;
-      add_bool buf subsumed;
-      add_varint buf add_vertices;
-      add_list (add_triple add_varint add_varint add_varint) buf add;
-      add_list (add_pair add_varint add_varint) buf remove
+      add_char w 'M';
+      add_string w old_digest;
+      add_string w new_digest;
+      add_bool w subsumed;
+      add_varint w add_vertices;
+      add_list (add_triple add_varint add_varint add_varint) w add;
+      add_list (add_pair add_varint add_varint) w remove
   | Evict { digest } ->
-      Buffer.add_char buf 'E';
-      add_option add_string buf digest
+      add_char w 'E';
+      add_option add_string w digest
   | Flush { touches; inserts; warm } ->
-      Buffer.add_char buf 'F';
-      add_list add_string buf touches;
-      add_list (add_pair add_string add_result) buf inserts;
-      add_list (add_triple add_string add_string add_matching) buf warm
-  | Stop -> Buffer.add_char buf 'S'
+      add_char w 'F';
+      add_list add_string w touches;
+      add_list (add_pair add_string add_result) w inserts;
+      add_list (add_triple add_string add_string add_matching) w warm
+  | Stop -> add_char w 'S'
   | Base { lsn; order; last; stopped; cache; evictions } ->
-      Buffer.add_char buf 'B';
-      add_varint buf lsn;
-      add_list (add_pair add_varint add_string) buf order;
-      add_option add_string buf last;
-      add_bool buf stopped;
-      add_list (add_pair add_string add_result) buf cache;
-      add_varint buf evictions
+      add_char w 'B';
+      add_varint w lsn;
+      add_list (add_pair add_varint add_string) w order;
+      add_option add_string w last;
+      add_bool w stopped;
+      add_list (add_pair add_string add_result) w cache;
+      add_varint w evictions
 
 let decode_body r =
   let open Bin in
@@ -129,16 +129,17 @@ let decode_body r =
       Base { lsn; order; last; stopped; cache; evictions = read_varint r }
   | c -> corrupt (Printf.sprintf "unknown body tag %C" c)
 
-let encode_record { header = h; bodies } =
+let add_record w { header = h; bodies } =
   let open Bin in
-  let buf = Buffer.create 256 in
-  add_varint buf version;
-  add_varint buf h.reqno;
-  add_varint buf h.batchno;
-  add_option add_int64 buf h.rng;
-  add_list add_varint buf (Array.to_list h.counters);
-  add_list encode_body buf bodies;
-  Buffer.contents buf
+  add_varint w version;
+  add_varint w h.reqno;
+  add_varint w h.batchno;
+  add_option add_int64 w h.rng;
+  add_varint w (Array.length h.counters);
+  Array.iter (add_varint w) h.counters;
+  add_list add_body w bodies
+
+let encode_record r = Bin.encode (fun w -> add_record w r)
 
 let decode_record =
   Bin.decode (fun r ->
@@ -185,7 +186,7 @@ let write_synced fd bytes =
   Unix.fsync fd
 
 let append t record =
-  let framed = Bin.frame (encode_record record) in
+  let framed = Bin.encode_frame (fun w -> add_record w record) in
   write_synced t.fd framed;
   t.head <- t.head + 1;
   t.physical <- t.physical + 1;
@@ -209,7 +210,8 @@ let publish ~dir name bytes =
    logical head is untouched: the base record's [Base.lsn] {e is} the
    head, and replay offsets later records past it. *)
 let compact t record =
-  publish ~dir:t.dir log_file (Bin.frame (encode_record record));
+  publish ~dir:t.dir log_file
+    (Bin.encode_frame (fun w -> add_record w record));
   Unix.close t.fd;
   t.fd <- open_append ~dir:t.dir;
   t.physical <- 1

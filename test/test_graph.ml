@@ -672,11 +672,14 @@ let test_weight_bound () =
       check "text: line of the crossing edge" 3 line;
       Alcotest.(check string) "text: message" "total weight exceeds 2^53" msg);
   (* a binary frame whose content exceeds the bound is corrupt *)
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "WMB1";
-  List.iter (Wm_graph.Bin.add_varint buf) [ 4; 2; 0; 1; big; 2; 3; big ];
-  Buffer.add_string buf (String.make 16 '0');
-  match IO.of_binary (Buffer.contents buf) with
+  let frame =
+    Wm_graph.Bin.(
+      encode (fun w ->
+          add_fixed w "WMB1";
+          List.iter (add_varint w) [ 4; 2; 0; 1; big; 2; 3; big ];
+          add_fixed w (String.make 16 '0')))
+  in
+  match IO.of_binary frame with
   | _ -> Alcotest.fail "binary: accepted"
   | exception Wm_graph.Bin.Corrupt _ -> ()
 
@@ -895,6 +898,39 @@ let prop_digest_matches_reference =
              && Array.for_all2 E.equal (G.edges canonical) (G.edges g'))
            [ patched base; patched (G.canonical base); decoded ])
 
+(* On a canonical graph [find_edge] binary-searches the edge array; it
+   must agree with a scan of the adjacency index, on every edge in both
+   endpoint orders, on random pairs (mostly non-edges) and on
+   out-of-range ids. *)
+let prop_find_edge_matches_scan =
+  QCheck2.Test.make ~name:"canonical find_edge equals the index scan"
+    ~count:300
+    ~print:(fun (n, seed, es) ->
+      Printf.sprintf "n=%d seed=%d m=%d" n seed (List.length es))
+    gen_digest_case
+    (fun (n, seed, es) ->
+      let g = G.create ~n es in
+      let c = G.canonical g in
+      let scan u v =
+        if u < 0 || u >= n || v < 0 || v >= n then None
+        else
+          G.fold_neighbors g u
+            (fun acc w e -> if w = v then Some e else acc)
+            None
+      in
+      let rng = P.create seed in
+      let queries =
+        List.concat_map (fun (e : E.t) -> [ (e.u, e.v); (e.v, e.u) ]) es
+        @ List.init (4 * n) (fun _ -> (P.int rng n, P.int rng n))
+        @ [ (-1, 0); (0, -1); (0, n); (n, 0); (n, n) ]
+      in
+      List.for_all
+        (fun (u, v) ->
+          let want = scan u v in
+          Option.equal E.equal (G.find_edge c u v) want
+          && G.mem_edge c u v = Option.is_some want)
+        queries)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -904,6 +940,7 @@ let qcheck_tests =
       prop_io_roundtrip;
       prop_io_malformed;
       prop_digest_matches_reference;
+      prop_find_edge_matches_scan;
     ]
 
 let () =

@@ -5,8 +5,8 @@
      order and agree with their sequential counterparts;
    - nested pool calls degrade to sequential instead of deadlocking;
    - a raising task poisons only its call and leaves the pool usable;
-   - the CSR [Weighted_graph] is safe to read from many domains at once
-     (regression for the old lazy-adjacency data race);
+   - the CSR [Weighted_graph] is safe to read from many domains at once,
+     including the first neighbour query that builds its index;
    - [Main_alg.solve] is byte-identical at jobs=1 and jobs=4 on the
      T1/T3/F6-style workloads.                                          *)
 
@@ -127,8 +127,8 @@ let test_default_pool_resize () =
       check "resized down" 1 (Pool.size (Pool.default ())))
 
 (* ------------------------------------------------------------------ *)
-(* CSR graph: concurrent readers (regression for the lazy-adjacency
-   data race fixed by the eager CSR rewrite). *)
+(* CSR graph: concurrent readers of an indexed graph, then of a fresh
+   one whose index the readers build. *)
 
 let graph_checksum g =
   let acc = ref 0 in
@@ -160,6 +160,54 @@ let test_concurrent_graph_reads () =
   List.iter
     (fun d -> check_bool "domain saw a consistent graph" true (Domain.join d))
     workers
+
+(* Every vertex's degree and neighbour slice, as one query kind sees it. *)
+let adjacency g first =
+  let slice v = List.map (fun (u, e) -> (u, E.weight e)) (G.neighbors g v) in
+  (* Each domain opens with a different query, so all of them race to
+     build the index. *)
+  (match first with
+  | 0 -> G.iter_neighbors g 0 (fun _ _ -> ())
+  | 1 -> ignore (G.degree g 0)
+  | 2 -> ignore (G.neighbors g 0)
+  | _ -> ignore (G.fold_neighbors g 0 (fun k _ _ -> k + 1) 0));
+  Array.init (G.n g) (fun v ->
+      let folded =
+        G.fold_neighbors g v (fun acc u e -> (u, E.weight e) :: acc) []
+      in
+      (G.degree g v, slice v, List.rev folded))
+
+(* A canonical graph leaves its index to the first neighbour query.  Four
+   domains make that query on the same fresh graph at once (released
+   together by a spin barrier), and each must see exactly the adjacency
+   a sequential copy has. *)
+let test_concurrent_first_query () =
+  for seed = 1 to 50 do
+    let g0 =
+      Gen.gnp (P.create seed) ~n:200 ~p:0.05 ~weights:(Gen.Uniform (1, 50))
+    in
+    (* [patch] with an empty delta returns a fresh canonical copy. *)
+    let reference = adjacency (G.patch g0 ()) 0 in
+    let g = G.patch g0 () in
+    let ready = Atomic.make 0 in
+    let workers =
+      List.init 4 (fun d ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < 4 do
+                Domain.cpu_relax ()
+              done;
+              adjacency g d))
+    in
+    List.iteri
+      (fun d w ->
+        check_bool
+          (Printf.sprintf "seed %d: domain %d saw the sequential adjacency"
+             seed d)
+          true
+          (Domain.join w = reference))
+      workers
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: solve at jobs=1 and jobs=4 must agree exactly. *)
@@ -408,6 +456,8 @@ let () =
         [
           Alcotest.test_case "concurrent readers" `Quick
             test_concurrent_graph_reads;
+          Alcotest.test_case "concurrent first neighbour query" `Quick
+            test_concurrent_first_query;
         ] );
       ( "determinism",
         [
