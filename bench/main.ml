@@ -33,6 +33,7 @@ let micro_benchmarks () =
       (Gen.power_law_scale (P.create 20191) ~n:10_000 ~attach:8
          ~weights:(Gen.Uniform (1, 100)))
   in
+  let digest = Wm_graph.Graph_io.digest session in
   let delta = List.init 32 (fun i -> Wm_graph.Edge.make (300 * i) (10_000 + i) 7) in
   let layer name f =
     Test.make ~name:(name ^ "(n=10^4)") (Staged.stage (fun () -> ignore (f ())))
@@ -102,6 +103,8 @@ let micro_benchmarks () =
       layer "serve:greedy-by-weight" (fun () -> Wm_algos.Greedy.by_weight session);
       layer "serve:digest" (fun () -> Wm_graph.Graph_io.digest session);
       layer "serve:patch" (fun () -> G.patch session ~add_vertices:32 ~add:delta ());
+      layer "serve:to-binary" (fun () ->
+          Wm_graph.Graph_io.to_binary ~digest session);
     ]
   in
   Printf.printf "\n=== micro-benchmarks (bechamel; monotonic clock) ===\n%!";

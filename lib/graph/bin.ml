@@ -223,6 +223,7 @@ let read_frame s pos =
   else
     let len = u32 pos in
     if len > max_frame || pos + 8 + len > String.length s then None
-    else if crc32 (Bytes.unsafe_of_string s) ~off:(pos + 8) ~len <> u32 (pos + 4)
+    else if
+      crc32 (Bytes.unsafe_of_string s) ~off:(pos + 8) ~len <> u32 (pos + 4)
     then None
     else Some (String.sub s (pos + 8) len, pos + 8 + len)

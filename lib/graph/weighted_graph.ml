@@ -280,11 +280,11 @@ let canonical_of_array ~n edges =
 (* Delta rebuild: kept base edges were validated when [g] was built, so
    only the delta is checked — removals must name existing edges, and
    additions must be in range for the grown vertex set and must not
-   parallel a kept base edge or another addition.  Then one merge over
-   the canonical base edges drops the sorted removals as it meets them
-   and slots the sorted additions in, so the result is canonical.  On a
-   canonical [g] the membership checks binary-search its edge array and
-   no index is built. *)
+   parallel a kept base edge or another addition.  Then the runs of the
+   canonical base edges between removed slots are blitted into place,
+   with each sorted addition at its binary-searched slot, so the result
+   is canonical.  On a canonical [g] the membership checks
+   binary-search its edge array and no index is built. *)
 let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
   if add_vertices < 0 then
     invalid_arg "Weighted_graph.patch: negative add_vertices";
@@ -321,7 +321,9 @@ let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
   Array.sort Edge.compare adds;
   let gone =
     Array.of_seq
-      (Seq.map (fun (u, v) -> lower_bound base u v) (Hashtbl.to_seq_keys removed))
+      (Seq.map
+         (fun (u, v) -> lower_bound base u v)
+         (Hashtbl.to_seq_keys removed))
   in
   Array.sort Int.compare gone;
   let m = Array.length base and r = Array.length gone in

@@ -8,8 +8,10 @@
 
     Files are named by origin, [snap-<origin>.bin], so re-keying or
     merging sessions never makes one session's snapshot overwrite
-    another's.  They are {!Wm_graph.Bin} payloads in a CRC32
-    {!Wm_graph.Bin.frame}, published atomically by {!Wal.publish}.  A
+    another's.  They are {!Wm_graph.Bin} payloads in a CRC32 frame,
+    each written into one buffer of its own size by
+    {!Wm_graph.Bin.encode_frame} and published atomically by
+    {!Wal.publish}.  A
     file that fails its CRC, does not decode, or whose decoded graph
     does not hash back to the recorded digest is skipped by
     {!load_all}. *)

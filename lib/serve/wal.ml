@@ -52,6 +52,8 @@ let version = 1
 (* The record codec, writer and reader side by side.  Cached results
    travel as JSON text; graphs and matchings as {!Gio} frames. *)
 
+(* Rendered on both of [Bin.encode]'s runs; a cached result is a few
+   hundred bytes of JSON. *)
 let add_result w v = Bin.add_string w (J.to_string v)
 
 let read_result r =

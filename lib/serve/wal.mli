@@ -19,8 +19,9 @@
     durable and a restart re-feeds (and re-admits, replaying the same
     injector draws) from the next line.
 
-    Records are {!Wm_graph.Bin} payloads in {!Wm_graph.Bin.frame}s
-    ([u32-LE length | u32-LE CRC32 | payload]).  {!scan} decodes the
+    Records are {!Wm_graph.Bin} payloads in CRC32 frames
+    ([u32-LE length | u32-LE CRC32 | payload]), each written in one
+    buffer by {!Wm_graph.Bin.encode_frame}.  {!scan} decodes the
     longest valid prefix, truncates anything after it (a torn tail from
     a mid-append crash, a CRC failure, or any payload that does not
     decode) in place, and accounts the cut through

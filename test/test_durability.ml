@@ -373,7 +373,9 @@ let test_format_goldens () =
            [ decoded r ]))
     golden_records;
   check_bool "decode graph frame" true
-    (same_graph (IO.of_binary (golden "graph frame")) (G.canonical golden_graph));
+    (same_graph
+       (IO.of_binary (golden "graph frame"))
+       (G.canonical golden_graph));
   check_bool "decode matching frame" true
     (IO.matching_of_binary (golden "matching frame") = golden_matching);
   let dir = fresh_dir () in
@@ -664,7 +666,8 @@ let gen_durable_case =
            Wal.reqno = pick widths;
            batchno = pick widths;
            rng =
-             (if P.bool rng then Some (Int64.of_int (P.int rng 1_000_000 - 500_000))
+             (if P.bool rng then
+                Some (Int64.of_int (P.int rng 1_000_000 - 500_000))
               else None);
            counters = Array.init (P.int rng 5) (fun _ -> pick widths);
          }
