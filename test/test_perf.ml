@@ -229,11 +229,20 @@ let test_prng_allocation_free () =
 
 (* Words allocated by [f ()] on either heap: arrays past the minor
    heap's size limit go straight to the major heap, which
-   [Gc.minor_words] does not see. *)
+   [Gc.minor_words] does not see.  [Gc.allocated_bytes] counts young
+   words only when a minor collection flushes them, so a minor
+   collection on each side of the call bills [f] exactly its own young
+   words; the measurement's own cost, read on a no-op, is taken off. *)
 let all_words f =
-  let a = Gc.allocated_bytes () in
-  f ();
-  int_of_float ((Gc.allocated_bytes () -. a) /. float (Sys.word_size / 8))
+  let measure f =
+    Gc.minor ();
+    let a = Gc.allocated_bytes () in
+    f ();
+    Gc.minor ();
+    Gc.allocated_bytes () -. a
+  in
+  let own = measure ignore in
+  int_of_float ((measure f -. own) /. float (Sys.word_size / 8))
 
 (* On a graph out of canonical order the digest buckets edges by min
    endpoint: an (n+1)-int offset array and an m-slot copy of the edge
