@@ -931,6 +931,32 @@ let prop_find_edge_matches_scan =
           && G.mem_edge c u v = Option.is_some want)
         queries)
 
+(* [canonical] lays a non-canonical graph's records out afresh in
+   canonical order, so no record of the result is one of the input's:
+   a shared record could only be the input's record with the same
+   (u, v), which [find_edge] names.  The content is the input's, sorted.
+   A canonical graph is its own canonical form. *)
+let prop_canonical_fresh_records =
+  QCheck2.Test.make ~name:"canonical lays out fresh records" ~count:300
+    ~print:(fun (n, seed, es) ->
+      Printf.sprintf "n=%d seed=%d m=%d" n seed (List.length es))
+    gen_digest_case
+    (fun (n, _, es) ->
+      let g = G.create ~n es in
+      let c = G.canonical g in
+      let sorted = Array.copy (G.edges g) in
+      Array.sort E.compare sorted;
+      G.canonical c == c
+      && G.n c = n
+      && Array.for_all2 E.equal sorted (G.edges c)
+      && (c == g
+         || Array.for_all
+              (fun (e : E.t) ->
+                match G.find_edge g e.u e.v with
+                | Some old -> old != e
+                | None -> false)
+              (G.edges c)))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -941,6 +967,7 @@ let qcheck_tests =
       prop_io_malformed;
       prop_digest_matches_reference;
       prop_find_edge_matches_scan;
+      prop_canonical_fresh_records;
     ]
 
 let () =
