@@ -266,8 +266,14 @@ let canonical_edges g =
     sorted
   end
 
+(* A canonical graph's passes walk its edge array in slot order, so a
+   non-canonical input's records are copied afresh in that order: the
+   records then sit in memory in the order the passes read them. *)
 let canonical g =
-  if g.canon then g else lazily ~n:g.n ~canon:true (canonical_edges g)
+  if g.canon then g
+  else
+    lazily ~n:g.n ~canon:true
+      (Array.map (fun (e : Edge.t) -> Edge.make e.u e.v e.w) (canonical_edges g))
 
 let canonical_of_array ~n edges =
   if n < 0 then invalid_arg "Weighted_graph: negative n";
