@@ -165,10 +165,17 @@ let read_bool r =
 
 let read_option f r = if read_bool r then Some (f r) else None
 
-let read_list f r =
+(* Every element takes at least one byte, so a count past the bytes
+   left is corruption, refused before anything is allocated. *)
+let read_count r =
   let n = read_varint r in
   if n > remaining r then corrupt "list count exceeds the bytes left";
-  List.init n (fun _ -> f r)
+  n
+
+let read_list f r = List.init (read_count r) (fun _ -> f r)
+
+(* [Array.init] applies [f] to the slots in increasing order. *)
+let read_array f r = Array.init (read_count r) (fun _ -> f r)
 
 let read_pair fa fb r =
   let a = fa r in

@@ -78,6 +78,10 @@ val read_list : (r -> 'a) -> r -> 'a list
 (** Every element must take at least one byte: the count is checked
     against the bytes left before anything is allocated. *)
 
+val read_array : (r -> 'a) -> r -> 'a array
+(** The bytes {!read_list} reads, with the same count check, decoded
+    straight into an array in element order. *)
+
 val read_pair : (r -> 'a) -> (r -> 'b) -> r -> 'a * 'b
 (** Reads the components in order, as {!add_pair} wrote them. *)
 

@@ -220,18 +220,21 @@ let to_binary ?digest:held g =
 
 (* A frame in canonical order is taken as decoded: its order rules out
    parallel edges, so no duplicate check runs and no index is built. *)
-let of_binary =
+let of_binary_with_digest =
   Bin.decode (fun r ->
       Bin.read_magic r "WMB1";
       let n = Bin.read_varint r in
-      let edges = Array.of_list (Bin.read_list read_edge r) in
+      let edges = Bin.read_array read_edge r in
       let claimed = Bin.read_fixed r 16 in
       let g = valid (fun () -> Weighted_graph.canonical_of_array ~n edges) in
-      if digest g <> claimed then
+      let content = digest g in
+      if content <> claimed then
         Bin.corrupt
           (Printf.sprintf "graph digest mismatch: frame says %s, content is %s"
-             claimed (digest g));
-      g)
+             claimed content);
+      (g, claimed))
+
+let of_binary s = fst (of_binary_with_digest s)
 
 (* The count and [Matching.iter]'s order are those of [Matching.edges]. *)
 let add_matching w m =

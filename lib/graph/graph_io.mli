@@ -63,7 +63,15 @@ val add_graph : Bin.w -> digest:string -> Weighted_graph.t -> unit
 val of_binary : string -> Weighted_graph.t
 (** The canonical graph of the frame (see
     {!Weighted_graph.canonical_of_array}): a frame in canonical order
-    needs no duplicate-edge check and gets no adjacency index. *)
+    needs no duplicate-edge check and gets no adjacency index; its
+    records are decoded in frame order, hence laid out in canonical
+    order. *)
+
+val of_binary_with_digest : string -> Weighted_graph.t * string
+(** {!of_binary} together with the digest the frame's trailer carries,
+    which it has checked against the content: a caller that compares
+    the graph with another claimed digest needs no second hashing
+    pass. *)
 
 val matching_to_binary : Matching.t -> string
 (** ["WMM1"]-tagged frame: n, k, the edges. *)

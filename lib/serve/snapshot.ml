@@ -28,9 +28,10 @@ let add_snapshot w s =
   let add_matching w m = add_nested w (fun w -> Gio.add_matching w m) in
   add_list (add_pair add_string add_matching) w s.warm
 
-(* [Gio.of_binary] recomputes the content digest and refuses a mismatch;
-   the header's digest is cross-checked against it so the file cannot
-   claim to be a snapshot of content it does not hold. *)
+(* [Gio.of_binary_with_digest] hashes the graph and refuses a frame
+   whose trailer disagrees; the header's digest is compared with that
+   checked trailer, so the file cannot claim to be a snapshot of content
+   it does not hold, and the graph is hashed once. *)
 let decode =
   Bin.decode (fun r ->
       let open Bin in
@@ -39,10 +40,10 @@ let decode =
       let lsn = read_varint r in
       let digest = read_string r in
       let generation = read_varint r in
-      let graph = Gio.of_binary (read_string r) in
+      let graph, framed = Gio.of_binary_with_digest (read_string r) in
       let read_matching r = Gio.matching_of_binary (read_string r) in
       let warm = read_list (read_pair read_string read_matching) r in
-      if Gio.digest graph <> digest then corrupt "snapshot digest mismatch";
+      if framed <> digest then corrupt "snapshot digest mismatch";
       { origin; lsn; digest; generation; graph; warm })
 
 let write ~dir s =

@@ -34,6 +34,12 @@ val write : dir:string -> s -> int
     framed size in bytes.  Accounted via
     {!Wm_fault.Recovery.note_snapshot}. *)
 
+val decode : string -> s
+(** The snapshot a frame's payload holds.  Raises
+    {!Wm_graph.Bin.Corrupt} when the payload does not decode, or when
+    the header's digest is not the one the graph frame carries (and
+    that the frame's content hashes to). *)
+
 val gc : dir:string -> live:int list -> unit
 (** Delete every snapshot file in [dir] that is not the file of one of
     the [live] origins.  Only safe once no WAL record names the dead

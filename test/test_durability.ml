@@ -423,6 +423,49 @@ let test_scan_cuts_negative_count =
   scan_cuts_undecodable
     (record_header ^ "F\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
 
+(* A snapshot whose header names one digest while its graph frame is a
+   clean frame of other content is refused by [Snapshot.decode] and
+   skipped by [load_all]; the same bytes with the frame's own digest in
+   the header decode, so the refusal is the digest's. *)
+let test_snapshot_digest_disagrees () =
+  let module Bin = Wm_graph.Bin in
+  let g = G.canonical golden_graph and other = IO.digest (sample_graph 7) in
+  let payload header =
+    Bin.encode (fun w ->
+        Bin.add_fixed w "WSN1";
+        Bin.add_varint w 3;
+        Bin.add_varint w 9;
+        Bin.add_string w header;
+        Bin.add_varint w 2;
+        Bin.add_string w (IO.to_binary g);
+        Bin.add_list (fun _ () -> ()) w [])
+  in
+  check_bool "the header's digest differs" true (other <> IO.digest g);
+  check_str "own digest decodes" (IO.digest g)
+    (Wm_serve.Snapshot.decode (payload (IO.digest g))).digest;
+  Alcotest.check_raises "decode refuses"
+    (Bin.Corrupt "snapshot digest mismatch") (fun () ->
+      ignore (Wm_serve.Snapshot.decode (payload other)));
+  let dir = fresh_dir () in
+  spew
+    (Wm_serve.Snapshot.file ~dir 3)
+    (Bin.encode_frame (fun w -> Bin.add_fixed w (payload other)));
+  check "load_all skips it" 0 (List.length (Wm_serve.Snapshot.load_all ~dir))
+
+(* A graph frame's edge count is checked against the bytes left before
+   the edge array is allocated. *)
+let test_graph_frame_count_checked () =
+  let module Bin = Wm_graph.Bin in
+  let frame =
+    Bin.encode (fun w ->
+        Bin.add_fixed w "WMB1";
+        List.iter (Bin.add_varint w) [ 6; 1_000_000; 0; 1; 5 ];
+        Bin.add_fixed w (IO.digest golden_graph))
+  in
+  Alcotest.check_raises "count past the bytes left"
+    (Bin.Corrupt "list count exceeds the bytes left") (fun () ->
+      ignore (IO.of_binary frame))
+
 (* ------------------------------------------------------------------ *)
 (* Binary codec properties *)
 
@@ -1179,6 +1222,10 @@ let () =
             test_scan_cuts_junk_load;
           Alcotest.test_case "scan cuts a negative list count" `Quick
             test_scan_cuts_negative_count;
+          Alcotest.test_case "snapshot digest disagrees with its frame"
+            `Quick test_snapshot_digest_disagrees;
+          Alcotest.test_case "graph frame count past its bytes" `Quick
+            test_graph_frame_count_checked;
         ] );
       ("codec", qcheck_tests);
       ( "restore",
