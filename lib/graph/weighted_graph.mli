@@ -26,7 +26,16 @@
     order they are given and solvers read edges in array order;
     {!canonical}, {!canonical_of_array} and {!patch} return canonical
     graphs, and the serving layer holds only those, so a served answer
-    depends on content alone. *)
+    depends on content alone.
+
+    {b Record layout.}  A graph made canonical by {!canonical} holds
+    fresh edge records allocated in slot order, and a canonical array
+    decoded in order (as [Graph_io.of_binary] decodes a frame) is
+    already laid out so; the edge-array passes of a served session
+    then read memory in order.  {!patch} shares its base's records and
+    adds the delta's wherever they were allocated, so the layout decays
+    with each patch ({!canonical} returns a patched graph as itself);
+    decoding its binary frame lays it out afresh. *)
 
 type t
 
@@ -121,7 +130,9 @@ val canonical_edges : t -> Edge.t array
 
 val canonical : t -> t
 (** [g] itself when it is canonical, otherwise the same graph rebuilt
-    on {!canonical_edges}, with its index not yet built. *)
+    on {!canonical_edges}, with its index not yet built and one fresh
+    [Edge.t] per edge, allocated in canonical slot order (see Record
+    layout above): no record of the result is one of [g]'s. *)
 
 val canonical_of_array : n:int -> Edge.t array -> t
 (** [canonical (of_array ~n edges)], validated alike.  An array already
