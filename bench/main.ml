@@ -27,12 +27,14 @@ let micro_benchmarks () =
   let stream_graph = Gen.gnp rng ~n:400 ~p:0.05 ~weights:(Gen.Uniform (1, 100)) in
   let params = Wm_core.Params.practical ~epsilon:0.2 () in
   let matching = Wm_algos.Greedy.by_weight gnp in
-  (* The serve-session window's graph layers, on its canonical graph,
-     and the one-time canonicalisation of the loaded file-order graph. *)
+  (* The serve-session window's graph layers, on its canonical graph;
+     the served load of its text; and the canonicalisation of a
+     file-order graph. *)
   let loaded =
     Gen.power_law_scale (P.create 20191) ~n:10_000 ~attach:8
       ~weights:(Gen.Uniform (1, 100))
   in
+  let text = Wm_graph.Graph_io.to_string loaded in
   let session = G.canonical loaded in
   let digest = Wm_graph.Graph_io.digest session in
   let delta = List.init 32 (fun i -> Wm_graph.Edge.make (300 * i) (10_000 + i) 7) in
@@ -101,6 +103,7 @@ let micro_benchmarks () =
              let tp = Wm_core.Params.tau_params params in
              let pair = { Wm_core.Tau.a = [| 0; 4; 0 |]; b = [| 3; 3 |] } in
              ignore (Wm_core.Layered.build tp gp pair ~scale:16.0)));
+      layer "serve:load" (fun () -> Wm_graph.Graph_io.canonical_of_string text);
       layer "serve:canonical" (fun () -> G.canonical loaded);
       layer "serve:greedy-by-weight" (fun () -> Wm_algos.Greedy.by_weight session);
       layer "serve:digest" (fun () -> Wm_graph.Graph_io.digest session);

@@ -33,13 +33,16 @@ module Ints = struct
 
   let clear t = t.len <- 0
 
-  let push t x =
-    if t.len = Array.length t.data then begin
-      let cap = Stdlib.max 16 (2 * Array.length t.data) in
+  let reserve t cap =
+    if Array.length t.data < cap then begin
       let data = Array.make cap 0 in
       Array.blit t.data 0 data 0 t.len;
       t.data <- data
-    end;
+    end
+
+  let push t x =
+    if t.len = Array.length t.data then
+      reserve t (Stdlib.max 16 (2 * Array.length t.data));
     Array.unsafe_set t.data t.len x;
     t.len <- t.len + 1
 

@@ -53,6 +53,11 @@ module Ints : sig
   val clear : t -> unit
   (** Forget the contents; capacity is retained. *)
 
+  val reserve : t -> int -> unit
+  (** [reserve t cap] grows the backing array to at least [cap] slots,
+      so a consumer that knows its final length pushes with no
+      doubling copies. *)
+
   val push : t -> int -> unit
 
   val length : t -> int

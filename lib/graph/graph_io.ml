@@ -58,8 +58,6 @@ let digest g =
   done;
   Bytes.unsafe_to_string hex
 
-type header = { kind : string; n : int; count : int }
-
 exception Parse_error of { line : int; msg : string }
 
 let parse_fail line msg = raise (Parse_error { line; msg })
@@ -83,91 +81,194 @@ let parse_weight fail w =
                w)
       | None -> fail (Printf.sprintf "bad weight %s" w))
 
-(* Every edge is checked here, with its line number: range, self-loop,
-   weight, running total and duplicates.  The result is three parallel
-   endpoint/weight vectors for the trusted [Weighted_graph.of_flat]. *)
-let parse_lines s =
-  let header = ref None in
-  let src = Arena.Ints.create ()
-  and dst = Arena.Ints.create ()
-  and ws = Arena.Ints.create () in
-  let count = ref 0 in
-  let total = ref 0 in
-  let seen = Hashtbl.create 64 in
-  let lines = String.split_on_char '\n' s in
-  (* A trailing newline makes [split_on_char] emit a phantom empty
-     element past the final line; end-of-input diagnostics ("missing
-     problem line", count mismatches) must point at the real last line,
-     not one past it. *)
-  let last_line =
-    match List.length lines with
-    | len when len > 1 && List.nth lines (len - 1) = "" -> len - 1
-    | len -> len
+type parsed = {
+  n : int;
+  m : int;
+  lo : int array;
+  hi : int array;
+  w : int array;
+  order : int array;  (* the slots in canonical (lo, hi) order *)
+}
+
+exception Not_an_int
+
+let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012' || c = '\n'
+
+(* [int_of_string_opt] on [s.[a .. b-1]], raising [Not_an_int] for
+   [None].  At most 18 decimal digits cannot overflow, so such a token
+   is read in place; any other goes through [int_of_string_opt]. *)
+let int_at s a b =
+  let x = ref 0 and i = ref a in
+  if b - a <= 18 then
+    while !i < b && s.[!i] >= '0' && s.[!i] <= '9' do
+      x := (10 * !x) + Char.code s.[!i] - Char.code '0';
+      incr i
+    done;
+  if !i = b && b > a then !x
+  else
+    match int_of_string_opt (String.sub s a (b - a)) with
+    | Some x -> x
+    | None -> raise Not_an_int
+
+let range_check lineno n x =
+  if x < 0 || x >= n then
+    parse_fail lineno (Printf.sprintf "endpoint %d out of range [0, %d)" x n)
+
+(* The text parser walks the text once with an index cursor.  A line is
+   [String.trim]med and split on ' ' alone, exactly as
+   [String.split_on_char] would, without building either list: the
+   first five token bounds go into [tok].  Every edge is checked here,
+   with its line number (range, self-loop, weight, running total), and
+   pushed as (min, max, weight, line) into four vectors in file order.
+   Duplicates are equal neighbours once the vectors are bucketed into
+   canonical order ([Weighted_graph.canonical_order]).  The scan stops
+   at the first bad line L; a duplicate seen before L is on an earlier
+   line, so it is the one reported. *)
+let parse s =
+  let len = String.length s in
+  let los = Arena.Ints.create ()
+  and his = Arena.Ints.create ()
+  and ws = Arena.Ints.create ()
+  and lines = Arena.Ints.create () in
+  let n = ref (-1) and count = ref 0 and total = ref 0 in
+  (* Bounds of token k: [s.[tok.(2k) .. tok.(2k+1) - 1]]. *)
+  let tok = Array.make 10 0 in
+  let tok_is k lit =
+    let a = tok.(2 * k) and l = String.length lit in
+    tok.((2 * k) + 1) - a = l
+    &&
+    let i = ref 0 in
+    while !i < l && s.[a + !i] = lit.[!i] do
+      incr i
+    done;
+    !i = l
   in
-  List.iteri
-    (fun lineno line ->
-      let fail msg = parse_fail (lineno + 1) msg in
-      let line = String.trim line in
-      if line = "" || line.[0] = 'c' then ()
-      else
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "p"; kind; n; count ] -> (
-            if !header <> None then fail "duplicate problem line";
-            match (int_of_string_opt n, int_of_string_opt count) with
-            | Some n, Some count when n >= 0 && count >= 0 ->
-                header := Some { kind; n; count }
-            | _ -> fail "bad problem line")
-        | "p" :: _ -> fail "bad problem line"
-        | [ "e"; u; v; w ] -> (
-            let n =
-              match !header with
-              | None -> fail "edge before problem line"
-              | Some h -> h.n
-            in
-            match (int_of_string_opt u, int_of_string_opt v) with
-            | Some u, Some v ->
-                let range_check x =
-                  if x < 0 || x >= n then
-                    fail
-                      (Printf.sprintf "endpoint %d out of range [0, %d)" x n)
-                in
-                range_check u;
-                range_check v;
-                if u = v then fail (Printf.sprintf "self-loop at vertex %d" u);
-                let w = parse_weight fail w in
-                if w > Weighted_graph.max_total_weight - !total then
-                  fail "total weight exceeds 2^53";
-                total := !total + w;
-                let key = (Stdlib.min u v, Stdlib.max u v) in
-                (match Hashtbl.find_opt seen key with
-                | Some first ->
-                    fail
-                      (Printf.sprintf "duplicate edge %d-%d (first at line %d)"
-                         (fst key) (snd key) first)
-                | None -> Hashtbl.add seen key (lineno + 1));
-                incr count;
-                Arena.Ints.push src u;
-                Arena.Ints.push dst v;
-                Arena.Ints.push ws w
-            | _ -> fail "bad edge line")
-        | _ -> fail "unrecognised line")
-    lines;
-  match !header with
-  | None -> parse_fail last_line "missing problem line"
-  | Some h ->
-      if !count <> h.count then
-        parse_fail last_line
-          (Printf.sprintf "problem line announces %d edges, found %d" h.count
-             !count);
-      (h, src, dst, ws)
+  let tok_string k =
+    String.sub s tok.(2 * k) (tok.((2 * k) + 1) - tok.(2 * k))
+  in
+  let tok_int k = int_at s tok.(2 * k) tok.((2 * k) + 1) in
+  (* The line [s.[a .. b-1]], trimmed and not a comment, ending at [stop]. *)
+  let line lineno ~stop a b =
+    let ntok = ref 0 and i = ref a in
+    while !i < b && !ntok < 5 do
+      while s.[!i] = ' ' do
+        incr i
+      done;
+      tok.(2 * !ntok) <- !i;
+      while !i < b && s.[!i] <> ' ' do
+        incr i
+      done;
+      tok.((2 * !ntok) + 1) <- !i;
+      incr ntok
+    done;
+    if tok_is 0 "p" then begin
+      if !ntok <> 4 then parse_fail lineno "bad problem line";
+      if !n >= 0 then parse_fail lineno "duplicate problem line";
+      let n', c =
+        try (tok_int 2, tok_int 3)
+        with Not_an_int -> parse_fail lineno "bad problem line"
+      in
+      if n' < 0 || c < 0 then parse_fail lineno "bad problem line";
+      if not (tok_is 1 "wm") then
+        parse_fail lineno
+          (Printf.sprintf "expected 'p wm', got 'p %s'" (tok_string 1));
+      n := n';
+      count := c;
+      (* An edge line takes at least 8 bytes with its newline. *)
+      let cap = Stdlib.min c ((len - stop) / 8) in
+      List.iter (fun v -> Arena.Ints.reserve v cap) [ los; his; ws; lines ]
+    end
+    else if !ntok = 4 && tok_is 0 "e" then begin
+      if !n < 0 then parse_fail lineno "edge before problem line";
+      let u, v =
+        try (tok_int 1, tok_int 2)
+        with Not_an_int -> parse_fail lineno "bad edge line"
+      in
+      range_check lineno !n u;
+      range_check lineno !n v;
+      if u = v then
+        parse_fail lineno (Printf.sprintf "self-loop at vertex %d" u);
+      let w =
+        match tok_int 3 with
+        | w when w >= 0 -> w
+        | _ | (exception Not_an_int) ->
+            parse_weight (parse_fail lineno) (tok_string 3)
+      in
+      if w > Weighted_graph.max_total_weight - !total then
+        parse_fail lineno "total weight exceeds 2^53";
+      total := !total + w;
+      Arena.Ints.push los (Stdlib.min u v);
+      Arena.Ints.push his (Stdlib.max u v);
+      Arena.Ints.push ws w;
+      Arena.Ints.push lines lineno
+    end
+    else parse_fail lineno "unrecognised line"
+  in
+  let lineno = ref 1 and start = ref 0 and stopped = ref None in
+  (try
+     while !start <= len do
+       let stop = ref !start in
+       while !stop < len && s.[!stop] <> '\n' do
+         incr stop
+       done;
+       let a = ref !start and b = ref !stop in
+       while !a < !b && is_space s.[!a] do
+         incr a
+       done;
+       while !b > !a && is_space s.[!b - 1] do
+         decr b
+       done;
+       if !a < !b && s.[!a] <> 'c' then line !lineno ~stop:!stop !a !b;
+       start := !stop + 1;
+       incr lineno
+     done
+   with Parse_error _ as e -> stopped := Some e);
+  let m = Arena.Ints.length los in
+  let lo = Arena.Ints.data los and hi = Arena.Ints.data his in
+  (* A trailing newline ends the last line; it does not start one. *)
+  let last_line =
+    if len > 0 && s.[len - 1] = '\n' then !lineno - 2 else !lineno - 1
+  in
+  let fails = !stopped <> None || !n < 0 || m <> !count in
+  (* The counting sort takes n + 1 words, like the index [of_flat]
+     builds, and the header's n can be anything: a text that fails
+     anyway has its pairs compared instead, in O(m) words. *)
+  let order =
+    if not fails then Weighted_graph.canonical_order ~n:!n ~m ~lo ~hi
+    else begin
+      let order = Array.init m Fun.id in
+      Array.stable_sort
+        (fun i j ->
+          if lo.(i) <> lo.(j) then Int.compare lo.(i) lo.(j)
+          else Int.compare hi.(i) hi.(j))
+        order;
+      order
+    end
+  in
+  (match Weighted_graph.first_repeat order ~lo ~hi with
+  | Some (first, i) ->
+      parse_fail (Arena.Ints.get lines i)
+        (Printf.sprintf "duplicate edge %d-%d (first at line %d)" lo.(i)
+           hi.(i) (Arena.Ints.get lines first))
+  | None -> ());
+  Option.iter raise !stopped;
+  if !n < 0 then parse_fail last_line "missing problem line";
+  if m <> !count then
+    parse_fail last_line
+      (Printf.sprintf "problem line announces %d edges, found %d" !count m);
+  { n = !n; m; lo; hi; w = Arena.Ints.data ws; order }
 
 let of_string s =
-  let h, src, dst, w = parse_lines s in
-  if h.kind <> "wm" then
-    parse_fail 1 (Printf.sprintf "expected 'p wm', got 'p %s'" h.kind);
-  Weighted_graph.of_flat ~n:h.n ~m:(Arena.Ints.length src)
-    ~src:(Arena.Ints.data src) ~dst:(Arena.Ints.data dst)
-    ~w:(Arena.Ints.data w)
+  let p = parse s in
+  Weighted_graph.of_flat ~n:p.n ~m:p.m ~src:p.lo ~dst:p.hi ~w:p.w
+
+(* One fresh record per edge, allocated in canonical slot order. *)
+let canonical_of_string s =
+  let p = parse s in
+  Weighted_graph.canonical_of_array ~n:p.n
+    (Array.init p.m (fun k ->
+         let i = p.order.(k) in
+         Edge.make p.lo.(i) p.hi.(i) p.w.(i)))
 
 let write_file path g =
   Out_channel.with_open_text path (fun oc -> output_string oc (to_string g))

@@ -16,8 +16,17 @@
     header — each raises {!Parse_error} naming the offending line. *)
 
 exception Parse_error of { line : int; msg : string }
-(** [line] is 1-based; document-level problems (missing header, edge
-    count mismatch) report the last line of the input. *)
+(** [line] is 1-based.  The first bad line in file order is the one
+    reported: a duplicate edge names its second occurrence (and the
+    first), a problem line whose kind is not [wm] is reported on that
+    line as soon as it is read, and document-level problems (missing
+    header, edge count mismatch) report the last line of the input.
+
+    Tokens: a line is trimmed of [' '], ['\t'], ['\r'] and ['\012'] at
+    both ends, a line whose first character is then ['c'] is a comment,
+    and tokens are separated by runs of [' '] alone.  Integers are read
+    as [int_of_string_opt] reads them (signs, [0x]/[0o]/[0b] prefixes
+    and [_] separators included). *)
 
 val digest : Weighted_graph.t -> string
 (** Content digest of a graph: 64-bit FNV-1a, rendered as 16
@@ -33,8 +42,17 @@ val digest : Weighted_graph.t -> string
 val to_string : Weighted_graph.t -> string
 
 val of_string : string -> Weighted_graph.t
-(** Raises {!Parse_error} with a line-numbered message on malformed
-    input. *)
+(** The graph of the text, edges in file order, with its adjacency index
+    built.  Raises {!Parse_error} with a line-numbered message on
+    malformed input. *)
+
+val canonical_of_string : string -> Weighted_graph.t
+(** The canonical graph of the text (see
+    {!Weighted_graph.canonical_of_array}): the same checks and errors
+    as {!of_string}, but each edge record is allocated once, in
+    canonical slot order, and no adjacency index is built.  The edges
+    are those of [Weighted_graph.canonical_edges (of_string s)].  The
+    serving layer's [load]. *)
 
 val write_file : string -> Weighted_graph.t -> unit
 

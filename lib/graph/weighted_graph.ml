@@ -53,29 +53,73 @@ let lower_bound edges a b =
   done;
   !lo
 
-(* Range-checks every edge, and rejects parallel edges with a Hashtbl
-   pass unless the array is [canon]ical: strictly increasing (u, v)
-   order already rules them out. *)
+(* Slots [0 .. m-1] of the endpoint columns [lo], [hi] (each in
+   [0, n)), sorted by (lo, hi) in O(n + m): a counting pass by [hi], then
+   a stable one by [lo].  Equal pairs keep slot order. *)
+let canonical_order ~n ~m ~lo ~hi =
+  let count = Array.make (n + 1) 0 in
+  let by (key : int array) slot_at =
+    Array.fill count 0 (n + 1) 0;
+    for i = 0 to m - 1 do
+      count.(key.(i) + 1) <- count.(key.(i) + 1) + 1
+    done;
+    for b = 1 to n do
+      count.(b) <- count.(b) + count.(b - 1)
+    done;
+    let sorted = Array.make m 0 in
+    for k = 0 to m - 1 do
+      let i = slot_at k in
+      let b = key.(i) in
+      sorted.(count.(b)) <- i;
+      count.(b) <- count.(b) + 1
+    done;
+    sorted
+  in
+  let by_hi = by hi Fun.id in
+  by lo (Array.get by_hi)
+
+(* Repeated pairs are equal neighbours of [order], each run in slot
+   order, so the earliest repeat is the least slot that is not first in
+   its run. *)
+let first_repeat order ~lo ~hi =
+  let first = ref (-1) and repeat = ref (-1) and run = ref 0 in
+  for k = 1 to Array.length order - 1 do
+    let i = order.(k) and j = order.(k - 1) in
+    if lo.(i) <> lo.(j) || hi.(i) <> hi.(j) then run := k
+    else if !repeat < 0 || i < !repeat then begin
+      repeat := i;
+      first := order.(!run)
+    end
+  done;
+  if !repeat < 0 then None else Some (!first, !repeat)
+
+(* Range-checks every edge, and rejects parallel edges unless the array
+   is [canon]ical: strictly increasing (u, v) order already rules them
+   out.  The first bad edge in array order is the one reported, so
+   parallel edges are sought only before the first out-of-range one. *)
 let validate n ~canon edges =
   check_total_weight edges;
-  let seen = Hashtbl.create (if canon then 1 else Array.length edges) in
-  Array.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      (* [Edge.make] normalises u < v, but check all four bounds
-         explicitly rather than rely on that invariant. *)
-      if u < 0 || u >= n || v < 0 || v >= n then
+  (* [Edge.make] normalises u < v, but check all four bounds
+     explicitly rather than rely on that invariant. *)
+  let in_range (e : Edge.t) = e.u >= 0 && e.u < n && e.v >= 0 && e.v < n in
+  let r = ref 0 in
+  while !r < Array.length edges && in_range edges.(!r) do
+    incr r
+  done;
+  if not canon then begin
+    let lo = Array.init !r (fun i -> edges.(i).Edge.u)
+    and hi = Array.init !r (fun i -> edges.(i).Edge.v) in
+    match first_repeat (canonical_order ~n ~m:!r ~lo ~hi) ~lo ~hi with
+    | Some (_, i) ->
         invalid_arg
-          (Printf.sprintf "Weighted_graph: edge %s out of range [0,%d)"
-             (Edge.to_string e) n);
-      if not canon then begin
-        if Hashtbl.mem seen (u, v) then
-          invalid_arg
-            (Printf.sprintf "Weighted_graph: parallel edge %s"
-               (Edge.to_string e));
-        Hashtbl.add seen (u, v) ()
-      end)
-    edges
+          (Printf.sprintf "Weighted_graph: parallel edge %s"
+             (Edge.to_string edges.(i)))
+    | None -> ()
+  end;
+  if !r < Array.length edges then
+    invalid_arg
+      (Printf.sprintf "Weighted_graph: edge %s out of range [0,%d)"
+         (Edge.to_string edges.(!r)) n)
 
 (* Counting sort into CSR; per-vertex slices come out in edge order. *)
 let build_index ~n edges =
@@ -131,7 +175,7 @@ let of_array ~n edges =
 (* Trusted flat constructor: endpoints/weights come as parallel int
    arrays from a caller that guarantees validity by construction (the
    layered-graph builder, the scale generators, the text parser), so the
-   per-edge Hashtbl pass of [validate] is skipped along with any
+   duplicate pass of [validate] is skipped along with any
    intermediate edge list.  [Edge.make] still normalises endpoint order
    and rejects self-loops and negative weights per edge. *)
 let of_flat ~n ~m ~src ~dst ~w =
@@ -230,7 +274,7 @@ let max_weight g = Array.fold_left (fun acc e -> Stdlib.max acc (Edge.weight e))
 
 (* [subgraph] and [map_weights] cannot introduce out-of-range vertices
    or parallel edges (they filter / reweight a validated edge set), and
-   keep the edge order, so they skip the Hashtbl re-validation pass of
+   keep the edge order, so they skip the re-validation pass of
    [of_array] and inherit [canon]. *)
 let subgraph g keep =
   indexed ~n:g.n ~canon:g.canon

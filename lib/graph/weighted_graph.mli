@@ -30,7 +30,8 @@
 
     {b Record layout.}  A graph made canonical by {!canonical} holds
     fresh edge records allocated in slot order, and a canonical array
-    decoded in order (as [Graph_io.of_binary] decodes a frame) is
+    decoded in order (as [Graph_io.of_binary] decodes a frame) or parsed
+    and bucketed first (as [Graph_io.canonical_of_string] builds one) is
     already laid out so; the edge-array passes of a served session
     then read memory in order.  {!patch} shares its base's records and
     adds the delta's wherever they were allocated, so the layout decays
@@ -62,7 +63,7 @@ val of_flat :
     ([i < m]) joins [src.(i)] and [dst.(i)] with weight [w.(i)],
     reading only the first [m] slots (the arrays may be larger reusable
     arenas; they are not retained).  {b Trusted}: the caller promises
-    there are no parallel edges — the Hashtbl duplicate check of
+    there are no parallel edges — the duplicate check of
     {!of_array} is skipped, which is what makes per-τ-pair layered
     builds and the million-edge generators allocation-lean.  Endpoint
     range, self-loops and negative weights are still rejected.  Edge
@@ -132,13 +133,30 @@ val canonical : t -> t
 (** [g] itself when it is canonical, otherwise the same graph rebuilt
     on {!canonical_edges}, with its index not yet built and one fresh
     [Edge.t] per edge, allocated in canonical slot order (see Record
-    layout above): no record of the result is one of [g]'s. *)
+    layout above): no record of the result is one of [g]'s.  Its
+    callers are {!canonical_of_array} on a non-canonical binary frame,
+    and the benchmarks. *)
 
 val canonical_of_array : n:int -> Edge.t array -> t
 (** [canonical (of_array ~n edges)], validated alike.  An array already
     in canonical order is taken as it is, not copied (the caller must
     not mutate it afterwards), is checked for range and total weight
     only, and gets no index until a neighbour query asks for one. *)
+
+val canonical_order :
+  n:int -> m:int -> lo:int array -> hi:int array -> int array
+(** [canonical_order ~n ~m ~lo ~hi] is the slots [0 .. m-1] of the
+    endpoint columns [lo] and [hi] sorted by [(lo.(i), hi.(i))], with
+    equal pairs in slot order: two O(n + m) counting passes.  Every
+    endpoint must lie in [\[0, n)]; the columns may be longer than [m].
+    The duplicate check of {!of_array} and of the text parser. *)
+
+val first_repeat :
+  int array -> lo:int array -> hi:int array -> (int * int) option
+(** [first_repeat order ~lo ~hi], for [order] from {!canonical_order},
+    is [Some (first, i)] for the least slot [i] whose pair repeats an
+    earlier slot's, where [first] is that pair's first slot; [None]
+    when no pair repeats. *)
 
 val patch :
   t -> ?add_vertices:int -> ?add:Edge.t list -> ?remove:(int * int) list ->

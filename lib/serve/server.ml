@@ -958,13 +958,14 @@ let load t ~id ~graph ~path =
   in
   match
     match (graph, path) with
-    | Some text, _ -> Wm_graph.Graph_io.of_string text
-    | None, Some p -> Wm_graph.Graph_io.read_file p
+    | Some text, _ -> Wm_graph.Graph_io.canonical_of_string text
+    | None, Some p ->
+        Wm_graph.Graph_io.canonical_of_string
+          (In_channel.with_open_text p In_channel.input_all)
     | None, None -> invalid_arg "load: no graph or path"
   with
   | g ->
       (* Sessions hold canonical graphs: cold answers depend on content. *)
-      let g = G.canonical g in
       let d = Wm_graph.Graph_io.digest g in
       (* One WAL record per input line, so a fresh session's origin is
          the LSN this line's record is about to take. *)

@@ -142,15 +142,28 @@ let test_graph_find_edge () =
   | None -> Alcotest.fail "edge 1-2 should exist");
   check_bool "no edge 0-2" true (G.find_edge g 0 2 = None)
 
+(* The first bad edge in array order is reported, whether it is out of
+   range or parallel to an earlier one. *)
 let test_graph_rejects_out_of_range () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Weighted_graph: edge 0-9:1 out of range [0,5)")
-    (fun () -> ignore (G.create ~n:5 [ E.make 0 9 1 ]))
+    (fun () -> ignore (G.create ~n:5 [ E.make 0 9 1 ]));
+  Alcotest.check_raises "out of range before a parallel edge"
+    (Invalid_argument "Weighted_graph: edge 0-9:1 out of range [0,5)")
+    (fun () -> ignore (G.create ~n:5 [ E.make 0 1 1; E.make 0 9 1; E.make 1 0 2 ]))
 
 let test_graph_rejects_parallel () =
   Alcotest.check_raises "parallel"
     (Invalid_argument "Weighted_graph: parallel edge 0-1:2") (fun () ->
-      ignore (G.create ~n:3 [ E.make 0 1 1; E.make 1 0 2 ]))
+      ignore (G.create ~n:3 [ E.make 0 1 1; E.make 1 0 2 ]));
+  Alcotest.check_raises "parallel before an out-of-range edge"
+    (Invalid_argument "Weighted_graph: parallel edge 0-1:2") (fun () ->
+      ignore (G.create ~n:5 [ E.make 0 1 1; E.make 1 0 2; E.make 0 9 1 ]));
+  Alcotest.check_raises "the earliest repeat, not the least pair"
+    (Invalid_argument "Weighted_graph: parallel edge 2-3:2") (fun () ->
+      ignore
+        (G.create ~n:4
+           [ E.make 2 3 1; E.make 0 1 1; E.make 3 2 2; E.make 1 0 3 ]))
 
 let test_graph_subgraph () =
   let g = small_graph () in
@@ -594,6 +607,10 @@ let test_io_errors () =
   expect_error ~line:1 "p wm x y\n";
   expect_error ~line:2 ~msg:"self-loop" "p wm 3 1\ne 0 0 2\n";
   expect_error ~line:1 "p matching 3 0\n";
+  (* The kind is checked when its problem line is read, on that line. *)
+  expect_error ~line:2 ~msg:"expected 'p wm', got 'p matching'"
+    "c hi\np matching 3 1\ne 0 0 2\n";
+  expect_error ~line:2 ~msg:"expected 'p wm'" "c x\np matching 3 0\n";
   (* Hardened validation: bad weights, range, duplicates. *)
   expect_error ~line:2 ~msg:"NaN weight" "p wm 3 1\ne 0 1 nan\n";
   expect_error ~line:2 ~msg:"infinite weight" "p wm 3 1\ne 0 1 inf\n";
@@ -604,6 +621,15 @@ let test_io_errors () =
   expect_error ~line:2 ~msg:"out of range" "p wm 3 1\ne 0 7 2\n";
   expect_error ~line:2 ~msg:"out of range" "p wm 3 1\ne -1 1 2\n";
   expect_error ~line:3 ~msg:"duplicate edge" "p wm 3 2\ne 0 1 2\ne 1 0 5\n";
+  (* The first bad line wins, whether a duplicate or a later one. *)
+  expect_error ~line:3 ~msg:"duplicate edge 0-1 (first at line 2)"
+    "p wm 3 3\ne 0 1 2\ne 1 0 5\ne 0 0 1\n";
+  expect_error ~line:3 ~msg:"self-loop" "p wm 3 3\ne 0 1 2\ne 0 0 1\ne 1 0 5\n";
+  (* A vertex count no array can hold still gets the text's own error. *)
+  expect_error ~line:1 ~msg:"announces 5 edges, found 0"
+    "p wm 123456789012345678 5\n";
+  expect_error ~line:3 ~msg:"self-loop"
+    "p wm 4611686018427387903 2\ne 0 1 2\ne 0 0 1\n";
   expect_error ~line:1 "p wm -3 0\n"
 
 (* The content digest must identify the vertex count and edge set:
@@ -728,6 +754,51 @@ let prop_io_roundtrip =
       G.n g = G.n g' && G.m g = G.m g'
       && Array.for_all2 E.equal (G.edges g) (G.edges g'))
 
+(* One random corruption of a serialised graph's lines: a bad token, a
+   dropped, duplicated or self-looped line, leading garbage, or a
+   truncation. *)
+let corrupt rng lines =
+  let nlines = List.length lines in
+  let pick_line () = P.int rng (Stdlib.max 1 nlines) in
+  let replace_token line tok =
+    match String.split_on_char ' ' line with
+    | [] -> tok
+    | parts ->
+        let i = P.int rng (List.length parts) in
+        String.concat " " (List.mapi (fun j p -> if i = j then tok else p) parts)
+  in
+  let bad_token () =
+    let toks =
+      [| "nan"; "inf"; "-inf"; "-5"; "2.5"; "x"; "999"; "-1";
+         "99999999999999999999999999" |]
+    in
+    toks.(P.int rng (Array.length toks))
+  in
+  match P.int rng 6 with
+  | 0 ->
+      (* Corrupt one token of one line. *)
+      let target = pick_line () in
+      List.mapi
+        (fun i l -> if i = target then replace_token l (bad_token ()) else l)
+        lines
+  | 1 ->
+      (* Drop a line (header, edge, or trailer). *)
+      let target = pick_line () in
+      List.filteri (fun i _ -> i <> target) lines
+  | 2 ->
+      (* Duplicate a line. *)
+      let target = pick_line () in
+      List.concat_map
+        (fun (i, l) -> if i = target then [ l; l ] else [ l ])
+        (List.mapi (fun i l -> (i, l)) lines)
+  | 3 -> [ "garbage" ] @ lines
+  | 4 ->
+      (* Truncate mid-document. *)
+      List.filteri (fun i _ -> i <= nlines / 2) lines
+  | _ ->
+      let target = pick_line () in
+      List.mapi (fun i l -> if i = target then "e 0 0 1" else l) lines
+
 (* Fuzz the parser: mutate a valid serialisation and require that the
    outcome is either a parsed graph or [Parse_error] on a line within
    the document — never a crash, never any other exception. *)
@@ -737,54 +808,110 @@ let prop_io_malformed =
     QCheck2.Gen.(pair gen_small_graph (int_range 0 1_000_000))
     (fun (g, seed) ->
       let rng = P.create seed in
-      let s = IO.to_string g in
-      let lines = String.split_on_char '\n' s in
-      let nlines = List.length lines in
-      let pick_line () = P.int rng (Stdlib.max 1 nlines) in
-      let replace_token line tok =
-        match String.split_on_char ' ' line with
-        | [] -> tok
-        | parts ->
-            let i = P.int rng (List.length parts) in
-            String.concat " " (List.mapi (fun j p -> if i = j then tok else p) parts)
-      in
-      let bad_token () =
-        let toks =
-          [| "nan"; "inf"; "-inf"; "-5"; "2.5"; "x"; "999"; "-1";
-             "99999999999999999999999999" |]
-        in
-        toks.(P.int rng (Array.length toks))
-      in
-      let mutate lines =
-        match P.int rng 6 with
-        | 0 ->
-            (* Corrupt one token of one line. *)
-            let target = pick_line () in
-            List.mapi
-              (fun i l -> if i = target then replace_token l (bad_token ()) else l)
-              lines
-        | 1 ->
-            (* Drop a line (header, edge, or trailer). *)
-            let target = pick_line () in
-            List.filteri (fun i _ -> i <> target) lines
-        | 2 ->
-            (* Duplicate a line. *)
-            let target = pick_line () in
-            List.concat_map
-              (fun (i, l) -> if i = target then [ l; l ] else [ l ])
-              (List.mapi (fun i l -> (i, l)) lines)
-        | 3 -> [ "garbage" ] @ lines
-        | 4 ->
-            (* Truncate mid-document. *)
-            List.filteri (fun i _ -> i <= nlines / 2) lines
-        | _ ->
-            let target = pick_line () in
-            List.mapi (fun i l -> if i = target then "e 0 0 1" else l) lines
-      in
-      let s' = String.concat "\n" (mutate lines) in
+      let lines = String.split_on_char '\n' (IO.to_string g) in
+      let s' = String.concat "\n" (corrupt rng lines) in
       match IO.of_string s' with
       | (_ : Wm_graph.Weighted_graph.t) -> true
       | exception IO.Parse_error { line; _ } -> line >= 1)
+
+(* One random respelling of a serialised graph's lines that the token
+   rules must read exactly as [String.trim] and [String.split_on_char ' ']
+   do: tabs, carriage returns and form feeds around or inside a line,
+   runs of spaces, integers spelled with a sign, a base prefix, an
+   underscore or leading zeros (and near-misses of each), comment
+   lines, and a line repeated with its endpoints swapped. *)
+let respell rng lines =
+  let nlines = List.length lines in
+  let target = P.int rng (Stdlib.max 1 nlines) in
+  let at f = List.mapi (fun i l -> if i = target then f l else l) lines in
+  let pick a = a.(P.int rng (Array.length a)) in
+  let retoken f l =
+    let parts = String.split_on_char ' ' l in
+    let k = P.int rng (Stdlib.max 1 (List.length parts)) in
+    String.concat " " (List.mapi (fun j p -> if j = k then f p else p) parts)
+  in
+  match P.int rng 8 with
+  | 0 -> at (fun l -> pick [| "\t"; "\r"; "\012"; " \t" |] ^ l)
+  | 1 -> at (fun l -> l ^ pick [| "\r"; "\t"; "\012"; " \r"; "\t " |])
+  | 2 ->
+      let sep = pick [| "  "; "   "; "\t"; " \t "; "\r" |] in
+      at (fun l -> String.concat sep (String.split_on_char ' ' l))
+  | 3 ->
+      at
+        (retoken (fun t ->
+             match int_of_string_opt t with
+             | Some x when x >= 0 ->
+                 pick
+                   [| "+" ^ t; Printf.sprintf "0x%x" x; "00" ^ t;
+                      Printf.sprintf "0b%s" t; "-" ^ t; "-0" |]
+             | _ -> t))
+  | 4 ->
+      at
+        (retoken (fun t ->
+             if String.length t < 2 then "_" ^ t
+             else String.sub t 0 1 ^ "_" ^ String.sub t 1 (String.length t - 1)))
+  | 5 ->
+      at
+        (retoken (fun _ ->
+             pick
+               [| "1_000"; "0x1f"; "+3"; "0o17"; "0u5"; "_1"; "1__0"; "1e3";
+                  "0x"; "4611686018427387903"; "4611686018427387904";
+                  "-4611686018427387904"; "000000000000000000007";
+                  "123456789012345678"; "1234567890123456789" |]))
+  | 6 -> at (fun l -> pick [| "c"; "c "; " c"; "\tc" |] ^ l)
+  | _ ->
+      List.concat_map
+        (fun (i, l) ->
+          match String.split_on_char ' ' l with
+          | [ "e"; u; v; w ] when i = target ->
+              [ l; String.concat " " [ "e"; v; u; w ^ "1" ] ]
+          | _ -> [ l ])
+        (List.mapi (fun i l -> (i, l)) lines)
+
+(* The cursor parser against the list-and-Hashtbl one it replaced
+   ([Io_oracle]), on serialisations with one to three corruptions or
+   respellings: [of_string] gives the oracle's graph, edge for edge in
+   file order, and [canonical_of_string] its canonical edges, or both
+   raise the oracle's [(line, msg)]. *)
+let prop_io_matches_oracle =
+  (* A vertex count no array can index fails in the graph constructors
+     alike. *)
+  let outcome f s =
+    match f s with
+    | g -> Ok g
+    | exception IO.Parse_error { line; msg } -> Error (line, msg)
+    | exception Invalid_argument msg -> Error (0, msg)
+  in
+  QCheck2.Test.make ~name:"text parser equals the list-and-Hashtbl oracle"
+    ~count:1000
+    ~print:(fun (_, _, s) -> String.escaped s)
+    QCheck2.Gen.(
+      let* g = gen_small_graph and* seed = int_range 0 1_000_000 in
+      let rng = P.create seed in
+      let lines = ref (String.split_on_char '\n' (IO.to_string g)) in
+      for _ = 0 to P.int rng 3 do
+        lines := (if P.bool rng then corrupt else respell) rng !lines
+      done;
+      return (g, seed, String.concat "\n" !lines))
+    (fun (_, _, s) ->
+      let fails_with e f =
+        match outcome f s with Error e' -> e' = e | Ok _ -> false
+      in
+      match outcome Io_oracle.of_string s with
+      | Error e -> fails_with e IO.of_string && fails_with e IO.canonical_of_string
+      | Ok want -> (
+          let equal edges g =
+            G.n g = G.n want
+            && Array.length edges = G.m g
+            && Array.for_all2 E.equal edges (G.edges g)
+          in
+          (match outcome IO.of_string s with
+          | Ok g -> equal (G.edges want) g
+          | Error _ -> false)
+          &&
+          match outcome IO.canonical_of_string s with
+          | Ok g -> equal (G.canonical_edges want) g
+          | Error _ -> false))
 
 let prop_two_color_sound =
   QCheck2.Test.make ~name:"two_color produces a proper bipartition" ~count:200
@@ -965,6 +1092,7 @@ let qcheck_tests =
       prop_two_color_sound;
       prop_io_roundtrip;
       prop_io_malformed;
+      prop_io_matches_oracle;
       prop_digest_matches_reference;
       prop_find_edge_matches_scan;
       prop_canonical_fresh_records;

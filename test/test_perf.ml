@@ -294,6 +294,83 @@ let test_patch_builds_no_index () =
        (G.m base) w budget)
     true (w <= budget)
 
+(* The served load parses the serve-session base text (n = 10^4,
+   m = 79,964) straight into a canonical graph.  It allocates 11 words
+   an edge and n: four int columns (u, v, w, line), two slot orders, a
+   4-word record and an edge-array slot, and n + 1 bucket counts.
+   [Io_oracle.of_string], a list-and-Hashtbl parser, followed by
+   [G.canonical]'s record copy takes 94 words an edge. *)
+let serve_text =
+  lazy
+    (Wm_graph.Graph_io.to_string
+       (Gen.power_law_scale (P.create 20191) ~n:10_000 ~attach:8
+          ~weights:(Gen.Uniform (1, 100))))
+
+let test_load_allocation () =
+  let text = Lazy.force serve_text in
+  let load () = ignore (Wm_graph.Graph_io.canonical_of_string text) in
+  load ();
+  let m = G.m (Wm_graph.Graph_io.canonical_of_string text) in
+  let w = all_words load in
+  check_bool
+    (Printf.sprintf "m=%d: canonical_of_string costs %d words, %.2f an edge \
+                     (budget 12)"
+       m w
+       (float w /. float m))
+    true
+    (w <= 12 * m)
+
+(* [canonical_of_string] returns a canonical graph (its own canonical
+   form, edges strictly increasing) whose index is not built: the first
+   neighbour query builds it, 2m + n words and more, and a second query
+   allocates nothing. *)
+let prop_load_canonical_unindexed =
+  QCheck2.Test.make ~name:"canonical_of_string: canonical, no index"
+    ~count:100
+    QCheck2.Gen.(pair (int_range 1 200) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = P.create seed in
+      let g = Gen.gnp rng ~n ~p:(P.float rng 0.3) ~weights:(Gen.Uniform (1, 50)) in
+      let es = Array.copy (G.edges g) in
+      P.shuffle_in_place rng es;
+      let c =
+        Wm_graph.Graph_io.canonical_of_string
+          (Wm_graph.Graph_io.to_string (G.of_array ~n es))
+      in
+      let edges = G.edges c in
+      let query () = ignore (G.degree c 0) in
+      G.canonical c == c
+      && Array.length edges = G.m g
+      && Seq.for_all
+           (fun i ->
+             let a = edges.(i - 1) and b = edges.(i) in
+             a.u < b.u || (a.u = b.u && a.v < b.v))
+           (Seq.init (Stdlib.max 0 (G.m c - 1)) succ)
+      && all_words query >= (2 * G.m c) + G.n c
+      && all_words query = 0)
+
+(* Its records are fresh, one allocation a slot, made in slot order: a
+   slot's record sits right beside its neighbour's (4 words apart).  A
+   minor collection mid-parse can move a few, so the test asks for 90%
+   of neighbouring slots (about 99.9% are, OCaml 5.1). *)
+let test_load_layout () =
+  let c = Wm_graph.Graph_io.canonical_of_string (Lazy.force serve_text) in
+  Gc.full_major ();
+  let edges = G.edges c in
+  (* A record's address in words: reading a pointer as an int halves it. *)
+  let addr (e : E.t) : int = Obj.magic e in
+  let adjacent = ref 0 in
+  for i = 1 to Array.length edges - 1 do
+    if abs (addr edges.(i) - addr edges.(i - 1)) * 2 = 4 * (Sys.word_size / 8)
+    then incr adjacent
+  done;
+  let pairs = Array.length edges - 1 in
+  check_bool
+    (Printf.sprintf "%d of %d neighbouring slots hold adjacent records"
+       !adjacent pairs)
+    true
+    (10 * !adjacent >= 9 * pairs)
+
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
 
@@ -481,6 +558,11 @@ let () =
             test_digest_allocation;
           Alcotest.test_case "patch builds no index" `Quick
             test_patch_builds_no_index;
+          Alcotest.test_case "served load allocation" `Quick
+            test_load_allocation;
+          QCheck_alcotest.to_alcotest prop_load_canonical_unindexed;
+          Alcotest.test_case "served load record layout" `Quick
+            test_load_layout;
         ] );
       ( "tie-break",
         [
