@@ -8,11 +8,6 @@ let maximal_stream s =
   S.iter s (fun e -> ignore (M.try_add m e));
   m
 
-let grow_stream m s =
-  let m = M.copy m in
-  S.iter s (fun e -> ignore (M.try_add m e));
-  m
-
 let maximal g =
   let m = M.create (G.n g) in
   G.iter_edges (fun e -> ignore (M.try_add m e)) g;

@@ -9,11 +9,6 @@ val maximal_stream : Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
 (** One pass; adds each arriving edge iff both endpoints are free.
     Returns a maximal matching of the streamed graph. *)
 
-val grow_stream :
-  Wm_graph.Matching.t -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
-(** [grow_stream m s] continues greedy maximal matching from [m] over one
-    pass of [s]; [m] is not mutated. *)
-
 val maximal : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 (** Offline greedy maximal matching in the graph's edge order. *)
 

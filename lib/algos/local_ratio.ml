@@ -50,10 +50,8 @@ let feed_pushed t e =
 let feed t e = ignore (feed_pushed t e)
 
 let freeze t = t.frozen <- true
-let is_frozen t = t.frozen
 let potential t v = t.alpha.(v)
 let stack_size t = t.stack_size
-let stack_edges t = t.stack
 
 (* Unwinding hands the stack's content over to the output matching: the
    retained-edge charge moves out of this instance, so the meter units

@@ -35,8 +35,6 @@ val freeze : t -> unit
 (** Freeze vertex potentials: subsequent {!feed} calls still push
     qualifying edges but no longer raise potentials. *)
 
-val is_frozen : t -> bool
-
 val potential : t -> int -> int
 (** Current vertex potential [alpha_v]. *)
 
@@ -44,9 +42,6 @@ val residual : t -> Wm_graph.Edge.t -> int
 (** [w(e) - alpha_u - alpha_v] under the current potentials. *)
 
 val stack_size : t -> int
-
-val stack_edges : t -> Wm_graph.Edge.t list
-(** Stack content, most recently pushed first. *)
 
 val unwind : t -> Wm_graph.Matching.t
 (** Greedy matching from the stack, most recent edge first; the stack is

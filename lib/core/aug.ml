@@ -162,11 +162,6 @@ let canonical_key c =
         1 :: Option.get !best
       end
 
-let conflicts c1 c2 =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace tbl v ()) (vertices c1);
-  List.exists (fun v -> Hashtbl.mem tbl v) (vertices c2)
-
 let pp ppf c =
   let tag = match c with Path _ -> "path" | Cycle _ -> "cycle" in
   Format.fprintf ppf "@[<hov 2>%s(%a)@]" tag

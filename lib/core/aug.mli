@@ -12,8 +12,6 @@ type t =
       (** edges in path order; may start/end with either kind of edge *)
   | Cycle of Wm_graph.Edge.t list  (** edges in cycle order; even length *)
 
-val edges : t -> Wm_graph.Edge.t list
-
 val length : t -> int
 (** Number of edges on the augmentation itself (excluding [C^M]
     edges that lie off it). *)
@@ -49,9 +47,6 @@ val gain : t -> Wm_graph.Matching.t -> int
 val apply : t -> Wm_graph.Matching.t -> unit
 (** Remove [C^M], add [C \ M].  Raises [Invalid_argument] if [C] is not
     a well-formed alternating structure for the matching. *)
-
-val conflicts : t -> t -> bool
-(** The two augmentations share a vertex (so applying both is unsafe). *)
 
 val canonical_key : t -> int list
 (** A total, presentation-independent key: the lexicographically least

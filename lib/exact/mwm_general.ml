@@ -13,11 +13,6 @@ let solve_opt g =
   | Some side -> Some (Hungarian.solve g ~left:(fun v -> side.(v)))
   | None -> if G.n g <= blossom_cap then Some (Weighted_blossom.solve g) else None
 
-let solve g =
-  match solve_opt g with
-  | Some m -> m
-  | None -> failwith "Mwm_general.solve: no exact solver applies (large non-bipartite)"
-
 (* Greedy by decreasing weight followed by exhaustive 1-augmentations:
    replace up to two incident matched edges by a heavier outside edge
    while any such swap gains weight. *)

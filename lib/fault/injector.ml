@@ -143,28 +143,6 @@ let tamper_array ?corrupt ?(dup = true) t ~site ~at arr =
     Array.of_list (List.rev !out)
   end
 
-let worker_failures t ~site ~tasks =
-  match t.rng with
-  | None -> fun _ -> None
-  | Some rng ->
-      let fails =
-        Array.init tasks (fun _ ->
-            t.spec.Spec.crash > 0.0 && P.bernoulli rng t.spec.Spec.crash)
-      in
-      Array.iteri
-        (fun i hit ->
-          if hit then begin
-            Obs.incr c_crashes;
-            Ledger.record ~label:("crash@" ^ site) Ledger.default
-              ~section:t.section
-              [ ("at", i); ("machine", i) ]
-          end)
-        fails;
-      fun i ->
-        if i >= 0 && i < tasks && fails.(i) then
-          Some (Injected_crash { site; at = i })
-        else None
-
 let injected_json () =
   let v c = J.Int (Obs.value c) in
   J.Obj

@@ -22,9 +22,8 @@
 type t
 
 exception Injected_crash of { site : string; at : int }
-(** Raised by {!crash} (and by chaos thunks from {!worker_failures})
-    when a simulated machine/worker failure strikes.  [site] names the
-    operation, [at] the round / task index.  Catch via
+(** Raised by {!crash} when a simulated machine/worker failure strikes.
+    [site] names the operation, [at] the round.  Catch via
     {!Recovery.with_retry}. *)
 
 exception Budget_exhausted of { site : string; attempts : int }
@@ -112,15 +111,6 @@ val count_drop : t -> int -> unit
 val count_dup : t -> int -> unit
 
 val count_corrupt : t -> int -> unit
-
-(** {1 Worker faults} *)
-
-val worker_failures : t -> site:string -> tasks:int -> int -> exn option
-(** [worker_failures t ~site ~tasks] pre-draws (sequentially, on the
-    caller) a crash decision per task index and returns the lookup
-    function, suitable for [Wm_par.Pool]'s [?chaos] hook.  The returned
-    function is pure, so which tasks fail is independent of how tasks
-    are scheduled across domains. *)
 
 (** {1 Reporting} *)
 

@@ -18,12 +18,12 @@ type t = {
   seed : int;  (** Seeds the injector's private {!Wm_graph.Prng}. *)
   crash : float;
       (** Per-operation machine-crash probability (MPC ops, driver
-          rounds, pool workers).  A crash raises
+          rounds).  A crash raises
           {!Injector.Injected_crash}; recovery is the caller's job. *)
   straggle : float;
       (** Per-operation straggler probability.  A straggler bills 1–3
           extra rounds to the affected operation. *)
-  drop : float;  (** Per-record drop probability (scatter/gather/stream). *)
+  drop : float;  (** Per-record drop probability (scatter/ingest/stream). *)
   dup : float;  (** Per-record duplication probability. *)
   corrupt : float;
       (** Per-record corruption probability.  Corrupted edge records get

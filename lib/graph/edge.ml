@@ -18,8 +18,6 @@ let mem_vertex e x = x = e.u || x = e.v
 
 let same_endpoints e f = e.u = f.u && e.v = f.v
 
-let intersects e f = mem_vertex f e.u || mem_vertex f e.v
-
 let compare e f =
   let c = Int.compare e.u f.u in
   if c <> 0 then c
@@ -28,8 +26,6 @@ let compare e f =
     if c <> 0 then c else Int.compare e.w f.w
 
 let equal e f = compare e f = 0
-
-let hash e = Hashtbl.hash (e.u, e.v, e.w)
 
 let reweight e w =
   if w < 0 then invalid_arg "Edge.reweight: negative weight";

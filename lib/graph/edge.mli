@@ -28,15 +28,10 @@ val mem_vertex : t -> int -> bool
 val same_endpoints : t -> t -> bool
 (** Equality on endpoints, ignoring weights. *)
 
-val intersects : t -> t -> bool
-(** [intersects e f] is true iff [e] and [f] share an endpoint. *)
-
 val compare : t -> t -> int
 (** Total order: by endpoints, then weight. *)
 
 val equal : t -> t -> bool
-
-val hash : t -> int
 
 val reweight : t -> int -> t
 (** [reweight e w] is [e] with weight [w]. *)

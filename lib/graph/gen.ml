@@ -73,8 +73,6 @@ let random_bipartite rng ~left ~right ~p ~weights =
   done;
   Weighted_graph.create ~n !acc
 
-let complete rng ~n ~weights = gnp rng ~n ~p:1.0 ~weights
-
 let power_law_bipartite rng ~left ~right ~edges ~exponent ~weights =
   if exponent <= 1.0 then invalid_arg "Gen.power_law_bipartite: exponent <= 1";
   let n = left + right in
@@ -295,20 +293,6 @@ let bipartite_skew_scale rng ~left ~right ~edges ~exponent ~weights =
     done
   done;
   Weighted_graph.of_flat ~n ~m:!m ~src ~dst ~w
-
-let grid rng ~rows ~cols ~weights =
-  let n = rows * cols in
-  let id r c = (r * cols) + c in
-  let acc = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      if c + 1 < cols then
-        acc := Edge.make (id r c) (id r (c + 1)) (draw_weight rng ~n weights) :: !acc;
-      if r + 1 < rows then
-        acc := Edge.make (id r c) (id (r + 1) c) (draw_weight rng ~n weights) :: !acc
-    done
-  done;
-  Weighted_graph.create ~n !acc
 
 let path_graph ws =
   let k = List.length ws in

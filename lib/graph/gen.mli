@@ -29,8 +29,6 @@ val random_bipartite :
 (** Random bipartite graph; vertices [0..left-1] on the left side and
     [left..left+right-1] on the right. *)
 
-val complete : Prng.t -> n:int -> weights:weight_dist -> Weighted_graph.t
-
 val power_law_bipartite :
   Prng.t ->
   left:int ->
@@ -43,9 +41,6 @@ val power_law_bipartite :
     [> 1]): the skewed popularity structure of real assignment
     workloads (ad auctions, job markets).  Draws approximately [edges]
     distinct edges (fewer if the space saturates). *)
-
-val grid : Prng.t -> rows:int -> cols:int -> weights:weight_dist -> Weighted_graph.t
-(** 2D grid graph ([rows*cols] vertices). *)
 
 (** {1 Scale tier}
 

@@ -11,7 +11,6 @@ let create nv =
 let n m = Array.length m.mates
 let size m = m.size
 let weight m = m.weight
-let is_empty m = m.size = 0
 
 let copy m = { mates = Array.copy m.mates; size = m.size; weight = m.weight }
 
@@ -118,8 +117,6 @@ let equal m1 m2 =
   && size m1 = size m2
   && fold (fun ok e -> ok && mem m2 e && weight_at m2 (fst (Edge.endpoints e)) = Edge.weight e) true m1
 
-let is_perfect m = 2 * m.size = n m
-
 let is_maximal_in m g =
   Weighted_graph.fold_edges
     (fun ok e ->
@@ -202,8 +199,3 @@ let symmetric_difference m1 m2 =
     if (not visited.(v)) && degree v > 0 then comps := walk_from v :: !comps
   done;
   !comps
-
-let pp ppf m =
-  Format.fprintf ppf "@[<hov 2>matching(|M|=%d, w=%d:@ %a)@]" m.size m.weight
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Edge.pp)
-    (edges m)

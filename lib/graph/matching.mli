@@ -33,8 +33,6 @@ val size : t -> int
 val weight : t -> int
 (** Total weight of matched edges. *)
 
-val is_empty : t -> bool
-
 val is_matched : t -> int -> bool
 
 val mate : t -> int -> int option
@@ -78,8 +76,6 @@ val fold : ('a -> Edge.t -> 'a) -> 'a -> t -> 'a
 val equal : t -> t -> bool
 (** Equality as edge sets (weights included). *)
 
-val is_perfect : t -> bool
-
 val is_maximal_in : t -> Weighted_graph.t -> bool
 (** No graph edge has both endpoints free. *)
 
@@ -95,5 +91,3 @@ val symmetric_difference : t -> t -> Edge.t list list
     two-element component, mirroring the paper's footnote that common
     edges are viewed as 2-cycles).  Edges are listed in path/cycle
     order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ let[@inline] next t =
   Bytes.set_int64_ne t 0 s;
   mix64 s
 
-let bits64 t = next t
-
 let split t = of_state (next t)
 
 (* Bounded sampling by modulo of the top 63 bits, rejecting the biased

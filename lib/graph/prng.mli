@@ -29,9 +29,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
 
-val bits64 : t -> int64
-(** Next raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0]. *)
 

@@ -272,18 +272,6 @@ let total_weight g = Array.fold_left (fun acc e -> acc + Edge.weight e) 0 g.edge
 
 let max_weight g = Array.fold_left (fun acc e -> Stdlib.max acc (Edge.weight e)) 0 g.edges
 
-(* [subgraph] and [map_weights] cannot introduce out-of-range vertices
-   or parallel edges (they filter / reweight a validated edge set), and
-   keep the edge order, so they skip the re-validation pass of
-   [of_array] and inherit [canon]. *)
-let subgraph g keep =
-  indexed ~n:g.n ~canon:g.canon
-    (Array.of_seq (Seq.filter keep (Array.to_seq g.edges)))
-
-let map_weights g f =
-  indexed ~n:g.n ~canon:g.canon
-    (Array.map (fun e -> Edge.reweight e (f e)) g.edges)
-
 (* Canonicalisation, O(n + m): count the edges per min endpoint u, then
    visit max endpoints v = 0 .. n-1 through the CSR and drop each edge
    with u < v into u's bucket, which so fills in increasing v.  The fill
@@ -338,6 +326,13 @@ let canonical_of_array ~n edges =
 let patch g ?(add_vertices = 0) ?(add = []) ?(remove = []) () =
   if add_vertices < 0 then
     invalid_arg "Weighted_graph.patch: negative add_vertices";
+  (* Every solver allocates one array slot per vertex; compared this way
+     round, the bound cannot overflow. *)
+  if add_vertices > Sys.max_array_length - 1 - g.n then
+    invalid_arg
+      (Printf.sprintf
+         "Weighted_graph.patch: %d more vertices exceed the array bound %d"
+         add_vertices Sys.max_array_length);
   let n' = g.n + add_vertices in
   let removed = Hashtbl.create (max 1 (2 * List.length remove)) in
   List.iter
@@ -412,9 +407,4 @@ let is_bipartition g ~left =
     (fun e ->
       let u, v = Edge.endpoints e in
       left u <> left v)
-    g.edges
-
-let pp ppf g =
-  Format.fprintf ppf "@[<hov 2>graph(n=%d, m=%d:@ %a)@]" g.n (m g)
-    (Format.pp_print_array ~pp_sep:Format.pp_print_space Edge.pp)
     g.edges

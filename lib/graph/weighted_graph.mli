@@ -9,7 +9,7 @@
     {!fold_neighbors}, {!neighbors}, {!degree}, or {!find_edge} on a
     non-canonical graph); after that [degree] is O(1) and
     [iter_neighbors] walks a contiguous slice.  The general constructors
-    ({!create}, {!of_array}, {!of_flat}, {!subgraph}, {!map_weights})
+    ({!create}, {!of_array}, {!of_flat})
     build it at once; {!canonical}, {!canonical_of_array} and {!patch}
     leave it to that first query, so a graph that is only read edge by
     edge (a served session) never pays its 2m + n words.
@@ -114,15 +114,6 @@ val total_weight : t -> int
 val max_weight : t -> int
 (** Maximum edge weight; [0] for the edgeless graph. *)
 
-val subgraph : t -> (Edge.t -> bool) -> t
-(** [subgraph g keep] has the same vertex set and the edges satisfying
-    [keep].  Skips re-validation: filtering a valid edge set cannot
-    introduce range or parallel-edge violations. *)
-
-val map_weights : t -> (Edge.t -> int) -> t
-(** Reweight every edge.  Skips re-validation (endpoints unchanged);
-    negative weights are still rejected by [Edge.reweight]. *)
-
 val canonical_edges : t -> Edge.t array
 (** The edges in canonical order: [edges g] itself, in O(1), when [g]
     is canonical (each graph records whether it is), else an
@@ -167,13 +158,11 @@ val patch :
     by one merge over {!canonical_edges}.  Only the delta is validated —
     kept base edges were checked when [g] was built.  Raises
     [Invalid_argument] if a removal names a missing edge (or repeats a
-    pair), or an addition is out of range or would create a parallel
-    edge.  Removing then re-adding a pair in the same patch expresses a
+    pair), an addition is out of range or would create a parallel edge,
+    or [add_vertices] would take [n] past [Sys.max_array_length - 1].  Removing then re-adding a pair in the same patch expresses a
     weight update.  On a canonical [g] the delta checks binary-search its
     edges, so neither [g] nor the result gets an index. *)
 
 val is_bipartition : t -> left:(int -> bool) -> bool
 (** [is_bipartition g ~left] checks that every edge joins a [left] vertex
     to a non-[left] vertex. *)
-
-val pp : Format.formatter -> t -> unit

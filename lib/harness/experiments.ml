@@ -67,11 +67,7 @@ let run_t1 ~quick ~seed =
     (fun n ->
       List.iter
         (fun (tag, g) ->
-          let opt =
-            match Wm_exact.Mwm_general.solve_opt g with
-            | Some o -> M.weight o
-            | None -> M.weight (Wm_exact.Mwm_general.lower_bound g)
-          in
+          let opt = M.weight (Wm_exact.Mwm_general.lower_bound g) in
           let avg algo =
             R.mean
               (map_seeds

@@ -65,6 +65,4 @@ val to_json : captured_section -> Wm_obs.Json.t
 
 val mean : float list -> float
 
-val stddev : float list -> float
-
 val mean_of : ('a -> float) -> 'a list -> float

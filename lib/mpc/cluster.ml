@@ -109,16 +109,6 @@ let broadcast t ~words =
   op_row t ~label:"broadcast" ~rounds:2 ~words:(words * t.machines)
     ~max_load:words
 
-let gather t shards =
-  charge_rounds t 1;
-  inject t ~site:"gather";
-  let out = Array.concat (Array.to_list shards) in
-  let out = Injector.tamper_array t.faults ~site:"gather" ~at:t.rounds out in
-  let total = Array.length out in
-  check_load t ~machine:0 ~words:total;
-  op_row t ~label:"gather" ~rounds:1 ~words:total ~max_load:total;
-  out
-
 let run_round t f shard_inputs =
   if Array.length shard_inputs <> t.machines then
     invalid_arg "Cluster.run_round: one input per machine expected";

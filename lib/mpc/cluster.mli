@@ -21,7 +21,7 @@
     [?faults] spec (default: the process-wide {!Wm_fault.Spec.default}).
     Every primitive consults it: stragglers bill 1–3 extra rounds,
     crashes raise {!Wm_fault.Injector.Injected_crash} mid-operation,
-    scatter/gather payloads can lose or duplicate records, and a
+    scatter payloads can lose or duplicate records, and a
     corrupted broadcast is repeated at a two-round cost.  Recovery is
     billed here and kept by the caller: {!checkpoint}/{!restore} charge
     one round each for state the driver holds itself, and {!with_retry}
@@ -62,10 +62,6 @@ val broadcast : t -> words:int -> unit
     (Section 4.4's MPC implementation detail): two rounds, and every
     machine must be able to hold the broadcast data. *)
 
-val gather : t -> 'a array array -> 'a array
-(** Collect all shards onto one machine: one round; the concatenation
-    must fit in a single machine's memory. *)
-
 val run_round : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [run_round t f shard_inputs] executes one synchronous round: [f] is
     applied to each machine's input (machine [i] gets
@@ -75,7 +71,7 @@ val run_round : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val faults : t -> Wm_fault.Injector.t
 (** The cluster's injector; drivers use it for their own fault points
-    (e.g. a crash between compute and gather). *)
+    (e.g. a crash between compute and the gather round). *)
 
 val checkpoint : t -> words:int -> unit
 (** [checkpoint t ~words] bills replicating a [words]-word checkpoint of

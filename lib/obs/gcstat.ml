@@ -46,8 +46,6 @@ let fields s =
     ("top_heap_words", s.top_heap_words);
   ]
 
-let to_json s = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (fields s))
-
 let block_json ~ledger s =
   let round_rows =
     List.filter

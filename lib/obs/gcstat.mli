@@ -38,9 +38,6 @@ val since_start : unit -> snapshot
 val fields : snapshot -> (string * int) list
 (** The snapshot as ledger-row fields, in declaration order. *)
 
-val to_json : snapshot -> Json.t
-(** The snapshot as a JSON object with the same field names. *)
-
 val block_json : ledger:Ledger.t -> snapshot -> Json.t
 (** The BENCH_v1 top-level ["gc"] block: the snapshot's fields plus the
     per-round aggregate derived from the ledger's ["gc"] section —

@@ -139,9 +139,6 @@ let observe h v =
   set_max h.h_max v;
   ignore (Atomic.fetch_and_add h.h_buckets.(bucket_index v) 1)
 
-let hist_count h = Atomic.get h.h_count
-let hist_sum h = Atomic.get h.h_sum
-
 (* Percentile by linear interpolation inside the covering bucket,
    clamped to the observed [min, max] — deterministic in the bucket
    counts, hence invariant under observation order and domain count. *)
@@ -281,18 +278,6 @@ let with_span_root t path f =
   | exception exn ->
       span_close t;
       raise exn
-
-let span_total_ns t path =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.timers path with
-      | Some tm -> Atomic.get tm.total_ns
-      | None -> 0)
-
-let span_count t path =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.timers path with
-      | Some tm -> Atomic.get tm.count
-      | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Gauges *)

@@ -96,10 +96,6 @@ val observe : histogram -> int -> unit
     [v <= 0]; bucket [i >= 1] holds [2^(i-1) .. 2^i - 1]); count, sum,
     min and max are tracked exactly.  Safe from any domain. *)
 
-val hist_count : histogram -> int
-
-val hist_sum : histogram -> int
-
 val percentile : histogram -> float -> float
 (** [percentile h p] (with [p] in [0..1]) estimates the [p]-quantile by
     linear interpolation inside the covering log2 bucket, clamped to
@@ -130,13 +126,6 @@ val with_span_root : t -> string -> (unit -> 'a) -> 'a
     exactly [path], ignoring the calling domain's ambient span stack, so
     attribution is stable whether [f] runs inline or on a pool worker
     domain.  Exception-safe. *)
-
-val span_total_ns : t -> string -> int
-(** Accumulated nanoseconds recorded under a span path ([0] if never
-    closed). *)
-
-val span_count : t -> string -> int
-(** Number of closed spans recorded under a path. *)
 
 (** {1 Gauges} *)
 

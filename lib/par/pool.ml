@@ -65,24 +65,15 @@ let destroy t =
   Mutex.unlock t.lock;
   Array.iter Domain.join workers
 
-let parallel_map_array ?chaos t f arr =
+let parallel_map_array t f arr =
   (* Submitting to a destroyed pool has no workers to drain the queued
      helper thunks; rather than silently degrading (or leaking queue
      entries forever), fail fast with a one-line diagnostic. *)
   if t.stopping then
     invalid_arg "Wm_par.Pool: map on a destroyed pool";
-  (* The chaos hook (fault injection) is consulted by task index before
-     the real work, so which tasks fail is a pure function of the input
-     — independent of which domain runs the task or in what order. *)
-  let apply i x =
-    (match chaos with
-    | Some c -> ( match c i with Some e -> raise e | None -> ())
-    | None -> ());
-    f x
-  in
   let n = Array.length arr in
   if n = 0 then [||]
-  else if t.domains = 1 || n = 1 || inside_task () then Array.mapi apply arr
+  else if t.domains = 1 || n = 1 || inside_task () then Array.map f arr
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -94,7 +85,7 @@ let parallel_map_array ?chaos t f arr =
     let done_cond = Condition.create () in
     let first_exn = Atomic.make None in
     let run_one i =
-      (match apply i arr.(i) with
+      (match f arr.(i) with
       | v -> results.(i) <- Some v
       | exception e ->
           ignore (Atomic.compare_and_set first_exn None (Some e)));
@@ -131,8 +122,7 @@ let parallel_map_array ?chaos t f arr =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map ?chaos t f xs =
-  Array.to_list (parallel_map_array ?chaos t f (Array.of_list xs))
+let map t f xs = Array.to_list (parallel_map_array t f (Array.of_list xs))
 
 (* ------------------------------------------------------------------ *)
 (* Default pool *)

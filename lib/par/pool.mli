@@ -4,9 +4,9 @@
     queue; the caller of {!map} participates as the remaining worker, so
     a pool of size [d] computes with exactly [d] domains and spawns
     nothing per call.  Results are collected {e by task index}, so
-    {!map} and {!parallel_map_array} return results in input order no
-    matter which domain computed which element — scheduling can never
-    leak into output order.
+    {!map} returns results in input order no matter which domain
+    computed which element — scheduling can never leak into output
+    order.
 
     Calls made from inside a pool task (and pools of size 1) degrade to
     a plain sequential [map] on the calling domain: nesting is safe and
@@ -36,30 +36,16 @@ val size : t -> int
 val destroy : t -> unit
 (** Signal the workers to exit once the queue drains and join them.
     Idempotent, and safe to race from several domains: the first caller
-    joins the workers, later callers are no-ops.  {!map} and
-    {!parallel_map_array} on a destroyed pool raise a one-line
-    [Invalid_argument] instead of queueing work no worker will drain. *)
+    joins the workers, later callers are no-ops.  {!map} on a destroyed
+    pool raises a one-line [Invalid_argument] instead of queueing work
+    no worker will drain. *)
 
-val parallel_map_array :
-  ?chaos:(int -> exn option) -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map_array t f arr] applies [f] to every element, fanning
-    the applications across the pool's domains, and returns the results
-    in input order.  Falls back to [Array.map] when the pool has one
-    domain, when called from inside a pool task, or when
-    [Array.length arr <= 1].
-
-    [chaos] is a fault-injection hook: before running task [i] the
-    executing domain consults [chaos i] and raises the returned
-    exception instead of running [f].  The hook must be a pure function
-    of the index (e.g. {!Wm_fault.Injector.worker_failures}, which
-    pre-draws its decisions on the caller) so that which tasks fail — on
-    the pool and on the sequential fallback alike — does not depend on
-    scheduling.  Injected exceptions poison the call exactly like
-    exceptions from [f]. *)
-
-val map : ?chaos:(int -> exn option) -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** List analogue of {!parallel_map_array}; same ordering, fallback and
-    [chaos] guarantees. *)
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map t f xs] applies [f] to every element, fanning the applications
+    across the pool's domains, and returns the results in input order.
+    Falls back to a sequential map when the pool has one domain, when
+    called from inside a pool task, or when [xs] has at most one
+    element. *)
 
 val inside_task : unit -> bool
 (** True while the calling domain is executing a pool task (of any

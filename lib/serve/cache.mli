@@ -35,9 +35,6 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert (or replace) and mark most-recently-used, evicting the LRU
     entry if the cache would exceed capacity. *)
 
-val remove : 'a t -> string -> unit
-(** Drop one entry ([()] if absent).  Does not count as an eviction. *)
-
 val remove_where : 'a t -> (string -> bool) -> int
 (** Drop every entry whose key satisfies the predicate; returns how
     many were dropped.  Used to purge a digest's results when its

@@ -23,10 +23,6 @@ let release t k =
   if k > t.current then invalid_arg "Space_meter.release: below zero";
   t.current <- t.current - k
 
-let set_current t k =
-  t.current <- k;
-  bump t
-
 let current t = t.current
 let peak t = t.peak
 
@@ -43,9 +39,3 @@ let reset t =
   t.current <- 0;
   t.peak <- 0;
   t.pass_peak <- 0
-
-let merge_peaks meters = List.fold_left (fun acc m -> acc + m.peak) 0 meters
-
-let observe ?(name = "space") t =
-  Obs.gauge Obs.default (name ^ ".current") (fun () -> t.current);
-  Obs.gauge Obs.default (name ^ ".peak") (fun () -> t.peak)

@@ -16,10 +16,6 @@ val release : t -> int -> unit
 (** [release t k] records that [k] words were dropped.
     Raises [Invalid_argument] if more is released than held. *)
 
-val set_current : t -> int -> unit
-(** [set_current t k] overrides the current holding (convenient when a
-    data structure is resized wholesale). *)
-
 val current : t -> int
 
 val peak : t -> int
@@ -35,13 +31,3 @@ val checkpoint : t -> int
     maximum over all per-pass peaks. *)
 
 val reset : t -> unit
-
-val merge_peaks : t list -> int
-(** Sum of peaks — an upper bound on the peak of algorithms running in
-    parallel on the same stream. *)
-
-val observe : ?name:string -> t -> unit
-(** [observe ~name t] registers [name ^ ".current"] and
-    [name ^ ".peak"] gauges for this meter in {!Wm_obs.Obs.default}
-    ([name] defaults to ["space"]; re-registering a name rebinds it to
-    the newest meter). *)

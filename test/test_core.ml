@@ -109,13 +109,6 @@ let test_aug_malformed () =
   let p2 = A.Path [ E.make 0 1 1; E.make 1 2 1; E.make 2 0 1; E.make 0 3 1 ] in
   check_bool "self-intersecting" false (A.is_wellformed p2)
 
-let test_aug_conflicts () =
-  let p1 = A.Path [ E.make 0 1 1 ] in
-  let p2 = A.Path [ E.make 1 2 1 ] in
-  let p3 = A.Path [ E.make 2 3 1 ] in
-  check_bool "share vertex" true (A.conflicts p1 p2);
-  check_bool "disjoint" false (A.conflicts p1 p3)
-
 let test_aug_touched_vertices () =
   let m = M.of_edges 6 [ E.make 0 1 3; E.make 2 3 4 ] in
   let p = A.Path [ E.make 1 2 10 ] in
@@ -627,7 +620,16 @@ let test_ra_all_prefix_rows () =
    T is non-empty. *)
 let test_ra_m1_span () =
   let module Obs = Wm_obs.Obs in
-  let m1_spans () = Obs.span_count Obs.default "core.random_arrival/m1" in
+  let module J = Wm_obs.Json in
+  let m1_spans () =
+    match
+      Option.bind
+        (J.member "timers" (Obs.to_json Obs.default))
+        (J.member "core.random_arrival/m1")
+    with
+    | Some t -> ( match J.member "count" t with Some (J.Int c) -> c | _ -> 0)
+    | None -> 0
+  in
   let g = Gen.gnp (P.create 155) ~n:130 ~p:0.15 ~weights:(Gen.Uniform (1, 40)) in
   let before = m1_spans () in
   let r =
@@ -1217,7 +1219,10 @@ let oracle_instance seed =
     else Gen.power_law_scale rng ~n ~attach:(1 + P.int rng 4) ~weights
   in
   let g =
-    if P.int rng 3 = 0 then G.map_weights g (fun e -> E.weight e - 1) else g
+    if P.int rng 3 = 0 then
+      G.of_array ~n
+        (Array.map (fun e -> E.reweight e (E.weight e - 1)) (G.edges g))
+    else g
   in
   let m = if P.bool rng then Wm_algos.Greedy.by_weight g else M.create n in
   (rng, Layered.parametrize rng (Layered.view g m))
@@ -1456,10 +1461,12 @@ let prop_present_oracle =
       let n = 4 + P.int rng 40 in
       let hi = [| 3; 100; 5000 |].(P.int rng 3) in
       let g =
-        G.map_weights
-          (Gen.gnp rng ~n ~p:(0.05 +. P.float rng 0.4)
-             ~weights:(Gen.Uniform (1, hi + 1)))
-          (fun e -> E.weight e - 1)
+        Gen.gnp rng ~n ~p:(0.05 +. P.float rng 0.4)
+          ~weights:(Gen.Uniform (1, hi + 1))
+      in
+      let g =
+        G.of_array ~n
+          (Array.map (fun e -> E.reweight e (E.weight e - 1)) (G.edges g))
       in
       let m = M.create n in
       G.iter_edges
@@ -1514,7 +1521,6 @@ let () =
           Alcotest.test_case "cycle wraparound" `Quick
             test_aug_cycle_wraparound_alternation;
           Alcotest.test_case "malformed" `Quick test_aug_malformed;
-          Alcotest.test_case "conflicts" `Quick test_aug_conflicts;
           Alcotest.test_case "touched vertices" `Quick test_aug_touched_vertices;
         ] );
       ( "weight_class",

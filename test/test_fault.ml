@@ -11,7 +11,6 @@
    - exhausting the retry budget raises Budget_exhausted;
    - stream tampering is deterministic per spec and never produces an
      invalid weight;
-   - worker_failures drives Pool chaos deterministically;
    - Model_driver.mpc bills the per-machine load of the LARGEST layered
      instance, not the per-pair average (regression).                  *)
 
@@ -290,48 +289,6 @@ let test_stream_tamper_determinism () =
     (sum (ES.to_ordered_graph (ES.of_graph ~faults:spec g)))
 
 (* ------------------------------------------------------------------ *)
-(* Pool chaos via worker_failures. *)
-
-let test_pool_chaos () =
-  let spec = { Spec.none with Spec.seed = 23; crash = 0.1 } in
-  let tasks = 64 in
-  let chaos inj = Injector.worker_failures inj ~site:"pool" ~tasks in
-  (* The failure pattern is a pure function of the spec. *)
-  let pattern inj =
-    let c = chaos inj in
-    List.init tasks (fun i -> c i <> None)
-  in
-  let p1 = pattern (Injector.create spec) in
-  let p2 = pattern (Injector.create spec) in
-  check_bool "failure pattern deterministic" true (p1 = p2);
-  check_bool "some task fails" true (List.mem true p1);
-  check_bool "not every task fails" true (List.mem false p1);
-  let pool = Pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.destroy pool)
-    (fun () ->
-      (match
-         Pool.parallel_map_array
-           ~chaos:(chaos (Injector.create spec))
-           pool
-           (fun x -> x * 2)
-           (Array.init tasks (fun i -> i))
-       with
-      | _ -> Alcotest.fail "chaos plan must poison the call"
-      | exception Injector.Injected_crash { site; _ } ->
-          check_str "crash site" "pool" site);
-      (* The pool survives; an inert injector injects nothing. *)
-      let clean =
-        Pool.parallel_map_array
-          ~chaos:(chaos Injector.none)
-          pool
-          (fun x -> x + 1)
-          (Array.init tasks (fun i -> i))
-      in
-      check_bool "pool reusable, inert chaos harmless" true
-        (clean = Array.init tasks (fun i -> i + 1)))
-
-(* ------------------------------------------------------------------ *)
 (* Regression: MPC memory is billed at the largest single layered
    instance, not the average over pairs. *)
 
@@ -397,8 +354,6 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "pool chaos via worker_failures" `Quick
-            test_pool_chaos;
           Alcotest.test_case "memory billed at peak instance" `Quick
             test_peak_load_not_average;
         ] );

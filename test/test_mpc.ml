@@ -57,12 +57,6 @@ let test_broadcast_overflow () =
   in
   check_bool "broadcast too big" true raised
 
-let test_gather () =
-  let c = C.create ~machines:2 ~memory_words:20 () in
-  let all = C.gather c [| [| 1; 2 |]; [| 3 |] |] in
-  check "one round" 1 (C.rounds c);
-  Alcotest.(check (array int)) "concatenated" [| 1; 2; 3 |] all
-
 let test_run_round () =
   let c = C.create ~machines:2 ~memory_words:20 () in
   let out = C.run_round c (fun x -> x * 2) [| 3; 4 |] in
@@ -155,7 +149,6 @@ let () =
           Alcotest.test_case "scatter overflow" `Quick test_scatter_overflow;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "broadcast overflow" `Quick test_broadcast_overflow;
-          Alcotest.test_case "gather" `Quick test_gather;
           Alcotest.test_case "run round" `Quick test_run_round;
           Alcotest.test_case "run round shape" `Quick test_run_round_shape;
           Alcotest.test_case "charge" `Quick test_charge_rounds;

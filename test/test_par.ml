@@ -1,8 +1,8 @@
 (* Tests for the wm_par domain pool and the guarantees the rest of the
    codebase builds on it:
 
-   - [Pool.map] / [Pool.parallel_map_array] return results in input
-     order and agree with their sequential counterparts;
+   - [Pool.map] returns results in input order and agrees with
+     [List.map];
    - nested pool calls degrade to sequential instead of deadlocking;
    - a raising task poisons only its call and leaves the pool usable;
    - the CSR [Weighted_graph] is safe to read from many domains at once,
@@ -36,9 +36,9 @@ let test_map_matches_sequential () =
         (Pool.map pool f xs = List.map f xs);
       check_bool "empty list" true (Pool.map pool f [] = []);
       check_bool "singleton" true (Pool.map pool f [ 41 ] = [ f 41 ]);
-      let arr = Array.init 257 (fun i -> i * 7) in
-      check_bool "array agrees with Array.map" true
-        (Pool.parallel_map_array pool f arr = Array.map f arr))
+      let odd = List.init 257 (fun i -> i * 7) in
+      check_bool "odd length agrees with List.map" true
+        (Pool.map pool f odd = List.map f odd))
 
 let test_size_and_inline_pool () =
   with_pool ~domains:4 (fun pool -> check "size 4" 4 (Pool.size pool));
@@ -96,14 +96,14 @@ let test_memory_exceeded_poisons_call_only () =
       Pool.set_default_jobs 4;
       let pool = Pool.default () in
       (match
-         Pool.parallel_map_array pool
+         Pool.map pool
            (fun x ->
              if x = 61 then
                raise
                  (Wm_mpc.Cluster.Memory_exceeded
                     { machine = 3; used = 9999; capacity = 1024 })
              else x * 2)
-           (Array.init 200 (fun i -> i))
+           (List.init 200 (fun i -> i))
        with
       | _ -> Alcotest.fail "overloaded worker should poison the call"
       | exception Wm_mpc.Cluster.Memory_exceeded { machine; used; capacity } ->
@@ -423,8 +423,8 @@ let test_map_after_destroy_raises () =
   | exception Invalid_argument msg ->
       check_bool "one-line diagnostic" true
         (String.length msg > 0 && not (String.contains msg '\n')));
-  match Pool.parallel_map_array pool (fun x -> x) [| 1 |] with
-  | _ -> Alcotest.fail "parallel_map_array on a destroyed pool returned"
+  match Pool.map pool (fun x -> x) [ 1 ] with
+  | _ -> Alcotest.fail "singleton map on a destroyed pool returned"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)

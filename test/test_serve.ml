@@ -471,6 +471,32 @@ let load_text_req ?(id = 1) text =
             ("graph", J.Str text);
           ]))
 
+(* The vertex-count guard on the serve path: an add_vertices that would
+   take n past the largest array, or wrap it negative, is an error
+   response, the session is left as it was, and a later solve (one array
+   slot per vertex) still answers. *)
+let test_vertex_bound_rejected () =
+  let srv = server () in
+  let d = str_field (one srv (load_text_req "p wm 3 0\n")) "digest" in
+  List.iteri
+    (fun i count ->
+      let r =
+        one srv
+          (req
+             (Printf.sprintf
+                "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":\"add_vertices\",\"count\":%d}"
+                (i + 2) count))
+      in
+      check_str (Printf.sprintf "count %d refused" count) "error" (status r);
+      (match Server.sessions srv with
+      | [ (d', n, _) ] ->
+          check_str "digest untouched" d d';
+          check "n untouched" 3 n
+      | _ -> Alcotest.fail "expected one session");
+      check_str "server still solves" "ok"
+        (status (one srv (solve_req ~id:(i + 10) ~algo:"greedy" ()))))
+    [ 123456789012345678; max_int ]
+
 (* The weight-range guard on the serve path: a load or a mutation that
    would take a session's total weight past 2^53 is an error response,
    and the session is left exactly as it was. *)
@@ -976,6 +1002,8 @@ let () =
             test_mutate_error_leaves_session;
           Alcotest.test_case "weight bound rejected" `Quick
             test_weight_bound_rejected;
+          Alcotest.test_case "vertex bound rejected" `Quick
+            test_vertex_bound_rejected;
           Alcotest.test_case "x_warm bounded by the session" `Quick
             test_x_warm_bounded;
           Alcotest.test_case "refusal paths" `Quick test_refusal_paths;

@@ -115,13 +115,6 @@ let test_meter_release_below_zero () =
     (Invalid_argument "Space_meter.release: below zero") (fun () ->
       Meter.release m 2)
 
-let test_meter_set_current () =
-  let m = Meter.create () in
-  Meter.set_current m 10;
-  Meter.set_current m 4;
-  check "current" 4 (Meter.current m);
-  check "peak" 10 (Meter.peak m)
-
 let test_meter_reset () =
   let m = Meter.create () in
   Meter.retain m 7;
@@ -165,13 +158,6 @@ let test_meter_checkpoint_invariant () =
   check "peak = max over checkpoints" (Meter.peak m)
     (List.fold_left Stdlib.max 0 !pass_peaks)
 
-let test_meter_merge () =
-  let a = Meter.create () and b = Meter.create () in
-  Meter.retain a 3;
-  Meter.retain b 4;
-  Meter.release b 2;
-  check "merged peaks" 7 (Meter.merge_peaks [ a; b ])
-
 (* Property: a full pass visits every edge exactly once, any order. *)
 let prop_pass_is_permutation =
   QCheck2.Test.make ~name:"one pass visits each edge once" ~count:100
@@ -207,12 +193,10 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_meter_basic;
           Alcotest.test_case "below zero" `Quick test_meter_release_below_zero;
-          Alcotest.test_case "set current" `Quick test_meter_set_current;
           Alcotest.test_case "reset" `Quick test_meter_reset;
           Alcotest.test_case "checkpoint" `Quick test_meter_checkpoint;
           Alcotest.test_case "checkpoint invariant" `Quick
             test_meter_checkpoint_invariant;
-          Alcotest.test_case "merge" `Quick test_meter_merge;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_pass_is_permutation ] );
