@@ -38,6 +38,16 @@ let micro_benchmarks () =
   let session = G.canonical loaded in
   let digest = Wm_graph.Graph_io.digest session in
   let delta = List.init 32 (fun i -> Wm_graph.Edge.make (300 * i) (10_000 + i) 7) in
+  (* The layered-build micro's pair and scale, and its L' for the black
+     box: 35 edges on 69 vertices, two passes.  At a smaller scale the
+     pair keeps no edge. *)
+  let tp = Wm_core.Params.tau_params params in
+  let pair = { Wm_core.Tau.a = [| 0; 4; 0 |]; b = [| 3; 3 |] } in
+  let layered_gp () =
+    Wm_core.Layered.parametrize (P.create 17)
+      (Wm_core.Layered.view gnp matching)
+  in
+  let lay = Wm_core.Layered.build tp (layered_gp ()) pair ~scale:512.0 in
   let layer name f =
     Test.make ~name:(name ^ "(n=10^4)") (Staged.stage (fun () -> ignore (f ())))
   in
@@ -91,18 +101,20 @@ let micro_benchmarks () =
       Test.make ~name:"substrate:streaming-bip(n=400)"
         (Staged.stage (fun () ->
              ignore
-               (Wm_algos.Streaming_bipartite.solve ~n:(G.n bip)
-                  ~left:(B.halves 200) ~delta:0.1 (fun f ->
-                    G.iter_edges f bip))));
+               (Wm_algos.Streaming_bipartite.solve ~left:(B.halves 200)
+                  ~delta:0.1
+                  ~mate:(Array.make (G.n bip) (-1))
+                  ~weight:(Array.make (G.n bip) 0)
+                  (fun f ->
+                    G.iter_edges
+                      (fun e -> f e.Wm_graph.Edge.u e.v e.w)
+                      bip))));
       Test.make ~name:"substrate:layered-build(n=300)"
         (Staged.stage (fun () ->
-             let gp =
-               Wm_core.Layered.parametrize (P.create 17)
-                 (Wm_core.Layered.view gnp matching)
-             in
-             let tp = Wm_core.Params.tau_params params in
-             let pair = { Wm_core.Tau.a = [| 0; 4; 0 |]; b = [| 3; 3 |] } in
-             ignore (Wm_core.Layered.build tp gp pair ~scale:16.0)));
+             ignore (Wm_core.Layered.build tp (layered_gp ()) pair ~scale:512.0)));
+      Test.make ~name:"substrate:black-box(n=300)"
+        (Staged.stage (fun () ->
+             ignore (Wm_core.Layered.black_box ~delta:params.Wm_core.Params.delta lay)));
       layer "serve:load" (fun () -> Wm_graph.Graph_io.canonical_of_string text);
       layer "serve:canonical" (fun () -> G.canonical loaded);
       layer "serve:greedy-by-weight" (fun () -> Wm_algos.Greedy.by_weight session);

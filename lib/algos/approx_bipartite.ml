@@ -2,18 +2,6 @@ let phases delta =
   if delta < 0. then invalid_arg "Approx_bipartite: negative delta";
   if delta = 0. then max_int else int_of_float (Float.ceil (1.0 /. delta))
 
-let solve ?init ~delta g ~left =
-  let k = phases delta in
-  if k = max_int then Wm_exact.Hopcroft_karp.solve ?init g ~left
-  else Wm_exact.Hopcroft_karp.solve ?init ~max_phases:k g ~left
-
-let solve_metered ?init ~delta g ~left =
-  let r =
-    Streaming_bipartite.solve ?init ~n:(Wm_graph.Weighted_graph.n g) ~left
-      ~delta (fun f -> Wm_graph.Weighted_graph.iter_edges f g)
-  in
-  (r.Streaming_bipartite.matching, r.Streaming_bipartite.passes)
-
 let pass_charge ~delta =
   let k = phases delta in
   if k = max_int then invalid_arg "Approx_bipartite.pass_charge: delta = 0"

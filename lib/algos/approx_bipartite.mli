@@ -1,35 +1,12 @@
-(** The [(1-delta)]-approximate bipartite unweighted matching black box
-    (UNW-BIP-MATCHING in Algorithm 4).
+(** The model cost of the [(1-delta)]-approximate bipartite unweighted
+    matching black box (UNW-BIP-MATCHING in Algorithm 4).
 
-    The paper consumes this as an opaque subroutine characterised only by
-    its approximation guarantee and its model cost ([U_S] passes /
-    [U_M] rounds).  We realise the guarantee with phase-limited
-    Hopcroft–Karp — after [k = ceil(1/delta)] phases the matching is
-    [(1 - delta)]-approximate — and expose the model cost as explicit
-    charge functions, following the black-box accounting convention in
-    DESIGN.md: the computation is performed offline, while the pass and
-    round meters are charged what a streaming/MPC execution of the
-    black box would cost. *)
-
-val solve :
-  ?init:Wm_graph.Matching.t ->
-  delta:float ->
-  Wm_graph.Weighted_graph.t ->
-  left:(int -> bool) ->
-  Wm_graph.Matching.t
-(** [(1 - delta)]-approximate maximum-cardinality matching of a
-    bipartite graph.  [delta = 0.] runs Hopcroft–Karp to optimality. *)
-
-val solve_metered :
-  ?init:Wm_graph.Matching.t ->
-  delta:float ->
-  Wm_graph.Weighted_graph.t ->
-  left:(int -> bool) ->
-  Wm_graph.Matching.t * int
-(** As {!solve} but implemented by the {e genuine} multi-pass streaming
-    matcher ({!Streaming_bipartite}); additionally returns the number of
-    stream passes it consumed, so model drivers can meter measured
-    passes instead of the {!pass_charge} formula. *)
+    The paper consumes this box as an opaque subroutine characterised
+    only by its approximation guarantee and its model cost ([U_S]
+    passes / [U_M] rounds).  {!Streaming_bipartite} realises the
+    guarantee; this module prices it, following the black-box
+    accounting convention in DESIGN.md: the pass and round meters are
+    charged what a streaming/MPC execution of the black box costs. *)
 
 val pass_charge : delta:float -> int
 (** Streaming passes one invocation costs: one pass per BFS level over

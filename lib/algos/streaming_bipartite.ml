@@ -1,30 +1,34 @@
 module E = Wm_graph.Edge
 module M = Wm_graph.Matching
 
-type pass = (E.t -> unit) -> unit
+type pass = (int -> int -> int -> unit) -> unit
 
-type result = { matching : M.t; passes : int; phases : int }
+type result = { passes : int; phases : int }
 
-let solve ?init ?(max_phases = max_int) ~n ~left ~delta pass =
+let solve ~left ~delta ~mate ~weight pass =
   if delta < 0. then invalid_arg "Streaming_bipartite.solve: negative delta";
+  let n = Array.length mate in
   let cap =
     if delta = 0. then Stdlib.max 1 n
     else Stdlib.max 1 (int_of_float (Float.ceil (1.0 /. delta)))
   in
-  let m = match init with Some m -> M.copy m | None -> M.create n in
   let passes = ref 0 in
   let phases = ref 0 in
   let level = Array.make n (-1) in
-  let parent : E.t option array = Array.make n None in
+  (* BFS parents are vertices: a right vertex's is the left vertex whose
+     unmatched edge reached it (that edge's weight in [reach_w]), a left
+     vertex's is the right vertex it was matched to when reached. *)
+  let parent = Array.make n (-1) in
+  let reach_w = Array.make n 0 in
+  let used = Array.make n false in
   let running = ref true in
-  while !running && !phases < max_phases do
+  while !running do
     (* One phase: BFS from the free left vertices, one pass per level,
        until some free right vertex is reached (shortest augmenting
        paths) or the depth cap exhausts. *)
     Array.fill level 0 n (-1);
-    Array.fill parent 0 n None;
     for v = 0 to n - 1 do
-      if left v && not (M.is_matched m v) then level.(v) <- 0
+      if left v && mate.(v) < 0 then level.(v) <- 0
     done;
     let found_depth = ref (-1) in
     let depth = ref 0 in
@@ -38,32 +42,28 @@ let solve ?init ?(max_phases = max_int) ~n ~left ~delta pass =
       if not !frontier then dead := true
       else begin
         incr passes;
-        pass (fun e ->
-            let u, v = E.endpoints e in
+        pass (fun u v w ->
             if left u <> left v then begin
               let l, r = if left u then (u, v) else (v, u) in
-              if
-                (not (M.mem m e))
-                && level.(l) = 2 * !depth
-                && level.(r) = -1
+              if mate.(l) <> r && level.(l) = 2 * !depth && level.(r) = -1
               then begin
                 level.(r) <- (2 * !depth) + 1;
-                parent.(r) <- Some e
+                parent.(r) <- l;
+                reach_w.(r) <- w
               end
             end);
         let any_free = ref false in
         let grew = ref false in
         for r = 0 to n - 1 do
-          if (not (left r)) && level.(r) = (2 * !depth) + 1 then
-            match M.edge_at m r with
-            | None -> any_free := true
-            | Some me ->
-                let l' = E.other me r in
-                if level.(l') = -1 then begin
-                  level.(l') <- (2 * !depth) + 2;
-                  parent.(l') <- Some me;
-                  grew := true
-                end
+          if (not (left r)) && level.(r) = (2 * !depth) + 1 then begin
+            let l' = mate.(r) in
+            if l' < 0 then any_free := true
+            else if level.(l') = -1 then begin
+              level.(l') <- (2 * !depth) + 2;
+              parent.(l') <- r;
+              grew := true
+            end
+          end
         done;
         if !any_free then found_depth := !depth
         else if not !grew then dead := true
@@ -72,51 +72,53 @@ let solve ?init ?(max_phases = max_int) ~n ~left ~delta pass =
     done;
     if !found_depth = -1 then running := false
     else begin
-      (* Extract vertex-disjoint augmenting paths greedily and flip. *)
-      let used = Array.make n false in
+      (* Take vertex-disjoint augmenting paths greedily, in increasing
+         order of their free right end, and flip each. *)
+      Array.fill used 0 n false;
       let applied = ref 0 in
       let target_level = (2 * !found_depth) + 1 in
       for r0 = 0 to n - 1 do
-        if (not (left r0)) && level.(r0) = target_level && not (M.is_matched m r0)
+        if (not (left r0)) && level.(r0) = target_level && mate.(r0) < 0
         then begin
-          (* Trace back to a free left vertex, collecting edges with
-             their parity (even = to add, odd = to remove). *)
-          let rec trace r acc verts =
-            match parent.(r) with
-            | None -> None
-            | Some e_un -> (
-                let l = E.other e_un r in
-                if level.(l) = 0 then Some (e_un :: acc, l :: r :: verts)
-                else
-                  match parent.(l) with
-                  | None -> None
-                  | Some e_m ->
-                      let r' = E.other e_m l in
-                      trace r' (e_m :: e_un :: acc) (l :: r :: verts))
-          in
-          match trace r0 [] [] with
-          | None -> ()
-          | Some (path_edges, verts) ->
-              if List.for_all (fun v -> not used.(v)) verts then begin
-                List.iter (fun v -> used.(v) <- true) verts;
-                (* path_edges runs free-left .. r0, alternating
-                   unmatched/matched/unmatched...; remove matched first. *)
-                List.iter
-                  (fun e -> if M.mem m e then M.remove m e)
-                  path_edges;
-                List.iteri
-                  (fun i e -> if i mod 2 = 0 then M.add m e)
-                  path_edges;
-                incr applied
-              end
+          (* Trace back to the free left vertex the path starts from. *)
+          let free = ref true and r = ref r0 and at_root = ref false in
+          while not !at_root do
+            let l = parent.(!r) in
+            if used.(!r) || used.(l) then free := false;
+            if level.(l) = 0 then at_root := true else r := parent.(l)
+          done;
+          if !free then begin
+            let r = ref r0 and at_root = ref false in
+            while not !at_root do
+              let l = parent.(!r) in
+              let next = parent.(l) in
+              used.(!r) <- true;
+              used.(l) <- true;
+              mate.(!r) <- l;
+              mate.(l) <- !r;
+              weight.(!r) <- reach_w.(!r);
+              weight.(l) <- reach_w.(!r);
+              if level.(l) = 0 then at_root := true else r := next
+            done;
+            incr applied
+          end
         end
       done;
       incr phases;
       if !applied = 0 then running := false
     end
   done;
-  { matching = m; passes = !passes; phases = !phases }
+  { passes = !passes; phases = !phases }
 
-let solve_stream ?init ~delta stream ~left =
+let solve_stream ~delta stream ~left =
   let n = Wm_stream.Edge_stream.graph_n stream in
-  solve ?init ~n ~left ~delta (fun f -> Wm_stream.Edge_stream.iter stream f)
+  let mate = Array.make n (-1) and weight = Array.make n 0 in
+  let r =
+    solve ~left ~delta ~mate ~weight (fun f ->
+        Wm_stream.Edge_stream.iter stream (fun e ->
+            let u, v = E.endpoints e in
+            f u v (E.weight e)))
+  in
+  let m = M.create n in
+  Array.iteri (fun u v -> if u < v then M.add m (E.make u v weight.(u))) mate;
+  (m, r)

@@ -1,45 +1,45 @@
 (** A genuine multi-pass streaming algorithm for (1-delta)-approximate
-    maximum-cardinality bipartite matching.
+    maximum-cardinality bipartite matching — the UNW-BIP-MATCHING black
+    box of Algorithm 4.
 
-    Memory is O(n): the current matching plus one BFS level/parent table.
-    Each phase finds a set of vertex-disjoint augmenting paths of length
-    at most [2K - 1] (with [K = ceil (1/delta)]) by growing BFS layers
-    one stream pass per level; when a phase finds none, no such path
-    exists and the matching is [(1 - 1/(K+1))]-approximate, hence
-    [(1 - delta)]-approximate.
+    Memory is O(n): per-vertex [mate]/[weight] arrays for the matching
+    plus one BFS level/parent table.  Each phase finds a set of
+    vertex-disjoint augmenting paths of length at most [2K - 1] (with
+    [K = ceil (1/delta)]) by growing BFS layers one stream pass per
+    level; when a phase finds none, no such path exists and the matching
+    is [(1 - 1/(K+1))]-approximate, hence [(1 - delta)]-approximate.
 
-    This is the "real" counterpart of {!Approx_bipartite}'s charged
-    black box: experiment T6 compares its measured pass count against
-    the [pass_charge] formula used by the model drivers. *)
+    Experiment T6 compares its measured pass count against the
+    {!Approx_bipartite.pass_charge} formula the model drivers bill. *)
 
-type pass = (Wm_graph.Edge.t -> unit) -> unit
+type pass = (int -> int -> int -> unit) -> unit
 (** One pass over the (bipartite) edge stream: calls the callback once
-    per edge, in arrival order. *)
+    per edge [u v w], in arrival order. *)
 
 type result = {
-  matching : Wm_graph.Matching.t;
   passes : int;  (** stream passes consumed *)
   phases : int;  (** augmentation phases executed *)
 }
 
 val solve :
-  ?init:Wm_graph.Matching.t ->
-  ?max_phases:int ->
-  n:int ->
   left:(int -> bool) ->
   delta:float ->
+  mate:int array ->
+  weight:int array ->
   pass ->
   result
-(** [solve ~n ~left ~delta pass] runs until a phase finds no augmenting
-    path of length [<= 2 * ceil(1/delta) - 1] (or [max_phases] phases).
-    Edges that do not cross the bipartition are ignored.  [delta = 0.]
-    means exact (path length unbounded up to [n]). *)
+(** [solve ~left ~delta ~mate ~weight pass] improves the matching held in
+    [mate] ([mate.(v)] is [v]'s partner, [-1] when free) and [weight]
+    (the weight of [v]'s matched edge) in place, over the vertices
+    [0 .. Array.length mate - 1], until a phase finds no augmenting path
+    of length [<= 2 * ceil(1/delta) - 1].  Edges that do not cross the
+    bipartition are ignored.  [delta = 0.] means exact (path length
+    unbounded up to [n]). *)
 
 val solve_stream :
-  ?init:Wm_graph.Matching.t ->
   delta:float ->
   Wm_stream.Edge_stream.t ->
   left:(int -> bool) ->
-  result
-(** Convenience wrapper over {!Wm_stream.Edge_stream}: pass counting is
-    delegated to the stream's own meter. *)
+  Wm_graph.Matching.t * result
+(** {!solve} from the empty matching over a {!Wm_stream.Edge_stream}
+    (which meters the passes too), returned as a matching. *)

@@ -209,11 +209,8 @@ let eval_pair ~cache params m pair =
       }
   | Layered.Graph lay ->
     let layered_edges = Layered.edge_count lay in
-    let m', bb_passes =
-      Wm_algos.Approx_bipartite.solve_metered ~init:lay.Layered.init
-        ~delta:params.Params.delta lay.Layered.lgraph ~left:(Layered.left lay)
-    in
-    let paths = Layered.augmenting_paths lay m' in
+    let solved = Layered.black_box ~delta:params.Params.delta lay in
+    let paths = Layered.augmenting_paths lay solved in
     let candidates =
       List.filter_map
         (fun layered_path ->
@@ -231,7 +228,7 @@ let eval_pair ~cache params m pair =
       pe_candidates = candidates;
       pe_layered_edges = layered_edges;
       pe_black_box = true;
-      pe_passes = bb_passes;
+      pe_passes = solved.Layered.passes;
       pe_paths = List.length paths;
     }
 

@@ -256,77 +256,39 @@ let base_walk w m aug =
 
 let verify tp w g m aug =
   match base_walk w m aug with
-  | None -> false
-  | Some (walk_verts, walk_edges) -> (
+  | None | Some ([], _) -> false
+  | Some (v0 :: _, walk_edges) ->
       let n = G.n g in
       let gp = Layered.parametrize_with ~side:w.side g m in
       let lay = Layered.build tp gp w.pair ~scale:w.scale in
       (* Lay the walk into layers: unmatched edges advance the layer. *)
-      match walk_verts with
-      | [] -> false
-      | v0 :: _ ->
-          let layer = ref 1 in
-          let cur = ref v0 in
-          let layered_edges =
-            List.map
-              (fun e ->
-                let next = E.other e !cur in
-                let le =
-                  if M.mem m e then
-                    E.make
-                      (Layered.vertex_id ~base_n:n ~layer:!layer !cur)
-                      (Layered.vertex_id ~base_n:n ~layer:!layer next)
-                      (E.weight e)
-                  else begin
-                    let le =
-                      E.make
-                        (Layered.vertex_id ~base_n:n ~layer:!layer !cur)
-                        (Layered.vertex_id ~base_n:n ~layer:(!layer + 1) next)
-                        (E.weight e)
-                    in
-                    incr layer;
-                    le
-                  end
-                in
-                cur := next;
-                le)
-              walk_edges
-          in
-          let contained =
-            List.for_all
-              (fun le ->
-                let x, y = E.endpoints le in
-                match Layered.find_edge lay x y with
-                | Some e' -> E.weight e' = E.weight le
-                | None -> false)
-              layered_edges
-          in
-          contained
-          &&
-          let verts, edges =
-            Decompose.project ~base_n:n layered_edges
-          in
-          ignore verts;
-          let comps =
-            Decompose.decompose
-              ~verts:(List.map (Layered.base_vertex ~base_n:n)
-                        (let seq = ref [] in
-                         let c = ref (Layered.vertex_id ~base_n:n ~layer:1 v0) in
-                         seq := [ !c ];
-                         List.iter
-                           (fun le ->
-                             c := E.other le !c;
-                             seq := !c :: !seq)
-                           layered_edges;
-                         List.rev !seq))
-              ~edges
-          in
-          (* Two augmentations are equivalent when they add and remove
-             the same edge sets (a 1-repetition cycle capture appears as
-             a path whose matching neighbourhood closes the cycle). *)
-          let effect c =
-            ( List.sort E.compare (Aug.unmatched_part c m),
-              List.sort E.compare (Aug.matching_neighborhood c m) )
-          in
-          let target = effect aug in
-          List.exists (fun c -> effect c = target) comps)
+      let layer = ref 1 and cur = ref v0 in
+      let verts =
+        Layered.vertex_id ~base_n:n ~layer:1 v0
+        :: List.map
+             (fun e ->
+               if not (M.mem m e) then incr layer;
+               cur := E.other e !cur;
+               Layered.vertex_id ~base_n:n ~layer:!layer !cur)
+             walk_edges
+      in
+      let weights = List.map E.weight walk_edges in
+      let rec contained vs ws =
+        match (vs, ws) with
+        | x :: (y :: _ as rest), w :: ws ->
+            Layered.find_edge lay x y = Some w && contained rest ws
+        | _ -> true
+      in
+      contained verts weights
+      &&
+      let verts, edges = Decompose.project ~base_n:n { Layered.verts; weights } in
+      let comps = Decompose.decompose ~verts ~edges in
+      (* Two augmentations are equivalent when they add and remove
+         the same edge sets (a 1-repetition cycle capture appears as
+         a path whose matching neighbourhood closes the cycle). *)
+      let effect c =
+        ( List.sort E.compare (Aug.unmatched_part c m),
+          List.sort E.compare (Aug.matching_neighborhood c m) )
+      in
+      let target = effect aug in
+      List.exists (fun c -> effect c = target) comps

@@ -1,42 +1,13 @@
 module E = Wm_graph.Edge
 
-let project ~base_n layered_path =
-  match layered_path with
-  | [] -> ([], [])
-  | [ e ] ->
-      let u, v = E.endpoints e in
-      let bu = Layered.base_vertex ~base_n u
-      and bv = Layered.base_vertex ~base_n v in
-      ([ bu; bv ], [ E.make bu bv (E.weight e) ])
-  | e1 :: (e2 :: _ as rest) ->
-      let start =
-        let u, v = E.endpoints e1 in
-        if E.mem_vertex e2 u && not (E.mem_vertex e2 v) then v
-        else if E.mem_vertex e2 v && not (E.mem_vertex e2 u) then u
-        else invalid_arg "Decompose.project: not a path"
-      in
-      let layered_verts =
-        let _, acc =
-          List.fold_left
-            (fun (cur, acc) e ->
-              let nxt = E.other e cur in
-              (nxt, nxt :: acc))
-            (start, [ start ])
-            (e1 :: rest)
-        in
-        List.rev acc
-      in
-      let verts = List.map (Layered.base_vertex ~base_n) layered_verts in
-      let edges =
-        let rec pair = function
-          | a :: (b :: _ as tl) -> (a, b) :: pair tl
-          | [ _ ] | [] -> []
-        in
-        List.map2
-          (fun (u, v) e -> E.make u v (E.weight e))
-          (pair verts) (e1 :: rest)
-      in
-      (verts, edges)
+let project ~base_n (p : Layered.path) =
+  let verts = List.map (Layered.base_vertex ~base_n) p.Layered.verts in
+  let rec steps vs ws =
+    match (vs, ws) with
+    | u :: (v :: _ as rest), w :: ws -> E.make u v w :: steps rest ws
+    | _ -> []
+  in
+  (verts, steps verts p.Layered.weights)
 
 let decompose ~verts ~edges =
   let len = List.length edges in

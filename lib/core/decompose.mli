@@ -8,13 +8,11 @@
     path plus simple alternating even-length cycles — each of which is
     individually a candidate augmentation. *)
 
-val project :
-  base_n:int -> Wm_graph.Edge.t list -> int list * Wm_graph.Edge.t list
-(** [project ~base_n layered_path] maps an ordered layered-graph path
-    (as produced by {!Layered.augmenting_paths}) to its walk in the
-    base graph: the ordered vertex sequence (possibly with repeats) and
-    the corresponding base edges.  Raises [Invalid_argument] if the
-    edge list is not a path. *)
+val project : base_n:int -> Layered.path -> int list * Wm_graph.Edge.t list
+(** [project ~base_n layered_path] maps a layered-graph path (as
+    produced by {!Layered.augmenting_paths}) to its walk in the base
+    graph: the ordered vertex sequence (possibly with repeats) and the
+    corresponding base edges. *)
 
 val decompose : verts:int list -> edges:Wm_graph.Edge.t list -> Aug.t list
 (** Stack-based cycle extraction: scanning the walk, every first return

@@ -74,11 +74,12 @@ let parametrize_with ~side g m =
 type t = {
   base_n : int;
   layer_count : int;
-  lgraph : G.t;
-  init : M.t;
+  n : int;
+  src : int array;
+  dst : int array;
+  w : int array;
+  x_len : int;
   ids : int array;
-  pair : Tau.pair;
-  scale : float;
   side : bool array;
 }
 
@@ -170,7 +171,6 @@ let no_key = -2
 type cache = {
   c_n : int;
   c_side : bool array;
-  c_scale : float;
   left_count : int;
   a_present : int list;
   b_present : int list;
@@ -276,7 +276,6 @@ let prepare params (gp : parametrized) ~scale =
   {
     c_n = n;
     c_side = side;
-    c_scale = scale;
     left_count = Array.fold_left (fun k l -> if l then k + 1 else k) 0 side;
     a_present = List.filter (fun a -> a <= cap) (Array.to_list x_keys);
     b_present =
@@ -451,21 +450,15 @@ let materialise c pair =
   done;
   let ids = Array.sub (Arena.Ints.data s.vids) 0 (Arena.Ints.length s.vids) in
   let nv = Array.length ids in
-  let nv = if c.left_count * (k + 1) > !kept_left then nv + 1 else nv in
-  let lgraph = G.of_flat ~n:nv ~m ~src ~dst ~w:(Arena.Ints.data s.e_w) in
-  let init = M.create nv in
-  let ledges = G.edges lgraph in
-  for i = 0 to x_len - 1 do
-    M.add init ledges.(i)
-  done;
   {
     base_n = n;
     layer_count = k + 1;
-    lgraph;
-    init;
+    n = (if c.left_count * (k + 1) > !kept_left then nv + 1 else nv);
+    src = Array.sub src 0 m;
+    dst = Array.sub dst 0 m;
+    w = Array.sub (Arena.Ints.data s.e_w) 0 m;
+    x_len;
     ids;
-    pair;
-    scale = c.c_scale;
     side = c.c_side;
   }
 
@@ -474,15 +467,17 @@ let count_build m_edges =
   Obs.add c_edges m_edges;
   Obs.set_max c_edges_max m_edges
 
+let edge_count t = Array.length t.src
+
 let build params gp pair ~scale =
   let t = materialise (prepare params gp ~scale) pair in
-  count_build (G.m t.lgraph);
+  count_build (edge_count t);
   t
 
 type built = Graph of t | Trivial of int
 
 (* A pair is trivial iff no gap's key combination names a Y group: then
-   [L'] holds only X edges, all of them in [init], and there is nothing
+   [L'] holds only X edges, all of them in [M_(L')], and there is nothing
    to find.  Its edge count is read off the X groups' sizes. *)
 let build_opt c pair =
   let k = Array.length pair.Tau.b in
@@ -495,7 +490,7 @@ let build_opt c pair =
   done;
   if !nontrivial then begin
     let t = materialise c pair in
-    count_build (G.m t.lgraph);
+    count_build (edge_count t);
     Graph t
   end
   else begin
@@ -511,27 +506,75 @@ let build_opt c pair =
 let left t x =
   x >= Array.length t.ids || t.side.(base_vertex ~base_n:t.base_n t.ids.(x))
 
-let edge_count t = G.m t.lgraph
-
 let find_edge t x y =
   let i = search t.ids x and j = search t.ids y in
-  if i < 0 || j < 0 then None
-  else
-    Option.map
-      (fun e -> E.make x y (E.weight e))
-      (G.find_edge t.lgraph i j)
+  let found = ref None in
+  if i >= 0 && j >= 0 then
+    Array.iteri
+      (fun e s ->
+        if (s = i && t.dst.(e) = j) || (s = j && t.dst.(e) = i) then
+          found := Some t.w.(e))
+      t.src;
+  !found
 
-let augmenting_paths t m' =
-  let comps = M.symmetric_difference m' t.init in
-  let layered e =
-    let x, y = E.endpoints e in
-    E.make t.ids.(x) t.ids.(y) (E.weight e)
+type solved = {
+  mate : int array;
+  weight : int array;
+  passes : int;
+  phases : int;
+}
+
+(* [M_(L')] as per-vertex mate and weight arrays. *)
+let initial t =
+  let mate = Array.make t.n (-1) and weight = Array.make t.n 0 in
+  for i = 0 to t.x_len - 1 do
+    let x = t.src.(i) and y = t.dst.(i) in
+    mate.(x) <- y;
+    mate.(y) <- x;
+    weight.(x) <- t.w.(i);
+    weight.(y) <- t.w.(i)
+  done;
+  (mate, weight)
+
+let black_box ~delta t =
+  let mate, weight = initial t in
+  let is_left = Array.init t.n (left t) in
+  let r =
+    Wm_algos.Streaming_bipartite.solve ~left:(Array.get is_left) ~delta ~mate
+      ~weight (fun f ->
+        for i = 0 to edge_count t - 1 do
+          f t.src.(i) t.dst.(i) t.w.(i)
+        done)
   in
-  let count m comp =
-    List.fold_left (fun k e -> if M.mem m e then k + 1 else k) 0 comp
-  in
-  List.filter_map
-    (fun comp ->
-      if count m' comp = count t.init comp + 1 then Some (List.map layered comp)
-      else None)
-    comps
+  { mate; weight; passes = r.passes; phases = r.phases }
+
+type path = { verts : int list; weights : int list }
+
+(* [M'] grows from [M_(L')] by augmenting paths, which keep every
+   matched vertex matched, so [M' xor M_(L')] is augmenting paths for
+   [M_(L')] and alternating cycles.  Walk each path from its lower end,
+   which [M'] matches and [M_(L')] leaves free, to the far end, the
+   first vertex past it that [M_(L')] leaves free. *)
+let augmenting_paths t s =
+  let init_mate, init_weight = initial t in
+  let far_end = Array.make t.n false in
+  let paths = ref [] in
+  for v = 0 to t.n - 1 do
+    if init_mate.(v) < 0 && s.mate.(v) >= 0 && not far_end.(v) then begin
+      let verts = ref [ t.ids.(v) ] and weights = ref [] and x = ref v in
+      while !x >= 0 do
+        let y = s.mate.(!x) in
+        let z = init_mate.(y) in
+        verts := t.ids.(y) :: !verts;
+        weights := s.weight.(!x) :: !weights;
+        if z < 0 then far_end.(y) <- true
+        else begin
+          verts := t.ids.(z) :: !verts;
+          weights := init_weight.(y) :: !weights
+        end;
+        x := z
+      done;
+      paths := { verts = List.rev !verts; weights = List.rev !weights } :: !paths
+    end
+  done;
+  !paths

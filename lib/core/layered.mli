@@ -45,20 +45,21 @@ val parametrize_with :
 type t = {
   base_n : int;
   layer_count : int;  (** [k+1] *)
-  lgraph : Wm_graph.Weighted_graph.t;
-      (** the graph [L'] on the endpoints of its edges: intermediate-layer
-          matched edges plus all retained between-layer edges, with the
-          original weights.  Vertex [x < Array.length ids] is the
-          layered vertex [ids.(x)]; a vertex past them is an isolated
-          left sentinel, present when some left layered copy has no
-          retained edge *)
-  init : Wm_graph.Matching.t;
-      (** [M_(L')]: the intermediate-layer matched edges *)
+  n : int;
+      (** vertices of [L']: vertex [x < Array.length ids] is the layered
+          vertex [ids.(x)]; a vertex past them is an isolated left
+          sentinel, present when some left layered copy has no retained
+          edge *)
+  src : int array;
+  dst : int array;
+  w : int array;
+      (** edge [i] of [L'] joins [src.(i)] and [dst.(i)] with its
+          original weight [w.(i)]: intermediate-layer matched edges,
+          then the retained between-layer edges *)
+  x_len : int;  (** [M_(L')]: the first [x_len] edges *)
   ids : int array;
-      (** the layered ids ({!vertex_id}) of [lgraph]'s non-sentinel
-          vertices, ascending *)
-  pair : Tau.pair;
-  scale : float;  (** [W] *)
+      (** the layered ids ({!vertex_id}) of the non-sentinel vertices,
+          ascending *)
   side : bool array;  (** the bipartition used, over base vertices *)
 }
 
@@ -108,19 +109,32 @@ val build_opt : cache -> Tau.pair -> built
     cache order, then Y edges in reverse (edge, gap) discovery order.
     Build counters are updated exactly as {!build} would. *)
 
-val left : t -> int -> bool
-(** Bipartition of the layered graph: a layered copy of an L-vertex,
-    and the sentinel, are on the left. *)
-
 val edge_count : t -> int
 (** Retained edges — the memory this instance charges. *)
 
-val find_edge : t -> int -> int -> Wm_graph.Edge.t option
-(** [find_edge t x y] is the retained edge between the layered vertices
-    [x] and [y] ({!vertex_id}s), with layered endpoints. *)
+val find_edge : t -> int -> int -> int option
+(** [find_edge t x y] is the weight of the retained edge between the
+    layered vertices [x] and [y] ({!vertex_id}s), found by a scan of
+    [L']'s edges. *)
 
-val augmenting_paths :
-  t -> Wm_graph.Matching.t -> Wm_graph.Edge.t list list
-(** [augmenting_paths t m'] extracts from [m' ∪ init] the alternating
-    components that are augmenting paths for [init] (strictly more
-    [m']-edges), as ordered edge lists over layered ids. *)
+type solved = {
+  mate : int array;  (** [M']: each vertex's partner, [-1] when free *)
+  weight : int array;  (** the weight of each vertex's [M'] edge *)
+  passes : int;  (** stream passes over [L'] *)
+  phases : int;
+}
+
+val black_box : delta:float -> t -> solved
+(** UNW-BIP-MATCHING on [L']: {!Wm_algos.Streaming_bipartite.solve}
+    from [M_(L')], one pass over the edge columns per BFS level.  The
+    left side is the layered copies of L-vertices, and the sentinel. *)
+
+type path = {
+  verts : int list;  (** layered ids, in walk order *)
+  weights : int list;  (** the weight of each step of the walk *)
+}
+
+val augmenting_paths : t -> solved -> path list
+(** [augmenting_paths t s], for [s] from {!black_box} on [t], is the
+    components of [M' xor M_(L')] that augment [M_(L')]: each walked from
+    its lower end, in decreasing order of that end. *)

@@ -8,11 +8,7 @@ let c_augs = Obs.counter Obs.default "exact.hopcroft_karp.augmentations"
 
 let inf = max_int
 
-let phases_for_delta delta =
-  if delta <= 0.0 then invalid_arg "Hopcroft_karp.phases_for_delta: delta <= 0";
-  int_of_float (Float.ceil (1.0 /. delta))
-
-let solve ?init ?(max_phases = max_int) g ~left =
+let solve g ~left =
   let n = G.n g in
   G.iter_edges
     (fun e ->
@@ -21,15 +17,6 @@ let solve ?init ?(max_phases = max_int) g ~left =
         invalid_arg "Hopcroft_karp.solve: edge does not cross the bipartition")
     g;
   let mate = Array.make n (-1) in
-  (match init with
-  | None -> ()
-  | Some m ->
-      M.iter
-        (fun e ->
-          let u, v = E.endpoints e in
-          mate.(u) <- v;
-          mate.(v) <- u)
-        m);
   let dist = Array.make n inf in
   let queue = Queue.create () in
   (* One BFS phase; returns true if a free right vertex is reachable. *)
@@ -72,17 +59,11 @@ let solve ?init ?(max_phases = max_int) g ~left =
     if not !result then dist.(u) <- inf;
     !result
   in
-  let phases = ref 0 in
-  let continue = ref true in
-  while !continue && !phases < max_phases do
-    if bfs () then begin
-      for u = 0 to n - 1 do
-        if left u && mate.(u) = -1 then if dfs u then Obs.incr c_augs
-      done;
-      incr phases;
-      Obs.incr c_phases
-    end
-    else continue := false
+  while bfs () do
+    for u = 0 to n - 1 do
+      if left u && mate.(u) = -1 then if dfs u then Obs.incr c_augs
+    done;
+    Obs.incr c_phases
   done;
   let m = M.create n in
   for u = 0 to n - 1 do

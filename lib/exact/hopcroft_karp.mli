@@ -1,24 +1,10 @@
-(** Hopcroft–Karp maximum-cardinality bipartite matching.
-
-    Runs in O(m sqrt n) when executed to completion.  With
-    [~max_phases:k] the algorithm stops after [k] phases; by the standard
-    argument the result is then a [(1 - 1/(k+1))]-approximate maximum
-    matching, which is exactly the [(1-δ)]-approximate black box
-    (UNW-BIP-MATCHING) the paper's reduction consumes. *)
+(** Hopcroft–Karp maximum-cardinality bipartite matching, in
+    O(m sqrt n): the exact oracle that experiment T6 and the tests
+    measure the streaming black box against. *)
 
 val solve :
-  ?init:Wm_graph.Matching.t ->
-  ?max_phases:int ->
-  Wm_graph.Weighted_graph.t ->
-  left:(int -> bool) ->
-  Wm_graph.Matching.t
+  Wm_graph.Weighted_graph.t -> left:(int -> bool) -> Wm_graph.Matching.t
 (** [solve g ~left] returns a maximum-cardinality matching of the
     bipartite graph [g], whose sides are given by the [left] predicate.
     Raises [Invalid_argument] if some edge does not cross the
-    bipartition.  [?init] seeds the search with an existing matching
-    (useful when the caller wants the augmenting paths relative to a
-    known matching, as in Algorithm 4). *)
-
-val phases_for_delta : float -> int
-(** [phases_for_delta delta] is the phase budget guaranteeing a
-    [(1 - delta)]-approximate matching ([ceil (1/delta)]). *)
+    bipartition. *)

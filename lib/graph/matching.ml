@@ -134,68 +134,3 @@ let is_valid_in m g =
       | Some e' -> Edge.weight e = Edge.weight e'
       | None -> false)
     true m
-
-let symmetric_difference m1 m2 =
-  if n m1 <> n m2 then invalid_arg "Matching.symmetric_difference: size mismatch";
-  let nv = n m1 in
-  let visited = Array.make nv false in
-  let comps = ref [] in
-  (* Common edges (same endpoints in both matchings) isolate their two
-     endpoints; emit them as 2-cycles first. *)
-  for v = 0 to nv - 1 do
-    if not visited.(v) then
-      match (m1.mates.(v), m2.mates.(v)) with
-      | Some e1, Some e2 when Edge.same_endpoints e1 e2 ->
-          let u, w = Edge.endpoints e1 in
-          visited.(u) <- true;
-          visited.(w) <- true;
-          comps := [ e1; e2 ] :: !comps
-      | _ -> ()
-  done;
-  (* The union degree of [v] is 0, 1 or 2: its [m1] and [m2] edges, in
-     that order. *)
-  let degree v =
-    Bool.to_int (Option.is_some m1.mates.(v))
-    + Bool.to_int (Option.is_some m2.mates.(v))
-  in
-  let walk_from start =
-    let acc = ref [] in
-    let v = ref start in
-    (* The edge the walk arrived by; [start] has none. *)
-    let prev = ref None in
-    let fresh = function
-      | Some e as o -> (
-          match !prev with
-          | Some p when Edge.same_endpoints e p -> None
-          | _ -> o)
-      | None -> None
-    in
-    let running = ref true in
-    while !running do
-      visited.(!v) <- true;
-      let next =
-        match fresh m1.mates.(!v) with
-        | Some _ as o -> o
-        | None -> fresh m2.mates.(!v)
-      in
-      match next with
-      | None -> running := false
-      | Some e ->
-          acc := e :: !acc;
-          let u = Edge.other e !v in
-          if visited.(u) then running := false
-          else (
-            prev := next;
-            v := u)
-    done;
-    List.rev !acc
-  in
-  (* Paths: start at vertices of union-degree one. *)
-  for v = 0 to nv - 1 do
-    if (not visited.(v)) && degree v = 1 then comps := walk_from v :: !comps
-  done;
-  (* Cycles: whatever unvisited matched vertices remain. *)
-  for v = 0 to nv - 1 do
-    if (not visited.(v)) && degree v > 0 then comps := walk_from v :: !comps
-  done;
-  !comps

@@ -82,12 +82,3 @@ val is_maximal_in : t -> Weighted_graph.t -> bool
 val is_valid_in : t -> Weighted_graph.t -> bool
 (** Every matching edge is an edge of the graph (same endpoints and
     weight). *)
-
-val symmetric_difference : t -> t -> Edge.t list list
-(** [symmetric_difference m1 m2] decomposes [M1 Δ M2 ∪ (M1 ∩ M2)]
-    into its connected components, returned as edge lists.  Each
-    component is a path or cycle alternating between [m1]- and
-    [m2]-edges (an edge present in both matchings forms its own
-    two-element component, mirroring the paper's footnote that common
-    edges are viewed as 2-cycles).  Edges are listed in path/cycle
-    order. *)

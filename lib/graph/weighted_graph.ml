@@ -174,7 +174,7 @@ let of_array ~n edges =
 
 (* Trusted flat constructor: endpoints/weights come as parallel int
    arrays from a caller that guarantees validity by construction (the
-   layered-graph builder, the scale generators, the text parser), so the
+   scale generators, the text parser), so the
    duplicate pass of [validate] is skipped along with any
    intermediate edge list.  [Edge.make] still normalises endpoint order
    and rejects self-loops and negative weights per edge. *)
@@ -201,7 +201,6 @@ let empty n = of_array ~n [||]
 let n g = g.n
 let m g = Array.length g.edges
 let edges g = g.edges
-let edge_list g = Array.to_list g.edges
 let iter_edges f g = Array.iter f g.edges
 let fold_edges f init g = Array.fold_left f init g.edges
 

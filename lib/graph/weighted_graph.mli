@@ -64,8 +64,9 @@ val of_flat :
     reading only the first [m] slots (the arrays may be larger reusable
     arenas; they are not retained).  {b Trusted}: the caller promises
     there are no parallel edges — the duplicate check of
-    {!of_array} is skipped, which is what makes per-τ-pair layered
-    builds and the million-edge generators allocation-lean.  Endpoint
+    {!of_array} is skipped, which is what keeps the million-edge
+    generators ({!Gen}) and the text parser ({!Graph_io})
+    allocation-lean.  Endpoint
     range, self-loops and negative weights are still rejected.  Edge
     order (hence CSR slice order) follows slot order. *)
 
@@ -80,8 +81,6 @@ val m : t -> int
 
 val edges : t -> Edge.t array
 (** All edges; do not mutate the returned array. *)
-
-val edge_list : t -> Edge.t list
 
 val iter_edges : (Edge.t -> unit) -> t -> unit
 

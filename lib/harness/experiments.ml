@@ -566,8 +566,7 @@ let run_f5 ~quick:_ ~seed =
   in
   let lay = Wm_core.Layered.build tp gp pair ~scale:8.0 in
   let weights =
-    List.sort Int.compare
-      (List.map E.weight (G.edge_list lay.Wm_core.Layered.lgraph))
+    List.sort Int.compare (Array.to_list lay.Wm_core.Layered.w)
   in
   Printf.printf
     "fig1 layered-graph edge weights (filter keeps 4,4,5; drops 2,2): %s\n"
@@ -636,11 +635,9 @@ let run_a1 ~quick ~seed =
               match Wm_core.Layered.build_opt cache pair with
               | Wm_core.Layered.Trivial _ -> ()
               | Wm_core.Layered.Graph lay ->
-                  let m' =
-                    Wm_algos.Approx_bipartite.solve
-                      ~init:lay.Wm_core.Layered.init ~delta:0.1
-                      lay.Wm_core.Layered.lgraph
-                      ~left:(Wm_core.Layered.left lay)
+                  let solved =
+                    Wm_core.Layered.black_box
+                      ~delta:params.Wm_core.Params.delta lay
                   in
                   List.iter
                     (fun path ->
@@ -659,7 +656,7 @@ let run_a1 ~quick ~seed =
                         (fun c ->
                           if not (Wm_core.Aug.is_wellformed c) then incr invalid)
                         cs)
-                    (Wm_core.Layered.augmenting_paths lay m'))
+                    (Wm_core.Layered.augmenting_paths lay solved))
             (Wm_core.Aug_class.candidate_pairs params rng ~inc ~cache gp
                ~scale))
         (Wm_core.Main_alg.scales_for params g)
@@ -755,14 +752,14 @@ let run_t6 ~quick ~seed =
       List.iter
         (fun delta ->
           let s = ES.of_graph g in
-          let r =
+          let m, r =
             Wm_algos.Streaming_bipartite.solve_stream ~delta s
               ~left:(B.halves (n / 2))
           in
           R.row
             [
               R.cell_i n; R.cell_f delta;
-              R.cell_f (fratio (M.size r.Wm_algos.Streaming_bipartite.matching) opt);
+              R.cell_f (fratio (M.size m) opt);
               R.cell_i r.Wm_algos.Streaming_bipartite.passes;
               R.cell_i (Wm_algos.Approx_bipartite.pass_charge ~delta);
               R.cell_i r.Wm_algos.Streaming_bipartite.phases;

@@ -251,32 +251,38 @@ let fig1_layered () =
   check_bool "pair is good" true (Tau.is_good tp pair);
   (gp, Layered.build tp gp pair ~scale)
 
+(* [lay]'s columns as a graph on its compact vertices, and the side of
+   each compact vertex: a copy of an L-vertex, or the sentinel, is on
+   the left. *)
+let graph_of lay =
+  G.of_flat ~n:lay.Layered.n ~m:(Layered.edge_count lay) ~src:lay.Layered.src
+    ~dst:lay.Layered.dst ~w:lay.Layered.w
+
+let edge_of lay i =
+  E.make lay.Layered.src.(i) lay.Layered.dst.(i) lay.Layered.w.(i)
+
+let left_of lay x =
+  x >= Array.length lay.Layered.ids
+  || lay.Layered.side.(lay.Layered.ids.(x) mod lay.Layered.base_n)
+
 let test_layered_structure () =
   let _, lay = fig1_layered () in
   check "three layers" 3 lay.Layered.layer_count;
-  check "init = middle copy of cd" 1 (M.size lay.Layered.init);
+  check "init = middle copy of cd" 1 lay.Layered.x_len;
   (* Edges: the cd copy in layer 2 plus Y edges ac (1->2) and df (2->3). *)
   check "edge count" 3 (Layered.edge_count lay);
   check_bool "bipartite" true
-    (G.is_bipartition lay.Layered.lgraph ~left:(Layered.left lay))
+    (G.is_bipartition (graph_of lay) ~left:(left_of lay))
 
 let test_layered_aug_path_found () =
   let _, lay = fig1_layered () in
-  let m' =
-    Wm_algos.Approx_bipartite.solve ~init:lay.Layered.init ~delta:0.0
-      lay.Layered.lgraph ~left:(Layered.left lay)
-  in
-  match Layered.augmenting_paths lay m' with
-  | [ path ] -> check "three edges" 3 (List.length path)
+  match Layered.augmenting_paths lay (Layered.black_box ~delta:0.0 lay) with
+  | [ path ] -> check "three edges" 3 (List.length path.Layered.weights)
   | l -> Alcotest.failf "expected one augmenting path, got %d" (List.length l)
 
 let test_layered_project_and_decompose () =
   let _, lay = fig1_layered () in
-  let m' =
-    Wm_algos.Approx_bipartite.solve ~init:lay.Layered.init ~delta:0.0
-      lay.Layered.lgraph ~left:(Layered.left lay)
-  in
-  match Layered.augmenting_paths lay m' with
+  match Layered.augmenting_paths lay (Layered.black_box ~delta:0.0 lay) with
   | [ path ] -> (
       let verts, edges = Decompose.project ~base_n:lay.Layered.base_n path in
       check "four vertices" 4 (List.length verts);
@@ -295,8 +301,7 @@ let test_layered_filtering_drops_light_edges () =
   (* Demand unmatched bucket far above any actual edge: no Y edges. *)
   let pair = { Tau.a = [| 0; 2; 0 |]; b = [| 7; 7 |] } in
   let lay = Layered.build tp gp pair ~scale:8.0 in
-  check "only the matched copy survives"
-    (M.size lay.Layered.init)
+  check "only the matched copy survives" lay.Layered.x_len
     (Layered.edge_count lay)
 
 let test_layered_respects_orientation () =
@@ -1061,7 +1066,7 @@ let prop_lemma_3_2 =
               let theirs = List.length (List.filter (fun e -> M.mem opt e) comp) in
               if mine = 1 && theirs = 2 then acc + 1 else acc)
             0
-            (M.symmetric_difference m' opt)
+            (Sb_oracle.symmetric_difference m' opt)
         in
         float_of_int three_augmentable
         >= ((0.5 -. (3.0 *. alpha)) *. float_of_int (M.size opt)) -. 1e-9
@@ -1090,14 +1095,11 @@ let prop_layered_invariants =
       List.for_all
         (fun pair ->
           let lay = Layered.build tp gp pair ~scale in
-          let ok_bip =
-            G.is_bipartition lay.Layered.lgraph ~left:(Layered.left lay)
-          in
+          let edges = List.init (Layered.edge_count lay) (edge_of lay) in
+          let ok_bip = G.is_bipartition (graph_of lay) ~left:(left_of lay) in
           let ok_edges =
-            G.fold_edges
-              (fun ok e ->
-                ok
-                &&
+            List.for_all
+              (fun e ->
                 let x, y = E.endpoints e in
                 let layer v = layer_of ~base_n:n lay.Layered.ids.(v) in
                 let lx = layer x and ly = layer y in
@@ -1113,17 +1115,15 @@ let prop_layered_invariants =
                   abs (lx - ly) = 1
                   && Tau.bucket_down ~granule w = pair.Tau.b.(t - 1)
                 end)
-              true lay.Layered.lgraph
+              edges
           in
           let ok_init =
-            M.fold
-              (fun ok e ->
-                ok
-                &&
+            List.for_all
+              (fun e ->
                 let x, _ = E.endpoints e in
                 let t = layer_of ~base_n:n lay.Layered.ids.(x) in
                 t >= 2 && t <= lay.Layered.layer_count - 1)
-              true lay.Layered.init
+              (List.filteri (fun i _ -> i < lay.Layered.x_len) edges)
           in
           ok_bip && ok_edges && ok_init)
         pairs)
@@ -1380,19 +1380,44 @@ let prop_build_opt_oracle =
                 > List.length
                     (List.filter (fun x -> gp.Layered.side.(x mod n)) ends)
               in
-              let edges = G.edge_list lay.Layered.lgraph in
+              let edges = List.init (Layered.edge_count lay) (edge_of lay) in
               List.length want > x_len
               && List.map (to_layered lay) edges = want
               && ids = ends
-              && G.n lay.Layered.lgraph
-                 = List.length ids + Bool.to_int isolated_left
-              && M.size lay.Layered.init = x_len
-              && List.for_all (M.mem lay.Layered.init) (take x_len edges)))
+              && lay.Layered.n = List.length ids + Bool.to_int isolated_left
+              && lay.Layered.x_len = x_len))
+
+(* [edges] as an [L'] whose vertices [0 .. n - 1] are their own ids,
+   with [M_(L')] its first [x_len] edges. *)
+let identity_layered ~base_n ~layer_count ~side edges x_len =
+  let n = layer_count * base_n in
+  let col f = Array.of_list (List.map f edges) in
+  {
+    Layered.base_n;
+    layer_count;
+    n;
+    src = col (fun e -> fst (E.endpoints e));
+    dst = col (fun e -> snd (E.endpoints e));
+    w = col E.weight;
+    x_len;
+    ids = Array.init n Fun.id;
+    side;
+  }
+
+(* [M'] of a black-box run as (x, y, weight) over layered ids, x < y. *)
+let matched_edges lay (s : Layered.solved) =
+  List.filter_map
+    (fun x ->
+      let y = s.Layered.mate.(x) in
+      if y > x then
+        Some (lay.Layered.ids.(x), lay.Layered.ids.(y), s.Layered.weight.(x))
+      else None)
+    (List.init lay.Layered.n Fun.id)
 
 (* The black box sees the compact [L'] as it saw the (k+1)·n graph: the
-   same matching once mapped back to layered ids, and the same pass
-   count — the isolated left sentinel is what keeps the count when
-   every kept left vertex is matched in [init]. *)
+   same matching and augmenting paths once mapped back to layered ids,
+   and the same pass count — the isolated left sentinel is what keeps
+   the count when every kept left vertex is matched in [M_(L')]. *)
 let prop_compact_black_box =
   QCheck2.Test.make ~name:"black box on compact L' equals the full graph"
     ~count:30
@@ -1403,30 +1428,138 @@ let prop_compact_black_box =
           | Layered.Trivial _ -> true
           | Layered.Graph lay ->
               let want, x_len = reference_build tp gp pair ~scale in
-              let n = G.n gp.Layered.graph in
-              let full = G.create ~n:(lay.Layered.layer_count * n) want in
-              let full_init = M.of_edges (G.n full) (take x_len want) in
+              (* the graph on all (k+1)·n layered vertices *)
+              let full =
+                identity_layered ~base_n:(G.n gp.Layered.graph)
+                  ~layer_count:lay.Layered.layer_count ~side:gp.Layered.side
+                  want x_len
+              in
               let delta = params.Params.delta in
-              let m_full, passes_full =
-                Wm_algos.Approx_bipartite.solve_metered ~init:full_init ~delta
-                  full ~left:(fun x -> gp.Layered.side.(x mod n))
+              let s_full = Layered.black_box ~delta full in
+              let s = Layered.black_box ~delta lay in
+              s.Layered.passes = s_full.Layered.passes
+              && matched_edges lay s = matched_edges full s_full
+              && Layered.augmenting_paths lay s
+                 = Layered.augmenting_paths full s_full))
+
+(* [Layered.black_box] and [Layered.augmenting_paths] against the
+   Matching-based oracle on the same [L']: the same mates and weights,
+   passes and phases, and the same augmenting paths in the same order,
+   each walked from the same end. *)
+let agrees_with_oracle ~delta lay =
+  let g = graph_of lay in
+  let init = M.of_edges lay.Layered.n (take lay.Layered.x_len (Array.to_list (G.edges g))) in
+  let old =
+    Sb_oracle.solve ~init ~n:lay.Layered.n ~left:(left_of lay) ~delta (fun f ->
+        G.iter_edges f g)
+  in
+  let s = Layered.black_box ~delta lay in
+  let m = old.Sb_oracle.matching in
+  let old_paths =
+    List.map
+      (fun comp ->
+        {
+          Layered.verts =
+            List.map (fun x -> lay.Layered.ids.(x)) (Sb_oracle.walk comp);
+          weights = List.map E.weight comp;
+        })
+      (Sb_oracle.augmenting_paths m init)
+  in
+  List.for_all
+    (fun v ->
+      s.Layered.mate.(v) = Option.value (M.mate m v) ~default:(-1)
+      && s.Layered.weight.(v) = M.weight_at m v)
+    (List.init lay.Layered.n Fun.id)
+  && s.Layered.passes = old.Sb_oracle.passes
+  && s.Layered.phases = old.Sb_oracle.phases
+  && Layered.augmenting_paths lay s = old_paths
+
+let oracle_deltas = [ 0.0; 0.1; 0.25 ]
+
+let prop_black_box_oracle_layered =
+  QCheck2.Test.make ~name:"black box = Matching oracle on layered builds"
+    ~count:20
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      for_all_build_cases seed (fun _ _ _ cache pair ~scale:_ ->
+          match Layered.build_opt cache pair with
+          | Layered.Trivial _ -> true
+          | Layered.Graph lay ->
+              List.for_all
+                (fun delta -> agrees_with_oracle ~delta lay)
+                oracle_deltas))
+
+(* A random bipartite graph from a random initial matching, laid out as
+   an [L'] (matched edges first, every vertex its own id); and, in the
+   graph's own edge order, [Streaming_bipartite.solve] against the
+   oracle directly. *)
+let prop_black_box_oracle_bipartite =
+  QCheck2.Test.make ~name:"black box = Matching oracle on bipartite graphs"
+    ~count:150
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = P.create seed in
+      let left = 1 + P.int rng 20 in
+      let g =
+        Gen.random_bipartite rng ~left ~right:(1 + P.int rng 20)
+          ~p:(0.05 +. P.float rng 0.4) ~weights:(Gen.Uniform (1, 9))
+      in
+      let n = G.n g in
+      let init = M.create n in
+      G.iter_edges (fun e -> if P.int rng 3 = 0 then ignore (M.try_add init e)) g;
+      let edges =
+        M.edges init @ List.filter (fun e -> not (M.mem init e)) (Array.to_list (G.edges g))
+      in
+      let lay =
+        identity_layered ~base_n:n ~layer_count:1
+          ~side:(Array.init n (B.halves left))
+          edges (M.size init)
+      in
+      List.for_all
+        (fun delta ->
+          agrees_with_oracle ~delta lay
+          &&
+          let old =
+            Sb_oracle.solve ~init ~n ~left:(B.halves left) ~delta (fun f ->
+                G.iter_edges f g)
+          in
+          let mate = Array.init n (fun v -> Option.value (M.mate init v) ~default:(-1)) in
+          let weight = Array.init n (M.weight_at init) in
+          let r =
+            Wm_algos.Streaming_bipartite.solve ~left:(B.halves left) ~delta ~mate
+              ~weight (fun f -> G.iter_edges (fun e -> f e.E.u e.E.v e.E.w) g)
+          in
+          r.Wm_algos.Streaming_bipartite.passes = old.Sb_oracle.passes
+          && r.Wm_algos.Streaming_bipartite.phases = old.Sb_oracle.phases
+          && List.for_all
+               (fun v ->
+                 mate.(v)
+                 = Option.value (M.mate old.Sb_oracle.matching v) ~default:(-1)
+                 && weight.(v) = M.weight_at old.Sb_oracle.matching v)
+               (List.init n Fun.id))
+        oracle_deltas)
+
+(* The black box as the algorithm runs it, on [L'] from [M_(L')],
+   is within (1 - delta) of a maximum matching of [L']. *)
+let prop_black_box_guarantee =
+  QCheck2.Test.make ~name:"(1-delta) black box guarantee" ~count:20
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      for_all_build_cases seed (fun params _ _ cache pair ~scale:_ ->
+          match Layered.build_opt cache pair with
+          | Layered.Trivial _ -> true
+          | Layered.Graph lay ->
+              let delta = params.Params.delta in
+              let s = Layered.black_box ~delta lay in
+              let size =
+                Array.fold_left (fun k y -> if y >= 0 then k + 1 else k) 0
+                  s.Layered.mate
+                / 2
               in
-              let m', passes =
-                Wm_algos.Approx_bipartite.solve_metered ~init:lay.Layered.init
-                  ~delta lay.Layered.lgraph ~left:(Layered.left lay)
+              let opt =
+                M.size (Wm_exact.Hopcroft_karp.solve (graph_of lay) ~left:(left_of lay))
               in
-              passes = passes_full
-              && List.sort E.compare (List.map (to_layered lay) (M.edges m'))
-                 = M.edges m_full
-              && Layered.augmenting_paths lay m'
-                 = List.filter_map
-                     (fun comp ->
-                       let count mm =
-                         List.length (List.filter (M.mem mm) comp)
-                       in
-                       if count m_full = count full_init + 1 then Some comp
-                       else None)
-                     (M.symmetric_difference m_full full_init)))
+              float_of_int size >= (1.0 -. delta) *. float_of_int opt))
 
 (* The edge scan that [Layered.present] replaced, kept as its oracle:
    the up-buckets [<= cap] of the crossing matched edges and the
@@ -1501,6 +1634,9 @@ let qcheck_tests =
       prop_walk_pairs_oracle;
       prop_build_opt_oracle;
       prop_compact_black_box;
+      prop_black_box_oracle_layered;
+      prop_black_box_oracle_bipartite;
+      prop_black_box_guarantee;
       prop_present_oracle;
       prop_certify_planted_quintuples;
       prop_certify_uniform_cycles;

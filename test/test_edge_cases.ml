@@ -134,23 +134,23 @@ let test_decompose_figure_eight () =
     comps
 
 (* ------------------------------------------------------------------ *)
-(* Streaming black box: phase cap *)
+(* Streaming black box: the per-phase depth cap *)
 
-let test_sb_max_phases () =
+let test_sb_depth_cap () =
   let rng = P.create 91 in
   let g =
     Gen.random_bipartite rng ~left:40 ~right:40 ~p:0.2 ~weights:Gen.Unit_weight
   in
-  let s = ES.of_graph g in
-  let r = SB.solve_stream ~delta:0.0 s ~left:(B.halves 40) in
-  let s2 = ES.of_graph g in
-  let r2 =
-    SB.solve ~max_phases:1 ~n:(G.n g) ~left:(B.halves 40) ~delta:0.0 (fun f ->
-        ES.iter s2 f)
+  let exact, _ = SB.solve_stream ~delta:0.0 (ES.of_graph g) ~left:(B.halves 40) in
+  (* delta = 0.5 caps every phase's BFS at K = 2 levels, so the run
+     stops once no augmenting path of at most 3 edges is left: within
+     1 - 1/(K+1) = 2/3 of the maximum. *)
+  let capped, r =
+    SB.solve_stream ~delta:0.5 (ES.of_graph g) ~left:(B.halves 40)
   in
-  check "one phase" 1 r2.SB.phases;
-  check_bool "capped run not larger" true
-    (M.size r2.SB.matching <= M.size r.SB.matching)
+  check_bool "capped run not larger" true (M.size capped <= M.size exact);
+  check_bool "within 2/3" true (3 * M.size capped >= 2 * M.size exact);
+  check_bool "at most K passes a phase" true (r.SB.passes <= 2 * r.SB.phases + 2)
 
 (* ------------------------------------------------------------------ *)
 (* Local-ratio / stream degenerate inputs *)
@@ -207,13 +207,13 @@ let test_main_alg_fixed_point_on_optimal () =
   check "optimal is a fixed point" (M.weight opt) (M.weight m)
 
 (* ------------------------------------------------------------------ *)
-(* Matching.symmetric_difference with empty sides *)
+(* The symmetric-difference oracle with empty sides *)
 
 let test_symdiff_empty () =
   let m1 = M.create 4 and m2 = M.create 4 in
-  check "no components" 0 (List.length (M.symmetric_difference m1 m2));
+  check "no components" 0 (List.length (Sb_oracle.symmetric_difference m1 m2));
   let m3 = M.of_edges 4 [ E.make 0 1 1 ] in
-  match M.symmetric_difference m3 m1 with
+  match Sb_oracle.symmetric_difference m3 m1 with
   | [ [ _ ] ] -> ()
   | _ -> Alcotest.fail "single-edge component expected"
 
@@ -270,7 +270,7 @@ let () =
         [ Alcotest.test_case "figure eight" `Quick test_decompose_figure_eight ] );
       ( "streaming",
         [
-          Alcotest.test_case "sb phase cap" `Quick test_sb_max_phases;
+          Alcotest.test_case "sb phase cap" `Quick test_sb_depth_cap;
           Alcotest.test_case "lr empty stream" `Quick test_lr_empty_stream;
           Alcotest.test_case "greedy decreasing order" `Quick
             test_greedy_decreasing_order_is_by_weight;

@@ -43,41 +43,6 @@ let test_hk_rejects_non_bipartite_edge () =
     (Invalid_argument "Hopcroft_karp.solve: edge does not cross the bipartition")
     (fun () -> ignore (HK.solve g ~left:(fun _ -> true)))
 
-let test_hk_with_init () =
-  let g = Gen.path_graph [ 1; 1; 1 ] in
-  (* Start from the suboptimal matching {1-2}: HK must still reach 2. *)
-  let init = M.of_edges 4 [ E.make 1 2 1 ] in
-  let m = HK.solve ~init g ~left:(fun v -> v mod 2 = 0) in
-  check "size" 2 (M.size m)
-
-let test_hk_phase_limit_monotone () =
-  let rng = P.create 33 in
-  let g = bip_gen rng ~left:40 ~right:40 ~p:0.1 ~weights:Gen.Unit_weight in
-  let left = B.halves 40 in
-  let full = M.size (HK.solve g ~left) in
-  let one = M.size (HK.solve ~max_phases:1 g ~left) in
-  let three = M.size (HK.solve ~max_phases:3 g ~left) in
-  check_bool "one phase at least half" true (2 * one >= full);
-  check_bool "monotone" true (three >= one);
-  check_bool "bounded" true (three <= full)
-
-let test_hk_phases_for_delta () =
-  check "delta=0.5" 2 (HK.phases_for_delta 0.5);
-  check "delta=0.1" 10 (HK.phases_for_delta 0.1)
-
-let test_hk_phase_limit_guarantee () =
-  (* (1 - 1/(k+1)) guarantee after k phases, checked empirically. *)
-  let rng = P.create 34 in
-  for seed = 0 to 9 do
-    let rng = P.create (seed + P.int rng 1000) in
-    let g = bip_gen rng ~left:30 ~right:30 ~p:0.15 ~weights:Gen.Unit_weight in
-    let left = B.halves 30 in
-    let full = M.size (HK.solve g ~left) in
-    let k = 3 in
-    let approx = M.size (HK.solve ~max_phases:k g ~left) in
-    check_bool "guarantee" true (float_of_int approx >= (1.0 -. (1.0 /. float_of_int (k + 1))) *. float_of_int full)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Hungarian *)
 
@@ -353,11 +318,6 @@ let () =
           Alcotest.test_case "dense perfect" `Quick test_hk_perfect_bipartite;
           Alcotest.test_case "rejects bad side" `Quick
             test_hk_rejects_non_bipartite_edge;
-          Alcotest.test_case "with init" `Quick test_hk_with_init;
-          Alcotest.test_case "phase limit monotone" `Quick
-            test_hk_phase_limit_monotone;
-          Alcotest.test_case "phases_for_delta" `Quick test_hk_phases_for_delta;
-          Alcotest.test_case "phase guarantee" `Quick test_hk_phase_limit_guarantee;
         ] );
       ( "hungarian",
         [
