@@ -307,6 +307,24 @@ let prop_sb_guarantee =
       let opt = M.size (Wm_exact.Hopcroft_karp.solve g ~left:(B.halves left)) in
       float_of_int (M.size m) >= (1.0 -. delta) *. float_of_int opt)
 
+(* The streaming black box on small dense bipartite graphs, the family
+   the guarantee was first checked on. *)
+let prop_black_box_guarantee =
+  QCheck2.Test.make ~name:"(1-delta) black box guarantee" ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = P.create seed in
+      let left = 5 + P.int rng 15 in
+      let g =
+        Gen.random_bipartite rng ~left ~right:left ~p:(0.1 +. P.float rng 0.4)
+          ~weights:Gen.Unit_weight
+      in
+      let opt = M.size (Wm_exact.Hopcroft_karp.solve g ~left:(B.halves left)) in
+      let delta = 0.25 in
+      let m, _ = SB.solve_stream ~delta (ES.of_graph g) ~left:(B.halves left) in
+      M.is_valid_in m g
+      && float_of_int (M.size m) >= (1.0 -. delta) *. float_of_int opt)
+
 (* ------------------------------------------------------------------ *)
 (* Unweighted_random_arrival *)
 
@@ -358,6 +376,7 @@ let qcheck_tests =
       test_ura_never_worse_than_greedy_prefix;
       prop_sb_matches_hopcroft_karp;
       prop_sb_guarantee;
+      prop_black_box_guarantee;
     ]
 
 let () =

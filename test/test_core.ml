@@ -1542,7 +1542,7 @@ let prop_black_box_oracle_bipartite =
 (* The black box as the algorithm runs it, on [L'] from [M_(L')],
    is within (1 - delta) of a maximum matching of [L']. *)
 let prop_black_box_guarantee =
-  QCheck2.Test.make ~name:"(1-delta) black box guarantee" ~count:20
+  QCheck2.Test.make ~name:"black box meets (1-delta) on L'" ~count:20
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       for_all_build_cases seed (fun params _ _ cache pair ~scale:_ ->
