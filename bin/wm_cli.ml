@@ -138,18 +138,19 @@ type algo =
   | Mpc_algo
   | Exact_algo
 
-let algo_conv =
-  Cmdliner.Arg.enum
-    [
-      ("greedy", Greedy_algo);
-      ("local-ratio", Local_ratio_algo);
-      ("random-arrival", Random_arrival_algo);
-      ("unweighted-ra", Unweighted_ra_algo);
-      ("main", Main_algo);
-      ("streaming", Streaming_algo);
-      ("mpc", Mpc_algo);
-      ("exact", Exact_algo);
-    ]
+let algos =
+  [
+    ("greedy", Greedy_algo);
+    ("local-ratio", Local_ratio_algo);
+    ("random-arrival", Random_arrival_algo);
+    ("unweighted-ra", Unweighted_ra_algo);
+    ("main", Main_algo);
+    ("streaming", Streaming_algo);
+    ("mpc", Mpc_algo);
+    ("exact", Exact_algo);
+  ]
+
+let algo_conv = Cmdliner.Arg.enum algos
 
 (* The exact reference is cubic (Hungarian / blossom-style); past a
    thousand vertices it would dominate the run it is meant to grade, so
@@ -162,16 +163,6 @@ let optimum g =
     match Wm_exact.Mwm_general.solve_opt g with
     | Some o -> Some (M.weight o)
     | None -> None
-
-let algo_name = function
-  | Greedy_algo -> "greedy"
-  | Local_ratio_algo -> "local-ratio"
-  | Random_arrival_algo -> "random-arrival"
-  | Unweighted_ra_algo -> "unweighted-ra"
-  | Main_algo -> "main"
-  | Streaming_algo -> "streaming"
-  | Mpc_algo -> "mpc"
-  | Exact_algo -> "exact"
 
 (* Build/load the instance, run one algorithm.  [verbose] guards the
    incidental text output so the [stats] subcommand can emit clean JSON
@@ -253,7 +244,7 @@ let run_json ~g ~algo ~result =
              ("total_weight", Int (G.total_weight g));
              ("digest", Str (Wm_graph.Graph_io.digest g));
            ] );
-       ("algo", Str (algo_name algo));
+       ("algo", Str (fst (List.find (fun (_, a) -> a = algo) algos)));
        ( "matching",
          Obj
            [

@@ -10,7 +10,8 @@ val maximal_stream : Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
     Returns a maximal matching of the streamed graph. *)
 
 val maximal : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
-(** Offline greedy maximal matching in the graph's edge order. *)
+(** Offline greedy maximal matching in the graph's edge order.  No
+    program calls it: it is the tests' oracle for {!maximal_stream}. *)
 
 val by_weight : Wm_graph.Weighted_graph.t -> Wm_graph.Matching.t
 (** Offline greedy on edges sorted by decreasing weight: the classic

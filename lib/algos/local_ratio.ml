@@ -76,7 +76,7 @@ let reset t =
   t.frozen <- false;
   Array.fill t.alpha 0 (Array.length t.alpha) 0
 
-let solve ?eps s =
-  let t = create ?eps ~n:(Wm_stream.Edge_stream.graph_n s) () in
+let solve s =
+  let t = create ~n:(Wm_stream.Edge_stream.graph_n s) () in
   Wm_stream.Edge_stream.iter s (feed t);
   unwind t

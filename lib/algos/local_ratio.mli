@@ -61,5 +61,5 @@ val reset : t -> unit
     zeroes potentials, unfreezes, and releases any still-charged meter
     units.  For reusing one instance (and its meter) across phases. *)
 
-val solve : ?eps:float -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
-(** One-shot: feed one full pass and unwind. *)
+val solve : Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
+(** One-shot: feed one full pass with [eps = 0.] and unwind. *)

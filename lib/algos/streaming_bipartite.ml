@@ -5,12 +5,36 @@ type pass = (int -> int -> int -> unit) -> unit
 
 type result = { passes : int; phases : int }
 
+(* K = ceil(1/delta): a phase's BFS depth cap, and the phase count the
+   charges price.  [delta = 0.] (exact) has no K. *)
+let depth_cap ~fn delta =
+  if delta < 0. then invalid_arg (fn ^ ": negative delta");
+  if delta = 0. then None
+  else Some (Stdlib.max 1 (int_of_float (Float.ceil (1.0 /. delta))))
+
+let charged ~fn delta =
+  match depth_cap ~fn delta with
+  | Some k -> k
+  | None -> invalid_arg (fn ^ ": delta = 0")
+
+let pass_charge ~delta =
+  let k = charged ~fn:"Streaming_bipartite.pass_charge" delta in
+  (k * k) + (2 * k)
+
+let round_charge ~delta ~n =
+  let k = charged ~fn:"Streaming_bipartite.round_charge" delta in
+  let l2 x = Float.log x /. Float.log 2.0 in
+  let loglog =
+    int_of_float (Float.ceil (l2 (Stdlib.max 2.0 (l2 (float_of_int (Stdlib.max 4 n))))))
+  in
+  k * Stdlib.max 1 loglog
+
 let solve ~left ~delta ~mate ~weight pass =
-  if delta < 0. then invalid_arg "Streaming_bipartite.solve: negative delta";
   let n = Array.length mate in
   let cap =
-    if delta = 0. then Stdlib.max 1 n
-    else Stdlib.max 1 (int_of_float (Float.ceil (1.0 /. delta)))
+    match depth_cap ~fn:"Streaming_bipartite.solve" delta with
+    | Some k -> k
+    | None -> Stdlib.max 1 n
   in
   let passes = ref 0 in
   let phases = ref 0 in
@@ -27,48 +51,46 @@ let solve ~left ~delta ~mate ~weight pass =
        until some free right vertex is reached (shortest augmenting
        paths) or the depth cap exhausts. *)
     Array.fill level 0 n (-1);
+    let free_left = ref false in
     for v = 0 to n - 1 do
-      if left v && mate.(v) < 0 then level.(v) <- 0
+      if left v && mate.(v) < 0 then begin
+        level.(v) <- 0;
+        free_left := true
+      end
     done;
     let found_depth = ref (-1) in
     let depth = ref 0 in
-    let dead = ref false in
+    (* The frontier at depth 0 is the free left vertices; below it, the
+       left vertices the last level grew. *)
+    let dead = ref (not !free_left) in
     while !found_depth = -1 && (not !dead) && !depth < cap do
-      (* Is there any left vertex on the current frontier? *)
-      let frontier = ref false in
-      for v = 0 to n - 1 do
-        if level.(v) = 2 * !depth then frontier := true
-      done;
-      if not !frontier then dead := true
-      else begin
-        incr passes;
-        pass (fun u v w ->
-            if left u <> left v then begin
-              let l, r = if left u then (u, v) else (v, u) in
-              if mate.(l) <> r && level.(l) = 2 * !depth && level.(r) = -1
-              then begin
-                level.(r) <- (2 * !depth) + 1;
-                parent.(r) <- l;
-                reach_w.(r) <- w
-              end
-            end);
-        let any_free = ref false in
-        let grew = ref false in
-        for r = 0 to n - 1 do
-          if (not (left r)) && level.(r) = (2 * !depth) + 1 then begin
-            let l' = mate.(r) in
-            if l' < 0 then any_free := true
-            else if level.(l') = -1 then begin
-              level.(l') <- (2 * !depth) + 2;
-              parent.(l') <- r;
-              grew := true
+      incr passes;
+      pass (fun u v w ->
+          if left u <> left v then begin
+            let l, r = if left u then (u, v) else (v, u) in
+            if mate.(l) <> r && level.(l) = 2 * !depth && level.(r) = -1
+            then begin
+              level.(r) <- (2 * !depth) + 1;
+              parent.(r) <- l;
+              reach_w.(r) <- w
             end
+          end);
+      let any_free = ref false in
+      let grew = ref false in
+      for r = 0 to n - 1 do
+        if (not (left r)) && level.(r) = (2 * !depth) + 1 then begin
+          let l' = mate.(r) in
+          if l' < 0 then any_free := true
+          else if level.(l') = -1 then begin
+            level.(l') <- (2 * !depth) + 2;
+            parent.(l') <- r;
+            grew := true
           end
-        done;
-        if !any_free then found_depth := !depth
-        else if not !grew then dead := true
-        else incr depth
-      end
+        end
+      done;
+      if !any_free then found_depth := !depth
+      else if not !grew then dead := true
+      else incr depth
     done;
     if !found_depth = -1 then running := false
     else begin

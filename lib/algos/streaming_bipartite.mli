@@ -9,8 +9,11 @@
     level; when a phase finds none, no such path exists and the matching
     is [(1 - 1/(K+1))]-approximate, hence [(1 - delta)]-approximate.
 
-    Experiment T6 compares its measured pass count against the
-    {!Approx_bipartite.pass_charge} formula the model drivers bill. *)
+    The module also prices the box: the paper consumes it as an opaque
+    subroutine characterised only by its guarantee and its model cost
+    ([U_S] passes / [U_M] rounds).  The MPC driver bills
+    {!round_charge} (DESIGN.md, black-box accounting); experiment T6
+    compares the measured pass count against {!pass_charge}. *)
 
 type pass = (int -> int -> int -> unit) -> unit
 (** One pass over the (bipartite) edge stream: calls the callback once
@@ -43,3 +46,15 @@ val solve_stream :
   Wm_graph.Matching.t * result
 (** {!solve} from the empty matching over a {!Wm_stream.Edge_stream}
     (which meters the passes too), returned as a matching. *)
+
+val pass_charge : delta:float -> int
+(** Streaming passes one invocation costs: one pass per BFS level over
+    [k = ceil(1/delta)] phases, i.e. [sum_(i<=k) (2i+1) = k^2 + 2k]
+    (matching the [O(1/delta^2)]-type bounds of [AG13, EKMS12] up to a
+    [log log] factor).  Raises [Invalid_argument] at [delta = 0.]. *)
+
+val round_charge : delta:float -> n:int -> int
+(** MPC rounds one invocation costs with [~n]-memory machines:
+    [ceil(1/delta) * ceil(log2 (log2 n))], the [O_delta (log log n)]
+    shape of [GGK+18, ABB+19] combined with McGregor's reduction.
+    Raises [Invalid_argument] at [delta = 0.]. *)

@@ -35,7 +35,6 @@ let create ?(meter = Meter.create ()) ?lambda ~n ~mid ~beta () =
     meter;
   }
 
-let lambda t = t.lambda
 
 let feed t e =
   let u, v = E.endpoints e in

@@ -31,9 +31,6 @@ val create :
     support-degree cap (callers use [max_int] for the offline
     keep-everything mode of tiny weight classes, Lemma 3.9). *)
 
-val lambda : t -> int
-(** The per-free-vertex support-degree cap [max 1 (ceil (8/beta))]. *)
-
 val feed : t -> Wm_graph.Edge.t -> unit
 (** Process one arriving edge; edges that do not join a free vertex to a
     matched vertex are ignored. *)

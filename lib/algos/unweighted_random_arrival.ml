@@ -12,9 +12,14 @@ type result = {
   winner : [ `Free_edges | `Greedy | `Three_aug ];
 }
 
-let run ?(p = 0.01) ?(beta = 0.4) ?(meter = Meter.create ()) stream =
+(* The prefix fraction and UNW-3-AUG-PATHS's support-degree knob. *)
+let p = 0.01
+let beta = 0.4
+
+let run stream =
   let n = S.graph_n stream in
   let m_edges = S.length stream in
+  let meter = Meter.create () in
   let cut = int_of_float (Float.ceil (p *. float_of_int m_edges)) in
   let m0 = M.create n in
   let greedy = ref None in
@@ -92,4 +97,4 @@ let run ?(p = 0.01) ?(beta = 0.4) ?(meter = Meter.create ()) stream =
     winner;
   }
 
-let solve ?p ?beta stream = (run ?p ?beta stream).matching
+let solve stream = (run stream).matching

@@ -16,16 +16,11 @@ type result = {
   winner : [ `Free_edges | `Greedy | `Three_aug ];
 }
 
-val run :
-  ?p:float ->
-  ?beta:float ->
-  ?meter:Wm_stream.Space_meter.t ->
-  Wm_stream.Edge_stream.t ->
-  result
-(** [run stream] consumes one pass.  [p] (default [0.01]) is the prefix
-    fraction; [beta] (default [0.4]) tunes the support-degree cap of
-    UNW-3-AUG-PATHS.  The 0.506 guarantee holds in expectation when the
-    stream order is uniformly random. *)
+val run : Wm_stream.Edge_stream.t -> result
+(** [run stream] consumes one pass.  The prefix is the first 1% of the
+    stream, and UNW-3-AUG-PATHS runs with [beta = 0.4] (its
+    support-degree cap).  The 0.506 guarantee holds in expectation when
+    the stream order is uniformly random. *)
 
-val solve : ?p:float -> ?beta:float -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
+val solve : Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
 (** [run] projected to the matching. *)

@@ -5,8 +5,6 @@ type t = Path of E.t list | Cycle of E.t list
 
 let edges = function Path es | Cycle es -> es
 
-let length c = List.length (edges c)
-
 let weight c = List.fold_left (fun acc e -> acc + E.weight e) 0 (edges c)
 
 (* The ordered vertex walk along the structure.  For a path of k edges

@@ -12,10 +12,6 @@ type t =
       (** edges in path order; may start/end with either kind of edge *)
   | Cycle of Wm_graph.Edge.t list  (** edges in cycle order; even length *)
 
-val length : t -> int
-(** Number of edges on the augmentation itself (excluding [C^M]
-    edges that lie off it). *)
-
 val vertices : t -> int list
 (** Vertices of [C], each listed once. *)
 

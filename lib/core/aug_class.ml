@@ -157,7 +157,7 @@ let candidate_pairs params rng ~inc ~cache gp ~scale =
   else begin
     (* Single first-wins dedup over the arrival order (homogeneous
        family, then walk captures, then uniform samples) — the same
-       list the old [Tau.dedup] of the concatenation produced, but the
+       list a first-wins dedup of the concatenation would give, but the
        homogeneous family streams through a scratch pair and only its
        {e new} members are ever materialised. *)
     let seen = Tau.Tbl.create 256 in

@@ -262,7 +262,7 @@ let mpc ?(patience = 4) ?init ?cancel params rng cluster g =
     C.check_load cluster ~machine:0
       ~words:(peak_instance_load r.Main_alg.class_stats);
     C.charge_rounds cluster
-      (Wm_algos.Approx_bipartite.round_charge ~delta:params.Params.delta ~n);
+      (Wm_algos.Streaming_bipartite.round_charge ~delta:params.Params.delta ~n);
     C.charge_rounds cluster 1 (* gather augmentations *);
     r
   in

@@ -8,14 +8,16 @@
     implementation sections:
 
     - streaming: each improvement round costs one pass to materialise
-      the filters plus [U_S = pass_charge delta] passes for the
-      black-box invocations, which all run in parallel across the
-      [(W, tau)] instances; retained memory is metered as the layered
-      graphs' edges plus the matching;
+      the filters plus the measured passes of the slowest black-box
+      invocation, since they all run in parallel across the
+      [(W, tau)] instances (experiment T6 compares that count with
+      {!Wm_algos.Streaming_bipartite.pass_charge}); retained memory is
+      metered as the layered graphs' edges plus the matching;
     - MPC: each round costs the scatter/broadcast/gather choreography of
-      Section 4.4 plus [U_M = round_charge delta n] rounds for the
-      black box; per-machine memory is checked against the cluster
-      capacity.
+      Section 4.4 plus
+      [U_M = ]{!Wm_algos.Streaming_bipartite.round_charge}[ delta n]
+      rounds for the black box; per-machine memory is checked against
+      the cluster capacity.
 
     See DESIGN.md (black-box accounting) for why charges are metered
     rather than induced by a native streaming/MPC execution.

@@ -31,7 +31,7 @@ let default_p ~n ~m =
   let nlogn = 0.5 *. float_of_int n *. Float.log (float_of_int (Stdlib.max 2 n)) in
   Stdlib.min 0.10 (Stdlib.max 0.02 (nlogn /. float_of_int (Stdlib.max 1 m)))
 
-let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
+let run ?p ?(meter = Meter.create ()) ~rng stream =
   Obs.incr c_runs;
   let n = S.graph_n stream in
   let m_edges = S.length stream in
@@ -53,7 +53,7 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
       ];
     LR.freeze lr;
     let w =
-      Wgt_aug_paths.create ?alpha ?beta ~meter ~rng ~m0:(LR.unwind lr) ()
+      Wgt_aug_paths.create ~meter ~rng ~m0:(LR.unwind lr) ()
     in
     wap := Some w;
     w
@@ -135,4 +135,4 @@ let run ?p ?alpha ?beta ?(meter = Meter.create ()) ~rng stream =
     wap = wres;
   }
 
-let solve ?p ~rng stream = (run ?p ~rng stream).matching
+let solve ~rng stream = (run ~rng stream).matching

@@ -23,8 +23,6 @@ type result = {
 
 val run :
   ?p:float ->
-  ?alpha:float ->
-  ?beta:float ->
   ?meter:Wm_stream.Space_meter.t ->
   rng:Wm_graph.Prng.t ->
   Wm_stream.Edge_stream.t ->
@@ -32,10 +30,9 @@ val run :
 (** [run ~rng stream] consumes one pass.  [p] defaults to
     [n ln n / (2 m)] clamped to [[0.02, 0.10]] — enough prefix for the
     potentials to settle (the paper's asymptotic [p = 100 / log n])
-    while keeping the retained set [T] within the memory budget;
-    [alpha] and [beta] are passed to {!Wgt_aug_paths}.  The [(1/2 + c)]
-    guarantee holds in expectation when the stream order is uniformly
-    random.
+    while keeping the retained set [T] within the memory budget.  The
+    [(1/2 + c)] guarantee holds in expectation when the stream order is
+    uniformly random.
 
     Each run appends [prefix] and [suffix] rows to the
     [core.random_arrival] section of {!Wm_obs.Ledger.default} carrying
@@ -47,5 +44,4 @@ val run :
     [suffix], [m1] (the exact solve on [T], entered only when [T] is
     non-empty) and [finalize]. *)
 
-val solve :
-  ?p:float -> rng:Wm_graph.Prng.t -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t
+val solve : rng:Wm_graph.Prng.t -> Wm_stream.Edge_stream.t -> Wm_graph.Matching.t

@@ -11,8 +11,6 @@ let max_granules p = int_of_float ((1.0 +. p.slack) /. p.granularity)
 
 type pair = { a : int array; b : int array }
 
-let layers pair = Array.length pair.a
-
 (* Goodness of the pair formed by the first [la] entries of [a] and
    the first [lb] of [b] — index loops over the prefixes, so a caller
    accumulating thresholds in scratch arrays tests a candidate before

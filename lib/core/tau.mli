@@ -43,9 +43,6 @@ type pair = { a : int array; b : int array }
 (** Threshold vectors in granule units: [tau^A_i = a.(i) * granularity],
     [tau^B_j = b.(j) * granularity]. *)
 
-val layers : pair -> int
-(** [|tau^A|], the number of layers of the corresponding layered graph. *)
-
 val is_good : params -> pair -> bool
 
 val is_good_prefix :
@@ -87,10 +84,6 @@ val sample :
 
 module Tbl : Hashtbl.S with type key = pair
 (** Hash tables keyed by a pair's contents. *)
-
-val dedup : pair list -> pair list
-(** First occurrence of each pair's contents, in order. *)
-
 
 val capture_path : params -> a_buckets:int list -> b_buckets:int list -> pair option
 (** Lemma 4.12 (path case): the pair whose layered graph contains a path

@@ -4,10 +4,6 @@ let doubling_class w =
   let rec bits acc w = if w = 0 then acc else bits (acc + 1) (w lsr 1) in
   bits 0 w
 
-let doubling_lower i =
-  if i < 1 then invalid_arg "Weight_class.doubling_lower: class < 1";
-  1 lsl (i - 1)
-
 let geometric_scales ~ratio ~max_value =
   if ratio <= 1.0 then invalid_arg "Weight_class.geometric_scales: ratio <= 1";
   let rec build acc scale =

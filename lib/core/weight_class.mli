@@ -9,9 +9,6 @@ val doubling_class : int -> int
 (** [doubling_class w] is the unique [i >= 1] with
     [2^(i-1) <= w < 2^i]; requires [w >= 1]. *)
 
-val doubling_lower : int -> int
-(** [doubling_lower i = 2^(i-1)], the smallest weight in class [i]. *)
-
 val geometric_scales : ratio:float -> max_value:float -> float list
 (** [geometric_scales ~ratio ~max_value] is the increasing list
     [ratio^0, ratio^1, ...] up to the first scale [>= max_value]

@@ -24,7 +24,6 @@ type result = {
 
 type t = {
   m0 : M.t;
-  alpha : float;
   marked_at : bool array; (* vertex is covered by a marked M0 edge *)
   marked : int;
   instances : (int, U3.t) Hashtbl.t; (* weight class -> UNW-3-AUG-PATHS *)
@@ -38,8 +37,13 @@ type t = {
   mutable forwarded : int;
 }
 
-let create ?(alpha = 0.02) ?(beta = 0.4) ?(lr_eps = 0.5) ?(mark_prob = 0.5)
-    ?(meter = Meter.create ()) ~rng ~m0 () =
+(* The paper's excess-weight slack, the UNW-3-AUG-PATHS support knob,
+   and the local-ratio truncation of the excess-weight matcher. *)
+let alpha = 0.02
+let beta = 0.4
+let lr_eps = 0.5
+
+let create ?(mark_prob = 0.5) ?(meter = Meter.create ()) ~rng ~m0 () =
   let n = M.n m0 in
   let marked_at = Array.make n false in
   let by_class = Hashtbl.create 16 in
@@ -72,7 +76,6 @@ let create ?(alpha = 0.02) ?(beta = 0.4) ?(lr_eps = 0.5) ?(mark_prob = 0.5)
   Obs.add c_marked !marked;
   {
     m0 = M.copy m0;
-    alpha;
     marked_at;
     marked = !marked;
     instances;
@@ -113,7 +116,7 @@ let feed t e =
   end;
   (* Lines 9–15: small-excess edges are filtered towards the
      3-augmentation instances of their own weight class. *)
-  if w <= (1. +. t.alpha) *. base && E.weight e >= 1 then begin
+  if w <= (1. +. alpha) *. base && E.weight e >= 1 then begin
     let forward () =
       t.forwarded <- t.forwarded + 1;
       Obs.incr c_forwarded;
@@ -124,7 +127,7 @@ let feed t e =
       | None -> ()
     in
     let threshold w_marked w_other =
-      (1. +. (2. *. t.alpha))
+      (1. +. (2. *. alpha))
       *. ((float_of_int w_marked /. 2.) +. float_of_int w_other)
     in
     if t.marked_at.(u) && not t.marked_at.(v) then begin

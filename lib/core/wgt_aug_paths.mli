@@ -26,22 +26,18 @@ type result = {
 type t
 
 val create :
-  ?alpha:float ->
-  ?beta:float ->
-  ?lr_eps:float ->
   ?mark_prob:float ->
   ?meter:Wm_stream.Space_meter.t ->
   rng:Wm_graph.Prng.t ->
   m0:Wm_graph.Matching.t ->
   unit ->
   t
-(** [create ~rng ~m0 ()] initialises the algorithm.  [alpha] (default
-    [0.02], the paper's setting) controls the excess-weight slack;
-    [beta] (default [0.4]) is handed to the UNW-3-AUG-PATHS instances;
-    [lr_eps] (default [0.5]) is the local-ratio truncation used by the
-    constant-factor excess-weight matcher; [mark_prob] (default [0.5],
-    the paper's value) is the middle-edge marking probability — exposed
-    for the ablation experiment A2. *)
+(** [create ~rng ~m0 ()] initialises the algorithm with the paper's
+    excess-weight slack [alpha = 0.02], [beta = 0.4] for the
+    UNW-3-AUG-PATHS instances, and local-ratio truncation [eps = 0.5]
+    for the constant-factor excess-weight matcher.  [mark_prob]
+    (default [0.5], the paper's value) is the middle-edge marking
+    probability — exposed for the ablation experiment A2. *)
 
 val feed : t -> Wm_graph.Edge.t -> unit
 (** Process one arriving edge (lines 6–15). *)

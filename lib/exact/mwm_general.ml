@@ -13,14 +13,17 @@ let solve_opt g =
   | Some side -> Some (Hungarian.solve g ~left:(fun v -> side.(v)))
   | None -> if G.n g <= blossom_cap then Some (Weighted_blossom.solve g) else None
 
-(* Greedy by decreasing weight followed by exhaustive 1-augmentations:
-   replace up to two incident matched edges by a heavier outside edge
-   while any such swap gains weight. *)
+(* Greedy by decreasing weight (the matching [Wm_algos.Greedy.by_weight]
+   builds; that library sits above this one) followed by exhaustive
+   1-augmentations: replace up to two incident matched edges by a
+   heavier outside edge while any such swap gains weight.  Both run in
+   canonical edge order, so the bound depends on the edge set alone. *)
 let greedy_plus_swaps g =
-  let edges = Array.copy (G.edges g) in
-  Array.sort (fun a b -> Int.compare (E.weight b) (E.weight a)) edges;
+  let edges = G.canonical_edges g in
   let m = M.create (G.n g) in
-  Array.iter (fun e -> ignore (M.try_add m e)) edges;
+  Array.iter
+    (fun e -> ignore (M.try_add m e))
+    (E.sort_by_weight ~descending:true edges);
   let improved = ref true in
   while !improved do
     improved := false;

@@ -103,14 +103,10 @@ val tamper_array :
     {!has_record_faults} is false.  Per-batch totals are recorded as one
     ledger row when any fault struck. *)
 
-val count_drop : t -> int -> unit
-(** Record [n] dropped records against this injector's counters/ledger
-    (for call sites that stream records one at a time rather than
-    through {!tamper_array}). *)
-
-val count_dup : t -> int -> unit
-
 val count_corrupt : t -> int -> unit
+(** Record [n] corrupted records against this injector's counters (for
+    a call site that decides a fault with {!record_fault} rather than
+    through {!tamper_array}). *)
 
 (** {1 Reporting} *)
 

@@ -25,8 +25,6 @@ let compare e f =
     let c = Int.compare e.v f.v in
     if c <> 0 then c else Int.compare e.w f.w
 
-let equal e f = compare e f = 0
-
 let reweight e w =
   if w < 0 then invalid_arg "Edge.reweight: negative weight";
   { e with w }

@@ -31,8 +31,6 @@ val same_endpoints : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: by endpoints, then weight. *)
 
-val equal : t -> t -> bool
-
 val reweight : t -> int -> t
 (** [reweight e w] is [e] with weight [w]. *)
 

@@ -112,11 +112,6 @@ let fold f init m =
 
 let edges m = List.rev (fold (fun acc e -> e :: acc) [] m)
 
-let equal m1 m2 =
-  n m1 = n m2
-  && size m1 = size m2
-  && fold (fun ok e -> ok && mem m2 e && weight_at m2 (fst (Edge.endpoints e)) = Edge.weight e) true m1
-
 let is_maximal_in m g =
   Weighted_graph.fold_edges
     (fun ok e ->

@@ -73,9 +73,6 @@ val iter : (Edge.t -> unit) -> t -> unit
 
 val fold : ('a -> Edge.t -> 'a) -> 'a -> t -> 'a
 
-val equal : t -> t -> bool
-(** Equality as edge sets (weights included). *)
-
 val is_maximal_in : t -> Weighted_graph.t -> bool
 (** No graph edge has both endpoints free. *)
 

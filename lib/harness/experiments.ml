@@ -761,7 +761,7 @@ let run_t6 ~quick ~seed =
               R.cell_i n; R.cell_f delta;
               R.cell_f (fratio (M.size m) opt);
               R.cell_i r.Wm_algos.Streaming_bipartite.passes;
-              R.cell_i (Wm_algos.Approx_bipartite.pass_charge ~delta);
+              R.cell_i (Wm_algos.Streaming_bipartite.pass_charge ~delta);
               R.cell_i r.Wm_algos.Streaming_bipartite.phases;
             ])
         [ 0.5; 0.25; 0.1 ])

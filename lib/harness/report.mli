@@ -20,7 +20,8 @@ val table_header : string list -> unit
 
 type cell = Int of int | Float of float | Str of string
 (** A table cell.  The typed value is what BENCH_v1 reports carry; the
-    text table prints it through {!cell_text}. *)
+    text table prints ints in decimal, floats with 4 decimals and
+    strings as they are, each padded to the 12-char column. *)
 
 val row : cell list -> unit
 
@@ -29,10 +30,6 @@ val cell_f : float -> cell
 val cell_i : int -> cell
 
 val cell_s : string -> cell
-
-val cell_text : cell -> string
-(** The printed form: ints in decimal, floats with 4 decimals, strings
-    as they are (each padded to the 12-char column by {!row}). *)
 
 val note : string -> unit
 (** Print a wrapped "shape:" footnote. *)

@@ -109,14 +109,6 @@ let broadcast t ~words =
   op_row t ~label:"broadcast" ~rounds:2 ~words:(words * t.machines)
     ~max_load:words
 
-let run_round t f shard_inputs =
-  if Array.length shard_inputs <> t.machines then
-    invalid_arg "Cluster.run_round: one input per machine expected";
-  charge_rounds t 1;
-  inject t ~site:"compute";
-  op_row t ~label:"compute" ~rounds:1 ~words:0 ~max_load:0;
-  Array.map f shard_inputs
-
 let checkpoint t ~words =
   (* Replicating the checkpoint to every machine costs one round, and
      each machine must be able to hold it alongside nothing else (the

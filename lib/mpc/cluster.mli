@@ -62,11 +62,6 @@ val broadcast : t -> words:int -> unit
     (Section 4.4's MPC implementation detail): two rounds, and every
     machine must be able to hold the broadcast data. *)
 
-val run_round : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [run_round t f shard_inputs] executes one synchronous round: [f] is
-    applied to each machine's input (machine [i] gets
-    [shard_inputs.(i mod machines)]). *)
-
 (** {1 Faults and recovery} *)
 
 val faults : t -> Wm_fault.Injector.t

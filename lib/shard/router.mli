@@ -37,7 +37,9 @@ val create :
 
 val server : t -> Wm_serve.Server.t
 (** The fronting server — feed it lines ({!Wm_serve.Server.handle_line}
-    / {!Wm_serve.Server.run}) exactly as in single-process mode. *)
+    / {!Wm_serve.Server.run}) exactly as in single-process mode.  No
+    program calls it ({!serve} runs the server itself): it is how the
+    tests drive a router in process, over in-process workers. *)
 
 val migrations : t -> int
 (** Sessions whose mutation re-key moved them to a different home

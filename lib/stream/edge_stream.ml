@@ -9,7 +9,6 @@ type order =
   | Decreasing_weight
 
 module Obs = Wm_obs.Obs
-module Ledger = Wm_obs.Ledger
 
 let c_streams = Obs.counter Obs.default "stream.created"
 let c_passes = Obs.counter Obs.default "stream.passes"
@@ -56,65 +55,21 @@ let graph_n t = t.n
 let length t = Array.length t.edges
 let passes t = t.passes
 
-(* Deliver one record under the stream's fault plan.  [emit] receives
-   each delivered edge; returns the per-pass (dropped, duplicated,
-   corrupted) tallies. *)
-let deliver t e emit =
-  match Injector.record_fault t.faults with
-  | Injector.Keep ->
-      emit e;
-      (0, 0, 0)
-  | Injector.Drop -> (1, 0, 0)
-  | Injector.Duplicate ->
-      emit e;
-      emit e;
-      (0, 1, 0)
-  | Injector.Corrupt ->
-      emit (E.reweight e (Injector.corrupt_weight t.faults (E.weight e)));
-      (0, 0, 1)
-
-let faulty_pass t f =
-  let dropped = ref 0 and duped = ref 0 and corrupted = ref 0 in
-  Array.iter
-    (fun e ->
-      let d, u, c = deliver t e f in
-      dropped := !dropped + d;
-      duped := !duped + u;
-      corrupted := !corrupted + c)
-    t.edges;
-  Injector.count_drop t.faults !dropped;
-  Injector.count_dup t.faults !duped;
-  Injector.count_corrupt t.faults !corrupted;
-  if !dropped + !duped + !corrupted > 0 then
-    Ledger.record ~label:"pass" Ledger.default ~section:"stream.faults"
-      [
-        ("pass", t.passes);
-        ("dropped", !dropped);
-        ("duplicated", !duped);
-        ("corrupted", !corrupted);
-      ]
-
-let iter t f =
+(* Start a pass: the records as delivered under the stream's fault
+   plan ([t.edges] itself when it has no record faults). *)
+let pass t =
   t.passes <- t.passes + 1;
   Obs.incr c_passes;
   Obs.add c_edges_seen (Array.length t.edges);
-  if Injector.has_record_faults t.faults then faulty_pass t f
-  else Array.iter f t.edges
+  let corrupt inj e = E.reweight e (Injector.corrupt_weight inj (E.weight e)) in
+  Injector.tamper_array ~corrupt t.faults ~site:"pass" ~at:t.passes t.edges
 
-let iteri t f =
-  t.passes <- t.passes + 1;
-  Obs.incr c_passes;
-  Obs.add c_edges_seen (Array.length t.edges);
-  if Injector.has_record_faults t.faults then begin
-    (* Positions number the records as delivered, so consumers see a
-       gapless arrival sequence even when records were dropped or
-       duplicated upstream. *)
-    let pos = ref 0 in
-    faulty_pass t (fun e ->
-        f !pos e;
-        incr pos)
-  end
-  else Array.iteri f t.edges
+let iter t f = Array.iter f (pass t)
+
+(* Positions number the records as delivered, so consumers see a
+   gapless arrival sequence even when records were dropped or
+   duplicated upstream. *)
+let iteri t f = Array.iteri f (pass t)
 
 let charge_passes t k =
   if k < 0 then invalid_arg "Edge_stream.charge_passes: negative";

@@ -11,7 +11,8 @@
     are delivered — the decision stream is drawn from the stream's own
     injector, so two streams built from the same spec misbehave
     identically at any [--jobs].  Per-pass tallies land in the
-    [stream.faults] ledger section.  {!to_ordered_graph} always returns
+    [stream.faults] ledger section, as a [tamper@pass] row whose [at]
+    field is the pass number.  {!to_ordered_graph} always returns
     the {e true} underlying graph — ground-truth solvers must not see
     injected noise. *)
 

@@ -23,7 +23,6 @@ let release t k =
   if k > t.current then invalid_arg "Space_meter.release: below zero";
   t.current <- t.current - k
 
-let current t = t.current
 let peak t = t.peak
 
 (* The next pass's peak starts at the carried-over holding, not zero:

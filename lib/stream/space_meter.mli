@@ -16,10 +16,8 @@ val release : t -> int -> unit
 (** [release t k] records that [k] words were dropped.
     Raises [Invalid_argument] if more is released than held. *)
 
-val current : t -> int
-
 val peak : t -> int
-(** Highest value [current] ever reached. *)
+(** Highest holding ever reached. *)
 
 val checkpoint : t -> int
 (** [checkpoint t] closes the current accounting pass: it returns the

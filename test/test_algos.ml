@@ -1,4 +1,4 @@
-(* Tests for wm_algos: Greedy, Local_ratio, Unw3aug, Approx_bipartite,
+(* Tests for wm_algos: Greedy, Local_ratio, Unw3aug, Streaming_bipartite,
    Unweighted_random_arrival. *)
 
 module E = Wm_graph.Edge
@@ -12,12 +12,16 @@ module Meter = Wm_stream.Space_meter
 module Greedy = Wm_algos.Greedy
 module LR = Wm_algos.Local_ratio
 module U3 = Wm_algos.Unw3aug
-module AB = Wm_algos.Approx_bipartite
 module URA = Wm_algos.Unweighted_random_arrival
 module SB = Wm_algos.Streaming_bipartite
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* A meter's holding: a checkpoint restarts the pass peak at it. *)
+let held m =
+  ignore (Meter.checkpoint m);
+  Meter.checkpoint m
 
 (* ------------------------------------------------------------------ *)
 (* Greedy *)
@@ -109,11 +113,11 @@ let test_lr_meter_released_on_unwind () =
   let t = LR.create ~meter ~n:6 () in
   LR.feed t (E.make 0 1 5);
   LR.feed t (E.make 2 3 5);
-  check "held while stacked" 2 (Meter.current meter);
+  check "held while stacked" 2 (held meter);
   ignore (LR.unwind t);
-  check "released on unwind" 0 (Meter.current meter);
+  check "released on unwind" 0 (held meter);
   ignore (LR.unwind t);
-  check "second unwind releases nothing" 0 (Meter.current meter);
+  check "second unwind releases nothing" 0 (held meter);
   check "peak preserved" 2 (Meter.peak meter)
 
 let test_lr_reset_reuses_instance () =
@@ -122,7 +126,7 @@ let test_lr_reset_reuses_instance () =
   LR.feed t (E.make 0 1 5);
   LR.freeze t;
   LR.reset t;
-  check "meter drained by reset" 0 (Meter.current meter);
+  check "meter drained by reset" 0 (held meter);
   check "stack cleared" 0 (LR.stack_size t);
   (* A reused instance accepts edges the old potentials would block. *)
   check_bool "accepts light edge after reset" true
@@ -205,7 +209,8 @@ let test_u3_space_bound () =
   let t = U3.create ~n:(G.n g) ~mid ~beta:0.5 () in
   G.iter_edges (fun e -> if not (M.mem mid e) then U3.feed t e) g;
   check_bool "support linear in |M|" true
-    (U3.support_size t <= (U3.lambda t + 2) * 2 * M.size mid)
+    (* lambda = ceil (8 / beta) = 16 *)
+    (U3.support_size t <= (16 + 2) * 2 * M.size mid)
 
 let test_u3_ignores_matched_matched () =
   let mid = M.of_edges 4 [ E.make 0 1 1; E.make 2 3 1 ] in
@@ -220,22 +225,19 @@ let test_u3_bad_beta () =
       ignore (U3.create ~n:4 ~mid:(M.create 4) ~beta:0.0 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Approx_bipartite *)
-
-let test_ab_charges () =
-  (* k = ceil(1/delta) = 4: passes = 16 + 8 = 24. *)
-  check "pass charge" 24 (AB.pass_charge ~delta:0.25);
-  check_bool "round charge positive" true (AB.round_charge ~delta:0.25 ~n:1000 > 0);
-  check_bool "round charge grows with 1/delta" true
-    (AB.round_charge ~delta:0.1 ~n:1000 > AB.round_charge ~delta:0.5 ~n:1000)
-
-let test_ab_zero_delta_charge_raises () =
-  Alcotest.check_raises "pass charge at 0"
-    (Invalid_argument "Approx_bipartite.pass_charge: delta = 0") (fun () ->
-      ignore (AB.pass_charge ~delta:0.0))
-
-(* ------------------------------------------------------------------ *)
 (* Streaming_bipartite *)
+
+let test_sb_charges () =
+  (* k = ceil(1/delta) = 4: passes = 16 + 8 = 24. *)
+  check "pass charge" 24 (SB.pass_charge ~delta:0.25);
+  check_bool "round charge positive" true (SB.round_charge ~delta:0.25 ~n:1000 > 0);
+  check_bool "round charge grows with 1/delta" true
+    (SB.round_charge ~delta:0.1 ~n:1000 > SB.round_charge ~delta:0.5 ~n:1000)
+
+let test_sb_zero_delta_charge_raises () =
+  Alcotest.check_raises "pass charge at 0"
+    (Invalid_argument "Streaming_bipartite.pass_charge: delta = 0") (fun () ->
+      ignore (SB.pass_charge ~delta:0.0))
 
 let test_sb_exact_on_path () =
   let g = Gen.path_graph [ 1; 1; 1 ] in
@@ -413,14 +415,11 @@ let () =
             test_u3_ignores_matched_matched;
           Alcotest.test_case "bad beta" `Quick test_u3_bad_beta;
         ] );
-      ( "approx_bipartite",
-        [
-          Alcotest.test_case "charges" `Quick test_ab_charges;
-          Alcotest.test_case "zero delta raises" `Quick
-            test_ab_zero_delta_charge_raises;
-        ] );
       ( "streaming_bipartite",
         [
+          Alcotest.test_case "charges" `Quick test_sb_charges;
+          Alcotest.test_case "zero delta raises" `Quick
+            test_sb_zero_delta_charge_raises;
           Alcotest.test_case "exact on path" `Quick test_sb_exact_on_path;
           Alcotest.test_case "pass metering" `Quick test_sb_memoryless_passes;
           Alcotest.test_case "with init" `Quick test_sb_with_init;

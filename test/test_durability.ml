@@ -485,7 +485,7 @@ let prop_graph_binary_roundtrip =
       let g' = IO.of_binary (IO.to_binary g) in
       G.n g = G.n g' && G.m g = G.m g'
       && IO.digest g = IO.digest g'
-      && Array.for_all2 E.equal (G.edges (G.canonical g)) (G.edges g'))
+      && Array.for_all2 ( = ) (G.edges (G.canonical g)) (G.edges g'))
 
 let prop_matching_binary_roundtrip =
   QCheck2.Test.make ~name:"binary matching codec round-trips" ~count:200
@@ -495,7 +495,7 @@ let prop_matching_binary_roundtrip =
       let m' = IO.matching_of_binary (IO.matching_to_binary m) in
       M.size m = M.size m'
       && M.weight m = M.weight m'
-      && List.for_all2 E.equal
+      && List.for_all2 ( = )
            (List.sort E.compare (M.edges m))
            (List.sort E.compare (M.edges m')))
 

@@ -98,8 +98,12 @@ let test_aug_cycle_vertices_unique () =
 (* ------------------------------------------------------------------ *)
 (* Tau *)
 
-let test_tau_layers_accessor () =
-  check "layers" 3 (Tau.layers { Tau.a = [| 0; 2; 0 |]; b = [| 2; 2 |] })
+let test_tau_layer_bound () =
+  (* Constraint (A): a pair has at most [max_layers] layers. *)
+  let pr = { Tau.a = [| 0; 2; 0 |]; b = [| 2; 2 |] } in
+  let params max_layers = Tau.make_params ~granularity:0.25 ~max_layers ~slack:0.0 in
+  check_bool "3 layers fit 3" true (Tau.is_good (params 3) pr);
+  check_bool "3 layers exceed 2" false (Tau.is_good (params 2) pr)
 
 (* ------------------------------------------------------------------ *)
 (* Weight_class properties *)
@@ -264,7 +268,7 @@ let () =
         ] );
       ( "tau",
         [
-          Alcotest.test_case "layers" `Quick test_tau_layers_accessor;
+          Alcotest.test_case "layers" `Quick test_tau_layer_bound;
         ] );
       ( "decompose",
         [ Alcotest.test_case "figure eight" `Quick test_decompose_figure_eight ] );

@@ -188,6 +188,23 @@ let test_mwm_lower_bound_sane () =
   check_bool "valid" true (M.is_valid_in lb g);
   check_bool "maximal" true (M.is_maximal_in lb g)
 
+let test_mwm_lower_bound_order_free () =
+  (* Past the blossom cap a non-bipartite graph gets the greedy-and-swaps
+     bound; on equal-weight triangles it must not depend on edge order. *)
+  let n = 20_001 in
+  let edges =
+    List.concat_map
+      (fun k ->
+        let a = 3 * k in
+        [ E.make a (a + 1) 5; E.make (a + 1) (a + 2) 5; E.make a (a + 2) 5;
+          E.make (a + 2) (a + 3) (1 + (k mod 3)) ])
+      (List.init 300 Fun.id)
+  in
+  let lb = Mwm.lower_bound (G.create ~n edges) in
+  let lb' = Mwm.lower_bound (G.create ~n (List.rev edges)) in
+  check_bool "valid" true (M.is_valid_in lb (G.create ~n edges));
+  check_bool "same bound in either order" true (M.edges lb = M.edges lb')
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation properties *)
 
@@ -354,6 +371,8 @@ let () =
           Alcotest.test_case "bipartite dispatch" `Quick test_mwm_dispatch_bipartite;
           Alcotest.test_case "small dispatch" `Quick test_mwm_dispatch_small;
           Alcotest.test_case "lower bound" `Quick test_mwm_lower_bound_sane;
+          Alcotest.test_case "lower bound order-free past the cap" `Quick
+            test_mwm_lower_bound_order_free;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -129,7 +129,7 @@ let test_mpc_crash_recovery_same_weight () =
     run_stream { Spec.none with Spec.seed = 2; crash = 0.2; max_attempts = 12 }
   in
   check_bool "streaming returns the fault-free matching" true
-    (M.equal free.MD.matching faulty.MD.matching);
+    (M.edges free.MD.matching = M.edges faulty.MD.matching);
   check_bool "streaming plan injected crashes" true
     (counter "fault.crashes" > crashes0);
   check_bool "crashes cost extra passes" true

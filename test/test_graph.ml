@@ -109,7 +109,7 @@ let test_edge_other () =
   check "other 2" 1 (E.other e 2)
 
 let test_edge_order_irrelevant_for_equality () =
-  check_bool "normalised equal" true (E.equal (E.make 4 1 9) (E.make 1 4 9))
+  check_bool "normalised equal" true (E.make 4 1 9 = E.make 1 4 9)
 
 (* ------------------------------------------------------------------ *)
 (* Weighted_graph *)
@@ -640,7 +640,7 @@ let test_io_digest_invariance () =
 let test_io_matching_roundtrip () =
   let m = M.of_edges 5 [ E.make 0 1 4; E.make 2 3 6 ] in
   let m' = IO.matching_of_binary (IO.matching_to_binary m) in
-  check_bool "equal" true (M.equal m m')
+  check_bool "equal" true (M.edges m = M.edges m')
 
 let test_io_file_roundtrip () =
   let rng = P.create 77 in
@@ -734,7 +734,7 @@ let prop_io_roundtrip =
     gen_small_graph (fun g ->
       let g' = IO.of_string (IO.to_string g) in
       G.n g = G.n g' && G.m g = G.m g'
-      && Array.for_all2 E.equal (G.edges g) (G.edges g'))
+      && Array.for_all2 ( = ) (G.edges g) (G.edges g'))
 
 (* One random corruption of a serialised graph's lines: a bad token, a
    dropped, duplicated or self-looped line, leading garbage, or a
@@ -885,7 +885,7 @@ let prop_io_matches_oracle =
           let equal edges g =
             G.n g = G.n want
             && Array.length edges = G.m g
-            && Array.for_all2 E.equal edges (G.edges g)
+            && Array.for_all2 ( = ) edges (G.edges g)
           in
           (match outcome IO.of_string s with
           | Ok g -> equal (G.edges want) g
@@ -1004,7 +1004,7 @@ let prop_digest_matches_reference =
            (fun g' ->
              IO.digest g' = d
              && G.n g' = n
-             && Array.for_all2 E.equal (G.edges canonical) (G.edges g'))
+             && Array.for_all2 ( = ) (G.edges canonical) (G.edges g'))
            [ patched base; patched (G.canonical base); decoded ])
 
 (* On a canonical graph [find_edge] binary-searches the edge array; it
@@ -1036,7 +1036,7 @@ let prop_find_edge_matches_scan =
       List.for_all
         (fun (u, v) ->
           let want = scan u v in
-          Option.equal E.equal (G.find_edge c u v) want
+          G.find_edge c u v = want
           && G.mem_edge c u v = Option.is_some want)
         queries)
 
@@ -1057,7 +1057,7 @@ let prop_canonical_fresh_records =
       Array.sort E.compare sorted;
       G.canonical c == c
       && G.n c = n
-      && Array.for_all2 E.equal sorted (G.edges c)
+      && Array.for_all2 ( = ) sorted (G.edges c)
       && (c == g
          || Array.for_all
               (fun (e : E.t) ->

@@ -33,10 +33,29 @@ let test_mean () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (R.mean [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check (float 1e-9)) "mean empty" 0.0 (R.mean [])
 
+(* What [R.row] prints, read back from a temporary file behind stdout. *)
+let printed_row cells =
+  let path = Filename.temp_file "wm_report" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    (fun () -> R.row cells);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
 let test_cells () =
-  Alcotest.(check string) "float cell" "0.1235"
-    (R.cell_text (R.cell_f 0.12349));
-  Alcotest.(check string) "int cell" "42" (R.cell_text (R.cell_i 42))
+  (* Floats with 4 decimals, ints in decimal, each padded to 12. *)
+  Alcotest.(check string) "printed row"
+    "0.1235       42           x           \n"
+    (printed_row [ R.cell_f 0.12349; R.cell_i 42; R.cell_s "x" ])
 
 (* ------------------------------------------------------------------ *)
 (* Bench_diff: the regression gate's comparison logic. *)

@@ -57,18 +57,6 @@ let test_broadcast_overflow () =
   in
   check_bool "broadcast too big" true raised
 
-let test_run_round () =
-  let c = C.create ~machines:2 ~memory_words:20 () in
-  let out = C.run_round c (fun x -> x * 2) [| 3; 4 |] in
-  Alcotest.(check (array int)) "mapped" [| 6; 8 |] out;
-  check "one round" 1 (C.rounds c)
-
-let test_run_round_shape () =
-  let c = C.create ~machines:2 ~memory_words:20 () in
-  Alcotest.check_raises "shape"
-    (Invalid_argument "Cluster.run_round: one input per machine expected")
-    (fun () -> ignore (C.run_round c Fun.id [| 1 |]))
-
 let test_charge_rounds () =
   let c = C.create ~machines:1 ~memory_words:10 () in
   C.charge_rounds c 5;
@@ -149,8 +137,6 @@ let () =
           Alcotest.test_case "scatter overflow" `Quick test_scatter_overflow;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "broadcast overflow" `Quick test_broadcast_overflow;
-          Alcotest.test_case "run round" `Quick test_run_round;
-          Alcotest.test_case "run round shape" `Quick test_run_round_shape;
           Alcotest.test_case "charge" `Quick test_charge_rounds;
         ] );
       ( "mpc_matching",

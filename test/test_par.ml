@@ -249,7 +249,7 @@ let check_deterministic name make_graph =
       let m1, gains1 = solve_trace params seed g in
       Pool.set_default_jobs 4;
       let m4, gains4 = solve_trace params seed g in
-      check_bool (name ^ ": matchings identical") true (M.equal m1 m4);
+      check_bool (name ^ ": matchings identical") true (M.edges m1 = M.edges m4);
       check (name ^ ": same weight") (M.weight m1) (M.weight m4);
       check_bool (name ^ ": same per-round gains") true (gains1 = gains4))
 

@@ -434,9 +434,9 @@ let test_one_augmentations_tie_break () =
   in
   let e1 = first_edge (G.create ~n:4 edges_fwd) in
   let e2 = first_edge (G.create ~n:4 edges_rev) in
-  check_bool "presentation-independent winner" true (E.equal e1 e2);
+  check_bool "presentation-independent winner" true (e1 = e2);
   (* And the winner is the canonically least walk, 0-1. *)
-  check_bool "canonical winner" true (E.equal e1 (E.make 0 1 5))
+  check_bool "canonical winner" true (e1 = E.make 0 1 5)
 
 (* ------------------------------------------------------------------ *)
 (* Stable weight-ordered arrangement (the radix sort) *)
@@ -459,10 +459,10 @@ let test_arrange_matches_stable_sort () =
       let by f = List.stable_sort (fun a b -> Stdlib.compare (f a) (f b)) given in
       check_bool "nontrivial instance" true (List.length given > 200);
       check_bool "increasing = stable sort" true
-        (List.equal E.equal incr_got (by E.weight));
+        (incr_got = by E.weight);
       check_bool "decreasing = stable reverse sort" true
-        (List.equal E.equal decr_got (by (fun e -> -E.weight e)));
-      check_bool "graph order untouched" true (List.equal E.equal given (Array.to_list (G.edges g))))
+        (decr_got = by (fun e -> -E.weight e));
+      check_bool "graph order untouched" true (given = Array.to_list (G.edges g)))
     [ (1, 4); (2046, 2050); (1, 1 lsl 23) ]
 
 (* ------------------------------------------------------------------ *)

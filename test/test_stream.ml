@@ -8,6 +8,11 @@ module ES = Wm_stream.Edge_stream
 module Meter = Wm_stream.Space_meter
 
 let check = Alcotest.(check int)
+
+(* A meter's holding: a checkpoint restarts the pass peak at it. *)
+let held m =
+  ignore (Meter.checkpoint m);
+  Meter.checkpoint m
 let check_bool = Alcotest.(check bool)
 
 let graph () =
@@ -103,9 +108,9 @@ let test_meter_basic () =
   let m = Meter.create () in
   Meter.retain m 5;
   Meter.retain m 3;
-  check "current" 8 (Meter.current m);
+  check "held" 8 (held m);
   Meter.release m 6;
-  check "after release" 2 (Meter.current m);
+  check "after release" 2 (held m);
   check "peak" 8 (Meter.peak m)
 
 let test_meter_release_below_zero () =
@@ -119,7 +124,7 @@ let test_meter_reset () =
   let m = Meter.create () in
   Meter.retain m 7;
   Meter.reset m;
-  check "current" 0 (Meter.current m);
+  check "held" 0 (held m);
   check "peak" 0 (Meter.peak m)
 
 (* Per-pass checkpointing: each checkpoint returns the high-water mark
@@ -145,13 +150,19 @@ let test_meter_checkpoint_invariant () =
      this). *)
   let m = Meter.create () in
   let rng = P.create 99 in
-  let pass_peaks = ref [] in
+  let pass_peaks = ref [] and level = ref 0 in
   for _ = 1 to 200 do
     (match P.int rng 3 with
-    | 0 -> Meter.retain m (1 + P.int rng 50)
+    | 0 ->
+        let k = 1 + P.int rng 50 in
+        Meter.retain m k;
+        level := !level + k
     | 1 ->
-        let c = Meter.current m in
-        if c > 0 then Meter.release m (1 + P.int rng c)
+        if !level > 0 then begin
+          let k = 1 + P.int rng !level in
+          Meter.release m k;
+          level := !level - k
+        end
     | _ -> pass_peaks := Meter.checkpoint m :: !pass_peaks)
   done;
   pass_peaks := Meter.checkpoint m :: !pass_peaks;
