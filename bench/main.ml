@@ -227,7 +227,12 @@ let () =
   Printf.printf "mode: %s, seed: %d, jobs: %d\n%!"
     (if quick then "quick" else "full")
     !seed jobs;
-  if !json_path <> "" then Report.start_capture ();
+  (* The report carries the ledger, so only a reporting run keeps its
+     rows. *)
+  if !json_path <> "" then begin
+    Report.start_capture ();
+    Wm_obs.Ledger.retain Wm_obs.Ledger.default
+  end;
   if !trace_path <> "" then Wm_obs.Trace.set_enabled true;
   (if !scale then
      match Wm_harness.Experiments.find "T11" with

@@ -446,6 +446,9 @@ let run_serve jobs queue_depth cache_entries deadline_ms no_warm report faults
   else
     with_faults faults @@ fun () ->
     set_jobs jobs;
+    (* The --report file carries the ledger; a server that writes none
+       keeps no rows, however long it serves. *)
+    if report <> None then Wm_obs.Ledger.retain Wm_obs.Ledger.default;
     let config =
       {
         (Wm_serve.Server.default_config ()) with

@@ -10,15 +10,12 @@
     class, a sound superset (DESIGN.md §6). *)
 
 type stats = {
-  pairs_tried : int;
   layered_edges : int;  (** total retained edges across layered graphs *)
   layered_edges_max : int;
       (** retained edges of the largest single [(W, tau)]-pair layered
           graph — the peak per-machine load when each pair's instance is
           placed on one MPC machine, which an average over pairs would
           understate *)
-  paths_found : int;  (** augmenting paths across all layered graphs *)
-  black_box_calls : int;
   black_box_passes : int;
       (** measured stream passes of the slowest black-box instance —
           instances run in parallel over the same stream, so this is the
@@ -51,15 +48,27 @@ val walk_pairs :
   Layered.parametrized ->
   scale:float ->
   count:int ->
-  Tau.pair list
-(** Tau pairs derived from random alternating walks: sampling the pair
-    space proportionally to realisability (only pairs whose layered
-    graphs are non-empty can ever contribute, and those are exactly the
-    bucket sequences of actual walks).  Newest walk first; a pair two
-    walks capture appears twice ({!candidate_pairs} keeps the first).
-    Each walk step is one draw over the vertex's unmatched incidences,
-    read from [inc], which must be [incidence] of [gp]'s graph and
-    matching. *)
+  (Tau.pair -> unit) ->
+  unit
+(** Tau pairs derived from [count] random alternating walks: sampling
+    the pair space proportionally to realisability (only pairs whose
+    layered graphs are non-empty can ever contribute, and those are
+    exactly the bucket sequences of actual walks).  All walks are drawn
+    first; the callback then receives each good walk's pair, newest
+    walk first, through a {e scratch} pair of its length that the next
+    call overwrites.  A pair two walks capture is presented twice
+    ({!candidate_pairs} keeps the first).  Each walk step is one draw
+    over the vertex's unmatched incidences, read from [inc], which must
+    be [incidence] of [gp]'s graph and matching. *)
+
+type candidates = {
+  pairs : Tau.pair list;
+      (** the pairs whose [L'] keeps a between-layer edge
+          ({!Layered.keeps_y}), in pool order *)
+  trivial : int;  (** the pool's other pairs *)
+  trivial_edges : int;  (** their (X-only) [L'] edges, summed *)
+  trivial_edges_max : int;  (** and the largest *)
+}
 
 val candidate_pairs :
   Params.t ->
@@ -68,12 +77,16 @@ val candidate_pairs :
   cache:Layered.cache ->
   Layered.parametrized ->
   scale:float ->
-  Tau.pair list
+  candidates
 (** The tau-pair pool for one scale: homogeneous pairs over the weight
     buckets present in the data ({!Layered.present} of [cache], which
     must be prepared from [gp] at [scale]), walk-sampled pairs, and a
-    few uniform draws, truncated to {!Params.tau_budget}.  An empty
-    list means the scale cannot host any augmentation. *)
+    few uniform draws, deduplicated first-wins in that order and
+    truncated to {!Params.tau_budget}.  Each pool pair is split by
+    {!Layered.keeps_y} as it arrives: only the non-trivial ones are
+    copied out; a trivial one is counted as its build
+    ({!Layered.count_trivial}).  Empty when the scale cannot host any
+    augmentation. *)
 
 val run :
   ?span_path:string ->

@@ -347,35 +347,47 @@ let scratch_slot =
 (* Sort the non-negative [a.(0 .. len - 1)] ascending in place: an LSD
    radix sort by bytes, with as many passes as the largest key needs —
    O(len) per pass, where a comparison sort cost a third of every
-   build. *)
+   build.  Below 48 keys an insertion sort is faster than the passes'
+   digit counts, and sorts the ints into the same array. *)
 let radix_sort s a len =
-  if Array.length s.buf < len then
-    s.buf <- Array.make (Stdlib.max len (2 * Array.length s.buf)) 0;
-  let top = ref 0 in
-  for i = 0 to len - 1 do
-    top := Stdlib.max !top a.(i)
-  done;
-  let src = ref a and dst = ref s.buf and shift = ref 0 in
-  while !top lsr !shift > 0 do
-    let from = !src and into = !dst and sh = !shift in
-    Array.fill s.count 0 257 0;
+  if len < 48 then
+    for i = 1 to len - 1 do
+      let x = a.(i) and j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    if Array.length s.buf < len then
+      s.buf <- Array.make (Stdlib.max len (2 * Array.length s.buf)) 0;
+    let top = ref 0 in
     for i = 0 to len - 1 do
-      let d = ((from.(i) lsr sh) land 255) + 1 in
-      s.count.(d) <- s.count.(d) + 1
+      top := Stdlib.max !top a.(i)
     done;
-    for d = 1 to 256 do
-      s.count.(d) <- s.count.(d) + s.count.(d - 1)
+    let src = ref a and dst = ref s.buf and shift = ref 0 in
+    while !top lsr !shift > 0 do
+      let from = !src and into = !dst and sh = !shift in
+      Array.fill s.count 0 257 0;
+      for i = 0 to len - 1 do
+        let d = ((from.(i) lsr sh) land 255) + 1 in
+        s.count.(d) <- s.count.(d) + 1
+      done;
+      for d = 1 to 256 do
+        s.count.(d) <- s.count.(d) + s.count.(d - 1)
+      done;
+      for i = 0 to len - 1 do
+        let d = (from.(i) lsr sh) land 255 in
+        into.(s.count.(d)) <- from.(i);
+        s.count.(d) <- s.count.(d) + 1
+      done;
+      src := into;
+      dst := from;
+      shift := sh + 8
     done;
-    for i = 0 to len - 1 do
-      let d = (from.(i) lsr sh) land 255 in
-      into.(s.count.(d)) <- from.(i);
-      s.count.(d) <- s.count.(d) + 1
-    done;
-    src := into;
-    dst := from;
-    shift := sh + 8
-  done;
-  if !src != a then Array.blit !src 0 a 0 len
+    if !src != a then Array.blit !src 0 a 0 len
+  end
 
 (* Build [L'] for [pair] on the endpoints of its edges, in O(k + |L'|)
    (radix passes aside) — nothing here scans the base graph or a layer.
@@ -478,30 +490,35 @@ type built = Graph of t | Trivial of int
 
 (* A pair is trivial iff no gap's key combination names a Y group: then
    [L'] holds only X edges, all of them in [M_(L')], and there is nothing
-   to find.  Its edge count is read off the X groups' sizes. *)
-let build_opt c pair =
+   to find. *)
+let keeps_y c pair =
   let k = Array.length pair.Tau.b in
-  let nontrivial = ref false and t = ref 1 in
-  while (not !nontrivial) && !t <= k do
+  let found = ref false and t = ref 1 in
+  while (not !found) && !t <= k do
     for j = 0 to 3 do
-      if gap_group c pair !t j >= 0 then nontrivial := true
+      if gap_group c pair !t j >= 0 then found := true
     done;
     incr t
   done;
-  if !nontrivial then begin
+  !found
+
+(* A trivial pair's edge count, read off the X groups' sizes. *)
+let count_trivial c pair =
+  let x = ref 0 in
+  for t = 2 to Array.length pair.Tau.b do
+    let g = x_group c pair t in
+    if g >= 0 then x := !x + c.x_off.(g + 1) - c.x_off.(g)
+  done;
+  count_build !x;
+  !x
+
+let build_opt c pair =
+  if keeps_y c pair then begin
     let t = materialise c pair in
     count_build (edge_count t);
     Graph t
   end
-  else begin
-    let x = ref 0 in
-    for t = 2 to k do
-      let g = x_group c pair t in
-      if g >= 0 then x := !x + c.x_off.(g + 1) - c.x_off.(g)
-    done;
-    count_build !x;
-    Trivial !x
-  end
+  else Trivial (count_trivial c pair)
 
 let left t x =
   x >= Array.length t.ids || t.side.(base_vertex ~base_n:t.base_n t.ids.(x))

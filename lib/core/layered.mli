@@ -100,14 +100,22 @@ type built =
 
 val build_opt : cache -> Tau.pair -> built
 (** [L'] for one pair at the cache's parametrization and scale, in
-    O(k + |L'|) plus a few radix passes over [L']'s endpoints.  A pair
-    is [Trivial] iff no gap [t] has a crossing unmatched edge group
-    keyed (tau^B_t, R key kept in layer [t], L key kept in layer
-    [t+1]) — O(k) lookups, with the X count summed from per-bucket
-    group sizes and nothing allocated but the result.  A [Graph] is
-    built from the kept groups alone: X edges layer-major in reverse
-    cache order, then Y edges in reverse (edge, gap) discovery order.
-    Build counters are updated exactly as {!build} would. *)
+    O(k + |L'|) plus a few radix passes over [L']'s endpoints: [Trivial]
+    from {!count_trivial} when {!keeps_y} is false, else a [Graph] built
+    from the kept groups alone: X edges layer-major in reverse cache
+    order, then Y edges in reverse (edge, gap) discovery order.  Build
+    counters are updated exactly as {!build} would. *)
+
+val keeps_y : cache -> Tau.pair -> bool
+(** Whether the pair's [L'] keeps a between-layer edge: some gap [t] has
+    a crossing unmatched edge group keyed (tau^B_t, R key kept in layer
+    [t], L key kept in layer [t+1]).  O(k) lookups; allocates nothing. *)
+
+val count_trivial : cache -> Tau.pair -> int
+(** For a pair {!keeps_y} rejects, what {!build_opt}'s [Trivial] carries:
+    its (X-only) edge count, summed from per-bucket group sizes and
+    counted as one build in the [core.layered.*] counters.  Allocates
+    nothing. *)
 
 val edge_count : t -> int
 (** Retained edges — the memory this instance charges. *)

@@ -39,7 +39,11 @@ let scales_for params g =
 let improve_once params rng g m =
   Obs.span_open Obs.default "core.main_alg.round";
   Obs.incr c_rounds;
-  let gc_before = Wm_obs.Gcstat.snapshot () in
+  let gc_before =
+    if Wm_obs.Ledger.retained Wm_obs.Ledger.default then
+      Some (Wm_obs.Gcstat.snapshot ())
+    else None
+  in
   let scales = scales_for params g in
   (* Collect augmentations per scale against the round-start matching —
      Algorithm 3 runs the classes "in parallel", and they only read [g]
@@ -113,20 +117,22 @@ let improve_once params rng g m =
       ("augmentations", !applied);
       ("gain", !gain);
     ];
-  (* Per-round allocation accounting: a program-wide quick_stat delta
-     around the round (the per-scale fan-out included), so the "gc"
-     ledger section exposes the round hot path's constant factor.  The
-     values are comparable across --jobs settings (see Gcstat), though
-     not byte-identical — jobs-invariance checks exclude the "gc"
-     section for exactly this reason. *)
-  let gc_delta =
-    Wm_obs.Gcstat.delta ~before:gc_before (Wm_obs.Gcstat.snapshot ())
-  in
-  Wm_obs.Ledger.record ~label:"round" Wm_obs.Ledger.default ~section:"gc"
-    (("round", Obs.value c_rounds)
-     :: List.filter
-          (fun (k, _) -> k <> "top_heap_words" && k <> "compactions")
-          (Wm_obs.Gcstat.fields gc_delta));
+  (* Per-round allocation accounting, taken only when the ledger keeps
+     rows: a program-wide quick_stat delta around the round (the
+     per-scale fan-out included), so the "gc" ledger section exposes the
+     round hot path's constant factor.  The values are comparable across
+     --jobs settings (see Gcstat), though not byte-identical —
+     jobs-invariance checks exclude the "gc" section for exactly this
+     reason. *)
+  Option.iter
+    (fun before ->
+      let gc_delta = Wm_obs.Gcstat.delta ~before (Wm_obs.Gcstat.snapshot ()) in
+      Wm_obs.Ledger.record ~label:"round" Wm_obs.Ledger.default ~section:"gc"
+        (("round", Obs.value c_rounds)
+         :: List.filter
+              (fun (k, _) -> k <> "top_heap_words" && k <> "compactions")
+              (Wm_obs.Gcstat.fields gc_delta)))
+    gc_before;
   if Wm_obs.Trace.enabled () then
     Wm_obs.Trace.instant "core.main_alg.round-done"
       ~args:

@@ -51,41 +51,10 @@ let bucket_down ~granule w =
   if w <= 0 then 0
   else int_of_float (Float.floor ((float_of_int w /. granule) +. tol))
 
-module Tbl = Hashtbl.Make (struct
-  type t = pair
-
-  let same x y =
-    Array.length x = Array.length y
-    &&
-    let i = ref 0 in
-    while !i < Array.length x && x.(!i) = y.(!i) do
-      incr i
-    done;
-    !i = Array.length x
-
-  let equal p q = same p.a q.a && same p.b q.b
-
-  let hash p =
-    let mix h x = (h * 31) + x in
-    Array.fold_left mix (Array.fold_left mix 7 p.a) p.b land max_int
-end)
-
-let dedup pairs =
-  let tbl = Tbl.create (List.length pairs) in
-  List.filter
-    (fun pr ->
-      if Tbl.mem tbl pr then false
-      else begin
-        Tbl.add tbl pr ();
-        true
-      end)
-    pairs
-
 let iter_homogeneous p ~a_values ~b_values f =
-  let avs = List.sort_uniq Int.compare a_values in
-  let bs = List.sort_uniq Int.compare b_values in
+  let avs = Array.of_list a_values and bs = Array.of_list b_values in
   let cap = max_granules p in
-  let max_b = List.fold_left Stdlib.max 0 bs in
+  let max_b = Array.fold_left Stdlib.max 0 bs in
   for k = 1 to p.max_layers - 1 do
     (* One scratch pair per length [k]; its contents are overwritten in
        place for every (av, bv, ends) combination, so the per-candidate
@@ -95,58 +64,58 @@ let iter_homogeneous p ~a_values ~b_values f =
        an interior [tau^A] entry below 2, and (avs ascending) every
        [av] from the first whose interior alone outweighs the largest
        [tau^B] sum. *)
-    let a = Array.make (k + 1) 0 in
-    let pr = { a; b = Array.make k 0 } in
-    let rec over_a = function
-      | [] -> ()
-      | av :: _ when (k - 1) * av >= k * max_b -> ()
-      | av :: rest ->
-          if k = 1 || av >= 2 then begin
-            for i = 1 to k - 1 do
-              a.(i) <- av
-            done;
-            List.iter
-              (fun bv ->
-                if bv >= 2 && k * bv <= cap then begin
-                  Array.fill pr.b 0 k bv;
-                  let try_ends first last =
-                    a.(0) <- first;
-                    a.(k) <- last;
-                    if is_good p pr then f pr
-                  in
-                  try_ends av av;
-                  try_ends 0 av;
-                  try_ends av 0;
-                  try_ends 0 0
-                end)
-              bs
-          end;
-          over_a rest
-    in
-    over_a avs
+    let pr = { a = Array.make (k + 1) 0; b = Array.make k 0 } in
+    let i = ref 0 in
+    while !i < Array.length avs && (k - 1) * avs.(!i) < k * max_b do
+      let av = avs.(!i) in
+      if k = 1 || av >= 2 then begin
+        for t = 1 to k - 1 do
+          pr.a.(t) <- av
+        done;
+        for j = 0 to Array.length bs - 1 do
+          let bv = bs.(j) in
+          if bv >= 2 && k * bv <= cap then begin
+            Array.fill pr.b 0 k bv;
+            (* The ends (av, av), (0, av), (av, 0), (0, 0), in order. *)
+            for e = 0 to 3 do
+              pr.a.(0) <- (if e land 1 = 0 then av else 0);
+              pr.a.(k) <- (if e land 2 = 0 then av else 0);
+              if is_good p pr then f pr
+            done
+          end
+        done
+      end;
+      incr i
+    done
   done
 
-let sample p rng ~a_values ~b_values ~count =
-  let avs = Array.of_list (List.sort_uniq Int.compare (0 :: a_values)) in
+let sample p rng ~a_values ~b_values ~count f =
+  let avs =
+    Array.of_list (match a_values with 0 :: _ -> a_values | _ -> 0 :: a_values)
+  in
   let interior = Array.of_list (List.filter (fun v -> v >= 2) a_values) in
-  let bs = Array.of_list (List.sort_uniq Int.compare b_values) in
-  if Array.length bs = 0 then []
-  else begin
-    let out = ref [] in
+  let bs = Array.of_list b_values in
+  if Array.length bs > 0 then begin
+    (* One scratch pair per length, refilled in place by every draw of
+       that length: a draw allocates nothing. *)
+    let scratch =
+      Array.init p.max_layers (fun k ->
+          { a = Array.make (k + 1) 0; b = Array.make k 0 })
+    in
+    let pick arr = arr.(Wm_graph.Prng.int rng (Array.length arr)) in
     for _ = 1 to count do
       let k = 1 + Wm_graph.Prng.int rng (p.max_layers - 1) in
       if k = 1 || Array.length interior > 0 then begin
-        let pick arr = arr.(Wm_graph.Prng.int rng (Array.length arr)) in
-        let a =
-          Array.init (k + 1) (fun i ->
-              if i = 0 || i = k then pick avs else pick interior)
-        in
-        let b = Array.init k (fun _ -> pick bs) in
-        let pr = { a; b } in
-        if is_good p pr then out := pr :: !out
+        let pr = scratch.(k) in
+        for i = 0 to k do
+          pr.a.(i) <- (if i = 0 || i = k then pick avs else pick interior)
+        done;
+        for j = 0 to k - 1 do
+          pr.b.(j) <- pick bs
+        done;
+        if is_good p pr then f pr
       end
-    done;
-    dedup (List.rev !out)
+    done
   end
 
 let capture_path p ~a_buckets ~b_buckets =

@@ -62,7 +62,8 @@ val bucket_down : granule:float -> int -> int
 val iter_homogeneous :
   params -> a_values:int list -> b_values:int list -> (pair -> unit) -> unit
 (** The good homogeneous pairs: a uniform interior [tau^A] value and a
-    uniform [tau^B] value drawn from the given buckets, over all
+    uniform [tau^B] value drawn from the given buckets (each list
+    ascending and distinct, as {!Layered.present} gives them), over all
     admissible lengths and end choices (0 or the uniform value).  These
     capture uniform-weight augmentations and the repeated-cycle
     construction of Section 1.1.2.  The callback receives each pair in
@@ -78,12 +79,13 @@ val sample :
   a_values:int list ->
   b_values:int list ->
   count:int ->
-  pair list
-(** [count] random draws over the given buckets, filtered to good pairs
-    and deduplicated (the result may be shorter than [count]). *)
-
-module Tbl : Hashtbl.S with type key = pair
-(** Hash tables keyed by a pair's contents. *)
+  (pair -> unit) ->
+  unit
+(** [count] random draws over the given buckets (each list ascending
+    and distinct; the ends also draw 0); the callback receives
+    each good one, in draw order, through a {e scratch} pair of its
+    length that the next draw of that length overwrites.  Not
+    deduplicated: a pair drawn twice is presented twice. *)
 
 val capture_path : params -> a_buckets:int list -> b_buckets:int list -> pair option
 (** Lemma 4.12 (path case): the pair whose layered graph contains a path

@@ -658,7 +658,8 @@ let run_a1 ~quick ~seed =
                         cs)
                     (Wm_core.Layered.augmenting_paths lay solved))
             (Wm_core.Aug_class.candidate_pairs params rng ~inc ~cache gp
-               ~scale))
+               ~scale)
+              .Wm_core.Aug_class.pairs)
         (Wm_core.Main_alg.scales_for params g)
     done;
     R.row

@@ -4,10 +4,16 @@ type t = {
   lock : Mutex.t;
   sections_tbl : (string, row list ref) Hashtbl.t;
   mutable order : string list;  (* reversed first-seen order *)
+  retaining : bool Atomic.t;
 }
 
 let create () =
-  { lock = Mutex.create (); sections_tbl = Hashtbl.create 16; order = [] }
+  {
+    lock = Mutex.create ();
+    sections_tbl = Hashtbl.create 16;
+    order = [];
+    retaining = Atomic.make false;
+  }
 
 let default = create ()
 
@@ -15,18 +21,22 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let retain t = Atomic.set t.retaining true
+let retained t = Atomic.get t.retaining
+
 let record ?label t ~section fields =
-  locked t (fun () ->
-      let cell =
-        match Hashtbl.find_opt t.sections_tbl section with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Hashtbl.add t.sections_tbl section c;
-            t.order <- section :: t.order;
-            c
-      in
-      cell := { label; fields } :: !cell)
+  if retained t then
+    locked t (fun () ->
+        let cell =
+          match Hashtbl.find_opt t.sections_tbl section with
+          | Some c -> c
+          | None ->
+              let c = ref [] in
+              Hashtbl.add t.sections_tbl section c;
+              t.order <- section :: t.order;
+              c
+        in
+        cell := { label; fields } :: !cell)
 
 let rows t section =
   locked t (fun () ->

@@ -10,6 +10,15 @@
     Thm 4.1 pass/round overhead) at the granularity the theorems are
     stated at, not just as lifetime totals.
 
+    {b Retention.}  A ledger keeps rows only once {!retain} has been
+    called on it; until then {!record} drops every row, so a process
+    that writes no report holds none of them.  The library records
+    into {!default} on every pass, round and request; only a program
+    that writes a BENCH_v1 report from this process retains it: the
+    bench harness ([bench/main.exe --json]) and [wm_cli serve
+    --report].  Tests that read rows retain too.  There is no flag or
+    environment variable for it.
+
     Recording is mutex-guarded and safe from any domain; note that rows
     appended concurrently (e.g. from a parallel per-seed sweep) land in
     completion order, which may differ between runs. *)
@@ -24,9 +33,19 @@ val default : t
 (** The process-wide ledger the library instruments itself against;
     serialised into the [ledger] section of BENCH_v1 reports. *)
 
+val retain : t -> unit
+(** [retain t] makes [t] keep the rows recorded from now on, for the
+    rest of the process.  Call it before the work whose rows a report
+    carries. *)
+
+val retained : t -> bool
+(** Whether {!retain} has been called on [t]: a recorder whose row
+    costs work of its own (a GC snapshot) skips that work when not. *)
+
 val record : ?label:string -> t -> section:string -> (string * int) list -> unit
-(** [record ?label t ~section fields] appends one row.  Sections are
-    created on first use and keep first-seen order in snapshots. *)
+(** [record ?label t ~section fields] appends one row when [t] is
+    {!retained}, and does nothing otherwise.  Sections are created on
+    first use and keep first-seen order in snapshots. *)
 
 val rows : t -> string -> row list
 (** The rows of a section in append order ([[]] if never recorded). *)

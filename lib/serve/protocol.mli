@@ -94,7 +94,9 @@ type verb =
           occupancy without flushing the batch queue *)
   | Report
       (** batch boundary; answers the server's full BENCH_v1 report
-          under ["report"] (non-deterministic: timings, GC) *)
+          under ["report"] (non-deterministic: timings, GC).  Its
+          [ledger] holds rows only when the process retained
+          [Wm_obs.Ledger.default] ([wm_cli serve --report]). *)
   | Shutdown
 
 type request = { id : int; verb : verb }

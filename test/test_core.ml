@@ -198,9 +198,15 @@ let test_tau_homogeneous () =
 
 let test_tau_sample () =
   let rng = P.create 3 in
-  let pairs = Tau.sample tp rng ~a_values:[ 2; 3 ] ~b_values:[ 2; 3; 4 ] ~count:200 in
-  List.iter (fun pr -> check_bool "good" true (Tau.is_good tp pr)) pairs;
-  check "deduped" (List.length pairs) (List.length (List.sort_uniq compare pairs))
+  let emitted = ref 0 and scratch = ref [] in
+  Tau.sample tp rng ~a_values:[ 2; 3 ] ~b_values:[ 2; 3; 4 ] ~count:200
+    (fun pr ->
+      incr emitted;
+      check_bool "good" true (Tau.is_good tp pr);
+      if not (List.memq pr !scratch) then scratch := pr :: !scratch);
+  check_bool "some draws are good" true (!emitted > 0 && !emitted <= 200);
+  check_bool "one scratch pair per length" true
+    (List.length !scratch < tp.Tau.max_layers)
 
 let test_tau_capture_path () =
   (* fig1's a-c-d-f path at W = 13, granularity 0.25: granule 3.25;
@@ -567,6 +573,7 @@ let test_ra_memory_is_metered () =
    ledger section (the prefix row at the cut, the suffix row at
    finalize). *)
 let test_ra_ledger_matches_meter_peak () =
+  Wm_obs.Ledger.retain Wm_obs.Ledger.default;
   let grng = P.create 155 in
   let g = Gen.gnp grng ~n:130 ~p:0.15 ~weights:(Gen.Uniform (1, 40)) in
   let meter = Wm_stream.Space_meter.create () in
@@ -601,6 +608,7 @@ let test_ra_ledger_matches_meter_peak () =
 (* A stream no longer than the cut is all prefix: the cut-over runs
    after the pass and records the same prefix row as a live cut. *)
 let test_ra_all_prefix_rows () =
+  Wm_obs.Ledger.retain Wm_obs.Ledger.default;
   let ledger = Wm_obs.Ledger.default in
   Wm_obs.Ledger.reset ledger;
   let g = Gen.gnp (P.create 159) ~n:40 ~p:0.2 ~weights:(Gen.Uniform (1, 30)) in
@@ -669,17 +677,26 @@ let test_one_augmentations () =
   | first :: _ -> check "heaviest first" 5 (A.weight first)
   | [] -> Alcotest.fail "unexpected"
 
+(* Every pair a walk presents is good, whether the walks alternate
+   through a greedy matching or step once across the empty one. *)
 let test_walk_pairs_good () =
   let rng = P.create 61 in
   let g = Gen.gnp rng ~n:40 ~p:0.2 ~weights:(Gen.Uniform (1, 20)) in
-  let m = Wm_algos.Greedy.by_weight g in
   let params = Params.practical ~epsilon:0.1 () in
-  let gp = Layered.parametrize rng (Layered.view g m) in
-  let pairs =
-    AC.walk_pairs params rng ~inc:(AC.incidence g m) gp ~scale:16.0 ~count:200
-  in
   let tp = Params.tau_params params in
-  List.iter (fun pr -> check_bool "good" true (Tau.is_good tp pr)) pairs
+  let emitted = ref 0 in
+  List.iter
+    (fun m ->
+      let gp = Layered.parametrize rng (Layered.view g m) in
+      let inc = AC.incidence g m in
+      List.iter
+        (fun scale ->
+          AC.walk_pairs params rng ~inc gp ~scale ~count:200 (fun pr ->
+              incr emitted;
+              check_bool "good" true (Tau.is_good tp pr)))
+        [ 4.0; 16.0; 64.0 ])
+    [ Wm_algos.Greedy.by_weight g; M.create (G.n g) ];
+  check_bool "walks capture pairs" true (!emitted > 0)
 
 let test_aug_class_run_disjoint_and_gainful () =
   let rng = P.create 62 in
@@ -1089,8 +1106,8 @@ let prop_layered_invariants =
       let scale = 16.0 in
       let granule = params.Params.granularity *. scale in
       let pairs =
-        AC.candidate_pairs params rng ~inc:(AC.incidence g m)
-          ~cache:(Layered.prepare tp gp ~scale) gp ~scale
+        Pairs_oracle.pool params rng gp ~cache:(Layered.prepare tp gp ~scale)
+          ~scale
       in
       List.for_all
         (fun pair ->
@@ -1142,69 +1159,6 @@ let prop_round_gain_is_exact =
       let r = MA.improve_once params rng g m in
       M.weight m = before + r.MA.gain && M.is_valid_in m g)
 
-(* The count-then-scan [walk_pairs] that the unmatched-incidence CSR
-   replaced, kept as an oracle: each step counts the current vertex's
-   unmatched edges, draws an index, and scans for that edge.  It used
-   to end in a dedup; that dedup now happens once, in
-   [candidate_pairs], so the oracle returns the raw newest-first
-   list. *)
-let reference_walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
-  let tp = Params.tau_params params in
-  let g = gp.Layered.graph and m = gp.Layered.matching in
-  let n = G.n g in
-  if n = 0 then []
-  else begin
-    let granule = params.Params.granularity *. scale in
-    let pairs = ref [] in
-    for _ = 1 to count do
-      let start = P.int rng n in
-      let a_buckets = ref [] and b_buckets = ref [] in
-      let cur = ref start in
-      (match M.edge_at m start with
-      | Some e ->
-          a_buckets := [ Tau.bucket_up ~granule (E.weight e) ];
-          cur := E.other e start
-      | None -> a_buckets := [ 0 ]);
-      let steps = 1 + P.int rng (params.Params.max_layers - 1) in
-      (try
-         for _ = 1 to steps do
-           let unmatched_count =
-             G.fold_neighbors g !cur
-               (fun acc _ e -> if M.mem m e then acc else acc + 1)
-               0
-           in
-           if unmatched_count = 0 then raise Exit;
-           let idx = P.int rng unmatched_count in
-           let picked = ref None in
-           let seen = ref 0 in
-           G.iter_neighbors g !cur (fun _ e ->
-               if not (M.mem m e) then begin
-                 if !seen = idx then picked := Some e;
-                 incr seen
-               end);
-           let o = Option.get !picked in
-           b_buckets := Tau.bucket_down ~granule (E.weight o) :: !b_buckets;
-           let x = E.other o !cur in
-           match M.edge_at m x with
-           | Some e' ->
-               a_buckets := Tau.bucket_up ~granule (E.weight e') :: !a_buckets;
-               cur := E.other e' x
-           | None ->
-               a_buckets := 0 :: !a_buckets;
-               raise Exit
-         done
-       with Exit -> ());
-      if !b_buckets <> [] then
-        match
-          Tau.capture_path tp ~a_buckets:(List.rev !a_buckets)
-            ~b_buckets:(List.rev !b_buckets)
-        with
-        | Some pr -> pairs := pr :: !pairs
-        | None -> ()
-    done;
-    !pairs
-  end
-
 (* A random oracle instance: a gnp or power-law graph, in a third of
    the draws with every weight lowered by one so that zero-weight edges
    (bucket 0 either way) occur, matched or not; a greedy or an empty
@@ -1240,10 +1194,75 @@ let prop_walk_pairs_oracle =
       List.for_all
         (fun scale ->
           let r1 = P.copy rng and r2 = P.copy rng in
-          let got = AC.walk_pairs params r1 ~inc gp ~scale ~count:200 in
-          let want = reference_walk_pairs params r2 gp ~scale ~count:200 in
+          let got = ref [] in
+          AC.walk_pairs params r1 ~inc gp ~scale ~count:200 (fun pr ->
+              got := { Tau.a = Array.copy pr.Tau.a; b = Array.copy pr.Tau.b }
+                     :: !got);
+          let got = List.rev !got in
+          let want = Pairs_oracle.walk_pairs params r2 gp ~scale ~count:200 in
           got = want && P.state r1 = P.state r2)
         oracle_scales)
+
+(* The streamed candidate pool against the list-based one: a random
+   graph with weights 1..4 (in a quarter of the draws 1..100, whose
+   homogeneous family can outgrow the budget), a random matching and
+   bipartition, a random granularity and depth, at every oracle scale.
+   Small weights make walks, samples and the homogeneous family meet
+   the same pairs and leave many of them trivial.  Both sides must keep
+   the same non-trivial pairs in the same order, count the same trivial
+   ones with the same X edges, leave the generator in the same state,
+   and, once the kept pairs are built, bill the same layered builds. *)
+let prop_candidate_pairs_oracle =
+  QCheck2.Test.make ~name:"candidate_pairs equals the list-based pool"
+    ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let module Obs = Wm_obs.Obs in
+      let rng = P.create seed in
+      let n = 4 + P.int rng 40 in
+      let wide = P.int rng 4 = 0 in
+      let weights = Gen.Uniform (1, if wide then 100 else 4) in
+      let g =
+        if P.bool rng then Gen.gnp rng ~n ~p:(0.1 +. P.float rng 0.4) ~weights
+        else Gen.power_law_scale rng ~n ~attach:(1 + P.int rng 4) ~weights
+      in
+      let m = M.create n in
+      G.iter_edges
+        (fun e ->
+          let u, v = E.endpoints e in
+          if P.bool rng && not (M.is_matched m u || M.is_matched m v) then
+            M.add m e)
+        g;
+      let params =
+        {
+          (Params.practical ~epsilon:(0.1 +. P.float rng 0.3) ()) with
+          Params.granularity =
+            (if wide then 1.0 /. 64.0
+             else [| 0.125; 0.25; 1.0 /. 32.0 |].(P.int rng 3));
+          max_layers = 2 + P.int rng 8;
+        }
+      in
+      let tp = Params.tau_params params in
+      let inc = AC.incidence g m in
+      let gp = Layered.parametrize rng (Layered.view g m) in
+      let layered () =
+        List.map
+          (Obs.counter_value Obs.default)
+          [ "core.layered.builds"; "core.layered.edges";
+            "core.layered.edges_max" ]
+      in
+      List.for_all
+        (fun scale ->
+          let cache = Layered.prepare tp gp ~scale in
+          let r1 = P.copy rng and r2 = P.copy rng in
+          Obs.reset Obs.default;
+          let want = Pairs_oracle.candidate_pairs params r1 gp ~cache ~scale in
+          let want_builds = layered () in
+          Obs.reset Obs.default;
+          let got = AC.candidate_pairs params r2 ~inc ~cache gp ~scale in
+          List.iter (fun pr -> ignore (Layered.build_opt cache pr)) got.AC.pairs;
+          got = want && layered () = want_builds && P.state r1 = P.state r2)
+        [ 0.5; 1.0; 2.0; 4.0; 16.0; 256.0 ])
 
 (* The (k+1)·n construction that [Layered.build_opt] replaced, kept as
    its oracle on full layered ids: mark every kept layered copy (the
@@ -1322,7 +1341,6 @@ let for_all_build_cases seed check =
   let edges = G.edges gp.Layered.graph in
   let matched = Array.of_list (M.edges gp.Layered.matching) in
   let pick arr = arr.(P.int rng (Array.length arr)) in
-  let inc = AC.incidence gp.Layered.graph gp.Layered.matching in
   (* Thresholds mostly taken from the instance's own buckets, so the
      shapes keep vertices and edges, including heavy edges past
      [max_granules]. *)
@@ -1343,7 +1361,7 @@ let for_all_build_cases seed check =
       let granule = params.Params.granularity *. scale in
       let cache = Layered.prepare tp gp ~scale in
       let pairs =
-        AC.candidate_pairs params rng ~inc ~cache gp ~scale
+        Pairs_oracle.pool params rng gp ~cache ~scale
         @ List.init 40 (fun _ -> arbitrary granule)
       in
       List.for_all (fun pair -> check params tp gp cache pair ~scale) pairs)
@@ -1632,6 +1650,7 @@ let qcheck_tests =
       prop_layered_invariants;
       prop_round_gain_is_exact;
       prop_walk_pairs_oracle;
+      prop_candidate_pairs_oracle;
       prop_build_opt_oracle;
       prop_compact_black_box;
       prop_black_box_oracle_layered;

@@ -89,6 +89,7 @@ let test_spec_parse () =
 (* Crash-heavy MPC plan: retry/restore preserves the final weight. *)
 
 let test_mpc_crash_recovery_same_weight () =
+  Ledger.retain Ledger.default;
   let n = 80 in
   let g = bip_graph ~seed:402 ~n in
   let params = Wm_core.Params.practical ~epsilon:0.25 () in
@@ -166,6 +167,7 @@ let test_zero_rate_equivalence () =
 (* Fault pattern, counters and ledger are jobs-invariant. *)
 
 let test_jobs_invariance_under_faults () =
+  Ledger.retain Ledger.default;
   let n = 64 in
   let g = bip_graph ~seed:913 ~n in
   let params = Wm_core.Params.practical ~epsilon:0.25 () in
@@ -293,13 +295,10 @@ let test_stream_tamper_determinism () =
    instance, not the average over pairs. *)
 
 let test_peak_load_not_average () =
-  let stats ~pairs ~total ~largest =
+  let stats ~total ~largest =
     {
-      Wm_core.Aug_class.pairs_tried = pairs;
-      layered_edges = total;
+      Wm_core.Aug_class.layered_edges = total;
       layered_edges_max = largest;
-      paths_found = 0;
-      black_box_calls = pairs;
       black_box_passes = 1;
     }
   in
@@ -307,18 +306,16 @@ let test_peak_load_not_average () =
      3700 of them.  The old per-pair average (1000) fits a 2000-word
      machine; the true peak does not. *)
   let skewed =
-    [ (1.0, stats ~pairs:4 ~total:4000 ~largest:3700);
-      (2.0, stats ~pairs:2 ~total:800 ~largest:500) ]
-  in
+    [ (1.0, stats ~total:4000 ~largest:3700);
+      (2.0, stats ~total:800 ~largest:500) ]
+  and pairs = [ 4; 2 ] in
   check "peak is the max single instance" 3700 (MD.peak_instance_load skewed);
   let capacity = 2000 in
   let average =
-    List.fold_left
-      (fun acc (_, s) ->
-        Stdlib.max acc
-          (s.Wm_core.Aug_class.layered_edges
-          / Stdlib.max 1 s.Wm_core.Aug_class.pairs_tried))
-      0 skewed
+    List.fold_left2
+      (fun acc (_, s) pairs ->
+        Stdlib.max acc (s.Wm_core.Aug_class.layered_edges / pairs))
+      0 skewed pairs
   in
   check_bool "the old average-based bill would have fit" true
     (average <= capacity);

@@ -382,6 +382,7 @@ module Ledger = Wm_obs.Ledger
 
 let test_ledger_rows_and_sections () =
   let l = Ledger.create () in
+  Ledger.retain l;
   Ledger.record l ~section:"b" [ ("x", 1) ];
   Ledger.record ~label:"p0" l ~section:"a" [ ("words", 10); ("edges", 3) ];
   Ledger.record ~label:"p1" l ~section:"a" [ ("words", 7) ];
@@ -403,8 +404,20 @@ let test_ledger_rows_and_sections () =
   Ledger.reset l;
   check "reset drops sections" 0 (List.length (Ledger.sections l))
 
+(* A ledger nobody retained drops every row: a process that writes no
+   report holds none. *)
+let test_ledger_drops_until_retained () =
+  let l = Ledger.create () in
+  Ledger.record l ~section:"a" [ ("x", 1) ];
+  check_bool "not retained" false (Ledger.retained l);
+  check "no sections" 0 (List.length (Ledger.sections l));
+  Ledger.retain l;
+  Ledger.record l ~section:"a" [ ("x", 2) ];
+  check "only the row after retain" 1 (List.length (Ledger.rows l "a"))
+
 let test_ledger_concurrent () =
   let l = Ledger.create () in
+  Ledger.retain l;
   let per_domain = 1000 in
   let workers =
     List.init 4 (fun d ->
@@ -427,6 +440,7 @@ let test_ledger_pool_writers =
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let l = Ledger.create () in
+      Ledger.retain l;
       let sections = [ "s0"; "s1"; "s2"; "s3" ] in
       List.iter
         (fun s -> Ledger.record l ~section:s [ ("v", 0); ("rows", 0) ])
@@ -591,6 +605,8 @@ let () =
         [
           Alcotest.test_case "rows and sections" `Quick
             test_ledger_rows_and_sections;
+          Alcotest.test_case "drops until retained" `Quick
+            test_ledger_drops_until_retained;
           Alcotest.test_case "concurrent records" `Quick
             test_ledger_concurrent;
           QCheck_alcotest.to_alcotest test_ledger_pool_writers;

@@ -153,6 +153,98 @@ let test_iter_homogeneous_budget () =
     (List.length !reprs <= 9);
   check_bool (Printf.sprintf "call cost %d words" w) true (w < 8192)
 
+(* The perfbench main-stream graph (power-law, n = 60, seed 20191) with
+   its greedy matching, Algorithm 3's parameters at epsilon = 0.3, and
+   a random bipartition. *)
+let main_stream_instance () =
+  let g =
+    Gen.power_law_scale (P.create 20191) ~n:60 ~attach:8
+      ~weights:(Gen.Uniform (1, 100))
+  in
+  let m = Wm_algos.Greedy.by_weight g in
+  let params = Wm_core.Params.practical ~epsilon:0.3 () in
+  (g, m, params, Layered.parametrize (P.create 3) (Layered.view g m))
+
+(* One class's candidate generation copies only the pairs whose L'
+   keeps a Y edge: every other pool pair is deduplicated, tested and
+   counted in scratch.  At each of main-stream's scales, after a
+   warm-up call that grows the scratch, a call costs a fixed few
+   hundred words (the generators' per-length scratch pairs and bucket
+   arrays) plus one copy per kept pair; most of the pool is trivial,
+   and copying it too would blow the budget. *)
+let test_candidate_pairs_budget () =
+  let g, m, params, gp = main_stream_instance () in
+  let tp = Wm_core.Params.tau_params params in
+  let inc = AC.incidence g m in
+  let trivial =
+    List.fold_left
+      (fun trivial scale ->
+        let cache = Layered.prepare tp gp ~scale in
+        let run () =
+          AC.candidate_pairs params (P.create 5) ~inc ~cache gp ~scale
+        in
+        let c = ref (run ()) in
+        let w = words (fun () -> c := run ()) in
+        let kept = List.length !c.AC.pairs in
+        check_bool
+          (Printf.sprintf "scale %g: %d words for %d kept, %d trivial pairs"
+             scale w kept !c.AC.trivial)
+          true
+          (w <= 768 + (32 * kept));
+        trivial + !c.AC.trivial)
+      0
+      (Wm_core.Main_alg.scales_for params g)
+  in
+  check_bool (Printf.sprintf "%d trivial pairs" trivial) true (trivial >= 100)
+
+(* An Algorithm 3 op keeps nothing in the process-wide ledger unless a
+   report writer retained it: rows recorded by every pass and round
+   would otherwise grow with the number of ops served. *)
+let test_streaming_ops_retain_nothing () =
+  let g, _, params, _ = main_stream_instance () in
+  for seed = 1 to 50 do
+    ignore (Wm_core.Model_driver.streaming params (P.create seed) (ES.of_graph g))
+  done;
+  Alcotest.(check (list string))
+    "no ledger sections" [] (Wm_obs.Ledger.sections Wm_obs.Ledger.default)
+
+(* The same for a server that writes no report: 50 solve lines on one
+   session, each a fresh solve. *)
+let test_served_solves_retain_nothing () =
+  let module Server = Wm_serve.Server in
+  let srv = Server.create (Server.default_config ()) in
+  let g, _, _, _ = main_stream_instance () in
+  let digest =
+    match
+      Server.handle_request srv
+        {
+          Wm_serve.Protocol.id = 0;
+          verb =
+            Wm_serve.Protocol.Load
+              { graph = Some (Wm_graph.Graph_io.to_string g); path = None };
+        }
+    with
+    | [ resp ] -> (
+        match Wm_obs.Json.member "digest" resp with
+        | Some (Wm_obs.Json.Str d) -> d
+        | _ -> Alcotest.fail "load response lacks a digest")
+    | _ -> Alcotest.fail "load did not answer once"
+  in
+  let answered = ref 0 in
+  for id = 1 to 50 do
+    answered :=
+      !answered
+      + List.length
+          (Server.handle_line srv
+             (Printf.sprintf
+                "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":\"solve\",\"algo\":\"streaming\",\"seed\":%d,\"digest\":%S}"
+                id id digest))
+  done;
+  answered := !answered + List.length (Server.flush srv);
+  check "every solve answered" 50 !answered;
+  Alcotest.(check (list string))
+    "no ledger sections" [] (Wm_obs.Ledger.sections Wm_obs.Ledger.default)
+
 (* The fig1 instance (c-d matched at weight 5; a-c, d-f at 4; b-c, d-e
    at 2) embedded in [n] vertices, the rest isolated, parametrized so
    the a-c-d-f path is capturable, with its cache at scale 8 (granule
@@ -548,6 +640,12 @@ let () =
         [
           Alcotest.test_case "iter_neighbors" `Quick test_iter_neighbors_budget;
           Alcotest.test_case "tau iterator" `Quick test_iter_homogeneous_budget;
+          Alcotest.test_case "candidate pairs" `Quick
+            test_candidate_pairs_budget;
+          Alcotest.test_case "streaming ops retain nothing" `Quick
+            test_streaming_ops_retain_nothing;
+          Alcotest.test_case "served solves retain nothing" `Quick
+            test_served_solves_retain_nothing;
           Alcotest.test_case "layered trivial build" `Quick
             test_layered_trivial_build_budget;
           Alcotest.test_case "layered build output-sensitive" `Quick

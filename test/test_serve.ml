@@ -542,6 +542,7 @@ let test_x_warm_bounded () =
    one [serve.requests] ledger row labelled with the refused verb.  Each
    case runs on a fresh server after its setup lines. *)
 let test_refusal_paths () =
+  Wm_obs.Ledger.retain Wm_obs.Ledger.default;
   let line id verb fields =
     Printf.sprintf "{\"schema\":\"WM_REQ_v1\",\"id\":%d,\"verb\":%S%s}" id verb
       fields
@@ -908,6 +909,7 @@ let test_ping_probe () =
   check "queue not flushed by ping" 1 (List.length (Server.flush srv))
 
 let test_report_shape () =
+  Wm_obs.Ledger.retain Wm_obs.Ledger.default;
   let srv = server () in
   let _ = load_graph srv 3 in
   ignore (Server.handle_request srv (solve_req ~id:1 ()));

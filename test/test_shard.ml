@@ -336,6 +336,7 @@ let test_restore_skips_observer () =
 (* The merged report passes the BENCH_v1 schema (which balances the
    shard block's books) and meters real sessions and traffic. *)
 let test_merged_report_shape () =
+  Wm_obs.Ledger.retain Wm_obs.Ledger.default;
   let t = make_router ~shards:2 () in
   ignore (transcript (Router.server t) (workload ()));
   let r = Router.merged_report t in
