@@ -152,8 +152,8 @@ let algos =
 
 let algo_conv = Cmdliner.Arg.enum algos
 
-(* The exact reference is cubic (Hungarian / blossom-style); past a
-   thousand vertices it would dominate the run it is meant to grade, so
+(* The exact reference of a non-bipartite graph is the cubic blossom;
+   past a thousand vertices it would dominate the run it grades, so
    scale-tier instances report no optimum rather than stalling. *)
 let optimum_n_cap = 1024
 

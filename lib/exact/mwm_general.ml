@@ -3,9 +3,9 @@ module M = Wm_graph.Matching
 module E = Wm_graph.Edge
 module B = Wm_graph.Bipartition
 
-(* The O(n^3) blossom handles any instance; Hungarian is kept for
-   bipartite graphs as an independent, often faster route.  The size cap
-   only guards against accidentally cubing a huge instance. *)
+(* A bipartite graph goes to the sparse Hungarian solver, which is
+   O(n + m) memory and fast at any size; anything else to the O(n^3)
+   blossom, whose size cap guards against cubing a huge instance. *)
 let blossom_cap = 20_000
 
 let solve_opt g =

@@ -1265,25 +1265,17 @@ let run_t11 ~quick ~seed =
   let mwords w = float_of_int w /. 1e6 in
   List.iter
     (fun n ->
-      (* Per-family size ceiling: bip-skew's retained set is bipartite,
-         so rand-arr's M1 step fills the dense O(rows * cols^2)
-         Hungarian table on it (~300 s at n = 10^5 on the reference
-         host, hours at 10^6); that family stops a decade early — a
-         documented cap, not a silent one (see the note below). *)
       let families =
         [
           ( "power-law",
-            max_int,
             fun rng ->
               Gen.power_law_scale rng ~n ~attach:10
                 ~weights:(Gen.Geometric_classes 8) );
           ( "geometric",
-            max_int,
             fun rng ->
               Gen.geometric_scale rng ~n ~avg_degree:12.0
                 ~weights:(Gen.Uniform (1, 100)) );
           ( "bip-skew",
-            100_000,
             fun rng ->
               Gen.bipartite_skew_scale rng ~left:(n / 2) ~right:(n / 2)
                 ~edges:(8 * n) ~exponent:1.5
@@ -1291,9 +1283,7 @@ let run_t11 ~quick ~seed =
         ]
       in
       List.iter
-        (fun (tag, max_n, generate) ->
-          if n > max_n then ()
-          else
+        (fun (tag, generate) ->
           let rng = P.create (seed + n) in
           let gc0 = Wm_obs.Gcstat.snapshot () in
           let t0 = Wm_obs.Obs.now_ns () in
@@ -1336,10 +1326,7 @@ let run_t11 ~quick ~seed =
      monotone in n: at n = 10^4 the power-law and geometric M1 step is \
      the exact cubic Weighted_blossom on the retained set; above \
      Mwm_general.blossom_cap (n > 20000) M1 is the heuristic \
-     greedy_plus_swaps, and at n = 10^6 the stream passes dominate.  \
-     bip-skew stops at n = 10^5: its retained set is bipartite, and the \
-     dense O(rows * cols^2) Hungarian table on it is the cost, not the \
-     generator or the arena kernels"
+     greedy_plus_swaps, and at n = 10^6 the stream passes dominate"
 
 (* ------------------------------------------------------------------ *)
 (* T12: durable sessions — kill mid-stream, restore, byte-identical.

@@ -74,6 +74,15 @@ let test_hungarian_unbalanced () =
   let m = Hungarian.solve g ~left:(B.halves 3) in
   check "weight" 12 (M.weight m)
 
+let test_hungarian_zero_weight_free () =
+  (* Left 0's only edge weighs 0: matching it gains nothing, so it
+     stays free; left 1 takes its weight-4 edge. *)
+  let g = G.create ~n:4 [ E.make 0 2 0; E.make 1 3 4 ] in
+  let m = Hungarian.solve g ~left:(B.halves 2) in
+  check "weight" 4 (M.weight m);
+  check_bool "0 free" false (M.is_matched m 0);
+  check_bool "2 free" false (M.is_matched m 2)
+
 (* ------------------------------------------------------------------ *)
 (* Blossom *)
 
@@ -283,6 +292,29 @@ let prop_weighted_blossom_matches_hungarian =
       WB.optimum_weight g
       = M.weight (Hungarian.solve g ~left:(B.halves left)))
 
+(* Weights 0..3 force ties and weight-0 edges ([Gen.Uniform] refuses
+   0, so the edges are drawn here); sides of 1..40 are unbalanced, and
+   the last vertex of each side has no edge. *)
+let prop_hungarian_ties_and_zeros =
+  QCheck2.Test.make
+    ~name:"hungarian = weighted blossom under ties and zero weights"
+    ~count:300 gen_seed (fun seed ->
+      let rng = P.create seed in
+      let left = 1 + P.int rng 40 and right = 1 + P.int rng 40 in
+      let p = 0.05 +. P.float rng 0.5 in
+      let edges = ref [] in
+      for u = 0 to left - 2 do
+        for v = left to left + right - 2 do
+          if P.float rng 1.0 < p then
+            edges := E.make u v (P.int rng 4) :: !edges
+        done
+      done;
+      let g = G.create ~n:(left + right) !edges in
+      let m = Hungarian.solve g ~left:(B.halves left) in
+      M.weight m = WB.optimum_weight g
+      && M.is_valid_in m g
+      && M.fold (fun ok e -> ok && E.weight e > 0) true m)
+
 let prop_weighted_blossom_geometric_weights =
   QCheck2.Test.make ~name:"weighted blossom = brute under geometric weights"
     ~count:150 gen_seed (fun seed ->
@@ -322,6 +354,7 @@ let qcheck_tests =
       prop_blossom_output_is_matching;
       prop_weighted_blossom_matches_brute;
       prop_weighted_blossom_matches_hungarian;
+      prop_hungarian_ties_and_zeros;
       prop_weighted_blossom_geometric_weights;
       prop_hungarian_upper_bounds_greedy;
     ]
@@ -342,6 +375,8 @@ let () =
           Alcotest.test_case "heavy edge" `Quick test_hungarian_prefers_fewer_heavier;
           Alcotest.test_case "empty" `Quick test_hungarian_empty;
           Alcotest.test_case "unbalanced" `Quick test_hungarian_unbalanced;
+          Alcotest.test_case "weight-0 edge stays free" `Quick
+            test_hungarian_zero_weight_free;
         ] );
       ( "blossom",
         [

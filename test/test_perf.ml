@@ -367,6 +367,28 @@ let test_digest_allocation () =
         true (w <= 4))
     [ 1_000; 10_000 ]
 
+(* The exact bipartite solver keeps O(n + m) words: per-vertex arrays,
+   a two-array heap of at most m + n entries and the result matching,
+   about 8 words per (n + m) on this instance (n = 4,000, m = 32,000).
+   A dense (rows+1) x (cols+1) cost table costs about 234. *)
+let test_hungarian_allocation () =
+  let n = 4_000 in
+  let g =
+    Gen.bipartite_skew_scale (P.create 9) ~left:(n / 2) ~right:(n / 2)
+      ~edges:(8 * n) ~exponent:1.5
+      ~weights:(Gen.Uniform (1, 100))
+  in
+  let solve () =
+    ignore
+      (Wm_exact.Hungarian.solve g ~left:(Wm_graph.Bipartition.halves (n / 2)))
+  in
+  solve ();
+  let w = all_words solve and budget = 16 * (n + G.m g) in
+  check_bool
+    (Printf.sprintf "n=%d m=%d: Hungarian.solve costs %d words (budget %d)" n
+       (G.m g) w budget)
+    true (w <= budget)
+
 (* A served window patches a canonical session graph and never asks it
    for a neighbour, so a patch allocates its new edge array (m words and
    a header), its result record and per-delta-edge scratch: no CSR index
@@ -654,6 +676,8 @@ let () =
             test_prng_allocation_free;
           Alcotest.test_case "digest is linear and allocation-lean" `Quick
             test_digest_allocation;
+          Alcotest.test_case "hungarian is O(n + m) words" `Quick
+            test_hungarian_allocation;
           Alcotest.test_case "patch builds no index" `Quick
             test_patch_builds_no_index;
           Alcotest.test_case "served load allocation" `Quick
