@@ -154,15 +154,14 @@ let algo_conv = Cmdliner.Arg.enum algos
 
 (* The exact reference of a non-bipartite graph is the cubic blossom;
    past a thousand vertices it would dominate the run it grades, so
-   scale-tier instances report no optimum rather than stalling. *)
+   such scale-tier instances report no optimum rather than stalling.
+   A bipartite graph's sparse solver is fast at any size. *)
 let optimum_n_cap = 1024
 
 let optimum g =
-  if G.n g > optimum_n_cap then None
-  else
-    match Wm_exact.Mwm_general.solve_opt g with
-    | Some o -> Some (M.weight o)
-    | None -> None
+  if G.n g > optimum_n_cap && Option.is_none (Wm_graph.Bipartition.two_color g)
+  then None
+  else Option.map M.weight (Wm_exact.Mwm_general.solve_opt g)
 
 (* Build/load the instance, run one algorithm.  [verbose] guards the
    incidental text output so the [stats] subcommand can emit clean JSON
@@ -797,8 +796,9 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:
          "Restore a serve session from its durability directory without \
-          serving: load the newest valid snapshots, replay the \
-          write-ahead log suffix (truncating any torn tail), and print a \
+          serving: install the compacted log's sessions from their \
+          snapshots, replay the write-ahead log records past it \
+          (truncating any torn tail), and print a \
           WM_RECOVER_v1 JSON summary — replayed records, truncated \
           bytes, snapshots restored, restore time, and the recovered \
           sessions.")

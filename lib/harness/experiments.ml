@@ -1339,10 +1339,11 @@ let run_t12 ~quick ~seed =
   R.section ~id:"T12" ~title:"durable sessions: kill mid-stream and recover"
     ~claim:
       "with a write-ahead log (fsynced before responses) and periodic \
-       snapshots, a server killed mid-stream restores from the newest \
-       snapshots plus the WAL suffix, and the concatenation of its \
-       pre-kill output with the restarted server's output is \
-       byte-identical to an unkilled control at any --jobs setting";
+       snapshots, a server killed mid-stream restores its compacted base \
+       from snapshots and replays the WAL records past it, and the \
+       concatenation of its pre-kill output with the restarted server's \
+       output is byte-identical to an unkilled control at any --jobs \
+       setting";
   let module Srv = Wm_serve.Server in
   let module J = Wm_obs.Json in
   let n = if quick then 32 else 64 in

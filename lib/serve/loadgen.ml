@@ -22,8 +22,12 @@ let percentile_exact sorted p =
     let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) idx))
 
-let run ~server ~clients ~windows ?(algos = [ Protocol.Streaming; Protocol.Greedy ])
-    ?(distinct = 0) ?(deadline_ms = None) ?(base_seed = 1000) () =
+(* The parameter pool: [distinct] combinations of these algorithms and
+   seeds from [base_seed] on. *)
+let algos = [ Protocol.Streaming; Protocol.Greedy ]
+let base_seed = 1000
+
+let run ~server ~clients ~windows ?(distinct = 0) () =
   let distinct = if distinct > 0 then distinct else Stdlib.max 2 (clients / 2) in
   let n_algos = List.length algos in
   let submitted = Hashtbl.create 64 in
@@ -62,7 +66,7 @@ let run ~server ~clients ~windows ?(algos = [ Protocol.Streaming; Protocol.Greed
       let combo = ((w * clients) + c) mod distinct in
       let algo = List.nth algos (combo mod n_algos) in
       let seed = base_seed + (combo / n_algos) in
-      let params = { Protocol.algo; epsilon = 0.1; seed; deadline_ms } in
+      let params = { Protocol.algo; epsilon = 0.1; seed; deadline_ms = None } in
       incr reqno;
       let id = !reqno in
       Hashtbl.replace submitted id (Obs.now_ns ());

@@ -11,7 +11,7 @@
     The generator measures latency itself — submit time to response
     time per request — and reports exact (not histogram-interpolated)
     p50/p99, plus outcome tallies read back from the response bodies.
-    Used by experiment T9 and [bench/serve_loadgen.exe]. *)
+    Used by experiment T9. *)
 
 type stats = {
   clients : int;
@@ -28,21 +28,12 @@ type stats = {
 }
 
 val run :
-  server:Server.t ->
-  clients:int ->
-  windows:int ->
-  ?algos:Protocol.algo list ->
-  ?distinct:int ->
-  ?deadline_ms:int option ->
-  ?base_seed:int ->
-  unit ->
-  stats
+  server:Server.t -> clients:int -> windows:int -> ?distinct:int -> unit -> stats
 (** [run ~server ~clients ~windows ()] submits [clients * windows]
-    solves.  [algos] (default [[Streaming; Greedy]]) and [distinct]
-    (default [max 2 (clients / 2)]) bound the parameter pool;
-    [deadline_ms] (default [None]) attaches a per-request deadline;
-    [base_seed] (default [1000]) offsets the seed pool.  The server must
-    already hold at least one loaded session. *)
+    solves without a deadline, cycling through [distinct] (default
+    [max 2 (clients / 2)]) combinations of the streaming and greedy
+    algorithms with seeds from 1000 on.  The server must already hold at
+    least one loaded session. *)
 
 val throughput_rps : stats -> float
 (** Completed requests per second of wall-clock elapsed time. *)

@@ -197,11 +197,10 @@ let patch g ~add_vertices ~add ~remove =
    the warm tables.  Live handlers validate and compute first (parse,
    patch, digest, solve) and pass their effect here through [effect];
    WAL replay passes each decoded body, its content resolved by
-   [restore].  [image] is a fresh Load's content when a snapshot holds
-   it (default: the body's graph at generation 0, no warm state).
-   [graph] is a Mutate's patched graph; without it the session is only
-   re-keyed — inside a snapshot's skip window it already holds the
-   content. *)
+   [restore].  [image] is a session's snapshot when a [Base] record
+   installs it as a Load (default: the body's graph at generation 0, no
+   warm state).  [graph] is a Mutate's patched graph, which both callers
+   compute first. *)
 let apply t ?image ?graph body =
   match body with
   | Wal.Load { origin; digest; graph = g } ->
@@ -235,11 +234,8 @@ let apply t ?image ?graph body =
              t.order);
       if t.last = Some old_digest then t.last <- Some new_digest;
       s.digest <- new_digest;
-      Option.iter
-        (fun g ->
-          s.graph <- g;
-          s.generation <- s.generation + 1)
-        graph
+      s.graph <- Option.get graph;
+      s.generation <- s.generation + 1
   | Wal.Evict { digest = None } ->
       Hashtbl.reset t.sessions;
       t.order <- [];
@@ -333,11 +329,12 @@ let write_snapshots t =
               ];
           };
         (* Snapshot GC happens here and only here: the compacted log
-           names just the live origins, so any other snapshot — an
-           evicted session's, or one merged into another by mutation —
-           is dead.  Deleting it before the compaction is durable would
-           strand the records that still name it. *)
-        Snapshot.gc ~dir ~live:(List.map (fun s -> s.origin) live);
+           names just the live origins at [lsn], so any other snapshot
+           — an older version, an evicted session's, or one merged into
+           another by mutation — is dead.  Deleting it before the
+           compaction is durable would strand the records that still
+           name it. *)
+        Snapshot.gc ~dir ~lsn ~live:(List.map (fun s -> s.origin) live);
         Obs.add c_compacted dropped;
         Recovery.note_wal_compacted ~records:dropped
       end
@@ -376,23 +373,14 @@ let rec mkdir_p dir =
   end
 
 (* Rebuild the state a wal-dir holds by running every logged body
-   through [apply], after resolving its content.  A session whose
-   snapshot was taken within the log is installed from it, and [skip]
-   maps its origin to the snapshot's LSN: records at or before that LSN
-   are already reflected in the snapshot's content (graph, generation,
-   warm), so only their bookkeeping — the digest re-keys that keep
-   [sessions]/[order]/[last] tracking the live history, which later
-   records' digest references resolve against — is applied.  Cache
-   effects always apply in full: the cache is global, never
-   snapshotted, and its LRU state is a pure function of the logged
-   touch/insert sequence. *)
+   through [apply], as the live handlers ran it.  Snapshots are read
+   only for a compacted log's [Base] record: each session it names is
+   installed from its snapshot at the base's LSN.  Every other record
+   replays in full — a Load from its logged graph, a Mutate by [patch]
+   plus the digest check, a Flush with its cache and warm updates. *)
 let restore t dir =
   mkdir_p dir;
   let t0 = Obs.now_ns () in
-  let snaps = Hashtbl.create 8 in
-  List.iter
-    (fun (s, bytes) -> Hashtbl.replace snaps s.Snapshot.origin (s, bytes))
-    (Snapshot.load_all ~dir);
   let records, truncated_bytes = Wal.scan ~dir in
   let physical = List.length records in
   (* A compacted log opens with a base record standing at its original
@@ -404,30 +392,7 @@ let restore t dir =
     | _ -> 0
   in
   let head = physical + base_off in
-  let skip = Hashtbl.create 8 in
   let restored = ref 0 in
-  (* [origin]'s snapshot if it was taken at or after [from] — and not
-     past the head: the log is the authority. *)
-  let image origin ~from =
-    match Hashtbl.find_opt snaps origin with
-    | Some (s, bytes) when s.Snapshot.lsn >= from && s.Snapshot.lsn <= head ->
-        Hashtbl.replace skip origin s.Snapshot.lsn;
-        incr restored;
-        Recovery.note_snapshot_restore ~bytes ~at:s.Snapshot.lsn;
-        Some s
-    | _ -> None
-  in
-  (* The session a record at [lsn] names, and whether the record falls
-     in its skip window. *)
-  let session lsn d =
-    match Hashtbl.find_opt t.sessions d with
-    | Some s ->
-        ( s,
-          match Hashtbl.find_opt skip s.origin with
-          | Some sl -> lsn <= sl
-          | None -> false )
-    | None -> unrecoverable "wal replay: LSN %d names unknown session %s" lsn d
-  in
   let replay lsn body =
     match body with
     | Wal.Base { order; _ } ->
@@ -435,10 +400,17 @@ let restore t dir =
            exactly this LSN, and the Load records below it are gone, so
            a missing snapshot is unrecoverable — fail loudly rather than
            resurrect a partial state. *)
+        let snaps = Snapshot.load_all ~dir in
         List.iter
           (fun (origin, digest) ->
-            match image origin ~from:0 with
-            | Some s ->
+            match
+              List.find_opt
+                (fun ((s : Snapshot.s), _) -> s.origin = origin && s.lsn = lsn)
+                snaps
+            with
+            | Some (s, bytes) ->
+                incr restored;
+                Recovery.note_snapshot_restore ~bytes ~at:lsn;
                 apply t ~image:s
                   (Wal.Load { origin; digest; graph = s.Snapshot.graph })
             | None ->
@@ -447,30 +419,21 @@ let restore t dir =
                    snapshot is missing"
                   digest)
           order;
+        t.last_snap_lsn <- lsn;
         apply t body
-    | Wal.Load { origin; digest; _ } ->
-        (* A fresh session's snapshot content goes in under the {e
-           historical} digest; replay walks the key along the live
-           re-keying path, and content and key re-converge exactly at
-           the snapshot LSN, where the skip window closes. *)
-        let image =
-          if Hashtbl.mem t.sessions digest then None
-          else image origin ~from:lsn
-        in
-        apply t ?image body
     | Wal.Mutate { old_digest; new_digest; add_vertices; add; remove; _ } ->
-        let s, skipping = session lsn old_digest in
-        if skipping then apply t body
-        else begin
-          let g' = patch s.graph ~add_vertices ~add ~remove in
-          if Wm_graph.Graph_io.digest g' <> new_digest then
-            unrecoverable "wal replay: mutate digest mismatch at LSN %d" lsn;
-          apply t ~graph:g' body
-        end
-    | Wal.Flush f ->
-        let live_warm (d, _, _) = not (snd (session lsn d)) in
-        apply t (Wal.Flush { f with warm = List.filter live_warm f.warm })
-    | Wal.Evict _ | Wal.Stop -> apply t body
+        let s =
+          match Hashtbl.find_opt t.sessions old_digest with
+          | Some s -> s
+          | None ->
+              unrecoverable "wal replay: LSN %d names unknown session %s" lsn
+                old_digest
+        in
+        let g' = patch s.graph ~add_vertices ~add ~remove in
+        if Wm_graph.Graph_io.digest g' <> new_digest then
+          unrecoverable "wal replay: mutate digest mismatch at LSN %d" lsn;
+        apply t ~graph:g' body
+    | Wal.Load _ | Wal.Flush _ | Wal.Evict _ | Wal.Stop -> apply t body
   in
   List.iteri
     (fun i r -> List.iter (replay (i + 1 + base_off)) r.Wal.bodies)
@@ -493,7 +456,6 @@ let restore t dir =
         counter_vec);
   if physical > 0 then Recovery.note_wal_replay ~records:physical;
   t.wal <- Some (Wal.open_log ~dir ~head ~physical);
-  t.last_snap_lsn <- Hashtbl.fold (fun _ l acc -> Stdlib.max l acc) skip 0;
   t.recovery <-
     Some
       {

@@ -113,9 +113,9 @@ type config = {
           every state-mutating input line is appended to a CRC-checked,
           fsynced write-ahead log {e before} its responses are emitted,
           sessions are snapshotted periodically, and {!create} restores
-          the newest valid snapshots plus the WAL suffix — resuming the
-          crashed server byte-identically (transcripts, stats, digests,
-          generations, cache state) *)
+          the compacted log's base from its snapshots and replays the
+          records past it — resuming the crashed server byte-identically
+          (transcripts, stats, digests, generations, cache state) *)
   snapshot_every : int;
       (** write session snapshots every this many WAL records
           (default 8); [0] disables periodic snapshots (one is still
@@ -150,12 +150,13 @@ exception Unrecoverable of string
     say, a compacted log naming a session whose snapshot is gone. *)
 
 val create : config -> t
-(** With [wal_dir = Some dir]: create the directory if needed, load the
-    newest valid snapshot per session, scan the WAL (truncating any
-    torn tail), and replay it through the same state transition live
-    requests use, installing sessions from their snapshots where the
-    log allows; then open the log for appending — the returned server
-    continues exactly where the previous incarnation stopped. *)
+(** With [wal_dir = Some dir]: create the directory if needed, scan the
+    WAL (truncating any torn tail), and replay it through the same state
+    transition live requests use — a compacted log's [Base] record
+    installs each session it names from its snapshot at the base's LSN,
+    and every later record replays in full; then open the log for
+    appending — the returned server continues exactly where the
+    previous incarnation stopped. *)
 
 val recovery : t -> recovery option
 (** Restore accounting: [Some] iff the server was created with a

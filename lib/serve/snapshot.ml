@@ -14,8 +14,10 @@ type s = {
 let magic = "WSN1"
 let prefix = "snap-"
 
-let name origin = Printf.sprintf "%s%d.bin" prefix origin
-let file ~dir origin = Filename.concat dir (name origin)
+(* Versioned by LSN: a new snapshot never replaces the one the durable
+   [Base] record names. *)
+let name origin lsn = Printf.sprintf "%s%d-%d.bin" prefix origin lsn
+let file ~dir ~lsn origin = Filename.concat dir (name origin lsn)
 
 let add_snapshot w s =
   let open Bin in
@@ -48,7 +50,7 @@ let decode =
 
 let write ~dir s =
   let framed = Bin.encode_frame (fun w -> add_snapshot w s) in
-  Wal.publish ~dir (name s.origin) framed;
+  Wal.publish ~dir (name s.origin s.lsn) framed;
   let bytes = String.length framed in
   Recovery.note_snapshot ~bytes ~at:s.lsn;
   bytes
@@ -58,36 +60,29 @@ let snapshot_files ~dir =
   |> Array.to_list
   |> List.filter (String.starts_with ~prefix)
 
-(* Keep exactly the files of the [live] origins.  Files named by digest
-   (an older layout) never match, so the first GC after an upgrade
-   sweeps them. *)
-let gc ~dir ~live =
-  let keep = List.map name live in
+(* Keep exactly the [live] origins' files at [lsn].  Older versions
+   and files of an older layout never match, so this GC sweeps them. *)
+let gc ~dir ~lsn ~live =
+  let keep = List.map (fun origin -> name origin lsn) live in
   List.iter
     (fun f ->
       if not (List.mem f keep) then
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (snapshot_files ~dir)
 
-(* Load every valid snapshot in [dir], newest per origin.  Invalid
-   files — torn frames, CRC failures, digest mismatches, stray tmp
-   files from a crashed writer — are skipped, never fatal: restore
-   fails only if a record it replays needs the missing snapshot. *)
+(* Load every valid snapshot in [dir].  Invalid files — torn frames,
+   CRC failures, digest mismatches, stray tmp files from a crashed
+   writer — are skipped, never fatal: restore fails only if the base
+   record it replays needs the missing snapshot. *)
 let load_all ~dir =
-  let best = Hashtbl.create 8 in
-  List.iter
+  List.filter_map
     (fun name ->
       match
         In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
       with
-      | exception Sys_error _ -> ()
+      | exception Sys_error _ -> None
       | text -> (
           match Option.map (fun (p, _) -> decode p) (Bin.read_frame text 0) with
-          | Some s -> (
-              match Hashtbl.find_opt best s.origin with
-              | Some (prev, _) when prev.lsn >= s.lsn -> ()
-              | _ -> Hashtbl.replace best s.origin (s, String.length text))
-          | None | (exception Bin.Corrupt _) -> ()))
-    (snapshot_files ~dir);
-  Hashtbl.fold (fun _ sb acc -> sb :: acc) best []
-  |> List.sort (fun (a, _) (b, _) -> compare a.origin b.origin)
+          | Some s -> Some (s, String.length text)
+          | None | (exception Bin.Corrupt _) -> None))
+    (snapshot_files ~dir)

@@ -14,8 +14,11 @@
    - restore semantics: kill/restart byte-identity against an unkilled
      control, snapshots newer than the log are ignored (the log is the
      authority), cache eviction re-keys correctly when the restored
-     snapshot generation trails the WAL head, and an orderly drain
-     leaves snapshots a fresh server restores from. *)
+     snapshot generation trails the WAL head, an orderly drain
+     leaves snapshots a fresh server restores from, a kill between a
+     snapshot point's writes and its compaction restores the version
+     the base names, and a snapshot under the older unversioned name
+     still restores. *)
 
 module J = Wm_obs.Json
 module E = Wm_graph.Edge
@@ -293,7 +296,7 @@ let golden_bytes () =
   @ [
       ("graph frame", IO.to_binary golden_graph);
       ("matching frame", IO.matching_to_binary golden_matching);
-      ("snapshot file", slurp (Wm_serve.Snapshot.file ~dir 3));
+      ("snapshot file", slurp (Wm_serve.Snapshot.file ~dir ~lsn:9 3));
       ("log file", slurp (Wal.path ~dir));
     ]
 
@@ -379,7 +382,7 @@ let test_format_goldens () =
   check_bool "decode matching frame" true
     (IO.matching_of_binary (golden "matching frame") = golden_matching);
   let dir = fresh_dir () in
-  spew (Wm_serve.Snapshot.file ~dir 3) (golden "snapshot file");
+  spew (Wm_serve.Snapshot.file ~dir ~lsn:9 3) (golden "snapshot file");
   spew (Wal.path ~dir) (golden "log file");
   (match Wm_serve.Snapshot.load_all ~dir with
   | [ (s, _) ] ->
@@ -448,7 +451,7 @@ let test_snapshot_digest_disagrees () =
       ignore (Wm_serve.Snapshot.decode (payload other)));
   let dir = fresh_dir () in
   spew
-    (Wm_serve.Snapshot.file ~dir 3)
+    (Wm_serve.Snapshot.file ~dir ~lsn:9 3)
     (Bin.encode_frame (fun w -> Bin.add_fixed w (payload other)));
   check "load_all skips it" 0 (List.length (Wm_serve.Snapshot.load_all ~dir))
 
@@ -523,7 +526,7 @@ let prop_corrupt_bytes_raise_corrupt =
       ( "snapshot payload",
         (fun s ->
           spew
-            (Wm_serve.Snapshot.file ~dir:snap_dir 3)
+            (Wm_serve.Snapshot.file ~dir:snap_dir ~lsn:9 3)
             Wm_graph.Bin.(encode_frame (fun w -> add_fixed w s));
           ignore (Wm_serve.Snapshot.load_all ~dir:snap_dir)),
         [ snapshot_payload ] );
@@ -726,7 +729,7 @@ let prop_one_pass_matches_oracle =
     gen_durable_case
     (fun (_, (s : Wm_serve.Snapshot.s), header) ->
       let g = s.graph and digest = s.digest in
-      let file = Wm_serve.Snapshot.file ~dir s.origin in
+      let file = Wm_serve.Snapshot.file ~dir ~lsn:s.lsn s.origin in
       let written = Wm_serve.Snapshot.write ~dir s in
       let snapshot = slurp file in
       Sys.remove file;
@@ -843,9 +846,8 @@ let test_snapshot_newer_than_log () =
   let dir = fresh_dir () in
   let a = Server.create (config ~wal_dir:dir ~snapshot_every:1 ()) in
   let _ = feed a [ load_line 1 g; stats_line 2 ] in
-  (* Lose the log but keep the snapshots: the snapshot LSNs now point
-     past the head, so the log's (empty) authority wins and nothing is
-     installed. *)
+  (* Lose the log but keep the snapshots: no base record names them,
+     so the log's (empty) authority wins and nothing is installed. *)
   Sys.remove (Wal.path ~dir);
   let b = Server.create (config ~wal_dir:dir ()) in
   let r = Option.get (Server.recovery b) in
@@ -971,8 +973,15 @@ let test_compaction_on_snapshot () =
   | [ resp ] -> check_bool "restored cache still hits" true (cached resp)
   | _ -> Alcotest.fail "expected one response"
 
-(* Snapshot GC: evicting a session deletes its [snap-<origin>.bin] at
-   the next compaction, so the wal-dir's file census tracks the
+let snap_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (String.starts_with ~prefix:"snap-")
+  |> List.sort compare
+
+let check_files = Alcotest.(check (list string))
+
+(* Snapshot GC: evicting a session deletes its snapshot file at the
+   next compaction, so the wal-dir's file census tracks the
    live-session census instead of accreting dead state. *)
 let test_evict_gcs_snapshot () =
   let g = sample_graph 31 and h = sample_graph 37 in
@@ -987,20 +996,23 @@ let test_evict_gcs_snapshot () =
         stats_line 4;
       ]
   in
-  (* A session's origin is the LSN of its load: one record per line. *)
-  let snap origin = Wm_serve.Snapshot.file ~dir origin in
+  (* A session's origin is the LSN of its load.  The admitted solve logs
+     no record, so the stats line's record has LSN 3, the evict's 4. *)
+  let at lsn origins =
+    List.map
+      (fun o -> Filename.basename (Wm_serve.Snapshot.file ~dir ~lsn o))
+      origins
+  in
   let g_origin = 1 and h_origin = 2 in
-  check_bool "both sessions snapshotted" true
-    (Sys.file_exists (snap g_origin) && Sys.file_exists (snap h_origin));
+  check_files "both sessions snapshotted, one version each"
+    (at 3 [ g_origin; h_origin ])
+    (snap_files dir);
   let _ = feed a [ evict_digest_line 5 (IO.digest g) ] in
-  check_bool "evicted session's snapshot deleted" true
-    (not (Sys.file_exists (snap g_origin)));
-  check_bool "surviving session's snapshot kept" true
-    (Sys.file_exists (snap h_origin));
+  check_files "evicted session's snapshot deleted, survivor's kept"
+    (at 4 [ h_origin ]) (snap_files dir);
   (* evict-all sweeps the rest *)
   let _ = feed a [ evict_line 6 ] in
-  check_bool "evict-all sweeps every snapshot" true
-    (not (Sys.file_exists (snap h_origin)));
+  check_files "evict-all sweeps every snapshot" [] (snap_files dir);
   (* a restart on the swept dir comes up empty but clean *)
   let b = Server.create (config ~wal_dir:dir ()) in
   check "no sessions after the sweep" 0 (List.length (Server.sessions b))
@@ -1074,7 +1086,9 @@ let test_kill_after_evict_all () =
    snapshot writes and the compaction: staged by draining (snapshots,
    compaction, GC), then putting back the pre-drain log and every
    snapshot file the drain deleted — GC runs only after compaction, so
-   at the crash point none was gone yet. *)
+   at the crash point none was gone yet.  The killed wal-dir then holds
+   two versions of A's snapshot (the base's and the drain's), and the
+   restart must install the base's. *)
 let test_kill_between_merge_snapshot_and_compaction () =
   let a, b, edge = merge_pair 61 in
   let lines =
@@ -1088,7 +1102,9 @@ let test_kill_between_merge_snapshot_and_compaction () =
       stats_line 7;
     ]
   in
+  let wal_dir = ref "" and base_sessions = ref 0 and versions = ref 0 in
   let crash dir srv =
+    wal_dir := dir;
     let files () =
       Array.to_list (Sys.readdir dir)
       |> List.filter (fun f -> f = "wal.log" || String.starts_with ~prefix:"snap-" f)
@@ -1101,10 +1117,65 @@ let test_kill_between_merge_snapshot_and_compaction () =
       (fun (f, bytes) ->
         if f = "wal.log" || not (List.mem_assoc f after) then
           spew (Filename.concat dir f) bytes)
-      before
+      before;
+    (match Wal.scan ~dir with
+    | { Wal.bodies = [ Wal.Base { order; _ } ]; _ } :: _, _ ->
+        base_sessions := List.length order
+    | _ -> Alcotest.fail "the killed log does not open with a Base record");
+    (* Session A keeps its origin, the LSN of its load: 1. *)
+    versions :=
+      List.length
+        (List.filter
+           (fun ((s : Wm_serve.Snapshot.s), _) -> s.origin = 1)
+           (Wm_serve.Snapshot.load_all ~dir))
   in
-  assert_identical
-    (fst (recovery_identity ~crash ~snapshot_every:3 ~k:4 lines))
+  let chk, srv = recovery_identity ~crash ~snapshot_every:3 ~k:4 lines in
+  assert_identical chk;
+  check "two snapshot versions of the merged session" 2 !versions;
+  check "the base's sessions are installed" !base_sessions
+    (Option.get (Server.recovery srv)).Server.snapshots_restored;
+  ignore (Server.eof srv);
+  check "one snapshot file per live session after compaction"
+    (List.length (Server.sessions srv))
+    (List.length (snap_files !wal_dir))
+
+(* An older layout named a snapshot by origin alone, [snap-<origin>.bin].
+   Restore keys snapshots by what they decode to, so a compacted wal-dir
+   in that layout restores byte-identically, and the next compaction
+   sweeps the legacy name. *)
+let test_legacy_snapshot_name () =
+  let g = sample_graph 73 in
+  let lines =
+    [
+      load_line 1 g;
+      stats_line 2;
+      add_vertices_line 3 2;
+      solve_line 4;
+      stats_line 5;
+      shutdown_line 6;
+    ]
+  in
+  let wal_dir = ref "" in
+  let legacy = "snap-1.bin" in
+  let crash dir _ =
+    wal_dir := dir;
+    (* load and stats: the snapshot point at LSN 2 compacts the log *)
+    let versioned = Wm_serve.Snapshot.file ~dir ~lsn:2 1 in
+    check_files "one versioned snapshot"
+      [ Filename.basename versioned ]
+      (snap_files dir);
+    Sys.rename versioned (Filename.concat dir legacy)
+  in
+  let chk, srv = recovery_identity ~crash ~snapshot_every:2 ~k:2 lines in
+  assert_identical chk;
+  check "restored through the legacy name" 1
+    (Option.get (Server.recovery srv)).Server.snapshots_restored;
+  let files = snap_files !wal_dir in
+  check_bool "the shutdown's compaction deletes the legacy name" false
+    (List.mem legacy files);
+  check "one snapshot file per live session"
+    (List.length (Server.sessions srv))
+    (List.length files)
 
 (* Crash-point sweep: one script whose WAL carries every body kind —
    Load (fresh and a re-load of live content), Mutate (plain and a
@@ -1249,6 +1320,8 @@ let () =
             test_kill_after_evict_all;
           Alcotest.test_case "kill between merge snapshot and compaction"
             `Quick test_kill_between_merge_snapshot_and_compaction;
+          Alcotest.test_case "legacy snapshot name" `Quick
+            test_legacy_snapshot_name;
           Alcotest.test_case "crash-point sweep" `Quick test_crash_point_sweep;
           Alcotest.test_case "check_recovery divergence" `Quick
             test_check_recovery_reports_divergence;
